@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CapsuleSet, Scene, capsule_witnesses, scene_distance, witness_gradient
+from .geometry import CapsuleSet, Scene, WorldState, world_state
 from .kinematics import RobotChain
 
 _ZERO_GRADIENT_TOL = 1e-14
@@ -51,15 +51,16 @@ def convexify_collision(
     margin: float = 0.0,
 ) -> list[LinearInequality]:
     """Linearized collision rows at q_ref; each row satisfies a.q_ref - b = d(q_ref) - margin."""
-    if per_capsule_rows:
-        witnesses = capsule_witnesses(q_ref, chain, capsules, scene)
-    else:
-        witnesses = [scene_distance(q_ref, chain, capsules, scene)]
-    q_ref = np.asarray(q_ref, dtype=float)
+    return collision_rows(world_state(q_ref, chain, capsules, scene), per_capsule_rows, margin)
+
+
+def collision_rows(state: WorldState, per_capsule_rows: bool = False, margin: float = 0.0) -> list[LinearInequality]:
+    """Linearized collision rows at an evaluated configuration, read from its witnesses."""
+    witnesses = state.witnesses if per_capsule_rows else (state.witness,)
     rows = []
     for w in witnesses:
-        g = witness_gradient(q_ref, chain, capsules, scene, w)
+        g = state.gradient(w)
         if np.max(np.abs(g)) < _ZERO_GRADIENT_TOL:
             continue  # locally flat distance: no usable half-space
-        rows.append(LinearInequality(a=g, b=float(g @ q_ref) - w.value + margin))
+        rows.append(LinearInequality(a=g, b=float(g @ state.q) - w.value + margin))
     return rows

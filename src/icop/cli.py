@@ -34,7 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--horizon", type=int, default=None, help="resample the weld path to this many waypoints")
     parser.add_argument("--rounds", type=int, default=None, help="override the number of planning rounds")
     parser.add_argument("--per-capsule-rows", action="store_true", help="one collision row per capsule")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized utilities (planning itself is deterministic)")
     parser.add_argument("--sweep-horizon", default=None, help="comma-separated horizons, e.g. 14,21,43,82,164")
     parser.add_argument("--sweep-xi", default=None, help="comma-separated thresholds, e.g. 1e-2,1e-3,1e-4")
     return parser

@@ -59,9 +59,14 @@ def linearize_task(q_ref, c_ref, c_next, chain: RobotChain, tool: BodyPoint) -> 
     rows are exact at the reference: A . q_ref - b = c_ref - c_next.
     """
     q_ref = np.asarray(q_ref, dtype=float)
+    return task_rows(body_point_jacobian(q_ref, chain, tool), q_ref, c_ref, c_next)
+
+
+def task_rows(A: np.ndarray, q_ref, c_ref, c_next) -> LinearEquality:
+    """Linearized contact rows from the body point's Jacobian A already taken at q_ref."""
+    q_ref = np.asarray(q_ref, dtype=float)
     c_ref = np.asarray(c_ref, dtype=float)
     c_next = np.asarray(c_next, dtype=float)
-    A = body_point_jacobian(q_ref, chain, tool)
     b = A @ q_ref + (c_next - c_ref)
     rank = _matrix_rank(A)
     return LinearEquality(A=A, b=b, rank=rank, singular=rank < A.shape[0])

@@ -18,6 +18,18 @@ Every returned distance carries a witness (capsule, axis parameter, closest
 points, clipping plane if any) so the configuration-space gradient can be
 assembled from body-point Jacobians, including the chain-rule term for
 witnesses pinned to the entrance crossing.
+
+All capsules of a configuration are scored together: one array pass tests
+which axes cross the entrance opening and one (capsules x fringe segments)
+closest-point pass scores the FRINGE case, so ``scene_distance``,
+``capsule_witnesses`` and ``capsule_distance`` share the same arithmetic and
+agree bit for bit. The scalar ``segment_segment_distance`` and
+``classify_segment`` stay as the reference they are tested against.
+
+A planner iterate is evaluated once: ``world_state`` builds the joint frames,
+the world capsule axes, the tool position and every capsule's witness from
+one forward-kinematics pass, and the collision rows, the contact rows, the
+distance gradients and the recorded clearance all read that state.
 """
 
 from __future__ import annotations
@@ -27,8 +39,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import NUM_JOINTS, BodyPoint, RobotChain, _frames_with_base, joint_config
-from .transforms import apply_transform
+from .kinematics import (
+    NUM_JOINTS,
+    BodyPoint,
+    RobotChain,
+    _frames_with_base,
+    joint_config,
+    point_jacobian,
+    point_position,
+    tool_tip,
+)
+from .transforms import apply_transform, cross, is_rigid
 
 CASE_FRINGE = "FRINGE"
 CASE_TUNNEL = "TUNNEL"
@@ -36,6 +57,14 @@ CASE_TUNNEL = "TUNNEL"
 # Planes whose normals are this close to (anti)parallel with the entrance
 # normal are treated as opening faces, not walls.
 _PARALLEL_TOL = 1e-9
+
+# Squared segment length below which segment_segment_distance treats a
+# segment as a point.
+_SEGMENT_EPS = 1e-14
+
+# How far outside an entrance edge a crossing point may lie and still count
+# as inside the opening.
+_OPENING_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,6 +107,16 @@ def capsule_set(capsules) -> CapsuleSet:
     return caps
 
 
+def _next_rows(rows: np.ndarray) -> np.ndarray:
+    """Row i + 1 in place of row i, cyclically: ``np.roll(rows, -1, axis=0)`` at a fraction of its cost."""
+    return np.concatenate([rows[1:], rows[:1]])
+
+
+def _polygon_edges(vertices: np.ndarray) -> np.ndarray:
+    """Edge vectors of a closed polygon: row i runs from vertex i to vertex i + 1."""
+    return _next_rows(vertices) - vertices
+
+
 @dataclass(frozen=True)
 class BoundedPlane:
     """A plane {p : normal . p = offset} restricted to a convex polygon.
@@ -102,15 +141,12 @@ class BoundedPlane:
         residual = np.max(np.abs(v @ n - self.offset))
         if residual > 1e-9:
             raise ValueError(f"boundary vertices off the plane by {residual:.3e}")
-        k = v.shape[0]
-        for i in range(k):
-            e0 = v[(i + 1) % k] - v[i]
-            e1 = v[(i + 2) % k] - v[(i + 1) % k]
-            turn = np.dot(np.cross(e0, e1), n)
-            if np.linalg.norm(e0) < 1e-12:
-                raise ValueError("degenerate boundary edge")
-            if turn < -1e-12:
-                raise ValueError("boundary polygon must be convex and counter-clockwise about the normal")
+        edges = _polygon_edges(v)
+        if np.any(np.linalg.norm(edges, axis=1) < 1e-12):
+            raise ValueError("degenerate boundary edge")
+        turns = cross(edges, _next_rows(edges)) @ n
+        if np.any(turns < -1e-12):
+            raise ValueError("boundary polygon must be convex and counter-clockwise about the normal")
         n.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "normal", n)
@@ -123,8 +159,9 @@ class Scene:
 
     ``mounting`` records the rigid transform already applied to the geometry
     (identity for a scene in its construction frame). Derived orientation data
-    (which planes are walls, inward wall normals, outward opening normals) is
-    computed once here so the distance queries stay branch-free.
+    (which planes are walls, inward wall normals, outward opening normals, the
+    inward normals of the opening's edges) is computed once here so the
+    distance queries stay branch-free.
     """
 
     planes: tuple[BoundedPlane, ...]
@@ -144,22 +181,20 @@ class Scene:
         if fringe.ndim != 3 or fringe.shape[1:] != (2, 3):
             raise ValueError("fringe_segments must have shape (m, 2, 3)")
         mounting = np.array(self.mounting, dtype=float)
-        from .transforms import is_rigid
-
         if not is_rigid(mounting):
             raise ValueError("mounting must be a proper rigid transform")
 
         entrance = planes[self.entrance_plane_index]
+        normals = np.array([plane.normal for plane in planes])
+        offsets = np.array([plane.offset for plane in planes])
+        # off_plane[s, p]: how far fringe segment s strays from plane p at its worse end
+        off_plane = np.max(np.abs(fringe @ normals.T - offsets), axis=1)
         errors = []
-        for si, seg in enumerate(fringe):
-            ents = np.abs(seg @ entrance.normal - entrance.offset)
-            if np.max(ents) > 1e-9:
-                errors.append(f"fringe segment {si} off the entrance surface by {np.max(ents):.3e}")
-            containing = 0
-            for plane in planes:
-                if np.max(np.abs(seg @ plane.normal - plane.offset)) <= 1e-9:
-                    containing += 1
-            if containing < 2:
+        for si in range(fringe.shape[0]):
+            gap = off_plane[si, self.entrance_plane_index]
+            if gap > 1e-9:
+                errors.append(f"fringe segment {si} off the entrance surface by {gap:.3e}")
+            if np.count_nonzero(off_plane[si] <= 1e-9) < 2:
                 errors.append(f"fringe segment {si} does not lie on the intersection of two scene planes")
         if errors:
             raise ValueError("; ".join(errors))
@@ -195,7 +230,16 @@ class Scene:
             opening_normals[row] = n
             opening_offsets[row] = off
 
-        for arr in (fringe, mounting, wall_normals, wall_offsets, opening_normals, opening_offsets, interior):
+        entrance_row = opening_idx.index(self.entrance_plane_index)
+        entrance_normal = opening_normals[entrance_row]
+        entrance_offset = float(opening_offsets[entrance_row])
+        # Inward normals of the opening's edges: a point p on the entrance plane
+        # is inside the opening when edge_normals[i] . (p - vertices[i]) >= 0.
+        edge_normals = cross(entrance.normal, _polygon_edges(entrance.vertices))
+
+        for arr in (
+            fringe, mounting, wall_normals, wall_offsets, opening_normals, opening_offsets, interior, edge_normals
+        ):
             arr.flags.writeable = False
         object.__setattr__(self, "planes", planes)
         object.__setattr__(self, "fringe_segments", fringe)
@@ -207,6 +251,9 @@ class Scene:
         object.__setattr__(self, "_opening_indices", tuple(opening_idx))
         object.__setattr__(self, "_opening_normals", opening_normals)
         object.__setattr__(self, "_opening_offsets", opening_offsets)
+        object.__setattr__(self, "_entrance_normal", entrance_normal)
+        object.__setattr__(self, "_entrance_offset", entrance_offset)
+        object.__setattr__(self, "_entrance_edge_normals", edge_normals)
 
     @property
     def entrance_plane(self) -> BoundedPlane:
@@ -215,13 +262,11 @@ class Scene:
     @property
     def entrance_outward_normal(self) -> np.ndarray:
         """Unit normal of the entrance surface pointing away from the tunnel interior."""
-        row = self._opening_indices.index(self.entrance_plane_index)
-        return self._opening_normals[row]
+        return self._entrance_normal
 
     @property
     def entrance_outward_offset(self) -> float:
-        row = self._opening_indices.index(self.entrance_plane_index)
-        return float(self._opening_offsets[row])
+        return self._entrance_offset
 
 
 @dataclass(frozen=True)
@@ -267,7 +312,7 @@ def segment_segment_distance(a0, a1, b0, b1) -> SegmentClosest:
     a = float(d1 @ d1)
     e = float(d2 @ d2)
     f = float(d2 @ r)
-    eps = 1e-14
+    eps = _SEGMENT_EPS
     if a <= eps and e <= eps:
         s = t = 0.0
     elif a <= eps:
@@ -316,29 +361,9 @@ def classify_segment(a, b, scene: Scene) -> str:
         return CASE_FRINGE
     t = sa / (sa - sb)
     crossing = np.asarray(a, dtype=float) + t * (np.asarray(b, dtype=float) - np.asarray(a, dtype=float))
-    if point_in_polygon(crossing, scene.entrance_plane, tol=1e-9):
+    if point_in_polygon(crossing, scene.entrance_plane, tol=_OPENING_TOL):
         return CASE_TUNNEL
     return CASE_FRINGE
-
-
-def _fringe_distance(a, b, radius: float, scene: Scene):
-    """FRINGE case: closest approach of the axis to any fringe segment, minus radius."""
-    if scene.fringe_segments.shape[0] == 0:
-        raise ValueError("scene has no fringe segments for the FRINGE distance case")
-    best = None
-    best_index = -1
-    for i, seg in enumerate(scene.fringe_segments):
-        cand = segment_segment_distance(a, b, seg[0], seg[1])
-        if best is None or cand.distance < best.distance:
-            best = cand
-            best_index = i
-    return (
-        best.distance - radius,
-        best.point_on_1,
-        best.point_on_2,
-        best.param_1,
-        best_index,
-    )
 
 
 def _in_tunnel_interval(a, b, scene: Scene):
@@ -418,52 +443,109 @@ def _tunnel_clearance(a, b, scene: Scene):
     return best_value, t_star, clip_star, wall_plane_index, p_star, foot
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot product over the last axis of (..., 3) arrays, summed in a fixed order.
+
+    Every entry comes from the same three products and two sums whatever the
+    batch shape, so one capsule scored alone and the same capsule scored in a
+    batch give the same bits.
+    """
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+
+
+def _crosses_opening(axes: np.ndarray, scene: Scene) -> np.ndarray:
+    """Per axis (n, 2, 3): does it cross the entrance opening? The TUNNEL test of ``classify_segment``."""
+    a, b = axes[:, 0], axes[:, 1]
+    sa = _dot(a, scene._entrance_normal) - scene._entrance_offset
+    sb = _dot(b, scene._entrance_normal) - scene._entrance_offset
+    # Axes that do not cross the entrance plane get a meaningless crossing point; the sign test drops them.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossing = a + (sa / (sa - sb))[:, None] * (b - a)
+        inside = _dot(crossing[:, None, :] - scene.entrance_plane.vertices, scene._entrance_edge_normals)
+    return (sa * sb < 0.0) & np.all(inside >= -_OPENING_TOL, axis=1)
+
+
+def _closest_fringe(axes: np.ndarray, fringe: np.ndarray):
+    """Closest approach of every axis (n, 2, 3) to its nearest fringe segment (m, 2, 3).
+
+    The arithmetic of ``segment_segment_distance`` over the whole
+    (axes x fringe segments) grid at once, branches replaced by selections;
+    a distance tie keeps the lowest fringe index. Returns, per axis, the
+    distance, the axis parameter, both closest points and the fringe index.
+    """
+    a0 = axes[:, None, 0]
+    d1 = axes[:, None, 1] - a0
+    b0 = fringe[None, :, 0]
+    d2 = fringe[None, :, 1] - b0
+    r = a0 - b0
+    a = _dot(d1, d1)
+    e = _dot(d2, d2)
+    b = _dot(d1, d2)
+    c = _dot(d1, r)
+    f = _dot(d2, r)
+    axis_ok, fringe_ok = a > _SEGMENT_EPS, e > _SEGMENT_EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = a * e - b * b
+        s = np.where(denom > _SEGMENT_EPS, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
+        t = (b * s + f) / e
+        s_start = np.clip(-c / a, 0.0, 1.0)  # closest axis point to the fringe start
+        s = np.where(t < 0.0, s_start, np.where(t > 1.0, np.clip((b - c) / a, 0.0, 1.0), s))
+        t = np.clip(t, 0.0, 1.0)
+        # A zero-length fringe segment is a point; a zero-length axis is a point too.
+        s = np.where(axis_ok, np.where(fringe_ok, s, s_start), 0.0)
+        t = np.where(fringe_ok, np.where(axis_ok, t, np.clip(f / e, 0.0, 1.0)), 0.0)
+    on_axis = a0 + s[..., None] * d1
+    on_fringe = b0 + t[..., None] * d2
+    gap = on_axis - on_fringe
+    dist = np.sqrt(_dot(gap, gap))
+    nearest = np.argmin(dist, axis=1)
+    rows = np.arange(axes.shape[0])
+    return dist[rows, nearest], s[rows, nearest], on_axis[rows, nearest], on_fringe[rows, nearest], nearest
+
+
+def _score_axes(axes: np.ndarray, radii, scene: Scene, capsule_indices) -> list[DistanceWitness]:
+    """Witnesses of capsules with world-frame axes (n, 2, 3) and the given radii."""
+    tunnel = _crosses_opening(axes, scene)
+    if not tunnel.all():
+        if scene.fringe_segments.shape[0] == 0:
+            raise ValueError("scene has no fringe segments for the FRINGE distance case")
+        dist, s, on_axis, on_fringe, nearest = _closest_fringe(axes, scene.fringe_segments)
+    witnesses = []
+    for i, (radius, capsule_index) in enumerate(zip(radii, capsule_indices)):
+        if tunnel[i]:
+            gap, t, clip, plane, on_robot, on_obstacle = _tunnel_clearance(axes[i, 0], axes[i, 1], scene)
+            case = CASE_TUNNEL
+        else:
+            gap, t, clip, plane = float(dist[i]), s[i], None, int(nearest[i])
+            on_robot, on_obstacle, case = on_axis[i], on_fringe[i], CASE_FRINGE
+        witnesses.append(DistanceWitness(gap - radius, capsule_index, on_robot, on_obstacle, case, float(t), plane, clip))
+    return witnesses
+
+
 def capsule_distance(world_a, world_b, radius: float, scene: Scene, capsule_index: int = -1) -> DistanceWitness:
     """Signed distance of one capsule (world-frame axis endpoints) to the scene."""
-    case = classify_segment(world_a, world_b, scene)
-    if case == CASE_FRINGE:
-        value, p_rob, p_obs, s, seg_index = _fringe_distance(world_a, world_b, radius, scene)
-        return DistanceWitness(
-            value=value,
-            capsule_index=capsule_index,
-            point_on_robot=p_rob,
-            point_on_obstacle=p_obs,
-            case_tag=CASE_FRINGE,
-            axis_param=s,
-            plane_index=seg_index,
-        )
-    clearance, t_star, clip_star, wall_index, p_star, foot = _tunnel_clearance(world_a, world_b, scene)
-    return DistanceWitness(
-        value=clearance - radius,
-        capsule_index=capsule_index,
-        point_on_robot=p_star,
-        point_on_obstacle=foot,
-        case_tag=CASE_TUNNEL,
-        axis_param=float(t_star),
-        plane_index=wall_index,
-        clip_plane_index=clip_star,
-    )
+    axes = np.array([[world_a, world_b]], dtype=float)
+    return _score_axes(axes, (radius,), scene, (capsule_index,))[0]
+
+
+def _world_segments(frames: np.ndarray, capsules: CapsuleSet) -> np.ndarray:
+    T = frames[[cap.link_index for cap in capsules], None]  # (n, 1, 4, 4)
+    ends = np.array([[cap.endpoint_a, cap.endpoint_b] for cap in capsules])  # (n, 2, 3)
+    return (T[..., :3, :3] @ ends[..., None])[..., 0] + T[..., :3, 3]
 
 
 def world_capsule_segments(q, chain: RobotChain, capsules: CapsuleSet) -> np.ndarray:
     """World-frame axis endpoints for every capsule: (n, 2, 3)."""
-    qv = joint_config(q)
-    frames = _frames_with_base(qv, chain)
-    out = np.empty((len(capsules), 2, 3))
-    for i, cap in enumerate(capsules):
-        T = frames[cap.link_index]
-        out[i, 0] = T[:3, :3] @ cap.endpoint_a + T[:3, 3]
-        out[i, 1] = T[:3, :3] @ cap.endpoint_b + T[:3, 3]
-    return out
+    return _world_segments(_frames_with_base(joint_config(q), chain), capsules)
+
+
+def _capsule_witnesses(segments: np.ndarray, capsules: CapsuleSet, scene: Scene) -> list[DistanceWitness]:
+    return _score_axes(segments, [cap.radius for cap in capsules], scene, range(len(capsules)))
 
 
 def capsule_witnesses(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene) -> list[DistanceWitness]:
     """Per-capsule distance witnesses at configuration q."""
-    segs = world_capsule_segments(q, chain, capsules)
-    return [
-        capsule_distance(segs[i, 0], segs[i, 1], capsules[i].radius, scene, capsule_index=i)
-        for i in range(len(capsules))
-    ]
+    return _capsule_witnesses(world_capsule_segments(q, chain, capsules), capsules, scene)
 
 
 def scene_distance(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene) -> DistanceWitness:
@@ -472,12 +554,90 @@ def scene_distance(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene) -> 
     return min(witnesses, key=lambda w: w.value)
 
 
-def _axis_endpoint_jacobians(q, chain: RobotChain, cap: Capsule):
-    from .kinematics import body_point_jacobian
+@dataclass(frozen=True)
+class WorldState:
+    """One configuration placed in the scene, evaluated once for every consumer.
 
-    Ja = body_point_jacobian(q, chain, BodyPoint(cap.link_index, cap.endpoint_a))
-    Jb = body_point_jacobian(q, chain, BodyPoint(cap.link_index, cap.endpoint_b))
-    return Ja, Jb
+    Holds the joint frames of one forward-kinematics pass, the capsule axes,
+    the tool position and each capsule's witness, with the capsules and scene
+    they were scored against. ``witness`` is the minimizing one (first capsule
+    on a tie, as in ``scene_distance``).
+    """
+
+    q: np.ndarray
+    frames: np.ndarray  # (7, 4, 4) base->frame_k, k = 0..6
+    segments: np.ndarray  # (n, 2, 3) world-frame capsule axes
+    tool_position: np.ndarray  # (3,)
+    witnesses: tuple[DistanceWitness, ...]
+    witness: DistanceWitness
+    capsules: CapsuleSet
+    scene: Scene
+
+    def jacobian(self, point: BodyPoint) -> np.ndarray:
+        """3x6 positional Jacobian of a body point at this configuration."""
+        return point_jacobian(self.frames, point)
+
+    def gradient(self, witness: DistanceWitness) -> np.ndarray:
+        """Configuration-space gradient (6,) of one of this state's witnesses."""
+        return _witness_gradient(self.frames, self.segments, self.capsules, self.scene, witness)
+
+
+def world_state(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene) -> WorldState:
+    """Evaluate configuration q once: frames, capsule axes, tool position, witnesses."""
+    qv = joint_config(q)
+    frames = _frames_with_base(qv, chain)
+    segments = _world_segments(frames, capsules)
+    witnesses = tuple(_capsule_witnesses(segments, capsules, scene))
+    return WorldState(
+        q=qv,
+        frames=frames,
+        segments=segments,
+        tool_position=point_position(frames, tool_tip(chain)),
+        witnesses=witnesses,
+        witness=min(witnesses, key=lambda w: w.value),
+        capsules=capsules,
+        scene=scene,
+    )
+
+
+def _witness_gradient(
+    frames: np.ndarray, segments: np.ndarray, capsules: CapsuleSet, scene: Scene, witness: DistanceWitness
+) -> np.ndarray:
+    cap = capsules[witness.capsule_index]
+    Ja = point_jacobian(frames, BodyPoint(cap.link_index, cap.endpoint_a))
+    Jb = point_jacobian(frames, BodyPoint(cap.link_index, cap.endpoint_b))
+    t = witness.axis_param
+    J_point = Ja + t * (Jb - Ja)
+
+    if witness.case_tag == CASE_FRINGE:
+        diff = witness.point_on_robot - witness.point_on_obstacle
+        dist = np.linalg.norm(diff)
+        if dist < 1e-12:
+            # Touching witness: any unit direction is a valid sub-gradient choice.
+            seg = scene.fringe_segments[witness.plane_index]
+            axis = seg[1] - seg[0]
+            n = cross(axis, np.array([1.0, 0.0, 0.0]))
+            if np.linalg.norm(n) < 1e-9:
+                n = cross(axis, np.array([0.0, 1.0, 0.0]))
+            n = n / np.linalg.norm(n)
+        else:
+            n = diff / dist
+        return n @ J_point
+
+    wall_row = scene._wall_indices.index(witness.plane_index)
+    n_w = scene._wall_normals[wall_row]
+    grad = n_w @ J_point
+    if witness.clip_plane_index is not None:
+        # Witness point pinned to an opening-plane crossing: t* moves with q.
+        a, b = segments[witness.capsule_index]
+        d = b - a
+        clip_row = scene._opening_indices.index(witness.clip_plane_index)
+        n_c = scene._opening_normals[clip_row]
+        slope = float(np.dot(n_c, d))
+        if abs(slope) > 1e-12:
+            dt_dq = -(n_c @ J_point) / slope
+            grad = grad + float(np.dot(n_w, d)) * dt_dq
+    return grad
 
 
 def witness_gradient(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene, witness: DistanceWitness) -> np.ndarray:
@@ -489,42 +649,8 @@ def witness_gradient(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene, w
     the witness sits on an opening-plane crossing, whose location shifts as the
     capsule moves.
     """
-    cap = capsules[witness.capsule_index]
-    qv = joint_config(q)
-    Ja, Jb = _axis_endpoint_jacobians(qv, chain, cap)
-    t = witness.axis_param
-    J_point = Ja + t * (Jb - Ja)
-
-    if witness.case_tag == CASE_FRINGE:
-        diff = witness.point_on_robot - witness.point_on_obstacle
-        dist = np.linalg.norm(diff)
-        if dist < 1e-12:
-            # Touching witness: any unit direction is a valid sub-gradient choice.
-            seg = scene.fringe_segments[witness.plane_index]
-            axis = seg[1] - seg[0]
-            n = np.cross(axis, [1.0, 0.0, 0.0])
-            if np.linalg.norm(n) < 1e-9:
-                n = np.cross(axis, [0.0, 1.0, 0.0])
-            n = n / np.linalg.norm(n)
-        else:
-            n = diff / dist
-        return n @ J_point
-
-    wall_row = scene._wall_indices.index(witness.plane_index)
-    n_w = scene._wall_normals[wall_row]
-    grad = n_w @ J_point
-    if witness.clip_plane_index is not None:
-        # Witness point pinned to an opening-plane crossing: t* moves with q.
-        segs = world_capsule_segments(qv, chain, capsules)
-        a, b = segs[witness.capsule_index]
-        d = b - a
-        clip_row = scene._opening_indices.index(witness.clip_plane_index)
-        n_c = scene._opening_normals[clip_row]
-        slope = float(np.dot(n_c, d))
-        if abs(slope) > 1e-12:
-            dt_dq = -(n_c @ J_point) / slope
-            grad = grad + float(np.dot(n_w, d)) * dt_dq
-    return grad
+    frames = _frames_with_base(joint_config(q), chain)
+    return _witness_gradient(frames, _world_segments(frames, capsules), capsules, scene, witness)
 
 
 def distance_gradient(
@@ -589,7 +715,7 @@ def build_prism_tunnel(section: np.ndarray, depth: float) -> Scene:
     for i in range(k):
         v0, v1 = rim[i], rim[(i + 1) % k]
         quad = np.array([v0, v1, v1 + [depth, 0.0, 0.0], v0 + [depth, 0.0, 0.0]])
-        n = np.cross(v1 - v0, [1.0, 0.0, 0.0])
+        n = cross(v1 - v0, np.array([1.0, 0.0, 0.0]))
         n = n / np.linalg.norm(n)
         if np.dot(n, centroid - v0) < 0.0:
             n = -n
@@ -606,10 +732,7 @@ def build_prism_tunnel(section: np.ndarray, depth: float) -> Scene:
 
 
 def _is_ccw_about(vertices: np.ndarray, normal: np.ndarray) -> bool:
-    k = vertices.shape[0]
-    total = np.zeros(3)
-    for i in range(k):
-        total += np.cross(vertices[i], vertices[(i + 1) % k])
+    total = cross(vertices, _next_rows(vertices)).sum(axis=0)
     return bool(np.dot(total, normal) > 0.0)
 
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .transforms import cross, is_rigid
+
 NUM_JOINTS = 6
 
 
@@ -52,8 +54,6 @@ class RobotChain:
     def __post_init__(self) -> None:
         if len(self.joints) != NUM_JOINTS:
             raise ValueError(f"chain must have exactly {NUM_JOINTS} joints, got {len(self.joints)}")
-        from .transforms import is_rigid
-
         tool = np.array(self.tool_offset, dtype=float)
         if not is_rigid(tool):
             raise ValueError("tool_offset must be a proper 4x4 rigid transform")
@@ -131,21 +131,26 @@ def forward_kinematics(q, chain: RobotChain) -> np.ndarray:
 
 def body_point_position(q, chain: RobotChain, point: BodyPoint) -> np.ndarray:
     """World position (3,) of a body point at configuration q."""
-    qv = joint_config(q)
-    frame = _frames_with_base(qv, chain)[point.link_index]
-    return frame[:3, :3] @ point.local_position + frame[:3, 3]
+    return point_position(_frames_with_base(joint_config(q), chain), point)
 
 
 def body_point_jacobian(q, chain: RobotChain, point: BodyPoint) -> np.ndarray:
     """3x6 positional Jacobian of a body point; columns beyond its link are zero."""
-    qv = joint_config(q)
-    frames = _frames_with_base(qv, chain)
+    return point_jacobian(_frames_with_base(joint_config(q), chain), point)
+
+
+def point_position(frames: np.ndarray, point: BodyPoint) -> np.ndarray:
+    """World position (3,) of a body point, read from already built frames."""
     frame = frames[point.link_index]
-    pw = frame[:3, :3] @ point.local_position + frame[:3, 3]
+    return frame[:3, :3] @ point.local_position + frame[:3, 3]
+
+
+def point_jacobian(frames: np.ndarray, point: BodyPoint) -> np.ndarray:
+    """3x6 positional Jacobian of a body point, read from already built frames."""
+    k = point.link_index
     J = np.zeros((3, NUM_JOINTS))
-    for i in range(point.link_index):
-        axis = frames[i][:3, 2]  # joint i+1 rotates about z of frame i
-        J[:, i] = np.cross(axis, pw - frames[i][:3, 3])
+    # joint i+1 rotates about z of frame i: column i is axis_i x (p - origin_i)
+    J[:, :k] = cross(frames[:k, :3, 2], point_position(frames, point) - frames[:k, :3, 3]).T
     return J
 
 

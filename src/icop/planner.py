@@ -10,6 +10,10 @@ is anchored at the current reference rather than the previous waypoint;
 anchoring at the previous waypoint can pin the iterate against the
 constraint set and stall the loop.
 
+Each iterate is evaluated once (``geometry.world_state``): the residual,
+the feasibility test, the collision and contact rows, and the clearance that
+``plan`` records all read that one evaluation.
+
 Cartesian steps larger than ``step_max`` are split into intermediate targets
 before tracking, and a waypoint whose inner loop fails to converge is retried
 through recursive bisection of the step (bounded depth) before the planner
@@ -24,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cfs import convexify_collision
-from .equality import linearize_task
-from .geometry import CapsuleSet, Scene, scene_distance
+from .cfs import collision_rows
+from .equality import task_rows
+from .geometry import CapsuleSet, Scene, WorldState, world_state
 from .kinematics import NUM_JOINTS, RobotChain, body_point_position, joint_config, tool_tip
 from .qp import STATUS_OPTIMAL, QpProblem, QpSettings, solve
 
@@ -77,11 +81,20 @@ class PlannerParams:
 
 @dataclass(frozen=True)
 class SafeTrackResult:
-    q: np.ndarray
+    """The iterate SafeTrack returns, with the evaluation it was judged on."""
+
+    state: WorldState
     status: str
     inner_iterations: int
     tcp_error: float
-    min_distance: float
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.state.q
+
+    @property
+    def min_distance(self) -> float:
+        return self.state.witness.value
 
     @property
     def converged(self) -> bool:
@@ -137,42 +150,36 @@ def safetrack(
     """
     tool = tool_tip(chain)
     c_next = np.asarray(c_next, dtype=float)
-    x_ref = joint_config(q_pre)
-    c_ref = body_point_position(x_ref, chain, tool)
-    witness = scene_distance(x_ref, chain, capsules, scene)
-    residual = float(np.linalg.norm(c_next - c_ref))
-    best = (x_ref, residual, witness.value)
+    state = world_state(q_pre, chain, capsules, scene)
+    residual = float(np.linalg.norm(c_next - state.tool_position))
+    best = (state, residual)
 
     iterations = 0
-    while (residual > params.xi or witness.value < 0.0) and iterations < params.max_inner:
-        rows = convexify_collision(
-            x_ref, chain, capsules, scene,
-            per_capsule_rows=params.per_capsule_rows, margin=params.margin,
-        )
-        eq = linearize_task(x_ref, c_ref, c_next, chain, tool)
+    while (residual > params.xi or state.witness.value < 0.0) and iterations < params.max_inner:
+        rows = collision_rows(state, per_capsule_rows=params.per_capsule_rows, margin=params.margin)
+        eq = task_rows(state.jacobian(tool), state.q, state.tool_position, c_next)
         problem = QpProblem.from_reference(
-            params.q_diag, x_ref, eq=eq, ineq=tuple(rows),
+            params.q_diag, state.q, eq=eq, ineq=tuple(rows),
             lower=params.joint_lower, upper=params.joint_upper,
         )
         sol = solve(problem, params.qp_settings)
         iterations += 1
         if sol.status != STATUS_OPTIMAL:
             break
-        if float(np.max(np.abs(sol.x - x_ref))) < 1e-15:
+        if float(np.max(np.abs(sol.x - state.q))) < 1e-15:
             break  # stalled: QP returned the reference itself
-        x_ref = sol.x
-        c_ref = body_point_position(x_ref, chain, tool)
-        witness = scene_distance(x_ref, chain, capsules, scene)
-        residual = float(np.linalg.norm(c_next - c_ref))
-        better_feasible = witness.value >= 0.0 and (best[2] < 0.0 or residual < best[1])
-        rescued = witness.value > best[2] and best[2] < 0.0
+        state = world_state(sol.x, chain, capsules, scene)
+        residual = float(np.linalg.norm(c_next - state.tool_position))
+        distance, best_distance = state.witness.value, best[0].witness.value
+        better_feasible = distance >= 0.0 and (best_distance < 0.0 or residual < best[1])
+        rescued = distance > best_distance and best_distance < 0.0
         if better_feasible or rescued:
-            best = (x_ref, residual, witness.value)
+            best = (state, residual)
 
-    if residual <= params.xi and witness.value >= 0.0:
-        return SafeTrackResult(x_ref, STATUS_CONVERGED, iterations, residual, witness.value)
-    q_best, res_best, dist_best = best
-    return SafeTrackResult(q_best, STATUS_NON_CONVERGED, iterations, res_best, dist_best)
+    if residual <= params.xi and state.witness.value >= 0.0:
+        return SafeTrackResult(state, STATUS_CONVERGED, iterations, residual)
+    best_state, res_best = best
+    return SafeTrackResult(best_state, STATUS_NON_CONVERGED, iterations, res_best)
 
 
 def _advance(
@@ -184,7 +191,11 @@ def _advance(
     params: PlannerParams,
     depth: int,
 ):
-    """Reach target from q_from, splitting long steps and bisecting on failure."""
+    """Reach target from q_from, splitting long steps and bisecting on failure.
+
+    Returns the converged SafeTrack result of the last piece and the inner
+    iterations spent over all pieces.
+    """
     tool = tool_tip(chain)
     c_from = body_point_position(q_from, chain, tool)
     gap = float(np.linalg.norm(target - c_from))
@@ -193,18 +204,18 @@ def _advance(
         q, total = q_from, 0
         for i in range(1, pieces + 1):
             sub_target = c_from + (i / pieces) * (target - c_from)
-            q, iters = _advance(q, sub_target, chain, capsules, scene, params, depth)
-            total += iters
-        return q, total
+            result, iters = _advance(q, sub_target, chain, capsules, scene, params, depth)
+            q, total = result.q, total + iters
+        return result, total
 
     result = safetrack(q_from, target, chain, capsules, scene, params)
     if result.converged:
-        return result.q, result.inner_iterations
+        return result, result.inner_iterations
     if depth < params.bisect_depth:
         mid = 0.5 * (c_from + target)
-        q_mid, it1 = _advance(q_from, mid, chain, capsules, scene, params, depth + 1)
-        q_end, it2 = _advance(q_mid, target, chain, capsules, scene, params, depth + 1)
-        return q_end, result.inner_iterations + it1 + it2
+        half, it1 = _advance(q_from, mid, chain, capsules, scene, params, depth + 1)
+        end, it2 = _advance(half.q, target, chain, capsules, scene, params, depth + 1)
+        return end, result.inner_iterations + it1 + it2
     raise NonConvergedError(-1, result.tcp_error, result.min_distance)
 
 
@@ -219,7 +230,9 @@ def plan(
     """Plan the full trajectory over the Cartesian waypoint sequence.
 
     States chain from waypoint to waypoint; every emitted state satisfies the
-    tracking threshold, a positive scene distance and the joint limits.
+    tracking threshold, a positive scene distance and the joint limits. The
+    recorded TCP error and clearance are read from the evaluation of the
+    state that SafeTrack accepted.
     """
     path = np.asarray(weld_path, dtype=float)
     if path.ndim != 2 or path.shape[1] != 3 or path.shape[0] == 0:
@@ -227,7 +240,6 @@ def plan(
     q0 = joint_config(q_init)
     if np.any(q0 < params.joint_lower - 1e-12) or np.any(q0 > params.joint_upper + 1e-12):
         raise ValueError("q_init violates the joint limits")
-    tool = tool_tip(chain)
 
     T = path.shape[0]
     states = np.zeros((T, NUM_JOINTS))
@@ -243,13 +255,14 @@ def plan(
             start = time.perf_counter()
             q_start = warm[t] if warm is not None else q
             try:
-                q, iters = _advance(q_start, path[t], chain, capsules, scene, params, depth=0)
+                result, iters = _advance(q_start, path[t], chain, capsules, scene, params, depth=0)
             except NonConvergedError as err:
                 raise NonConvergedError(t, err.tcp_error, err.min_distance) from None
             solve_time[t] = time.perf_counter() - start
+            q = result.q
             states[t] = q
-            tcp_error[t] = float(np.linalg.norm(path[t] - body_point_position(q, chain, tool)))
-            min_distance[t] = scene_distance(q, chain, capsules, scene).value
+            tcp_error[t] = float(np.linalg.norm(path[t] - result.state.tool_position))
+            min_distance[t] = result.min_distance
             inner_iterations[t] = iters
         warm = states.copy()
 

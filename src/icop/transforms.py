@@ -46,3 +46,14 @@ def is_rigid(T: np.ndarray, tol: float = 1e-9) -> bool:
     if abs(np.linalg.det(R) - 1.0) > tol:
         return False
     return bool(np.allclose(T[3], [0.0, 0.0, 0.0, 1.0], atol=tol))
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of (..., 3) arrays.
+
+    Same arithmetic as ``np.cross`` without its per-call set-up, which costs
+    more than the product itself on 3-vectors.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)

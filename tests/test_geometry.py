@@ -6,6 +6,8 @@ from icop.geometry import (
     CASE_TUNNEL,
     BoundedPlane,
     Capsule,
+    _score_axes,
+    _tunnel_clearance,
     capsule_distance,
     classify_segment,
     distance_gradient,
@@ -286,3 +288,109 @@ class TestValidation:
         cap = c4.capsules[5]
         expected = fk[5][:3, :3] @ cap.endpoint_a + fk[5][:3, 3]
         assert np.allclose(segs[5, 0], expected, atol=1e-12)
+
+
+def _reference_witness(a, b, radius, scene):
+    """Scalar per-capsule reference: classification, then fringe loop or tunnel clearance.
+
+    Returns (value, case, plane index, clip plane index, the indices whose
+    distance ties the minimum to 1e-12).
+    """
+    if classify_segment(a, b, scene) == CASE_FRINGE:
+        closest = [segment_segment_distance(a, b, s0, s1) for s0, s1 in scene.fringe_segments]
+        best = 0
+        for i, cand in enumerate(closest):
+            if cand.distance < closest[best].distance:  # strict: the first index wins a tie
+                best = i
+        ties = {i for i, cand in enumerate(closest) if cand.distance - closest[best].distance <= 1e-12}
+        return closest[best].distance - radius, CASE_FRINGE, best, None, ties
+    clearance, _t, clip, wall, _p, _foot = _tunnel_clearance(a, b, scene)
+    return clearance - radius, CASE_TUNNEL, wall, clip, {wall}
+
+
+class TestBatchedKernel:
+    """The batched (capsules x fringe segments) kernel against the scalar reference."""
+
+    def _check(self, axes, radii, scene):
+        batch = _score_axes(np.asarray(axes, dtype=float), radii, scene, range(len(radii)))
+        for i, w in enumerate(batch):
+            value, case, plane, clip, ties = _reference_witness(axes[i][0], axes[i][1], radii[i], scene)
+            assert abs(w.value - value) <= 1e-12
+            assert (w.case_tag, w.clip_plane_index) == (case, clip)
+            # Two rim edges meeting at the closest corner tie up to rounding, which
+            # the scalar and the batched sums may break differently.
+            assert w.plane_index == plane or (w.plane_index in ties and len(ties) > 1)
+            # one capsule scored alone takes the same arithmetic as in the batch
+            alone = capsule_distance(axes[i][0], axes[i][1], radii[i], scene, i)
+            assert alone.value == w.value
+            assert (alone.case_tag, alone.plane_index, alone.clip_plane_index, alone.axis_param) == (
+                w.case_tag, w.plane_index, w.clip_plane_index, w.axis_param
+            )
+        return batch
+
+    def test_random_c4_configurations(self, c4):
+        from icop.geometry import capsule_witnesses
+        from icop.scenario import mounted_scene_and_path
+
+        scene, _ = mounted_scene_and_path(c4)
+        rng = np.random.default_rng(31)
+        radii = [cap.radius for cap in c4.capsules]
+        cases = set()
+        for _ in range(150):
+            q = c4.initial_config + rng.uniform(-0.4, 0.4, 6)
+            segs = world_capsule_segments(q, c4.chain, c4.capsules)
+            batch = self._check(segs, radii, scene)
+            assert [w.value for w in capsule_witnesses(q, c4.chain, c4.capsules, scene)] == [w.value for w in batch]
+            assert scene_distance(q, c4.chain, c4.capsules, scene).value == min(w.value for w in batch)
+            cases.update(w.case_tag for w in batch)
+        assert cases == {CASE_FRINGE, CASE_TUNNEL}
+
+    def test_random_tunnels(self):
+        rng = np.random.default_rng(32)
+        tunnels = 0
+        for _ in range(60):
+            scene = random_tunnel(rng)
+            n_out = scene.entrance_outward_normal
+            center = scene.entrance_plane.vertices.mean(axis=0)
+            axes = [_random_segment(rng, scale=1.5) for _ in range(4)]
+            for _ in range(4):  # axes through the opening, most of them TUNNEL
+                jitter = rng.uniform(-0.2, 0.2, 3)
+                axes.append((center + 0.4 * n_out + jitter, center - rng.uniform(0.1, 2.5) * n_out + jitter))
+            batch = self._check(axes, [0.05] * len(axes), scene)
+            tunnels += sum(w.case_tag == CASE_TUNNEL for w in batch)
+        assert tunnels > 60
+
+    def test_parallel_segments(self, square_tunnel):
+        # axes parallel to fringe edges of the unit-square entrance (x = 0, |y|, |z| <= 0.5)
+        axes = [
+            ([-0.3, 0.8, -0.2], [-0.3, 0.8, 0.4]),  # parallel to the y = 0.5 edge, overlapping it
+            ([-0.3, 0.8, 0.7], [-0.3, 0.8, 1.2]),  # parallel, beyond the edge's end
+            ([-0.3, -0.2, -0.9], [-0.3, 0.3, -0.9]),  # parallel to the z = -0.5 edge
+        ]
+        batch = self._check(axes, [0.05] * 3, square_tunnel)
+        assert all(w.case_tag == CASE_FRINGE for w in batch)
+
+    def test_zero_length_fringe_segment(self, square_tunnel):
+        from icop.geometry import Scene
+
+        corner = square_tunnel.fringe_segments[0, 0]
+        scene = Scene(
+            planes=square_tunnel.planes,
+            fringe_segments=np.concatenate([[[corner, corner]], square_tunnel.fringe_segments]),
+            entrance_plane_index=square_tunnel.entrance_plane_index,
+        )
+        axes = [
+            (corner + [-0.5, 0.2, 0.3], corner + [-0.2, 0.4, 0.1]),
+            (corner + [-0.3, -0.1, 0.0], corner + [-0.3, 0.1, 0.0]),
+            (corner + [-0.3, 0.0, 0.0], corner + [-0.3, 0.0, 0.0]),  # a zero-length axis as well
+        ]
+        batch = self._check(axes, [0.05] * 3, scene)
+        assert batch[1].plane_index == 0  # the point segment comes first and ties the edges at the corner
+
+    def test_equal_distance_tie_keeps_first_index(self, square_tunnel):
+        # on the tunnel's centre line the four rim edges are equally far away
+        axes = [([-2.0, 0.0, 0.0], [-1.0, 0.0, 0.0])]
+        distances = [segment_segment_distance(*axes[0], s0, s1).distance for s0, s1 in square_tunnel.fringe_segments]
+        assert len(set(distances)) == 1
+        batch = self._check(axes, [0.05], square_tunnel)
+        assert batch[0].plane_index == 0 == _reference_witness(*axes[0], 0.05, square_tunnel)[2]

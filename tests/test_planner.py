@@ -163,3 +163,43 @@ def test_plan_rejects_invalid_inputs(world):
     q_bad = c4.params.joint_upper + 1.0
     with pytest.raises(ValueError):
         plan(path, q_bad, c4.chain, c4.capsules, scene, c4.params)
+
+
+def test_one_scene_evaluation_per_accepted_iterate(monkeypatch):
+    from icop import planner
+    from icop.scenario import load_bundled
+
+    c1 = load_bundled("c1")
+    scene, path = mounted_scene_and_path(c1)
+    evaluate, track = planner.world_state, planner.safetrack
+    evaluations = []
+    per_call = []  # (evaluations during the call, SafeTrack result)
+
+    def counted_evaluate(*args):
+        evaluations.append(args[0])
+        return evaluate(*args)
+
+    def counted_track(*args):
+        before = len(evaluations)
+        result = track(*args)
+        per_call.append((len(evaluations) - before, result))
+        return result
+
+    monkeypatch.setattr(planner, "world_state", counted_evaluate)
+    monkeypatch.setattr(planner, "safetrack", counted_track)
+    whole = plan(path, c1.initial_config, c1.chain, c1.capsules, scene, c1.params)
+
+    # one evaluation of the starting state, then one per accepted QP step;
+    # nothing else in plan evaluates the scene
+    assert all(result.converged for _, result in per_call)
+    assert [n for n, _ in per_call] == [1 + result.inner_iterations for _, result in per_call]
+    assert len(evaluations) == len(per_call) + int(whole.inner_iterations.sum())
+
+    # no state survives a plan call: streaming one waypoint per call reproduces the whole path
+    q = c1.initial_config
+    for t in range(5):
+        step = plan(path[t : t + 1], q, c1.chain, c1.capsules, scene, c1.params)
+        assert step.states[0].tobytes() == whole.states[t].tobytes()
+        assert step.min_distance[0] == whole.min_distance[t]
+        assert step.tcp_error[0] == whole.tcp_error[t]
+        q = step.states[0]
