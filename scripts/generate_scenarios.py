@@ -28,14 +28,8 @@ from icop.kinematics import (
     tool_tip,
 )
 from icop.planner import PlannerParams
-from icop.scenario import Scenario, mounted_scene_and_path, serialize_scenario
-from icop.transforms import homogeneous, rot_y
-
-
-def mounting_transform_local(l: float, alpha: float) -> np.ndarray:
-    T = homogeneous(rotation=rot_y(alpha))
-    T[0, 3] = l
-    return T
+from icop.scenario import Scenario, mounted_scene_and_path, mounting_transform, serialize_scenario
+from icop.transforms import homogeneous
 
 ASSET_DIR = Path(__file__).resolve().parent.parent / "src" / "icop" / "assets"
 
@@ -219,15 +213,13 @@ def build_scenario(name: str) -> Scenario:
 
     # Initial config: tip backed off along the mounted tunnel axis from the
     # seam start, tool aimed down the axis.
-    T = mounting_transform_local(l, alpha)
+    T = mounting_transform(l, alpha)
     R = T[:3, :3]
     axis = R @ np.array([1.0, 0.0, 0.0])
     seam_start = R @ (BASE_POSITION + [SEAM_X0, 0.0, SEAM_Z]) + T[:3, 3]
     approach = seam_start - APPROACH_BACKOFF * axis
 
-    from icop.scenario import apply_mounting
-
-    scene_mounted = apply_mounting(scene, l, alpha)
+    scene_mounted = transform_scene(scene, T)
     q_init = solve_initial_config(chain, capsules, scene_mounted, approach, axis)
 
     return Scenario(

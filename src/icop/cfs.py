@@ -48,13 +48,12 @@ def convexify_collision(
     capsules: CapsuleSet,
     scene: Scene,
     per_capsule_rows: bool = False,
-    margin: float = 0.0,
 ) -> list[LinearInequality]:
-    """Linearized collision rows at q_ref; each row satisfies a.q_ref - b = d(q_ref) - margin."""
-    return collision_rows(world_state(q_ref, chain, capsules, scene), per_capsule_rows, margin)
+    """Linearized collision rows at q_ref; each row satisfies a.q_ref - b = d(q_ref)."""
+    return collision_rows(world_state(q_ref, chain, capsules, scene), per_capsule_rows)
 
 
-def collision_rows(state: WorldState, per_capsule_rows: bool = False, margin: float = 0.0) -> list[LinearInequality]:
+def collision_rows(state: WorldState, per_capsule_rows: bool = False) -> list[LinearInequality]:
     """Linearized collision rows at an evaluated configuration, read from its witnesses."""
     witnesses = state.witnesses if per_capsule_rows else (state.witness,)
     rows = []
@@ -62,5 +61,5 @@ def collision_rows(state: WorldState, per_capsule_rows: bool = False, margin: fl
         g = state.gradient(w)
         if np.max(np.abs(g)) < _ZERO_GRADIENT_TOL:
             continue  # locally flat distance: no usable half-space
-        rows.append(LinearInequality(a=g, b=float(g @ state.q) - w.value + margin))
+        rows.append(LinearInequality(a=g, b=float(g @ state.q) - w.value))
     return rows

@@ -7,8 +7,9 @@ the body-point map at q_ref gives the linear rows
 
 whose remainder shrinks quadratically with the step, so re-linearizing inside
 the tracking loop drives the true residual below any tolerance. Kinematic
-singularities are flagged, not raised; the QP layer projects rank-deficient
-rows and the tracking loop's residual test remains the arbiter.
+singularities are not raised here: the QP layer projects rank-deficient rows
+onto their consistent part and flags them in ``QpSolution.eq_projected``, and
+the tracking loop's residual test remains the arbiter.
 """
 
 from __future__ import annotations
@@ -19,17 +20,13 @@ import numpy as np
 
 from .kinematics import BodyPoint, RobotChain, body_point_jacobian
 
-_RANK_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class LinearEquality:
-    """Stacked linear rows A . x = b with rank diagnostics."""
+    """Linear rows A . x = b."""
 
     A: np.ndarray
     b: np.ndarray
-    rank: int
-    singular: bool  # rank below row count (kinematic singularity when built from a Jacobian)
 
     def __post_init__(self) -> None:
         A = np.array(self.A, dtype=float)
@@ -43,13 +40,6 @@ class LinearEquality:
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         return self.A @ np.asarray(x, dtype=float) - self.b
-
-
-def _matrix_rank(A: np.ndarray) -> int:
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > s[0] * _RANK_RTOL))
 
 
 def linearize_task(q_ref, c_ref, c_next, chain: RobotChain, tool: BodyPoint) -> LinearEquality:
@@ -67,23 +57,5 @@ def task_rows(A: np.ndarray, q_ref, c_ref, c_next) -> LinearEquality:
     q_ref = np.asarray(q_ref, dtype=float)
     c_ref = np.asarray(c_ref, dtype=float)
     c_next = np.asarray(c_next, dtype=float)
-    b = A @ q_ref + (c_next - c_ref)
-    rank = _matrix_rank(A)
-    return LinearEquality(A=A, b=b, rank=rank, singular=rank < A.shape[0])
+    return LinearEquality(A=A, b=A @ q_ref + (c_next - c_ref))
 
-
-def stack_tasks(
-    q_ref,
-    targets: list[tuple[BodyPoint, np.ndarray, np.ndarray]],
-    chain: RobotChain,
-) -> LinearEquality:
-    """Stack rows for several (body point, current position, target) triples.
-
-    Only the single-point case is exercised by the planner; the stacked form
-    exists for multi-contact tasks.
-    """
-    rows = [linearize_task(q_ref, c_ref, c_next, chain, point) for point, c_ref, c_next in targets]
-    A = np.vstack([r.A for r in rows])
-    b = np.concatenate([r.b for r in rows])
-    rank = _matrix_rank(A)
-    return LinearEquality(A=A, b=b, rank=rank, singular=rank < A.shape[0])

@@ -39,16 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import (
-    NUM_JOINTS,
-    BodyPoint,
-    RobotChain,
-    _frames_with_base,
-    joint_config,
-    point_jacobian,
-    point_position,
-    tool_tip,
-)
+from .kinematics import NUM_JOINTS, RobotChain, _frames_with_base, joint_config, point_jacobian, tool_point
 from .transforms import apply_transform, cross, is_rigid
 
 CASE_FRINGE = "FRINGE"
@@ -573,9 +564,9 @@ class WorldState:
     capsules: CapsuleSet
     scene: Scene
 
-    def jacobian(self, point: BodyPoint) -> np.ndarray:
-        """3x6 positional Jacobian of a body point at this configuration."""
-        return point_jacobian(self.frames, point)
+    def tool_jacobian(self) -> np.ndarray:
+        """3x6 positional Jacobian of the tool tip at this configuration."""
+        return point_jacobian(self.frames, NUM_JOINTS, self.tool_position)
 
     def gradient(self, witness: DistanceWitness) -> np.ndarray:
         """Configuration-space gradient (6,) of one of this state's witnesses."""
@@ -592,7 +583,7 @@ def world_state(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene) -> Wor
         q=qv,
         frames=frames,
         segments=segments,
-        tool_position=point_position(frames, tool_tip(chain)),
+        tool_position=tool_point(frames, chain),
         witnesses=witnesses,
         witness=min(witnesses, key=lambda w: w.value),
         capsules=capsules,
@@ -603,11 +594,7 @@ def world_state(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene) -> Wor
 def _witness_gradient(
     frames: np.ndarray, segments: np.ndarray, capsules: CapsuleSet, scene: Scene, witness: DistanceWitness
 ) -> np.ndarray:
-    cap = capsules[witness.capsule_index]
-    Ja = point_jacobian(frames, BodyPoint(cap.link_index, cap.endpoint_a))
-    Jb = point_jacobian(frames, BodyPoint(cap.link_index, cap.endpoint_b))
-    t = witness.axis_param
-    J_point = Ja + t * (Jb - Ja)
+    J_point = point_jacobian(frames, capsules[witness.capsule_index].link_index, witness.point_on_robot)
 
     if witness.case_tag == CASE_FRINGE:
         diff = witness.point_on_robot - witness.point_on_obstacle
@@ -651,19 +638,6 @@ def witness_gradient(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene, w
     """
     frames = _frames_with_base(joint_config(q), chain)
     return _witness_gradient(frames, _world_segments(frames, capsules), capsules, scene, witness)
-
-
-def distance_gradient(
-    q,
-    chain: RobotChain,
-    capsules: CapsuleSet,
-    scene: Scene,
-    witness: DistanceWitness | None = None,
-) -> np.ndarray:
-    """Gradient (6,) of the scene distance at q, taken at the minimizing witness."""
-    if witness is None:
-        witness = scene_distance(q, chain, capsules, scene)
-    return witness_gradient(q, chain, capsules, scene, witness)
 
 
 def transform_scene(scene: Scene, T: np.ndarray) -> Scene:

@@ -131,34 +131,36 @@ def forward_kinematics(q, chain: RobotChain) -> np.ndarray:
 
 def body_point_position(q, chain: RobotChain, point: BodyPoint) -> np.ndarray:
     """World position (3,) of a body point at configuration q."""
-    return point_position(_frames_with_base(joint_config(q), chain), point)
+    return _to_world(_frames_with_base(joint_config(q), chain)[point.link_index], point.local_position)
 
 
 def body_point_jacobian(q, chain: RobotChain, point: BodyPoint) -> np.ndarray:
     """3x6 positional Jacobian of a body point; columns beyond its link are zero."""
-    return point_jacobian(_frames_with_base(joint_config(q), chain), point)
-
-
-def point_position(frames: np.ndarray, point: BodyPoint) -> np.ndarray:
-    """World position (3,) of a body point, read from already built frames."""
-    frame = frames[point.link_index]
-    return frame[:3, :3] @ point.local_position + frame[:3, 3]
-
-
-def point_jacobian(frames: np.ndarray, point: BodyPoint) -> np.ndarray:
-    """3x6 positional Jacobian of a body point, read from already built frames."""
+    frames = _frames_with_base(joint_config(q), chain)
     k = point.link_index
+    return point_jacobian(frames, k, _to_world(frames[k], point.local_position))
+
+
+def _to_world(frame: np.ndarray, local: np.ndarray) -> np.ndarray:
+    return frame[:3, :3] @ local + frame[:3, 3]
+
+
+def tool_point(frames: np.ndarray, chain: RobotChain) -> np.ndarray:
+    """World position (3,) of the tool tip, read from already built frames."""
+    return _to_world(frames[NUM_JOINTS], chain.tool_offset[:3, 3])
+
+
+def point_jacobian(frames: np.ndarray, link_index: int, position: np.ndarray) -> np.ndarray:
+    """3x6 positional Jacobian of the world point ``position`` rigidly attached to frame ``link_index``.
+
+    Reads already built frames; columns beyond the link are zero.
+    """
     J = np.zeros((3, NUM_JOINTS))
     # joint i+1 rotates about z of frame i: column i is axis_i x (p - origin_i)
-    J[:, :k] = cross(frames[:k, :3, 2], point_position(frames, point) - frames[:k, :3, 3]).T
+    J[:, :link_index] = cross(frames[:link_index, :3, 2], position - frames[:link_index, :3, 3]).T
     return J
 
 
 def tool_tip(chain: RobotChain) -> BodyPoint:
     """The tool tip as a body point on frame 6."""
     return BodyPoint(link_index=NUM_JOINTS, local_position=chain.tool_offset[:3, 3])
-
-
-def tool_position(q, chain: RobotChain) -> np.ndarray:
-    """World position of the tool tip; shorthand for the tip body point."""
-    return body_point_position(q, chain, tool_tip(chain))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .cfs import collision_rows
 from .equality import task_rows
 from .geometry import CapsuleSet, Scene, WorldState, world_state
 from .kinematics import NUM_JOINTS, RobotChain, body_point_position, joint_config, tool_tip
-from .qp import STATUS_OPTIMAL, QpProblem, QpSettings, solve
+from .qp import STATUS_OPTIMAL, QpProblem, solve
 
 STATUS_CONVERGED = "CONVERGED"
 STATUS_NON_CONVERGED = "NON_CONVERGED"
@@ -49,10 +49,7 @@ class PlannerParams:
     max_inner: int = 50
     step_max: float = 0.05
     per_capsule_rows: bool = False
-    rounds: int = 1
     bisect_depth: int = 3
-    margin: float = 0.0
-    qp_settings: QpSettings = field(default_factory=QpSettings)
 
     def __post_init__(self) -> None:
         q_diag = np.array(self.q_diag, dtype=float).reshape(-1)
@@ -70,8 +67,8 @@ class PlannerParams:
             raise ValueError("max_inner must be >= 1")
         if not self.step_max > 0:
             raise ValueError("step_max must be positive")
-        if self.rounds < 1 or self.bisect_depth < 0:
-            raise ValueError("rounds must be >= 1 and bisect_depth >= 0")
+        if self.bisect_depth < 0:
+            raise ValueError("bisect_depth must be >= 0")
         for arr in (q_diag, lower, upper):
             arr.flags.writeable = False
         object.__setattr__(self, "q_diag", q_diag)
@@ -148,7 +145,6 @@ def safetrack(
     distance is non-negative. Zero QP solves happen when q_pre already
     satisfies both.
     """
-    tool = tool_tip(chain)
     c_next = np.asarray(c_next, dtype=float)
     state = world_state(q_pre, chain, capsules, scene)
     residual = float(np.linalg.norm(c_next - state.tool_position))
@@ -156,13 +152,13 @@ def safetrack(
 
     iterations = 0
     while (residual > params.xi or state.witness.value < 0.0) and iterations < params.max_inner:
-        rows = collision_rows(state, per_capsule_rows=params.per_capsule_rows, margin=params.margin)
-        eq = task_rows(state.jacobian(tool), state.q, state.tool_position, c_next)
+        rows = collision_rows(state, per_capsule_rows=params.per_capsule_rows)
+        eq = task_rows(state.tool_jacobian(), state.q, state.tool_position, c_next)
         problem = QpProblem.from_reference(
             params.q_diag, state.q, eq=eq, ineq=tuple(rows),
             lower=params.joint_lower, upper=params.joint_upper,
         )
-        sol = solve(problem, params.qp_settings)
+        sol = solve(problem)
         iterations += 1
         if sol.status != STATUS_OPTIMAL:
             break
@@ -184,6 +180,7 @@ def safetrack(
 
 def _advance(
     q_from: np.ndarray,
+    c_from: np.ndarray,
     target: np.ndarray,
     chain: RobotChain,
     capsules: CapsuleSet,
@@ -191,21 +188,19 @@ def _advance(
     params: PlannerParams,
     depth: int,
 ):
-    """Reach target from q_from, splitting long steps and bisecting on failure.
+    """Reach target from q_from (tool at c_from), splitting long steps and bisecting on failure.
 
     Returns the converged SafeTrack result of the last piece and the inner
     iterations spent over all pieces.
     """
-    tool = tool_tip(chain)
-    c_from = body_point_position(q_from, chain, tool)
     gap = float(np.linalg.norm(target - c_from))
     if gap > params.step_max:
         pieces = math.ceil(gap / params.step_max)
-        q, total = q_from, 0
+        q, c, total = q_from, c_from, 0
         for i in range(1, pieces + 1):
             sub_target = c_from + (i / pieces) * (target - c_from)
-            result, iters = _advance(q, sub_target, chain, capsules, scene, params, depth)
-            q, total = result.q, total + iters
+            result, iters = _advance(q, c, sub_target, chain, capsules, scene, params, depth)
+            q, c, total = result.q, result.state.tool_position, total + iters
         return result, total
 
     result = safetrack(q_from, target, chain, capsules, scene, params)
@@ -213,8 +208,8 @@ def _advance(
         return result, result.inner_iterations
     if depth < params.bisect_depth:
         mid = 0.5 * (c_from + target)
-        half, it1 = _advance(q_from, mid, chain, capsules, scene, params, depth + 1)
-        end, it2 = _advance(half.q, target, chain, capsules, scene, params, depth + 1)
+        half, it1 = _advance(q_from, c_from, mid, chain, capsules, scene, params, depth + 1)
+        end, it2 = _advance(half.q, half.state.tool_position, target, chain, capsules, scene, params, depth + 1)
         return end, result.inner_iterations + it1 + it2
     raise NonConvergedError(-1, result.tcp_error, result.min_distance)
 
@@ -248,23 +243,19 @@ def plan(
     inner_iterations = np.zeros(T, dtype=int)
     solve_time = np.zeros(T)
 
-    warm: np.ndarray | None = None
-    for _ in range(params.rounds):
-        q = q0
-        for t in range(T):
-            start = time.perf_counter()
-            q_start = warm[t] if warm is not None else q
-            try:
-                result, iters = _advance(q_start, path[t], chain, capsules, scene, params, depth=0)
-            except NonConvergedError as err:
-                raise NonConvergedError(t, err.tcp_error, err.min_distance) from None
-            solve_time[t] = time.perf_counter() - start
-            q = result.q
-            states[t] = q
-            tcp_error[t] = float(np.linalg.norm(path[t] - result.state.tool_position))
-            min_distance[t] = result.min_distance
-            inner_iterations[t] = iters
-        warm = states.copy()
+    q, c = q0, body_point_position(q0, chain, tool_tip(chain))
+    for t in range(T):
+        start = time.perf_counter()
+        try:
+            result, iters = _advance(q, c, path[t], chain, capsules, scene, params, depth=0)
+        except NonConvergedError as err:
+            raise NonConvergedError(t, err.tcp_error, err.min_distance) from None
+        solve_time[t] = time.perf_counter() - start
+        q, c = result.q, result.state.tool_position
+        states[t] = q
+        tcp_error[t] = float(np.linalg.norm(path[t] - c))
+        min_distance[t] = result.min_distance
+        inner_iterations[t] = iters
 
     return Trajectory(
         states=states,

@@ -28,17 +28,9 @@ STATUS_INFEASIBLE = "INFEASIBLE"
 STATUS_MAX_ITER = "MAX_ITER"
 
 _SVD_RANK_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class QpSettings:
-    tol_feas: float = 1e-9
-    tol_kkt: float = 1e-8
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if self.tol_feas <= 0 or self.tol_kkt <= 0 or self.max_iter < 1:
-            raise ValueError("QP tolerances must be positive and max_iter >= 1")
+_TOL_FEAS = 1e-9
+_TOL_KKT = 1e-8
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -182,9 +174,8 @@ def _eqp(B: np.ndarray, g: np.ndarray, M: np.ndarray, v: np.ndarray):
     return y, lam, consistent
 
 
-def solve(problem: QpProblem, settings: QpSettings | None = None) -> QpSolution:
+def solve(problem: QpProblem) -> QpSolution:
     """Solve the QP; deterministic for fixed inputs."""
-    st = settings or QpSettings()
     x_p, Z, projected = _eliminate_equalities(problem)
     G, h = _inequality_rows(problem)
     nz = Z.shape[1]
@@ -207,7 +198,7 @@ def solve(problem: QpProblem, settings: QpSettings | None = None) -> QpSolution:
     if nz == 0:
         x = x_p
         feas = float(np.max(h - G @ x, initial=0.0))
-        status = STATUS_OPTIMAL if feas <= st.tol_feas else STATUS_INFEASIBLE
+        status = STATUS_OPTIMAL if feas <= _TOL_FEAS else STATUS_INFEASIBLE
         return finish(x, status, 0.0, 0, np.zeros(0), ())
 
     B = Z.T @ problem.H @ Z
@@ -219,13 +210,13 @@ def solve(problem: QpProblem, settings: QpSettings | None = None) -> QpSolution:
     y, lam, _ = _eqp(B, g, np.zeros((0, nz)), np.zeros(0))
     iters = 0
     status = STATUS_MAX_ITER
-    while iters < st.max_iter:
+    while iters < _MAX_ITER:
         iters += 1
         slack = M @ y - v if M.shape[0] else np.zeros(0)
         if working:  # active rows are enforced exactly; ignore their numerical dust
             slack = slack.copy()
             slack[working] = 0.0
-        if slack.size == 0 or float(np.min(slack)) >= -st.tol_feas * 0.1:
+        if slack.size == 0 or float(np.min(slack)) >= -_TOL_FEAS * 0.1:
             status = STATUS_OPTIMAL
             break
         worst = int(np.argmin(slack))  # ties: lowest index via argmin
@@ -248,7 +239,7 @@ def solve(problem: QpProblem, settings: QpSettings | None = None) -> QpSolution:
                 break
         # Drop rows whose multipliers went negative, most negative first.
         drops = 0
-        while lam_new.size and float(np.min(lam_new)) < -st.tol_kkt and drops < st.max_iter:
+        while lam_new.size and float(np.min(lam_new)) < -_TOL_KKT and drops < _MAX_ITER:
             drop_pos = int(np.argmin(lam_new))
             working.pop(drop_pos)
             y_new, lam_new, consistent = _eqp(B, g, M[working], v[working])
@@ -271,6 +262,6 @@ def solve(problem: QpProblem, settings: QpSettings | None = None) -> QpSolution:
         comp = np.abs(lam * (M[working] @ y - v[working]))
         kkt = max(kkt, float(np.max(comp, initial=0.0)))
     feas = float(np.max(v - M @ y, initial=0.0)) if M.shape[0] else 0.0
-    if kkt > st.tol_kkt or feas > st.tol_feas:
+    if kkt > _TOL_KKT or feas > _TOL_FEAS:
         status = STATUS_MAX_ITER
     return finish(x, status, kkt, iters, lam, working)

@@ -79,11 +79,6 @@ def mounting_transform(l: float, alpha: float) -> np.ndarray:
     return T
 
 
-def apply_mounting(scene: Scene, l: float, alpha: float) -> Scene:
-    """Transform every plane, boundary vertex and fringe segment into the mounted pose."""
-    return geometry.transform_scene(scene, mounting_transform(l, alpha))
-
-
 def mounted_scene_and_path(scenario: Scenario) -> tuple[Scene, np.ndarray]:
     """The scene and weld path in the world frame the planner operates in."""
     T = mounting_transform(scenario.mounting_l, scenario.mounting_alpha)
@@ -254,10 +249,16 @@ def _parse_scene(reader: _FieldReader, data) -> Scene | None:
         return None
 
 
+_PARAMS_KEYS = ("q_diag", "xi", "max_inner", "step_max", "joint_lower", "joint_upper", "per_capsule_rows")
+
+
 def _parse_params(reader: _FieldReader, data) -> planner.PlannerParams | None:
     node = reader.require(data, "params", dict)
     if node is None:
         return None
+    for key in node:
+        if key not in _PARAMS_KEYS:
+            warn(f"ignoring unknown params key {key!r}")
     q_diag = reader.vector(node.get("q_diag"), "params.q_diag", NUM_JOINTS)
     lower = reader.vector(node.get("joint_lower"), "params.joint_lower", NUM_JOINTS)
     upper = reader.vector(node.get("joint_upper"), "params.joint_upper", NUM_JOINTS)
@@ -273,7 +274,6 @@ def _parse_params(reader: _FieldReader, data) -> planner.PlannerParams | None:
             max_inner=int(node.get("max_inner", 50)),
             step_max=float(node.get("step_max", 0.05)),
             per_capsule_rows=bool(node.get("per_capsule_rows", False)),
-            rounds=int(node.get("rounds", 1)),
         )
     except (TypeError, ValueError) as err:
         reader.fail("params", str(err))
@@ -418,7 +418,6 @@ def scenario_to_dict(s: Scenario) -> dict:
             "joint_lower": _listify(s.params.joint_lower),
             "joint_upper": _listify(s.params.joint_upper),
             "per_capsule_rows": s.params.per_capsule_rows,
-            "rounds": s.params.rounds,
         },
         "initial_config": _listify(s.initial_config),
     }

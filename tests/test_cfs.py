@@ -54,17 +54,10 @@ def test_boundary_reference_halfspace_through_reference(c4, mounted):
     # synthetic check of the tangency identity: residual at q_ref equals d
     rng = np.random.default_rng(33)
     q_ref = c4.initial_config + rng.uniform(-0.1, 0.1, 6)
-    rows = convexify_collision(q_ref, c4.chain, c4.capsules, mounted, margin=0.0)
+    rows = convexify_collision(q_ref, c4.chain, c4.capsules, mounted)
     d = scene_distance(q_ref, c4.chain, c4.capsules, mounted).value
     boundary_point_residual = rows[0].residual(q_ref) - d
     assert boundary_point_residual == pytest.approx(0.0, abs=1e-12)
-
-
-def test_margin_shifts_row(c4, mounted):
-    q_ref = c4.initial_config
-    r0 = convexify_collision(q_ref, c4.chain, c4.capsules, mounted, margin=0.0)[0]
-    r1 = convexify_collision(q_ref, c4.chain, c4.capsules, mounted, margin=1e-3)[0]
-    assert r1.b - r0.b == pytest.approx(1e-3, abs=1e-15)
 
 
 def test_per_capsule_rows(c4, mounted):

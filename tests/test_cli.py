@@ -104,10 +104,6 @@ def test_per_capsule_rows_flag(c1_path, tmp_path):
     assert main(["--scenario", c1_path, "--out", str(tmp_path), "--per-capsule-rows"]) == EXIT_OK
 
 
-def test_rounds_flag(c1_path, tmp_path):
-    assert main(["--scenario", c1_path, "--out", str(tmp_path), "--rounds", "2"]) == EXIT_OK
-
-
 def test_invalid_override_exits_parse_code(c1_path, tmp_path):
     assert main(["--scenario", c1_path, "--out", str(tmp_path), "--xi", "-1.0"]) == EXIT_PARSE
 

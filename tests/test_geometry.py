@@ -10,12 +10,12 @@ from icop.geometry import (
     _tunnel_clearance,
     capsule_distance,
     classify_segment,
-    distance_gradient,
     point_in_polygon,
     scene_distance,
     segment_bounded_planes_distance,
     segment_segment_distance,
     transform_scene,
+    witness_gradient,
     world_capsule_segments,
 )
 from icop.kinematics import forward_kinematics
@@ -188,7 +188,7 @@ class TestDistanceGradient:
 
         scene, _ = mounted_scene_and_path(c4)
         q = np.zeros(6)
-        g = distance_gradient(q, c4.chain, c4.capsules, scene)
+        g = witness_gradient(q, c4.chain, c4.capsules, scene, scene_distance(q, c4.chain, c4.capsules, scene))
         assert np.max(np.abs(g - fd_scene_gradient(q, c4.chain, c4.capsules, scene))) < 1e-5
 
     def test_gradient_matches_fd_near_tunnel(self, c4):
@@ -201,7 +201,7 @@ class TestDistanceGradient:
         for _ in range(120):
             q = q0 + rng.uniform(-0.15, 0.15, 6)
             w = scene_distance(q, c4.chain, c4.capsules, scene)
-            g = distance_gradient(q, c4.chain, c4.capsules, scene, witness=w)
+            g = witness_gradient(q, c4.chain, c4.capsules, scene, w)
             gfd = fd_scene_gradient(q, c4.chain, c4.capsules, scene)
             err = np.max(np.abs(g - gfd))
             if err >= 1e-5:
@@ -220,7 +220,7 @@ class TestDistanceGradient:
         scene, _ = mounted_scene_and_path(c4)
         q = np.zeros(6)
         w = scene_distance(q, c4.chain, c4.capsules, scene)
-        g = distance_gradient(q, c4.chain, c4.capsules, scene, witness=w)
+        g = witness_gradient(q, c4.chain, c4.capsules, scene, w)
         n = (w.point_on_robot - w.point_on_obstacle)
         n /= np.linalg.norm(n)
         # witness on the arm at y=0 plane with direction in the xz plane:

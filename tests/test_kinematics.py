@@ -9,7 +9,6 @@ from icop.kinematics import (
     body_point_position,
     forward_kinematics,
     joint_config,
-    tool_position,
     tool_tip,
 )
 
@@ -24,8 +23,9 @@ def test_zero_angle_straight_chain_is_cumulative_length(straight_chain):
 
 
 def test_joint1_pi_reflects_through_its_axis(gp50_chain):
-    base = tool_position(np.zeros(6), gp50_chain)
-    rotated = tool_position([np.pi, 0, 0, 0, 0, 0], gp50_chain)
+    tool = tool_tip(gp50_chain)
+    base = body_point_position(np.zeros(6), gp50_chain, tool)
+    rotated = body_point_position([np.pi, 0, 0, 0, 0, 0], gp50_chain, tool)
     assert np.allclose(rotated, [-base[0], -base[1], base[2]], atol=1e-12)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from icop.geometry import scene_distance
-from icop.kinematics import body_point_position, tool_tip
+from icop.kinematics import BodyPoint, body_point_position, tool_tip
 from icop.planner import (
     NonConvergedError,
     PlannerParams,
@@ -130,14 +130,20 @@ def test_collision_blocking_straight_line(world):
         assert err.waypoint_index == 0
 
 
-def test_rounds_warm_start_is_stable(world):
+def test_inner_loop_constructs_no_body_point(world, monkeypatch):
+    # validation belongs at the boundary: the iterates read frames, not validated body points
     c4, scene, path = world
-    base = plan(path, c4.initial_config, c4.chain, c4.capsules, scene, c4.params)
-    params2 = dataclasses.replace(c4.params, rounds=2)
-    again = plan(path, c4.initial_config, c4.chain, c4.capsules, scene, params2)
-    assert verify_trajectory(again, params2) == []
-    # warm-started second round keeps the already-feasible states
-    assert np.max(np.abs(again.states - base.states)) < 1e-9
+    validate = BodyPoint.__post_init__
+    built = []
+
+    def counted(self):
+        built.append(self.link_index)
+        validate(self)
+
+    monkeypatch.setattr(BodyPoint, "__post_init__", counted)
+    res = safetrack(c4.initial_config, path[0], c4.chain, c4.capsules, scene, c4.params)
+    assert res.converged and res.inner_iterations >= 2
+    assert built == []
 
 
 def test_per_capsule_rows_variant_plans(world):

@@ -7,7 +7,6 @@ from icop.qp import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     QpProblem,
-    QpSettings,
     solve,
 )
 
@@ -27,7 +26,7 @@ def _random_feasible_problem(rng, n=None, with_bounds=True):
     if rng.random() < 0.5:
         me = int(rng.integers(1, min(3, n)))
         A = rng.normal(size=(me, n))
-        eq = LinearEquality(A=A, b=A @ x0, rank=me, singular=False)
+        eq = LinearEquality(A=A, b=A @ x0)
     if with_bounds and n <= 4 and rng.random() < 0.7:
         lower = x0 - rng.uniform(0.5, 2.0, n)
         upper = x0 + rng.uniform(0.5, 2.0, n)
@@ -113,7 +112,7 @@ def test_scaling_invariance():
 def test_infeasible_equality_vs_box():
     A = np.zeros((1, 6))
     A[0, 0] = 1.0
-    eq = LinearEquality(A=A, b=np.array([5.0]), rank=1, singular=False)
+    eq = LinearEquality(A=A, b=np.array([5.0]))
     p = QpProblem.from_reference(np.ones(6), np.zeros(6), eq=eq, lower=-np.ones(6), upper=np.ones(6))
     s = solve(p)
     assert s.status == STATUS_INFEASIBLE
@@ -121,7 +120,7 @@ def test_infeasible_equality_vs_box():
 
 def test_rank_deficient_equalities_are_projected():
     A = np.vstack([np.eye(6)[0], np.eye(6)[0]])  # duplicated row
-    eq = LinearEquality(A=A, b=np.array([0.5, 0.7]), rank=1, singular=True)  # inconsistent rhs
+    eq = LinearEquality(A=A, b=np.array([0.5, 0.7]))  # rank 1, inconsistent rhs
     p = QpProblem.from_reference(np.ones(6), np.zeros(6), eq=eq)
     s = solve(p)
     assert s.eq_projected
@@ -149,10 +148,3 @@ def test_problem_validation():
         QpProblem(H=H, f=np.zeros(6), eq=None, ineq=(), lower=np.zeros(6), upper=np.ones(6))
     with pytest.raises(ValueError):
         QpProblem(H=np.eye(6), f=np.zeros(6), eq=None, ineq=(), lower=np.ones(6), upper=np.zeros(6))
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        QpSettings(tol_feas=0.0)
-    with pytest.raises(ValueError):
-        QpSettings(max_iter=0)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 import yaml
 
+from icop.geometry import transform_scene
 from icop.planner import Trajectory
 from icop.scenario import (
     MetricsReport,
     ScenarioError,
-    apply_mounting,
     compute_metrics,
     export_trajectory,
     load_bundled,
@@ -31,6 +31,7 @@ class TestLoading:
         assert len(c4.scene.planes) == 8
         assert len(c4.capsules) == 6
 
+    @pytest.mark.filterwarnings("error")
     def test_all_bundled_scenarios_load(self):
         for name in ("c1", "c2", "c3", "c4"):
             s = load_bundled(name)
@@ -90,6 +91,16 @@ class TestLoading:
         with pytest.warns(UserWarning, match="outside the mounted tunnel"):
             parse_scenario(yaml.safe_dump(data))
 
+    def test_unknown_params_key_warns(self, c4):
+        data = scenario_to_dict(c4)
+        data["params"]["rounds"] = 2
+        data["params"]["step_mx"] = 0.1
+        with pytest.warns(UserWarning) as record:
+            s = parse_scenario(yaml.safe_dump(data))
+        messages = [str(w.message) for w in record]
+        assert any("'rounds'" in m for m in messages) and any("'step_mx'" in m for m in messages)
+        assert s.params.step_max == c4.params.step_max
+
     def test_off_unit_normal_renormalized_with_warning(self, c4):
         data = scenario_to_dict(c4)
         data["scene"]["planes"][0]["normal"] = [float(2 * v) for v in data["scene"]["planes"][0]["normal"]]
@@ -107,26 +118,26 @@ class TestLoading:
 
 class TestMounting:
     def test_identity(self, square_tunnel):
-        m = apply_mounting(square_tunnel, 0.0, 0.0)
+        m = transform_scene(square_tunnel, mounting_transform(0.0, 0.0))
         for p1, p2 in zip(m.planes, square_tunnel.planes):
             np.testing.assert_allclose(p1.normal, p2.normal, atol=1e-15)
             np.testing.assert_allclose(p1.vertices, p2.vertices, atol=1e-15)
 
     def test_pure_translation_shifts_x(self, square_tunnel):
-        m = apply_mounting(square_tunnel, 5.0, 0.0)
+        m = transform_scene(square_tunnel, mounting_transform(5.0, 0.0))
         for p1, p2 in zip(m.planes, square_tunnel.planes):
             np.testing.assert_allclose(p1.normal, p2.normal, atol=1e-15)
             np.testing.assert_allclose(p1.vertices - p2.vertices, np.broadcast_to([5.0, 0, 0], p1.vertices.shape), atol=1e-12)
 
     def test_quarter_turn_sends_plus_x_normal_to_minus_z(self, square_tunnel):
         # entrance outward normal of the local tunnel is -x; its exit face is +x
-        m = apply_mounting(square_tunnel, 0.0, np.pi / 2)
+        m = transform_scene(square_tunnel, mounting_transform(0.0, np.pi / 2))
         exit_normal = m.planes[1].normal
         np.testing.assert_allclose(exit_normal, [0.0, 0.0, -1.0], atol=1e-15)
 
     def test_mounting_is_isometry(self, square_tunnel):
         rng = np.random.default_rng(71)
-        m = apply_mounting(square_tunnel, 1.3, 0.7)
+        m = transform_scene(square_tunnel, mounting_transform(1.3, 0.7))
         pts_before = square_tunnel.fringe_segments.reshape(-1, 3)
         pts_after = m.fringe_segments.reshape(-1, 3)
         d_before = np.linalg.norm(pts_before[:, None] - pts_before[None, :], axis=2)
