@@ -10,9 +10,11 @@ is anchored at the current reference rather than the previous waypoint;
 anchoring at the previous waypoint can pin the iterate against the
 constraint set and stall the loop.
 
-Each iterate is evaluated once (``geometry.world_state``): the residual,
-the feasibility test, the collision and contact rows, and the clearance that
-``plan`` records all read that one evaluation.
+Each configuration is evaluated once per plan (``geometry.world_state``):
+``plan`` evaluates the initial configuration, SafeTrack evaluates each QP
+iterate it accepts, and the accepted state is the start of the next
+SafeTrack call. The residual, the feasibility test, the collision and contact
+rows, and the clearance that ``plan`` records all read that one evaluation.
 
 Cartesian steps larger than ``step_max`` are split into intermediate targets
 before tracking, and a waypoint whose inner loop fails to converge is retried
@@ -31,7 +33,7 @@ import numpy as np
 from .cfs import collision_rows
 from .equality import task_rows
 from .geometry import CapsuleSet, Scene, WorldState, world_state
-from .kinematics import NUM_JOINTS, RobotChain, body_point_position, joint_config, tool_tip
+from .kinematics import NUM_JOINTS, RobotChain, joint_config
 from .qp import STATUS_OPTIMAL, QpProblem, solve
 
 STATUS_CONVERGED = "CONVERGED"
@@ -132,21 +134,21 @@ class NonConvergedError(RuntimeError):
 
 
 def safetrack(
-    q_pre,
+    start: WorldState,
     c_next,
     chain: RobotChain,
-    capsules: CapsuleSet,
-    scene: Scene,
     params: PlannerParams,
 ) -> SafeTrackResult:
-    """Track one Cartesian target from q_pre; returns the best iterate found.
+    """Track one Cartesian target from start; returns the best iterate found.
 
-    Convergence means the tool-point residual is at or below xi and the scene
-    distance is non-negative. Zero QP solves happen when q_pre already
-    satisfies both.
+    start is the state the previous step accepted, and it is not evaluated
+    again. Convergence means the tool-point residual is at or below xi and
+    the scene distance is non-negative. Zero QP solves happen when start
+    already satisfies both; each QP iterate accepted is evaluated once,
+    against start's capsules and scene.
     """
     c_next = np.asarray(c_next, dtype=float)
-    state = world_state(q_pre, chain, capsules, scene)
+    state = start
     residual = float(np.linalg.norm(c_next - state.tool_position))
     best = (state, residual)
 
@@ -164,7 +166,7 @@ def safetrack(
             break
         if float(np.max(np.abs(sol.x - state.q))) < 1e-15:
             break  # stalled: QP returned the reference itself
-        state = world_state(sol.x, chain, capsules, scene)
+        state = world_state(sol.x, chain, start.capsules, start.scene)
         residual = float(np.linalg.norm(c_next - state.tool_position))
         distance, best_distance = state.witness.value, best[0].witness.value
         better_feasible = distance >= 0.0 and (best_distance < 0.0 or residual < best[1])
@@ -179,37 +181,35 @@ def safetrack(
 
 
 def _advance(
-    q_from: np.ndarray,
-    c_from: np.ndarray,
+    start: WorldState,
     target: np.ndarray,
     chain: RobotChain,
-    capsules: CapsuleSet,
-    scene: Scene,
     params: PlannerParams,
     depth: int,
 ):
-    """Reach target from q_from (tool at c_from), splitting long steps and bisecting on failure.
+    """Reach target from the accepted state start, splitting long steps and bisecting on failure.
 
     Returns the converged SafeTrack result of the last piece and the inner
     iterations spent over all pieces.
     """
+    c_from = start.tool_position
     gap = float(np.linalg.norm(target - c_from))
     if gap > params.step_max:
         pieces = math.ceil(gap / params.step_max)
-        q, c, total = q_from, c_from, 0
+        state, total = start, 0
         for i in range(1, pieces + 1):
             sub_target = c_from + (i / pieces) * (target - c_from)
-            result, iters = _advance(q, c, sub_target, chain, capsules, scene, params, depth)
-            q, c, total = result.q, result.state.tool_position, total + iters
+            result, iters = _advance(state, sub_target, chain, params, depth)
+            state, total = result.state, total + iters
         return result, total
 
-    result = safetrack(q_from, target, chain, capsules, scene, params)
+    result = safetrack(start, target, chain, params)
     if result.converged:
         return result, result.inner_iterations
     if depth < params.bisect_depth:
         mid = 0.5 * (c_from + target)
-        half, it1 = _advance(q_from, c_from, mid, chain, capsules, scene, params, depth + 1)
-        end, it2 = _advance(half.q, half.state.tool_position, target, chain, capsules, scene, params, depth + 1)
+        half, it1 = _advance(start, mid, chain, params, depth + 1)
+        end, it2 = _advance(half.state, target, chain, params, depth + 1)
         return end, result.inner_iterations + it1 + it2
     raise NonConvergedError(-1, result.tcp_error, result.min_distance)
 
@@ -226,8 +226,10 @@ def plan(
 
     States chain from waypoint to waypoint; every emitted state satisfies the
     tracking threshold, a positive scene distance and the joint limits. The
-    recorded TCP error and clearance are read from the evaluation of the
-    state that SafeTrack accepted.
+    initial configuration is evaluated once here, and each waypoint starts
+    from the state the previous one accepted. The recorded TCP error and
+    clearance are read from the evaluation of the state that SafeTrack
+    accepted.
     """
     path = np.asarray(weld_path, dtype=float)
     if path.ndim != 2 or path.shape[1] != 3 or path.shape[0] == 0:
@@ -243,17 +245,17 @@ def plan(
     inner_iterations = np.zeros(T, dtype=int)
     solve_time = np.zeros(T)
 
-    q, c = q0, body_point_position(q0, chain, tool_tip(chain))
+    state = world_state(q0, chain, capsules, scene)
     for t in range(T):
         start = time.perf_counter()
         try:
-            result, iters = _advance(q, c, path[t], chain, capsules, scene, params, depth=0)
+            result, iters = _advance(state, path[t], chain, params, depth=0)
         except NonConvergedError as err:
             raise NonConvergedError(t, err.tcp_error, err.min_distance) from None
         solve_time[t] = time.perf_counter() - start
-        q, c = result.q, result.state.tool_position
-        states[t] = q
-        tcp_error[t] = float(np.linalg.norm(path[t] - c))
+        state = result.state
+        states[t] = state.q
+        tcp_error[t] = float(np.linalg.norm(path[t] - state.tool_position))
         min_distance[t] = result.min_distance
         inner_iterations[t] = iters
 

@@ -50,10 +50,14 @@ class QpProblem:
         n = f.shape[0]
         if H.shape != (n, n):
             raise ValueError(f"H must be ({n}, {n}), got {H.shape}")
-        if np.max(np.abs(H - H.T)) > 1e-12:
+        if not np.isfinite(H).all():
+            raise ValueError("H must be finite")
+        if abs(H - H.T).max() > 1e-12:
             raise ValueError("H must be symmetric to 1e-12")
-        if np.min(np.linalg.eigvalsh(H)) <= 0.0:
-            raise ValueError("H must be positive definite")
+        try:
+            np.linalg.cholesky(H)  # cheaper than an eigendecomposition on every iterate
+        except np.linalg.LinAlgError:
+            raise ValueError("H must be positive definite") from None
         lower = np.array(self.lower, dtype=float).reshape(-1)
         upper = np.array(self.upper, dtype=float).reshape(-1)
         if lower.shape != (n,) or upper.shape != (n,):

@@ -92,11 +92,13 @@ def test_criterion_4_horizon_linearity():
     s = load_bundled("c4")
     horizons = (14, 21, 43, 82, 164)
     plan_scenario(s)  # warm-up so allocator and caches settle
-    times = {}
-    for h in horizons:
-        s_h = dataclasses.replace(s, weld_path=resample_path(s.weld_path, h))
-        _, metrics = plan_scenario(s_h)
-        times[h] = metrics.total_time
+    resampled = [dataclasses.replace(s, weld_path=resample_path(s.weld_path, h)) for h in horizons]
+    # mean of five interleaved rounds: a shared host runs some plans up to
+    # twice as fast or slow in bursts of a few plans; averaging over rounds
+    # evens that out, while a per-horizon minimum catches a burst on one
+    # horizon and bends the line
+    rounds = [[plan_scenario(s_h)[1].total_time for s_h in resampled] for _ in range(5)]
+    times = dict(zip(horizons, np.mean(rounds, axis=0)))
     hs = np.array(horizons, dtype=float)
     ts = np.array([times[h] for h in horizons])
     A = np.vstack([hs, np.ones_like(hs)]).T

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from icop.geometry import scene_distance
+from icop.geometry import scene_distance, world_state
 from icop.kinematics import BodyPoint, body_point_position, tool_tip
 from icop.planner import (
     NonConvergedError,
@@ -25,7 +25,7 @@ def test_already_satisfied_target_needs_zero_qp_solves(world):
     c4, scene, _ = world
     q = c4.initial_config
     target = body_point_position(q, c4.chain, tool_tip(c4.chain))
-    res = safetrack(q, target, c4.chain, c4.capsules, scene, c4.params)
+    res = safetrack(world_state(q, c4.chain, c4.capsules, scene), target, c4.chain, c4.params)
     assert res.converged
     assert res.inner_iterations == 0
     assert np.array_equal(res.q, q)
@@ -38,7 +38,7 @@ def test_small_free_space_step_converges_fast(world):
     tool = tool_tip(c4.chain)
     for _ in range(10):
         target = body_point_position(q, c4.chain, tool) + rng.uniform(-1e-3, 1e-3, 3)
-        res = safetrack(q, target, c4.chain, c4.capsules, scene, c4.params)
+        res = safetrack(world_state(q, c4.chain, c4.capsules, scene), target, c4.chain, c4.params)
         assert res.converged
         assert res.inner_iterations <= 3
         assert res.tcp_error <= c4.params.xi
@@ -47,7 +47,8 @@ def test_small_free_space_step_converges_fast(world):
 
 def test_safetrack_result_satisfies_contract(world):
     c4, scene, path = world
-    res = safetrack(c4.initial_config, path[0], c4.chain, c4.capsules, scene, c4.params)
+    start = world_state(c4.initial_config, c4.chain, c4.capsules, scene)
+    res = safetrack(start, path[0], c4.chain, c4.params)
     assert res.converged
     tip = body_point_position(res.q, c4.chain, tool_tip(c4.chain))
     assert np.linalg.norm(tip - path[0]) <= c4.params.xi
@@ -141,7 +142,8 @@ def test_inner_loop_constructs_no_body_point(world, monkeypatch):
         validate(self)
 
     monkeypatch.setattr(BodyPoint, "__post_init__", counted)
-    res = safetrack(c4.initial_config, path[0], c4.chain, c4.capsules, scene, c4.params)
+    start = world_state(c4.initial_config, c4.chain, c4.capsules, scene)
+    res = safetrack(start, path[0], c4.chain, c4.params)
     assert res.converged and res.inner_iterations >= 2
     assert built == []
 
@@ -178,30 +180,40 @@ def test_one_scene_evaluation_per_accepted_iterate(monkeypatch):
     c1 = load_bundled("c1")
     scene, path = mounted_scene_and_path(c1)
     evaluate, track = planner.world_state, planner.safetrack
-    evaluations = []
-    per_call = []  # (evaluations during the call, SafeTrack result)
+    evaluations = []  # states returned by world_state
+    per_call = []  # (start, evaluations during the call, SafeTrack result)
 
     def counted_evaluate(*args):
-        evaluations.append(args[0])
-        return evaluate(*args)
+        state = evaluate(*args)
+        evaluations.append(state)
+        return state
 
-    def counted_track(*args):
+    def counted_track(start, *args):
         before = len(evaluations)
-        result = track(*args)
-        per_call.append((len(evaluations) - before, result))
+        result = track(start, *args)
+        per_call.append((start, len(evaluations) - before, result))
         return result
 
     monkeypatch.setattr(planner, "world_state", counted_evaluate)
     monkeypatch.setattr(planner, "safetrack", counted_track)
-    whole = plan(path, c1.initial_config, c1.chain, c1.capsules, scene, c1.params)
 
-    # one evaluation of the starting state, then one per accepted QP step;
-    # nothing else in plan evaluates the scene
-    assert all(result.converged for _, result in per_call)
-    assert [n for n, _ in per_call] == [1 + result.inner_iterations for _, result in per_call]
-    assert len(evaluations) == len(per_call) + int(whole.inner_iterations.sum())
+    # plan evaluates q_init once; each SafeTrack call evaluates only the QP
+    # iterates it accepts and starts from the state the previous call accepted
+    calls = []
+    for params in (c1.params, dataclasses.replace(c1.params, step_max=0.004)):
+        evaluations.clear()
+        per_call.clear()
+        whole = plan(path, c1.initial_config, c1.chain, c1.capsules, scene, params)
+        calls.append(len(per_call))
+        assert all(result.converged for _, _, result in per_call)
+        assert [n for _, n, _ in per_call] == [result.inner_iterations for _, _, result in per_call]
+        assert len(evaluations) == 1 + int(whole.inner_iterations.sum())
+        accepted = [evaluations[0]] + [result.state for _, _, result in per_call[:-1]]
+        assert all(start is prev for (start, _, _), prev in zip(per_call, accepted))
+    assert calls[1] > calls[0]  # step_max 0.004 splits more steps
 
     # no state survives a plan call: streaming one waypoint per call reproduces the whole path
+    whole = plan(path, c1.initial_config, c1.chain, c1.capsules, scene, c1.params)
     q = c1.initial_config
     for t in range(5):
         step = plan(path[t : t + 1], q, c1.chain, c1.capsules, scene, c1.params)

@@ -148,3 +148,25 @@ def test_problem_validation():
         QpProblem(H=H, f=np.zeros(6), eq=None, ineq=(), lower=np.zeros(6), upper=np.ones(6))
     with pytest.raises(ValueError):
         QpProblem(H=np.eye(6), f=np.zeros(6), eq=None, ineq=(), lower=np.ones(6), upper=np.zeros(6))
+
+
+def test_hessian_must_be_finite_and_positive_definite():
+    def problem(H):
+        return QpProblem(H=H, f=np.zeros(6), eq=None, ineq=(), lower=-np.ones(6), upper=np.ones(6))
+
+    rng = np.random.default_rng(58)
+    for _ in range(20):
+        M = rng.normal(size=(6, 6))
+        shift = rng.choice([-1.0, 0.0, 1.0])
+        H = M @ M.T + shift * np.eye(6)
+        H = 0.5 * (H + H.T)
+        if np.min(np.linalg.eigvalsh(H)) > 1e-9:  # oracle: eigenvalues, away from the boundary
+            problem(H)
+        elif np.min(np.linalg.eigvalsh(H)) < -1e-9:
+            with pytest.raises(ValueError):
+                problem(H)
+    singular = np.eye(6)
+    singular[3, 3] = 0.0
+    for H in (singular, np.full((6, 6), np.nan), np.diag([np.inf, 1, 1, 1, 1, 1])):
+        with pytest.raises(ValueError):
+            problem(H)
