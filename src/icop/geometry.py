@@ -87,17 +87,6 @@ class Capsule:
 CapsuleSet = tuple[Capsule, ...]
 
 
-def capsule_set(capsules) -> CapsuleSet:
-    """Validate an iterable of capsules into an immutable capsule set."""
-    caps = tuple(capsules)
-    if not caps:
-        raise ValueError("capsule set must not be empty")
-    for c in caps:
-        if not isinstance(c, Capsule):
-            raise TypeError(f"expected Capsule, got {type(c).__name__}")
-    return caps
-
-
 def _next_rows(rows: np.ndarray) -> np.ndarray:
     """Row i + 1 in place of row i, cyclically: ``np.roll(rows, -1, axis=0)`` at a fraction of its cost."""
     return np.concatenate([rows[1:], rows[:1]])
@@ -228,14 +217,11 @@ class Scene:
         # is inside the opening when edge_normals[i] . (p - vertices[i]) >= 0.
         edge_normals = cross(entrance.normal, _polygon_edges(entrance.vertices))
 
-        for arr in (
-            fringe, mounting, wall_normals, wall_offsets, opening_normals, opening_offsets, interior, edge_normals
-        ):
+        for arr in (fringe, mounting, wall_normals, wall_offsets, opening_normals, opening_offsets, edge_normals):
             arr.flags.writeable = False
         object.__setattr__(self, "planes", planes)
         object.__setattr__(self, "fringe_segments", fringe)
         object.__setattr__(self, "mounting", mounting)
-        object.__setattr__(self, "_interior_point", interior)
         object.__setattr__(self, "_wall_indices", tuple(wall_idx))
         object.__setattr__(self, "_wall_normals", wall_normals)
         object.__setattr__(self, "_wall_offsets", wall_offsets)

@@ -25,7 +25,6 @@ gives up loudly.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,11 +107,10 @@ class Trajectory:
     tcp_error: np.ndarray  # (T,)
     min_distance: np.ndarray  # (T,)
     inner_iterations: np.ndarray  # (T,) int
-    solve_time: np.ndarray  # (T,) seconds
 
     def __post_init__(self) -> None:
         T = self.states.shape[0]
-        for name in ("tcp_error", "min_distance", "inner_iterations", "solve_time"):
+        for name in ("tcp_error", "min_distance", "inner_iterations"):
             if getattr(self, name).shape != (T,):
                 raise ValueError(f"diagnostic {name} length mismatch")
 
@@ -154,10 +152,10 @@ def safetrack(
 
     iterations = 0
     while (residual > params.xi or state.witness.value < 0.0) and iterations < params.max_inner:
-        rows = collision_rows(state, per_capsule_rows=params.per_capsule_rows)
-        eq = task_rows(state.tool_jacobian(), state.q, state.tool_position, c_next)
+        G, h = collision_rows(state, per_capsule_rows=params.per_capsule_rows)
+        A, b = task_rows(state.tool_jacobian(), state.q, state.tool_position, c_next)
         problem = QpProblem.from_reference(
-            params.q_diag, state.q, eq=eq, ineq=tuple(rows),
+            params.q_diag, state.q, A=A, b=b, G=G, h=h,
             lower=params.joint_lower, upper=params.joint_upper,
         )
         sol = solve(problem)
@@ -243,16 +241,13 @@ def plan(
     tcp_error = np.zeros(T)
     min_distance = np.zeros(T)
     inner_iterations = np.zeros(T, dtype=int)
-    solve_time = np.zeros(T)
 
     state = world_state(q0, chain, capsules, scene)
     for t in range(T):
-        start = time.perf_counter()
         try:
             result, iters = _advance(state, path[t], chain, params, depth=0)
         except NonConvergedError as err:
             raise NonConvergedError(t, err.tcp_error, err.min_distance) from None
-        solve_time[t] = time.perf_counter() - start
         state = result.state
         states[t] = state.q
         tcp_error[t] = float(np.linalg.norm(path[t] - state.tool_position))
@@ -264,7 +259,6 @@ def plan(
         tcp_error=tcp_error,
         min_distance=min_distance,
         inner_iterations=inner_iterations,
-        solve_time=solve_time,
     )
 
 

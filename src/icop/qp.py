@@ -3,15 +3,17 @@
 Problems are tiny (six variables, a handful of rows), so everything is dense
 and refactorized from scratch each iteration: minimize
 
-    0.5 x' H x + f' x   s.t.   A x = b,  a_i . x >= b_i,  lower <= x <= upper
+    0.5 x' H x + f' x   s.t.   A x = b,  G x >= h,  lower <= x <= upper
 
-with H symmetric positive definite. Equality rows are eliminated first
-through a nullspace parameterization (rank-deficient rows are projected onto
-their consistent part and flagged). The reduced problem starts from its
-unconstrained minimum and repeatedly adds the most violated inequality as an
-active row, dropping rows whose multipliers go negative; ties break on the
-lowest constraint index so results are deterministic. A full KKT check runs
-before OPTIMAL is ever reported.
+with H symmetric positive definite. The rows are plain arrays, and this module
+owns their format: the collision and contact layers hand over ``(G, h)`` and
+``(A, b)`` and nothing here imports from the layers above. Equality rows are
+eliminated first through a nullspace parameterization (rank-deficient rows are
+projected onto their consistent part and flagged). The reduced problem starts
+from its unconstrained minimum and repeatedly adds the most violated
+inequality as an active row, dropping rows whose multipliers go negative;
+ties break on the lowest constraint index so results are deterministic. A full
+KKT check runs before OPTIMAL is ever reported.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .cfs import LinearInequality
-from .equality import LinearEquality
 
 STATUS_OPTIMAL = "OPTIMAL"
 STATUS_INFEASIBLE = "INFEASIBLE"
@@ -35,14 +34,20 @@ _MAX_ITER = 200
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Strictly convex QP data; bounds may be +-inf to disable a side."""
+    """Strictly convex QP data; bounds may be +-inf to disable a side.
+
+    ``A``/``b`` hold the equality rows and ``G``/``h`` the inequality rows;
+    an empty sequence means no rows of that kind.
+    """
 
     H: np.ndarray
     f: np.ndarray
-    eq: LinearEquality | None
-    ineq: tuple[LinearInequality, ...]
     lower: np.ndarray
     upper: np.ndarray
+    A: np.ndarray = ()
+    b: np.ndarray = ()
+    G: np.ndarray = ()
+    h: np.ndarray = ()
 
     def __post_init__(self) -> None:
         H = np.array(self.H, dtype=float)
@@ -64,18 +69,12 @@ class QpProblem:
             raise ValueError("bounds must match the variable dimension")
         if np.any(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
-        if self.eq is not None and self.eq.A.shape[1] != n:
-            raise ValueError("equality column count must match the variable dimension")
-        for row in self.ineq:
-            if row.a.shape != (n,):
-                raise ValueError("inequality row dimension mismatch")
-        for arr in (H, f, lower, upper):
+        A, b = _rows(self.A, self.b, n, "equality")
+        G, h = _rows(self.G, self.h, n, "inequality")
+        for name, arr in (("H", H), ("f", f), ("lower", lower), ("upper", upper),
+                          ("A", A), ("b", b), ("G", G), ("h", h)):
             arr.flags.writeable = False
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "ineq", tuple(self.ineq))
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -86,8 +85,10 @@ class QpProblem:
         cls,
         weights: np.ndarray,
         x_ref: np.ndarray,
-        eq: LinearEquality | None = None,
-        ineq: tuple[LinearInequality, ...] = (),
+        A: np.ndarray = (),
+        b: np.ndarray = (),
+        G: np.ndarray = (),
+        h: np.ndarray = (),
         lower: np.ndarray | None = None,
         upper: np.ndarray | None = None,
     ) -> "QpProblem":
@@ -100,7 +101,7 @@ class QpProblem:
             lower = np.full(n, -np.inf)
         if upper is None:
             upper = np.full(n, np.inf)
-        return cls(H=H, f=-H @ x_ref, eq=eq, ineq=tuple(ineq), lower=lower, upper=upper)
+        return cls(H=H, f=-H @ x_ref, lower=lower, upper=upper, A=A, b=b, G=G, h=h)
 
     def objective(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -119,31 +120,36 @@ class QpSolution:
     active_set: tuple[int, ...] = ()
 
 
+def _rows(M, v, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validated float copies of the constraint rows M (k, n) and right-hand sides v (k,)."""
+    M = np.array(M, dtype=float)
+    v = np.array(v, dtype=float).reshape(-1)
+    if M.shape == (0,):
+        M = M.reshape(0, n)
+    if M.ndim != 2 or M.shape[1] != n:
+        raise ValueError(f"{kind} rows must be (k, {n}), got {M.shape}")
+    if M.shape[0] != v.shape[0]:
+        raise ValueError(f"{kind} rows {M.shape} and right-hand side {v.shape} disagree")
+    if not (np.isfinite(M).all() and np.isfinite(v).all()):
+        raise ValueError(f"{kind} coefficients must be finite")
+    return M, v
+
+
 def _inequality_rows(problem: QpProblem) -> tuple[np.ndarray, np.ndarray]:
     """All one-sided rows g . x >= h: explicit inequalities first, then finite bounds."""
-    n = problem.dim
-    rows = [r.a for r in problem.ineq]
-    rhs = [r.b for r in problem.ineq]
-    eye = np.eye(n)
-    for i in range(n):
-        if np.isfinite(problem.lower[i]):
-            rows.append(eye[i])
-            rhs.append(problem.lower[i])
-    for i in range(n):
-        if np.isfinite(problem.upper[i]):
-            rows.append(-eye[i])
-            rhs.append(-problem.upper[i])
-    if rows:
-        return np.array(rows), np.array(rhs)
-    return np.zeros((0, n)), np.zeros(0)
+    eye = np.eye(problem.dim)
+    has_lower, has_upper = np.isfinite(problem.lower), np.isfinite(problem.upper)
+    G = np.concatenate([problem.G, eye[has_lower], -eye[has_upper]])
+    h = np.concatenate([problem.h, problem.lower[has_lower], -problem.upper[has_upper]])
+    return G, h
 
 
 def _eliminate_equalities(problem: QpProblem):
     """Parameterize x = x_p + Z y on the (projected) equality manifold."""
     n = problem.dim
-    if problem.eq is None or problem.eq.A.shape[0] == 0:
+    A, b = problem.A, problem.b
+    if A.shape[0] == 0:
         return np.zeros(n), np.eye(n), False
-    A, b = problem.eq.A, problem.eq.b
     U, s, Vt = np.linalg.svd(A, full_matrices=True)
     rank = int(np.sum(s > (s[0] * _SVD_RANK_RTOL if s.size and s[0] > 0 else np.inf)))
     projected = rank < A.shape[0]
@@ -185,9 +191,7 @@ def solve(problem: QpProblem) -> QpSolution:
     nz = Z.shape[1]
 
     def finish(x, status, kkt, iters, lam, active):
-        eq_res = 0.0
-        if problem.eq is not None and problem.eq.A.shape[0] > 0:
-            eq_res = float(np.max(np.abs(problem.eq.residual(x))))
+        eq_res = float(np.max(np.abs(problem.A @ x - problem.b), initial=0.0))
         return QpSolution(
             x=x,
             status=status,

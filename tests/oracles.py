@@ -122,10 +122,7 @@ def qp_enumeration_oracle(problem, tol: float = 1e-9):
     independent active rows than that.
     """
     n = problem.dim
-    rows, rhs = [], []
-    for r in problem.ineq:
-        rows.append(r.a)
-        rhs.append(r.b)
+    rows, rhs = list(problem.G), list(problem.h)
     eye = np.eye(n)
     for i in range(n):
         if np.isfinite(problem.lower[i]):
@@ -138,10 +135,7 @@ def qp_enumeration_oracle(problem, tol: float = 1e-9):
     G = np.array(rows) if rows else np.zeros((0, n))
     h = np.array(rhs) if rhs else np.zeros(0)
 
-    if problem.eq is not None and problem.eq.A.shape[0] > 0:
-        A_eq, b_eq = problem.eq.A, problem.eq.b
-    else:
-        A_eq, b_eq = np.zeros((0, n)), np.zeros(0)
+    A_eq, b_eq = problem.A, problem.b
     free_dim = n - np.linalg.matrix_rank(A_eq) if A_eq.shape[0] else n
 
     best = None

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from icop.cfs import LinearInequality
-from icop.equality import LinearEquality
 from icop.qp import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -21,12 +19,11 @@ def _random_feasible_problem(rng, n=None, with_bounds=True):
     m = int(rng.integers(2, 6))
     G = rng.normal(size=(m, n))
     h = G @ x0 - rng.uniform(0.1, 1.0, m)
-    ineq = tuple(LinearInequality(G[i], h[i]) for i in range(m))
-    eq = None
+    A, b = (), ()
     if rng.random() < 0.5:
         me = int(rng.integers(1, min(3, n)))
         A = rng.normal(size=(me, n))
-        eq = LinearEquality(A=A, b=A @ x0)
+        b = A @ x0
     if with_bounds and n <= 4 and rng.random() < 0.7:
         lower = x0 - rng.uniform(0.5, 2.0, n)
         upper = x0 + rng.uniform(0.5, 2.0, n)
@@ -34,7 +31,7 @@ def _random_feasible_problem(rng, n=None, with_bounds=True):
         lower = np.full(n, -np.inf)
         upper = np.full(n, np.inf)
     f = -H @ rng.uniform(-2.0, 2.0, n)
-    return QpProblem(H=H, f=f, eq=eq, ineq=ineq, lower=lower, upper=upper)
+    return QpProblem(H=H, f=f, lower=lower, upper=upper, A=A, b=b, G=G, h=h)
 
 
 def test_unconstrained_minimum_is_reference():
@@ -46,7 +43,7 @@ def test_unconstrained_minimum_is_reference():
 
 
 def test_single_active_constraint_projection():
-    p = QpProblem.from_reference(np.ones(6), np.zeros(6), ineq=(LinearInequality(np.eye(6)[0], 1.0),))
+    p = QpProblem.from_reference(np.ones(6), np.zeros(6), G=np.eye(6)[:1], h=[1.0])
     s = solve(p)
     assert s.status == STATUS_OPTIMAL
     assert np.allclose(s.x, [1, 0, 0, 0, 0, 0], atol=1e-14)
@@ -71,10 +68,8 @@ def test_kkt_certificate_on_optimal():
         s = solve(p)
         assert s.status == STATUS_OPTIMAL
         assert s.kkt_residual <= 1e-8
-        if p.eq is not None:
-            assert s.eq_residual <= 1e-9
-        for row in p.ineq:
-            assert row.residual(s.x) >= -1e-9
+        assert s.eq_residual <= 1e-9
+        assert np.all(p.G @ s.x - p.h >= -1e-9)
         assert np.all(s.x >= p.lower - 1e-9) and np.all(s.x <= p.upper + 1e-9)
         assert np.all(s.multipliers >= -1e-8)
 
@@ -84,8 +79,9 @@ def test_monotone_restriction():
     for _ in range(50):
         p = _random_feasible_problem(rng, with_bounds=False)
         s0 = solve(p)
-        extra = LinearInequality(rng.normal(size=p.dim), float(rng.normal()))
-        p2 = QpProblem(H=p.H, f=p.f, eq=p.eq, ineq=p.ineq + (extra,), lower=p.lower, upper=p.upper)
+        g, c = rng.normal(size=p.dim), float(rng.normal())
+        p2 = QpProblem(H=p.H, f=p.f, lower=p.lower, upper=p.upper, A=p.A, b=p.b,
+                       G=np.vstack([p.G, g]), h=np.append(p.h, c))
         s2 = solve(p2)
         if s2.status != STATUS_OPTIMAL:
             continue  # the extra row may make it infeasible
@@ -101,9 +97,9 @@ def test_scaling_invariance():
         m = 4
         G = rng.normal(size=(m, n))
         x0 = rng.uniform(-1, 1, n)
-        ineq = tuple(LinearInequality(G[i], float(G[i] @ x0 - 0.2)) for i in range(m))
-        p1 = QpProblem.from_reference(w, x_ref, ineq=ineq)
-        p2 = QpProblem.from_reference(7.5 * w, x_ref, ineq=ineq)
+        h = G @ x0 - 0.2
+        p1 = QpProblem.from_reference(w, x_ref, G=G, h=h)
+        p2 = QpProblem.from_reference(7.5 * w, x_ref, G=G, h=h)
         s1, s2 = solve(p1), solve(p2)
         assert s1.status == STATUS_OPTIMAL and s2.status == STATUS_OPTIMAL
         assert np.max(np.abs(s1.x - s2.x)) < 1e-9
@@ -112,16 +108,14 @@ def test_scaling_invariance():
 def test_infeasible_equality_vs_box():
     A = np.zeros((1, 6))
     A[0, 0] = 1.0
-    eq = LinearEquality(A=A, b=np.array([5.0]))
-    p = QpProblem.from_reference(np.ones(6), np.zeros(6), eq=eq, lower=-np.ones(6), upper=np.ones(6))
+    p = QpProblem.from_reference(np.ones(6), np.zeros(6), A=A, b=[5.0], lower=-np.ones(6), upper=np.ones(6))
     s = solve(p)
     assert s.status == STATUS_INFEASIBLE
 
 
 def test_rank_deficient_equalities_are_projected():
     A = np.vstack([np.eye(6)[0], np.eye(6)[0]])  # duplicated row
-    eq = LinearEquality(A=A, b=np.array([0.5, 0.7]))  # rank 1, inconsistent rhs
-    p = QpProblem.from_reference(np.ones(6), np.zeros(6), eq=eq)
+    p = QpProblem.from_reference(np.ones(6), np.zeros(6), A=A, b=[0.5, 0.7])  # rank 1, inconsistent rhs
     s = solve(p)
     assert s.eq_projected
     assert s.status == STATUS_OPTIMAL
@@ -141,18 +135,29 @@ def test_determinism():
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        QpProblem(H=np.eye(6) * -1.0, f=np.zeros(6), eq=None, ineq=(), lower=np.zeros(6), upper=np.ones(6))
+        QpProblem(H=np.eye(6) * -1.0, f=np.zeros(6), lower=np.zeros(6), upper=np.ones(6))
     H = np.eye(6)
     H[0, 1] = 1e-6  # asymmetric
     with pytest.raises(ValueError):
-        QpProblem(H=H, f=np.zeros(6), eq=None, ineq=(), lower=np.zeros(6), upper=np.ones(6))
+        QpProblem(H=H, f=np.zeros(6), lower=np.zeros(6), upper=np.ones(6))
     with pytest.raises(ValueError):
-        QpProblem(H=np.eye(6), f=np.zeros(6), eq=None, ineq=(), lower=np.ones(6), upper=np.zeros(6))
+        QpProblem(H=np.eye(6), f=np.zeros(6), lower=np.ones(6), upper=np.zeros(6))
+    nan_row = np.eye(6)[:1].copy()
+    nan_row[0, 2] = np.nan
+    rejected_rows = (
+        {"G": nan_row, "h": [0.0]},
+        {"G": np.eye(6)[:1], "h": [np.inf]},
+        {"A": np.eye(6)[:2], "b": [0.0, 0.0, 0.0]},
+        {"G": np.ones((1, 5)), "h": [0.0]},
+    )
+    for rows in rejected_rows:
+        with pytest.raises(ValueError):
+            QpProblem(H=np.eye(6), f=np.zeros(6), lower=-np.ones(6), upper=np.ones(6), **rows)
 
 
 def test_hessian_must_be_finite_and_positive_definite():
     def problem(H):
-        return QpProblem(H=H, f=np.zeros(6), eq=None, ineq=(), lower=-np.ones(6), upper=np.ones(6))
+        return QpProblem(H=H, f=np.zeros(6), lower=-np.ones(6), upper=np.ones(6))
 
     rng = np.random.default_rng(58)
     for _ in range(20):

@@ -158,7 +158,6 @@ class TestExportAndMetrics:
             tcp_error=np.array([1e-5]),
             min_distance=np.array([0.02]),
             inner_iterations=np.array([3]),
-            solve_time=np.array([0.01]),
         )
 
     def test_single_step_export(self, c4, tmp_path):
@@ -191,7 +190,6 @@ class TestExportAndMetrics:
             tcp_error=np.full(3, 1e-5),
             min_distance=np.array([0.02, 0.04, 0.03]),
             inner_iterations=np.array([1, 2, 3]),
-            solve_time=np.zeros(3),
         )
         m = compute_metrics(traj, scenario_name="x", xi=1e-4, total_time=0.5)
         assert m.mean_tcp_error == pytest.approx(1e-5)
@@ -205,7 +203,6 @@ class TestExportAndMetrics:
             tcp_error=np.array([1e-5, 3e-5]),
             min_distance=np.array([0.02, 0.04]),
             inner_iterations=np.array([1, 1]),
-            solve_time=np.zeros(2),
         )
         m = compute_metrics(traj, scenario_name="x", xi=1e-4, total_time=0.0)
         assert m.mean_safe_distance == pytest.approx(0.03)
@@ -215,8 +212,8 @@ class TestExportAndMetrics:
         err = rng.uniform(0, 1e-4, 10)
         dist = rng.uniform(0, 0.1, 10)
         perm = rng.permutation(10)
-        t1 = Trajectory(np.zeros((10, 6)), err, dist, np.ones(10, dtype=int), np.zeros(10))
-        t2 = Trajectory(np.zeros((10, 6)), err[perm], dist[perm], np.ones(10, dtype=int), np.zeros(10))
+        t1 = Trajectory(np.zeros((10, 6)), err, dist, np.ones(10, dtype=int))
+        t2 = Trajectory(np.zeros((10, 6)), err[perm], dist[perm], np.ones(10, dtype=int))
         m1 = compute_metrics(t1, scenario_name="x", xi=1e-4, total_time=0.0)
         m2 = compute_metrics(t2, scenario_name="x", xi=1e-4, total_time=0.0)
         assert m1.mean_tcp_error == pytest.approx(m2.mean_tcp_error, abs=1e-18)
