@@ -5,6 +5,10 @@ entrance face whose boundary polygon is the tunnel opening, optionally an
 exit face parallel to it, and the tunnel walls in between. The fringe
 segments are the rim edges where wall planes meet the entrance surface.
 
+A ``Scene`` holds its planes as stacked arrays, validated in one batched
+pass by its constructor. ``transform_scene`` maps the arrays by a rigid
+motion, which keeps every invariant, so it does not validate them again.
+
 A capsule whose axis does not cross the entrance opening keeps its distance
 to the fringe segments (FRINGE case). A capsule whose axis crosses the
 opening is a working segment (TUNNEL case): its score is the worst signed
@@ -34,7 +38,7 @@ distance gradients and the recorded clearance all read that state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -92,69 +96,74 @@ def _next_rows(rows: np.ndarray) -> np.ndarray:
     return np.concatenate([rows[1:], rows[:1]])
 
 
-def _polygon_edges(vertices: np.ndarray) -> np.ndarray:
-    """Edge vectors of a closed polygon: row i runs from vertex i to vertex i + 1."""
-    return _next_rows(vertices) - vertices
-
-
-@dataclass(frozen=True)
-class BoundedPlane:
-    """A plane {p : normal . p = offset} restricted to a convex polygon.
-
-    Boundary vertices are coplanar with the plane and ordered counter-clockwise
-    about the normal.
-    """
-
-    normal: np.ndarray
-    offset: float
-    vertices: np.ndarray  # (k, 3), k >= 3
-
-    def __post_init__(self) -> None:
-        n = np.array(self.normal, dtype=float)
-        v = np.array(self.vertices, dtype=float)
-        if n.shape != (3,):
-            raise ValueError("plane normal must be a 3-vector")
-        if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-            raise ValueError(f"plane normal must be unit length, |n| = {np.linalg.norm(n)!r}")
-        if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 3:
-            raise ValueError("plane boundary needs at least 3 vertices of dimension 3")
-        residual = np.max(np.abs(v @ n - self.offset))
-        if residual > 1e-9:
-            raise ValueError(f"boundary vertices off the plane by {residual:.3e}")
-        edges = _polygon_edges(v)
-        if np.any(np.linalg.norm(edges, axis=1) < 1e-12):
-            raise ValueError("degenerate boundary edge")
-        turns = cross(edges, _next_rows(edges)) @ n
-        if np.any(turns < -1e-12):
-            raise ValueError("boundary polygon must be convex and counter-clockwise about the normal")
-        n.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "vertices", v)
+def _plane_failures(normals, offsets, vertices, vertex_counts) -> list[tuple[int, str]]:
+    """(index, first failed check) of every plane that is not a convex CCW polygon on its unit-normal plane."""
+    column = np.arange(vertices.shape[1])
+    real = column < vertex_counts[:, None]
+    # Index of the cyclic successor of each real vertex within its own polygon.
+    successor = np.arange(len(vertices))[:, None], (column + 1) % vertex_counts[:, None]
+    edges = vertices[successor] - vertices
+    turns = (cross(edges, edges[successor]) @ normals[:, :, None])[..., 0]
+    norm = np.linalg.norm(normals, axis=1)
+    off_plane = np.where(real, np.abs((vertices @ normals[:, :, None])[..., 0] - offsets[:, None]), 0.0).max(axis=1)
+    shortest = np.where(real, np.linalg.norm(edges, axis=2), np.inf).min(axis=1)
+    sharpest = np.where(real, turns, 0.0).min(axis=1)
+    # A NaN fails every check.
+    ok = (np.abs(norm - 1.0) <= 1e-12) & (off_plane <= 1e-9) & (shortest >= 1e-12) & (sharpest >= -1e-12)
+    failures = []
+    for i in np.flatnonzero(~ok).tolist():
+        if not abs(norm[i] - 1.0) <= 1e-12:
+            failures.append((i, f"plane normal must be unit length, |n| = {norm[i]!r}"))
+        elif not off_plane[i] <= 1e-9:
+            failures.append((i, f"boundary vertices off the plane by {off_plane[i]:.3e}"))
+        elif not shortest[i] >= 1e-12:
+            failures.append((i, "degenerate boundary edge"))
+        else:
+            failures.append((i, "boundary polygon must be convex and counter-clockwise about the normal"))
+    return failures
 
 
 @dataclass(frozen=True)
 class Scene:
-    """Obstacle world: bounded planes, fringe segments, entrance face, mounting.
+    """Obstacle world: bounded planes as stacked arrays, fringe segments, entrance face, mounting.
 
-    ``mounting`` records the rigid transform already applied to the geometry
-    (identity for a scene in its construction frame). Derived orientation data
-    (which planes are walls, inward wall normals, outward opening normals, the
-    inward normals of the opening's edges) is computed once here so the
-    distance queries stay branch-free.
+    Plane i is {p : normals[i] . p = offsets[i]} restricted to the convex
+    polygon ``vertices[i, :vertex_counts[i]]``, counter-clockwise about
+    ``normals[i]``; rows past ``vertex_counts[i]`` are zero. ``mounting``
+    records the rigid transform already applied to the geometry (identity for
+    a scene in its construction frame). Derived orientation data (which planes
+    are walls, inward wall normals, outward opening normals, the inward normals
+    of the opening's edges) is computed once here so the distance queries stay
+    branch-free.
     """
 
-    planes: tuple[BoundedPlane, ...]
+    normals: np.ndarray  # (P, 3)
+    offsets: np.ndarray  # (P,)
+    vertices: np.ndarray  # (P, K, 3), zero-padded
+    vertex_counts: np.ndarray  # (P,), 3 <= count <= K
     fringe_segments: np.ndarray  # (m, 2, 3)
     entrance_plane_index: int
     mounting: np.ndarray = field(default_factory=lambda: np.eye(4))
 
     def __post_init__(self) -> None:
-        planes = tuple(self.planes)
-        if not planes:
-            raise ValueError("scene needs at least one bounded plane")
-        if not 0 <= self.entrance_plane_index < len(planes):
+        normals = np.array(self.normals, dtype=float)
+        offsets = np.array(self.offsets, dtype=float)
+        vertices = np.array(self.vertices, dtype=float)
+        counts = np.array(self.vertex_counts)
+        if normals.ndim != 2 or normals.shape[0] == 0 or normals.shape[1] != 3:
+            raise ValueError("scene needs at least one bounded plane: normals must have shape (P, 3)")
+        P = normals.shape[0]
+        if offsets.shape != (P,) or counts.shape != (P,) or vertices.ndim != 3 or vertices.shape[::2] != (P, 3):
+            raise ValueError(f"offsets, vertex_counts and vertices must have shapes ({P},), ({P},) and ({P}, K, 3)")
+        if counts.dtype.kind not in "iu" or (counts < 3).any() or (counts > vertices.shape[1]).any():
+            raise ValueError("vertex_counts must be integers from 3 to the padded vertex count")
+        if (vertices[np.arange(vertices.shape[1]) >= counts[:, None]] != 0.0).any():
+            raise ValueError("vertices past vertex_counts must be zero")
+        if not 0 <= self.entrance_plane_index < P:
             raise ValueError(f"entrance_plane_index {self.entrance_plane_index} out of range")
+        failures = _plane_failures(normals, offsets, vertices, counts)
+        if failures:
+            raise ValueError("; ".join(f"planes[{i}]: {reason}" for i, reason in failures))
         fringe = np.array(self.fringe_segments, dtype=float)
         if fringe.size == 0:
             fringe = fringe.reshape(0, 2, 3)
@@ -164,77 +173,54 @@ class Scene:
         if not is_rigid(mounting):
             raise ValueError("mounting must be a proper rigid transform")
 
-        entrance = planes[self.entrance_plane_index]
-        normals = np.array([plane.normal for plane in planes])
-        offsets = np.array([plane.offset for plane in planes])
-        # off_plane[s, p]: how far fringe segment s strays from plane p at its worse end
-        off_plane = np.max(np.abs(fringe @ normals.T - offsets), axis=1)
+        # on_plane[s, p]: fringe segment s lies on plane p at both ends
+        off_plane = np.abs(fringe @ normals.T - offsets).max(axis=1)
+        on_plane = off_plane <= 1e-9
         errors = []
-        for si in range(fringe.shape[0]):
+        for si in np.nonzero(~on_plane[:, self.entrance_plane_index] | (on_plane.sum(axis=1) < 2))[0].tolist():
             gap = off_plane[si, self.entrance_plane_index]
-            if gap > 1e-9:
+            if not gap <= 1e-9:
                 errors.append(f"fringe segment {si} off the entrance surface by {gap:.3e}")
-            if np.count_nonzero(off_plane[si] <= 1e-9) < 2:
+            if np.count_nonzero(on_plane[si]) < 2:
                 errors.append(f"fringe segment {si} does not lie on the intersection of two scene planes")
         if errors:
             raise ValueError("; ".join(errors))
+        self._store(normals, offsets, vertices, counts, fringe, self.entrance_plane_index, mounting)
 
+    def _store(self, *values) -> None:
+        """Set the fields, given in declaration order from valid geometry, and derive the orientation arrays."""
+        normals, offsets, vertices, vertex_counts, _fringe, entrance_plane_index, _mounting = values
         # Opening faces are (anti)parallel to the entrance; the rest are walls.
-        n_e = entrance.normal
-        opening_idx, wall_idx = [], []
-        for i, plane in enumerate(planes):
-            if abs(abs(np.dot(plane.normal, n_e)) - 1.0) <= _PARALLEL_TOL:
-                opening_idx.append(i)
-            else:
-                wall_idx.append(i)
-        if wall_idx:
-            interior = np.mean([planes[i].vertices.mean(axis=0) for i in wall_idx], axis=0)
-        else:
-            interior = entrance.vertices.mean(axis=0)
+        opening = np.abs(np.abs(normals @ normals[entrance_plane_index]) - 1.0) <= _PARALLEL_TOL
+        wall_idx, opening_idx = np.nonzero(~opening)[0], np.nonzero(opening)[0]
+        centers = vertices.sum(axis=1) / vertex_counts[:, None]
+        interior = centers[wall_idx].sum(axis=0) / len(wall_idx) if len(wall_idx) else centers[entrance_plane_index]
+        # Walls face inward (interior on their positive side), opening faces outward.
+        side = normals @ interior - offsets
+        sign = np.where(np.where(opening, side > 0.0, side < 0.0), -1.0, 1.0)
+        oriented_normals = sign[:, None] * normals
+        oriented_offsets = sign * offsets
 
-        wall_normals = np.zeros((len(wall_idx), 3))
-        wall_offsets = np.zeros(len(wall_idx))
-        for row, i in enumerate(wall_idx):
-            n, off = planes[i].normal, planes[i].offset
-            if np.dot(n, interior) - off < 0.0:  # orient inward: interior on positive side
-                n, off = -n, -off
-            wall_normals[row] = n
-            wall_offsets[row] = off
-
-        opening_normals = np.zeros((len(opening_idx), 3))
-        opening_offsets = np.zeros(len(opening_idx))
-        for row, i in enumerate(opening_idx):
-            n, off = planes[i].normal, planes[i].offset
-            if np.dot(n, interior) - off > 0.0:  # orient outward: interior on negative side
-                n, off = -n, -off
-            opening_normals[row] = n
-            opening_offsets[row] = off
-
-        entrance_row = opening_idx.index(self.entrance_plane_index)
-        entrance_normal = opening_normals[entrance_row]
-        entrance_offset = float(opening_offsets[entrance_row])
+        entrance_vertices = vertices[entrance_plane_index, : vertex_counts[entrance_plane_index]]
         # Inward normals of the opening's edges: a point p on the entrance plane
         # is inside the opening when edge_normals[i] . (p - vertices[i]) >= 0.
-        edge_normals = cross(entrance.normal, _polygon_edges(entrance.vertices))
-
-        for arr in (fringe, mounting, wall_normals, wall_offsets, opening_normals, opening_offsets, edge_normals):
-            arr.flags.writeable = False
-        object.__setattr__(self, "planes", planes)
-        object.__setattr__(self, "fringe_segments", fringe)
-        object.__setattr__(self, "mounting", mounting)
-        object.__setattr__(self, "_wall_indices", tuple(wall_idx))
-        object.__setattr__(self, "_wall_normals", wall_normals)
-        object.__setattr__(self, "_wall_offsets", wall_offsets)
-        object.__setattr__(self, "_opening_indices", tuple(opening_idx))
-        object.__setattr__(self, "_opening_normals", opening_normals)
-        object.__setattr__(self, "_opening_offsets", opening_offsets)
-        object.__setattr__(self, "_entrance_normal", entrance_normal)
-        object.__setattr__(self, "_entrance_offset", entrance_offset)
-        object.__setattr__(self, "_entrance_edge_normals", edge_normals)
-
-    @property
-    def entrance_plane(self) -> BoundedPlane:
-        return self.planes[self.entrance_plane_index]
+        edge_normals = cross(normals[entrance_plane_index], _next_rows(entrance_vertices) - entrance_vertices)
+        derived = {
+            "_wall_indices": tuple(wall_idx.tolist()),
+            "_wall_normals": oriented_normals[wall_idx],
+            "_wall_offsets": oriented_offsets[wall_idx],
+            "_opening_indices": tuple(opening_idx.tolist()),
+            "_opening_normals": oriented_normals[opening_idx],
+            "_opening_offsets": oriented_offsets[opening_idx],
+            "_entrance_normal": oriented_normals[entrance_plane_index],
+            "_entrance_offset": float(oriented_offsets[entrance_plane_index]),
+            "_entrance_edge_normals": edge_normals,
+            "_entrance_vertices": entrance_vertices,
+        }
+        for name, value in [*zip([f.name for f in fields(self)], values), *derived.items()]:
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def entrance_outward_normal(self) -> np.ndarray:
@@ -316,14 +302,13 @@ def segment_segment_distance(a0, a1, b0, b1) -> SegmentClosest:
     return SegmentClosest(float(np.linalg.norm(p1 - p2)), p1, p2, float(s), float(t))
 
 
-def point_in_polygon(point, plane: BoundedPlane, tol: float = 1e-12) -> bool:
-    """Membership test for a point assumed to lie on the plane of a convex polygon."""
+def point_in_polygon(point, vertices, normal, tol: float = 1e-12) -> bool:
+    """Membership test for a point on the plane of a convex polygon, vertices (k, 3) CCW about normal."""
     p = np.asarray(point, dtype=float)
-    v = plane.vertices
-    k = v.shape[0]
+    k = vertices.shape[0]
     for i in range(k):
-        edge = v[(i + 1) % k] - v[i]
-        if np.dot(np.cross(edge, p - v[i]), plane.normal) < -tol:
+        edge = vertices[(i + 1) % k] - vertices[i]
+        if np.dot(np.cross(edge, p - vertices[i]), normal) < -tol:
             return False
     return True
 
@@ -338,7 +323,7 @@ def classify_segment(a, b, scene: Scene) -> str:
         return CASE_FRINGE
     t = sa / (sa - sb)
     crossing = np.asarray(a, dtype=float) + t * (np.asarray(b, dtype=float) - np.asarray(a, dtype=float))
-    if point_in_polygon(crossing, scene.entrance_plane, tol=_OPENING_TOL):
+    if point_in_polygon(crossing, scene._entrance_vertices, scene.normals[scene.entrance_plane_index], _OPENING_TOL):
         return CASE_TUNNEL
     return CASE_FRINGE
 
@@ -438,7 +423,7 @@ def _crosses_opening(axes: np.ndarray, scene: Scene) -> np.ndarray:
     # Axes that do not cross the entrance plane get a meaningless crossing point; the sign test drops them.
     with np.errstate(divide="ignore", invalid="ignore"):
         crossing = a + (sa / (sa - sb))[:, None] * (b - a)
-        inside = _dot(crossing[:, None, :] - scene.entrance_plane.vertices, scene._entrance_edge_normals)
+        inside = _dot(crossing[:, None, :] - scene._entrance_vertices, scene._entrance_edge_normals)
     return (sa * sb < 0.0) & np.all(inside >= -_OPENING_TOL, axis=1)
 
 
@@ -627,26 +612,22 @@ def witness_gradient(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene, w
 
 
 def transform_scene(scene: Scene, T: np.ndarray) -> Scene:
-    """Rigidly transform every plane, boundary vertex and fringe segment."""
+    """Rigidly transform every plane, boundary vertex and fringe segment; only ``T`` is checked."""
     T = np.asarray(T, dtype=float)
+    if not is_rigid(T):
+        raise ValueError("scene transform must be a proper rigid transform")
     R, t = T[:3, :3], T[:3, 3]
-    planes = []
-    for plane in scene.planes:
-        n = R @ plane.normal
-        planes.append(
-            BoundedPlane(
-                normal=n,
-                offset=plane.offset + float(n @ t),
-                vertices=apply_transform(T, plane.vertices),
-            )
-        )
+    # Stacked products, summed as the per-plane R @ n and n @ t are.
+    normals = (R @ scene.normals[..., None])[..., 0]
+    offsets = scene.offsets + (normals[:, None, :] @ t[:, None])[:, 0, 0]
+    real = np.arange(scene.vertices.shape[1]) < scene.vertex_counts[:, None]
+    vertices = np.where(real[..., None], apply_transform(T, scene.vertices), 0.0)
     fringe = apply_transform(T, scene.fringe_segments.reshape(-1, 3)).reshape(-1, 2, 3)
-    return Scene(
-        planes=tuple(planes),
-        fringe_segments=fringe,
-        entrance_plane_index=scene.entrance_plane_index,
-        mounting=T @ scene.mounting,
+    moved = object.__new__(Scene)
+    moved._store(
+        normals, offsets, vertices, scene.vertex_counts, fringe, scene.entrance_plane_index, T @ scene.mounting
     )
+    return moved
 
 
 def build_prism_tunnel(section: np.ndarray, depth: float) -> Scene:
@@ -663,37 +644,30 @@ def build_prism_tunnel(section: np.ndarray, depth: float) -> Scene:
     if not depth > 0.0:
         raise ValueError("depth must be positive")
     k = sec.shape[0]
-    rim = np.column_stack([np.zeros(k), sec[:, 0], sec[:, 1]])
-    back = rim + np.array([depth, 0.0, 0.0])
+    rim = np.zeros((k, 3))
+    rim[:, 1:] = sec
+    next_rim = _next_rows(rim)
+    back, next_back = rim + np.array([depth, 0.0, 0.0]), next_rim + np.array([depth, 0.0, 0.0])
 
+    # A counter-clockwise rim edge has the tunnel on its left, so edge × (+x)
+    # points out of the tunnel; the wall normals point in. Each wall quad then
+    # runs back rim -> front rim to be counter-clockwise about its normal.
+    outward = cross(next_rim - rim, np.array([1.0, 0.0, 0.0]))
+    # Lengths summed as np.linalg.norm sums one vector's, so the bundled assets rebuild bit for bit.
+    wall_normals = -(outward / np.sqrt((outward[:, None, :] @ outward[:, :, None])[:, 0]))
+    vertices = np.zeros((k + 2, max(k, 4), 3))
     # Entrance: outward normal -x; CCW about it means the (y, z)-CCW ring reversed.
-    entrance = BoundedPlane(normal=np.array([-1.0, 0.0, 0.0]), offset=0.0, vertices=rim[::-1])
-    exit_face = BoundedPlane(normal=np.array([1.0, 0.0, 0.0]), offset=depth, vertices=back)
-
-    walls = []
-    centroid = np.array([depth / 2.0, sec[:, 0].mean(), sec[:, 1].mean()])
-    for i in range(k):
-        v0, v1 = rim[i], rim[(i + 1) % k]
-        quad = np.array([v0, v1, v1 + [depth, 0.0, 0.0], v0 + [depth, 0.0, 0.0]])
-        n = cross(v1 - v0, np.array([1.0, 0.0, 0.0]))
-        n = n / np.linalg.norm(n)
-        if np.dot(n, centroid - v0) < 0.0:
-            n = -n
-        off = float(n @ v0)
-        verts = quad if _is_ccw_about(quad, n) else quad[::-1]
-        walls.append(BoundedPlane(normal=n, offset=off, vertices=verts))
-
-    fringe = np.stack([np.stack([rim[i], rim[(i + 1) % k]]) for i in range(k)])
+    vertices[0, :k] = rim[::-1]
+    vertices[1, :k] = back
+    vertices[2:, 0], vertices[2:, 1], vertices[2:, 2], vertices[2:, 3] = back, next_back, next_rim, rim
     return Scene(
-        planes=tuple([entrance, exit_face] + walls),
-        fringe_segments=fringe,
+        normals=np.concatenate([[[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], wall_normals]),
+        offsets=np.concatenate([[0.0, depth], (wall_normals[:, None, :] @ rim[:, :, None])[:, 0, 0]]),
+        vertices=vertices,
+        vertex_counts=np.array([k, k] + [4] * k),
+        fringe_segments=np.stack([rim, next_rim], axis=1),
         entrance_plane_index=0,
     )
-
-
-def _is_ccw_about(vertices: np.ndarray, normal: np.ndarray) -> bool:
-    total = cross(vertices, _next_rows(vertices)).sum(axis=0)
-    return bool(np.dot(total, normal) > 0.0)
 
 
 def point_tunnel_clearance(point, scene: Scene) -> float:

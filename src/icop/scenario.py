@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from . import geometry, planner
-from .geometry import BoundedPlane, Capsule, CapsuleSet, Scene
+from .geometry import Capsule, CapsuleSet, Scene
 from .kinematics import NUM_JOINTS, JointParams, RobotChain, forward_kinematics
 from .transforms import homogeneous, rot_y
 
@@ -212,7 +212,7 @@ def _parse_scene(reader: _FieldReader, data) -> Scene | None:
         if entrance is None:
             reader.fail("scene.entrance_plane_index", "missing")
         return None
-    planes = []
+    rows, normals, offsets, boundaries = [], [], [], []
     for i, pn in enumerate(planes_node):
         field = f"scene.planes[{i}]"
         if not isinstance(pn, dict):
@@ -232,16 +232,35 @@ def _parse_scene(reader: _FieldReader, data) -> Scene | None:
                 warn(f"renormalizing plane {i} normal (off by {abs(norm - 1.0):.2e})")
             normal = normal / norm
         try:
-            planes.append(BoundedPlane(normal=normal, offset=offset, vertices=np.array(verts, dtype=float)))
+            verts = np.array(verts, dtype=float)
         except (TypeError, ValueError) as err:
             reader.fail(field, str(err))
+            continue
+        if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 3:
+            reader.fail(field, "plane boundary needs at least 3 vertices of dimension 3")
+            continue
+        rows.append(i)
+        normals.append(normal)
+        offsets.append(offset)
+        boundaries.append(verts)
+    counts = np.array([len(v) for v in boundaries], dtype=int)
+    vertices = np.zeros((len(boundaries), max(counts, default=3), 3))
+    for row, verts in enumerate(boundaries):
+        vertices[row, : len(verts)] = verts
+    normals = np.array(normals).reshape(-1, 3)
+    offsets = np.array(offsets)
+    # The constructor's own plane check, run here to name each plane by its index in the file.
+    for row, reason in geometry._plane_failures(normals, offsets, vertices, counts):
+        reader.fail(f"scene.planes[{rows[row]}]", reason)
     if reader.failures:
         return None
     try:
-        fringe = np.array(fringe_node, dtype=float)
         return Scene(
-            planes=tuple(planes),
-            fringe_segments=fringe,
+            normals=normals,
+            offsets=offsets,
+            vertices=vertices,
+            vertex_counts=counts,
+            fringe_segments=np.array(fringe_node, dtype=float),
             entrance_plane_index=int(entrance),
         )
     except (TypeError, ValueError) as err:
@@ -403,8 +422,10 @@ def scenario_to_dict(s: Scenario) -> dict:
         "scene": {
             "entrance_plane_index": s.scene.entrance_plane_index,
             "planes": [
-                {"normal": _listify(p.normal), "offset": p.offset, "vertices": _listify(p.vertices)}
-                for p in s.scene.planes
+                {"normal": _listify(normal), "offset": offset, "vertices": _listify(verts[:count])}
+                for normal, offset, verts, count in zip(
+                    s.scene.normals, s.scene.offsets.tolist(), s.scene.vertices, s.scene.vertex_counts
+                )
             ],
             "fringe_segments": _listify(s.scene.fringe_segments),
         },

@@ -36,11 +36,12 @@ def is_rigid(T: np.ndarray, tol: float = 1e-9) -> bool:
     if T.shape != (4, 4):
         return False
     R = T[:3, :3]
-    if np.max(np.abs(R.T @ R - np.eye(3))) > tol:
-        return False
-    if abs(np.linalg.det(R) - 1.0) > tol:
-        return False
-    return bool(np.allclose(T[3], [0.0, 0.0, 0.0, 1.0], atol=tol))
+    # Each test reads "within tol", so a NaN anywhere fails it.
+    return bool(
+        np.abs(R.T @ R - np.eye(3)).max() <= tol
+        and abs(np.linalg.det(R) - 1.0) <= tol
+        and np.abs(T[3] - (0.0, 0.0, 0.0, 1.0)).max() <= tol
+    )
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Import smoke test for scripts/generate_scenarios.py, which has no other test.
+"""Tests of scripts/generate_scenarios.py, which regenerates the bundled assets.
 
 Loading the script catches a symbol it imports from ``icop`` going away; its
 ``__main__`` guard keeps the import from regenerating the assets.
@@ -14,12 +14,27 @@ from icop.scenario import load_bundled
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "generate_scenarios.py"
 
 
-def test_script_imports_and_builds_the_bundled_params():
+def _load_script():
     spec = importlib.util.spec_from_file_location("generate_scenarios", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_script_imports_and_builds_the_bundled_params():
+    module = _load_script()
     params = module.default_params()
     bundled = load_bundled("c1").params
     for name in ("q_diag", "joint_lower", "joint_upper"):
         np.testing.assert_array_equal(getattr(params, name), getattr(bundled, name))
     assert (params.xi, params.max_inner, params.step_max) == (bundled.xi, bundled.max_inner, bundled.step_max)
+
+
+def test_script_rebuilds_the_bundled_scenes_bit_for_bit():
+    built = _load_script().workpiece_scene()
+    for name in ("c1", "c2", "c3", "c4"):
+        bundled = load_bundled(name).scene
+        for field in ("normals", "offsets", "vertex_counts", "fringe_segments"):
+            assert getattr(built, field).tobytes() == getattr(bundled, field).tobytes(), (name, field)
+        for i, count in enumerate(bundled.vertex_counts):
+            assert built.vertices[i, :count].tobytes() == bundled.vertices[i, :count].tobytes(), (name, i)

@@ -4,8 +4,8 @@ import pytest
 from icop.geometry import (
     CASE_FRINGE,
     CASE_TUNNEL,
-    BoundedPlane,
     Capsule,
+    Scene,
     _score_axes,
     _tunnel_clearance,
     capsule_distance,
@@ -100,7 +100,8 @@ class TestClassification:
                 sb = float(n @ b - off)
                 t = sa / (sa - sb)
                 p = a + t * (b - a)
-                assert not point_in_polygon(p, square_tunnel.entrance_plane, tol=-1e-9)
+                normal = square_tunnel.normals[square_tunnel.entrance_plane_index]
+                assert not point_in_polygon(p, square_tunnel._entrance_vertices, normal, tol=-1e-9)
 
 
 class TestTunnelClearance:
@@ -248,19 +249,35 @@ def _near_witness_switch(q, scenario, scene, h: float = 2e-6) -> bool:
     return False
 
 
+def _plane_arrays(scene):
+    """The plane fields of a scene, as keyword arguments of the Scene constructor."""
+    return {name: getattr(scene, name) for name in ("normals", "offsets", "vertices", "vertex_counts")}
+
+
+def _one_plane_scene(normal, vertices):
+    return Scene(
+        normals=[normal],
+        offsets=[0.0],
+        vertices=[vertices],
+        vertex_counts=[len(vertices)],
+        fringe_segments=np.zeros((0, 2, 3)),
+        entrance_plane_index=0,
+    )
+
+
 class TestValidation:
-    def test_bounded_plane_rejects_non_unit_normal(self):
-        with pytest.raises(ValueError):
-            BoundedPlane(normal=[2, 0, 0], offset=0.0, vertices=[[0, 0, 0], [0, 1, 0], [0, 0, 1]])
+    def test_scene_rejects_non_unit_normal(self):
+        with pytest.raises(ValueError, match=r"planes\[0\]: plane normal must be unit length"):
+            _one_plane_scene([2, 0, 0], [[0, 0, 0], [0, 1, 0], [0, 0, 1]])
 
-    def test_bounded_plane_rejects_off_plane_vertex(self):
-        with pytest.raises(ValueError):
-            BoundedPlane(normal=[1, 0, 0], offset=0.0, vertices=[[0, 0, 0], [0, 1, 0], [0.1, 0, 1]])
+    def test_scene_rejects_off_plane_vertex(self):
+        with pytest.raises(ValueError, match=r"planes\[0\]: boundary vertices off the plane"):
+            _one_plane_scene([1, 0, 0], [[0, 0, 0], [0, 1, 0], [0.1, 0, 1]])
 
-    def test_bounded_plane_rejects_concave_polygon(self):
+    def test_scene_rejects_concave_polygon(self):
         verts = [[0, 0, 0], [0, 2, 0], [0, 1, 0.2], [0, 0, 2]]  # reflex at third vertex
-        with pytest.raises(ValueError):
-            BoundedPlane(normal=[1.0, 0, 0], offset=0.0, vertices=verts)
+        with pytest.raises(ValueError, match=r"planes\[0\]: boundary polygon must be convex"):
+            _one_plane_scene([1.0, 0, 0], verts)
 
     def test_capsule_rejects_bad_radius_and_degenerate_axis(self):
         with pytest.raises(ValueError):
@@ -269,13 +286,11 @@ class TestValidation:
             Capsule(link_index=1, endpoint_a=[0, 0, 0], endpoint_b=[0, 0, 0], radius=0.1)
 
     def test_scene_rejects_fringe_off_entrance(self, square_tunnel):
-        from icop.geometry import Scene
-
         bad_fringe = square_tunnel.fringe_segments.copy()
         bad_fringe[0, 0, 0] += 0.01
         with pytest.raises(ValueError):
             Scene(
-                planes=square_tunnel.planes,
+                **_plane_arrays(square_tunnel),
                 fringe_segments=bad_fringe,
                 entrance_plane_index=square_tunnel.entrance_plane_index,
             )
@@ -288,6 +303,61 @@ class TestValidation:
         cap = c4.capsules[5]
         expected = fk[5][:3, :3] @ cap.endpoint_a + fk[5][:3, 3]
         assert np.allclose(segs[5, 0], expected, atol=1e-12)
+
+
+_DERIVED = (
+    "_wall_indices",
+    "_wall_normals",
+    "_wall_offsets",
+    "_opening_indices",
+    "_opening_normals",
+    "_opening_offsets",
+    "_entrance_normal",
+    "_entrance_offset",
+    "_entrance_edge_normals",
+    "_entrance_vertices",
+)
+
+
+def _rebuilt(scene):
+    """The same scene through the validating constructor."""
+    return Scene(
+        **_plane_arrays(scene),
+        fringe_segments=scene.fringe_segments,
+        entrance_plane_index=scene.entrance_plane_index,
+        mounting=scene.mounting,
+    )
+
+
+class TestTransformScene:
+    """A rigid motion keeps every scene invariant, so transform_scene checks only the transform."""
+
+    def test_output_passes_the_constructor(self):
+        rng = np.random.default_rng(81)
+        for _ in range(1000):
+            scene = random_tunnel(rng)
+            T = homogeneous(rot_y(rng.uniform(-np.pi, np.pi)) @ rot_z(rng.uniform(-np.pi, np.pi)), rng.uniform(-2, 2, 3))
+            moved = transform_scene(scene, T)
+            rebuilt = _rebuilt(moved)
+            for name in _DERIVED:
+                np.testing.assert_array_equal(getattr(rebuilt, name), getattr(moved, name), err_msg=name)
+
+    @pytest.mark.parametrize(
+        "T", [np.diag([2.0, 2.0, 2.0, 1.0]), np.diag([1.0, 1.0, -1.0, 1.0])], ids=["scaling", "reflection"]
+    )
+    def test_rejects_non_rigid_transform(self, square_tunnel, T):
+        with pytest.raises(ValueError, match="rigid"):
+            transform_scene(square_tunnel, T)
+
+    def test_does_not_run_the_plane_check(self, square_tunnel, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("plane check called")
+
+        monkeypatch.setattr("icop.geometry._plane_failures", refuse)
+        moved = transform_scene(square_tunnel, homogeneous(rot_y(0.4), [0.3, -0.2, 1.0]))
+        np.testing.assert_array_equal(moved.vertex_counts, square_tunnel.vertex_counts)
+        with pytest.raises(AssertionError, match="plane check called"):  # the constructor does call it
+            _rebuilt(moved)
 
 
 def _reference_witness(a, b, radius, scene):
@@ -351,7 +421,7 @@ class TestBatchedKernel:
         for _ in range(60):
             scene = random_tunnel(rng)
             n_out = scene.entrance_outward_normal
-            center = scene.entrance_plane.vertices.mean(axis=0)
+            center = scene._entrance_vertices.mean(axis=0)
             axes = [_random_segment(rng, scale=1.5) for _ in range(4)]
             for _ in range(4):  # axes through the opening, most of them TUNNEL
                 jitter = rng.uniform(-0.2, 0.2, 3)
@@ -371,11 +441,9 @@ class TestBatchedKernel:
         assert all(w.case_tag == CASE_FRINGE for w in batch)
 
     def test_zero_length_fringe_segment(self, square_tunnel):
-        from icop.geometry import Scene
-
         corner = square_tunnel.fringe_segments[0, 0]
         scene = Scene(
-            planes=square_tunnel.planes,
+            **_plane_arrays(square_tunnel),
             fringe_segments=np.concatenate([[[corner, corner]], square_tunnel.fringe_segments]),
             entrance_plane_index=square_tunnel.entrance_plane_index,
         )

@@ -28,7 +28,7 @@ class TestLoading:
         assert c4.mounting_l == pytest.approx(0.18)  # family label quotes 18 cm
         assert c4.mounting_alpha == pytest.approx(0.125 * np.pi)
         assert c4.horizon == 43
-        assert len(c4.scene.planes) == 8
+        assert c4.scene.normals.shape[0] == 8
         assert len(c4.capsules) == 6
 
     @pytest.mark.filterwarnings("error")
@@ -73,10 +73,8 @@ class TestLoading:
         np.testing.assert_array_equal(again.weld_path, c4.weld_path)
         np.testing.assert_array_equal(again.initial_config, c4.initial_config)
         np.testing.assert_array_equal(again.params.q_diag, c4.params.q_diag)
-        for p1, p2 in zip(again.scene.planes, c4.scene.planes):
-            np.testing.assert_array_equal(p1.normal, p2.normal)
-            np.testing.assert_array_equal(p1.vertices, p2.vertices)
-            assert p1.offset == p2.offset
+        for name in ("normals", "offsets", "vertices", "vertex_counts"):
+            np.testing.assert_array_equal(getattr(again.scene, name), getattr(c4.scene, name))
         np.testing.assert_array_equal(again.scene.fringe_segments, c4.scene.fringe_segments)
         for c1_, c2_ in zip(again.capsules, c4.capsules):
             np.testing.assert_array_equal(c1_.endpoint_a, c2_.endpoint_a)
@@ -106,7 +104,7 @@ class TestLoading:
         data["scene"]["planes"][0]["normal"] = [float(2 * v) for v in data["scene"]["planes"][0]["normal"]]
         with pytest.warns(UserWarning, match="renormalizing plane 0"):
             s = parse_scenario(yaml.safe_dump(data))
-        assert np.linalg.norm(s.scene.planes[0].normal) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(s.scene.normals[0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_vertices_off_plane_rejected(self, c4):
         data = scenario_to_dict(c4)
@@ -115,24 +113,37 @@ class TestLoading:
             parse_scenario(yaml.safe_dump(data))
         assert any("planes[0]" in f for f in err.value.failures)
 
+    def test_all_failing_planes_reported_at_once(self, c4):
+        data = scenario_to_dict(c4)
+        planes = data["scene"]["planes"]
+        del planes[1]["offset"]
+        verts = planes[2]["vertices"]
+        verts[0], verts[1] = verts[1], verts[0]  # the boundary now crosses itself
+        moved = planes[5]["vertices"][2]
+        planes[5]["vertices"][2] = [v + 0.01 * n for v, n in zip(moved, planes[5]["normal"])]  # off its plane
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(yaml.safe_dump(data))
+        for i in (1, 2, 5):
+            assert any(f"scene.planes[{i}]" in f for f in err.value.failures), i
+
 
 class TestMounting:
     def test_identity(self, square_tunnel):
         m = transform_scene(square_tunnel, mounting_transform(0.0, 0.0))
-        for p1, p2 in zip(m.planes, square_tunnel.planes):
-            np.testing.assert_allclose(p1.normal, p2.normal, atol=1e-15)
-            np.testing.assert_allclose(p1.vertices, p2.vertices, atol=1e-15)
+        np.testing.assert_allclose(m.normals, square_tunnel.normals, atol=1e-15)
+        np.testing.assert_allclose(m.vertices, square_tunnel.vertices, atol=1e-15)
 
     def test_pure_translation_shifts_x(self, square_tunnel):
         m = transform_scene(square_tunnel, mounting_transform(5.0, 0.0))
-        for p1, p2 in zip(m.planes, square_tunnel.planes):
-            np.testing.assert_allclose(p1.normal, p2.normal, atol=1e-15)
-            np.testing.assert_allclose(p1.vertices - p2.vertices, np.broadcast_to([5.0, 0, 0], p1.vertices.shape), atol=1e-12)
+        np.testing.assert_allclose(m.normals, square_tunnel.normals, atol=1e-15)
+        real = np.arange(m.vertices.shape[1]) < m.vertex_counts[:, None]
+        shift = m.vertices[real] - square_tunnel.vertices[real]
+        np.testing.assert_allclose(shift, np.broadcast_to([5.0, 0, 0], shift.shape), atol=1e-12)
 
     def test_quarter_turn_sends_plus_x_normal_to_minus_z(self, square_tunnel):
         # entrance outward normal of the local tunnel is -x; its exit face is +x
         m = transform_scene(square_tunnel, mounting_transform(0.0, np.pi / 2))
-        exit_normal = m.planes[1].normal
+        exit_normal = m.normals[1]
         np.testing.assert_allclose(exit_normal, [0.0, 0.0, -1.0], atol=1e-15)
 
     def test_mounting_is_isometry(self, square_tunnel):
