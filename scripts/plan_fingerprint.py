@@ -9,11 +9,22 @@ bytes of the states, ``tcp_error``, ``min_distance`` and
 contributes its waypoint index, TCP error and clearance instead. Two
 checkouts that print the same hash plan bit-identical trajectories.
 
+When two checkouts are meant to agree only to rounding, save the plans of one
+and compare the other against them:
+
+    python3 scripts/plan_fingerprint.py --save plans.npz      # first checkout
+    python3 scripts/plan_fingerprint.py --compare plans.npz   # second checkout
+
+``--compare`` prints, per scenario and parameter set, the largest change in
+any planned joint value and whether the inner-iteration counts and the
+non-convergence reports match; it exits 1 if any of them does not.
+
 Run from the repository root:  python3 scripts/plan_fingerprint.py
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import sys
@@ -23,7 +34,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from icop.planner import NonConvergedError, plan
+from icop.planner import NonConvergedError, Trajectory, plan
 from icop.scenario import load_bundled, mounted_scene_and_path
 
 SCENARIOS = ("c1", "c2", "c3", "c4")
@@ -37,26 +48,97 @@ PARAM_SETS = (
 )
 
 
-def fingerprint() -> str:
-    digest = hashlib.sha256()
+def run_plans() -> dict[str, Trajectory | NonConvergedError]:
+    """Plan every scenario under every parameter set, keyed ``"<scenario>/<label>"``."""
+    results = {}
     for name in SCENARIOS:
         s = load_bundled(name)
         scene, path = mounted_scene_and_path(s)
         for label, changes in PARAM_SETS:
             params = dataclasses.replace(s.params, **changes)
-            digest.update(f"{name}/{label}:".encode())
             try:
-                traj = plan(path, s.initial_config, s.chain, s.capsules, scene, params)
+                results[f"{name}/{label}"] = plan(path, s.initial_config, s.chain, s.capsules, scene, params)
             except NonConvergedError as err:
-                digest.update(b"non-converged")
-                digest.update(np.array([err.waypoint_index], dtype=np.int64).tobytes())
-                digest.update(np.array([err.tcp_error, err.min_distance], dtype=np.float64).tobytes())
-                continue
-            for arr in (traj.states, traj.tcp_error, traj.min_distance):
-                digest.update(arr.tobytes())
-            digest.update(traj.inner_iterations.astype(np.int64).tobytes())
+                results[f"{name}/{label}"] = err
+    return results
+
+
+def fingerprint(results: dict[str, Trajectory | NonConvergedError] | None = None) -> str:
+    results = run_plans() if results is None else results
+    digest = hashlib.sha256()
+    for key, result in results.items():
+        digest.update(f"{key}:".encode())
+        if isinstance(result, NonConvergedError):
+            digest.update(b"non-converged")
+            digest.update(np.array([result.waypoint_index], dtype=np.int64).tobytes())
+            digest.update(np.array([result.tcp_error, result.min_distance], dtype=np.float64).tobytes())
+            continue
+        for arr in (result.states, result.tcp_error, result.min_distance):
+            digest.update(arr.tobytes())
+        digest.update(result.inner_iterations.astype(np.int64).tobytes())
     return digest.hexdigest()
 
 
+def _arrays(results) -> dict[str, np.ndarray]:
+    """Per plan: ``states`` and ``inner_iterations``, or the ``non_converged`` report."""
+    out = {}
+    for key, result in results.items():
+        if isinstance(result, NonConvergedError):
+            out[f"{key}/non_converged"] = np.array([result.waypoint_index, result.tcp_error, result.min_distance])
+        else:
+            out[f"{key}/states"] = result.states
+            out[f"{key}/inner_iterations"] = result.inner_iterations.astype(np.int64)
+    return out
+
+
+def save(path, results) -> None:
+    with open(path, "wb") as fh:
+        np.savez(fh, **_arrays(results))
+
+
+def compare(path, results) -> list[tuple[str, float | None, bool, bool]]:
+    """Per plan, against the plans saved at ``path``: (key, largest joint change, counts match, reports match).
+
+    The joint change is None when either plan did not converge.
+    """
+    with np.load(path) as saved:
+        saved = dict(saved)
+    current = _arrays(results)
+
+    def same(name):
+        old, new = saved.get(name), current.get(name)
+        return (old is None) == (new is None) and (old is None or np.array_equal(old, new))
+
+    rows = []
+    for key in results:
+        old, new = saved.get(f"{key}/states"), current.get(f"{key}/states")
+        change = None
+        if old is not None and new is not None and old.shape == new.shape:
+            change = float(np.max(np.abs(new - old), initial=0.0))
+        rows.append((key, change, same(f"{key}/inner_iterations"), same(f"{key}/non_converged")))
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", metavar="PATH", help="write the plans to PATH (.npz)")
+    parser.add_argument("--compare", metavar="PATH", help="compare the plans with those saved at PATH")
+    args = parser.parse_args(argv)
+    results = run_plans()
+    print(fingerprint(results))
+    if args.save:
+        save(args.save, results)
+    if args.compare:
+        rows = compare(args.compare, results)
+        for key, change, iters_match, reports_match in rows:
+            print(
+                f"{key:<26} max|dq|={'n/a' if change is None else f'{change:.3e}':<10} "
+                f"inner_iterations {'match' if iters_match else 'DIFFER'}, "
+                f"non-converged reports {'match' if reports_match else 'DIFFER'}"
+            )
+        return 0 if all(iters and reports for _, _, iters, reports in rows) else 1
+    return 0
+
+
 if __name__ == "__main__":
-    print(fingerprint())
+    sys.exit(main())

@@ -38,7 +38,7 @@ distance gradients and the recorded clearance all read that state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -125,16 +125,14 @@ def _plane_failures(normals, offsets, vertices, vertex_counts) -> list[tuple[int
 
 @dataclass(frozen=True)
 class Scene:
-    """Obstacle world: bounded planes as stacked arrays, fringe segments, entrance face, mounting.
+    """Obstacle world: bounded planes as stacked arrays, fringe segments, entrance face.
 
     Plane i is {p : normals[i] . p = offsets[i]} restricted to the convex
     polygon ``vertices[i, :vertex_counts[i]]``, counter-clockwise about
-    ``normals[i]``; rows past ``vertex_counts[i]`` are zero. ``mounting``
-    records the rigid transform already applied to the geometry (identity for
-    a scene in its construction frame). Derived orientation data (which planes
-    are walls, inward wall normals, outward opening normals, the inward normals
-    of the opening's edges) is computed once here so the distance queries stay
-    branch-free.
+    ``normals[i]``; rows past ``vertex_counts[i]`` are zero. Derived
+    orientation data (which planes are walls, inward wall normals, outward
+    opening normals, the inward normals of the opening's edges) is computed
+    once here so the distance queries stay branch-free.
     """
 
     normals: np.ndarray  # (P, 3)
@@ -143,7 +141,6 @@ class Scene:
     vertex_counts: np.ndarray  # (P,), 3 <= count <= K
     fringe_segments: np.ndarray  # (m, 2, 3)
     entrance_plane_index: int
-    mounting: np.ndarray = field(default_factory=lambda: np.eye(4))
 
     def __post_init__(self) -> None:
         normals = np.array(self.normals, dtype=float)
@@ -169,9 +166,6 @@ class Scene:
             fringe = fringe.reshape(0, 2, 3)
         if fringe.ndim != 3 or fringe.shape[1:] != (2, 3):
             raise ValueError("fringe_segments must have shape (m, 2, 3)")
-        mounting = np.array(self.mounting, dtype=float)
-        if not is_rigid(mounting):
-            raise ValueError("mounting must be a proper rigid transform")
 
         # on_plane[s, p]: fringe segment s lies on plane p at both ends
         off_plane = np.abs(fringe @ normals.T - offsets).max(axis=1)
@@ -185,11 +179,11 @@ class Scene:
                 errors.append(f"fringe segment {si} does not lie on the intersection of two scene planes")
         if errors:
             raise ValueError("; ".join(errors))
-        self._store(normals, offsets, vertices, counts, fringe, self.entrance_plane_index, mounting)
+        self._store(normals, offsets, vertices, counts, fringe, self.entrance_plane_index)
 
     def _store(self, *values) -> None:
         """Set the fields, given in declaration order from valid geometry, and derive the orientation arrays."""
-        normals, offsets, vertices, vertex_counts, _fringe, entrance_plane_index, _mounting = values
+        normals, offsets, vertices, vertex_counts, _fringe, entrance_plane_index = values
         # Opening faces are (anti)parallel to the entrance; the rest are walls.
         opening = np.abs(np.abs(normals @ normals[entrance_plane_index]) - 1.0) <= _PARALLEL_TOL
         wall_idx, opening_idx = np.nonzero(~opening)[0], np.nonzero(opening)[0]
@@ -624,9 +618,7 @@ def transform_scene(scene: Scene, T: np.ndarray) -> Scene:
     vertices = np.where(real[..., None], apply_transform(T, scene.vertices), 0.0)
     fringe = apply_transform(T, scene.fringe_segments.reshape(-1, 3)).reshape(-1, 2, 3)
     moved = object.__new__(Scene)
-    moved._store(
-        normals, offsets, vertices, scene.vertex_counts, fringe, scene.entrance_plane_index, T @ scene.mounting
-    )
+    moved._store(normals, offsets, vertices, scene.vertex_counts, fringe, scene.entrance_plane_index)
     return moved
 
 

@@ -154,11 +154,7 @@ def safetrack(
     while (residual > params.xi or state.witness.value < 0.0) and iterations < params.max_inner:
         G, h = collision_rows(state, per_capsule_rows=params.per_capsule_rows)
         A, b = task_rows(state.tool_jacobian(), state.q, state.tool_position, c_next)
-        problem = QpProblem.from_reference(
-            params.q_diag, state.q, A=A, b=b, G=G, h=h,
-            lower=params.joint_lower, upper=params.joint_upper,
-        )
-        sol = solve(problem)
+        sol = solve(QpProblem(params.q_diag, state.q, params.joint_lower, params.joint_upper, A=A, b=b, G=G, h=h))
         iterations += 1
         if sol.status != STATUS_OPTIMAL:
             break

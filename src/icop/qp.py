@@ -1,19 +1,27 @@
-"""Dense active-set solver for the per-step quadratic program.
+"""Active-set solver for the per-step quadratic program.
 
-Problems are tiny (six variables, a handful of rows), so everything is dense
-and refactorized from scratch each iteration: minimize
+Each problem asks for the point closest to a reference in a diagonal
+weighted norm:
 
-    0.5 x' H x + f' x   s.t.   A x = b,  G x >= h,  lower <= x <= upper
+    minimize  sum_i w_i (x_i - x_ref_i)^2   s.t.   A x = b,  G x >= h,  lower <= x <= upper
 
-with H symmetric positive definite. The rows are plain arrays, and this module
-owns their format: the collision and contact layers hand over ``(G, h)`` and
-``(A, b)`` and nothing here imports from the layers above. Equality rows are
-eliminated first through a nullspace parameterization (rank-deficient rows are
-projected onto their consistent part and flagged). The reduced problem starts
-from its unconstrained minimum and repeatedly adds the most violated
-inequality as an active row, dropping rows whose multipliers go negative;
-ties break on the lowest constraint index so results are deterministic. A full
-KKT check runs before OPTIMAL is ever reported.
+with every weight w_i > 0. The rows are plain arrays, and this module owns
+their format: the collision and contact layers hand over ``(G, h)`` and
+``(A, b)`` and nothing here imports from the layers above.
+
+In the scaled variable y = sqrt(w) (x - x_ref) the objective is ||y||^2, so
+the problem is a least-distance problem. The equality rows are eliminated
+through an SVD of A / sqrt(w) (rank-deficient rows are projected onto their
+consistent part and flagged), leaving min ||z||^2 s.t. M z >= v over the
+null-space coordinates z. Its unconstrained minimum z = 0 is the weighted
+projection of x_ref onto the equality rows; when that point meets every
+inequality and bound it is returned as it is. Otherwise the dual active-set
+method of Goldfarb and Idnani (Math. Programming 27, 1983) starts from z = 0
+and repeatedly adds the most violated row, ties breaking on the lowest
+constraint index so results are deterministic. Where the step towards that
+row would make an active multiplier negative, it stops at the multiplier's
+zero, drops that row and continues, so it never returns to a working set. A
+full KKT check runs before OPTIMAL is ever reported.
 """
 
 from __future__ import annotations
@@ -34,14 +42,14 @@ _MAX_ITER = 200
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Strictly convex QP data; bounds may be +-inf to disable a side.
+    """Weighted least-distance QP data; bounds may be +-inf to disable a side.
 
     ``A``/``b`` hold the equality rows and ``G``/``h`` the inequality rows;
     an empty sequence means no rows of that kind.
     """
 
-    H: np.ndarray
-    f: np.ndarray
+    weights: np.ndarray
+    x_ref: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     A: np.ndarray = ()
@@ -50,62 +58,31 @@ class QpProblem:
     h: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        H = np.array(self.H, dtype=float)
-        f = np.array(self.f, dtype=float).reshape(-1)
-        n = f.shape[0]
-        if H.shape != (n, n):
-            raise ValueError(f"H must be ({n}, {n}), got {H.shape}")
-        if not np.isfinite(H).all():
-            raise ValueError("H must be finite")
-        if abs(H - H.T).max() > 1e-12:
-            raise ValueError("H must be symmetric to 1e-12")
-        try:
-            np.linalg.cholesky(H)  # cheaper than an eigendecomposition on every iterate
-        except np.linalg.LinAlgError:
-            raise ValueError("H must be positive definite") from None
+        x_ref = np.array(self.x_ref, dtype=float).reshape(-1)
+        n = x_ref.shape[0]
+        weights = np.array(self.weights, dtype=float).reshape(-1)
+        if weights.shape != (n,):
+            raise ValueError(f"weights must be ({n},), got {weights.shape}")
         lower = np.array(self.lower, dtype=float).reshape(-1)
         upper = np.array(self.upper, dtype=float).reshape(-1)
         if lower.shape != (n,) or upper.shape != (n,):
             raise ValueError("bounds must match the variable dimension")
-        if np.any(lower > upper):
+        if (lower > upper).any():
             raise ValueError("lower bound exceeds upper bound")
         A, b = _rows(self.A, self.b, n, "equality")
         G, h = _rows(self.G, self.h, n, "inequality")
-        for name, arr in (("H", H), ("f", f), ("lower", lower), ("upper", upper),
+        # One finiteness pass over every coefficient; the per-array pass only names the culprits.
+        if not np.isfinite(np.concatenate((weights, x_ref, A.ravel(), b, G.ravel(), h))).all():
+            named = {"weights": weights, "x_ref": x_ref, "A": A, "b": b, "G": G, "h": h}
+            bad = [name for name, arr in named.items() if not np.isfinite(arr).all()]
+            raise ValueError(f"{', '.join(bad)} must be finite")
+        # A diagonal Hessian diag(2 w) is positive definite exactly when every weight is > 0.
+        if not weights.min() > 0.0:
+            raise ValueError("weights must be positive")
+        for name, arr in (("weights", weights), ("x_ref", x_ref), ("lower", lower), ("upper", upper),
                           ("A", A), ("b", b), ("G", G), ("h", h)):
-            arr.flags.writeable = False
+            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def dim(self) -> int:
-        return self.f.shape[0]
-
-    @classmethod
-    def from_reference(
-        cls,
-        weights: np.ndarray,
-        x_ref: np.ndarray,
-        A: np.ndarray = (),
-        b: np.ndarray = (),
-        G: np.ndarray = (),
-        h: np.ndarray = (),
-        lower: np.ndarray | None = None,
-        upper: np.ndarray | None = None,
-    ) -> "QpProblem":
-        """Problem minimizing the weighted squared distance to a reference point."""
-        x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
-        w = np.asarray(weights, dtype=float)
-        H = np.diag(2.0 * w) if w.ndim == 1 else 2.0 * w
-        n = x_ref.shape[0]
-        if lower is None:
-            lower = np.full(n, -np.inf)
-        if upper is None:
-            upper = np.full(n, np.inf)
-        return cls(H=H, f=-H @ x_ref, lower=lower, upper=upper, A=A, b=b, G=G, h=h)
-
-    def objective(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.H @ x + self.f @ x)
 
 
 @dataclass(frozen=True)
@@ -121,7 +98,7 @@ class QpSolution:
 
 
 def _rows(M, v, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Validated float copies of the constraint rows M (k, n) and right-hand sides v (k,)."""
+    """Float copies of the constraint rows M (k, n) and right-hand sides v (k,), shape-checked."""
     M = np.array(M, dtype=float)
     v = np.array(v, dtype=float).reshape(-1)
     if M.shape == (0,):
@@ -130,68 +107,82 @@ def _rows(M, v, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"{kind} rows must be (k, {n}), got {M.shape}")
     if M.shape[0] != v.shape[0]:
         raise ValueError(f"{kind} rows {M.shape} and right-hand side {v.shape} disagree")
-    if not (np.isfinite(M).all() and np.isfinite(v).all()):
-        raise ValueError(f"{kind} coefficients must be finite")
     return M, v
 
 
-def _inequality_rows(problem: QpProblem) -> tuple[np.ndarray, np.ndarray]:
-    """All one-sided rows g . x >= h: explicit inequalities first, then finite bounds."""
-    eye = np.eye(problem.dim)
-    has_lower, has_upper = np.isfinite(problem.lower), np.isfinite(problem.upper)
-    G = np.concatenate([problem.G, eye[has_lower], -eye[has_upper]])
-    h = np.concatenate([problem.h, problem.lower[has_lower], -problem.upper[has_upper]])
-    return G, h
+def _eliminate_equalities(problem: QpProblem, scale: np.ndarray):
+    """Parameterize x = x0 + scale * (null.T @ z) on the (projected) equality manifold.
 
-
-def _eliminate_equalities(problem: QpProblem):
-    """Parameterize x = x_p + Z y on the (projected) equality manifold."""
-    n = problem.dim
+    ``scale`` is 1 / sqrt(w). x0 is the weighted projection of x_ref onto the
+    manifold, and the rows of ``null`` are an orthonormal basis of the null
+    space in the scaled variable, so the objective is its value at x0 plus
+    ||z||^2.
+    """
     A, b = problem.A, problem.b
     if A.shape[0] == 0:
-        return np.zeros(n), np.eye(n), False
-    U, s, Vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > (s[0] * _SVD_RANK_RTOL if s.size and s[0] > 0 else np.inf)))
-    projected = rank < A.shape[0]
-    if rank == 0:
-        return np.zeros(n), np.eye(n), projected
-    x_p = Vt[:rank].T @ ((U[:, :rank].T @ b) / s[:rank])
-    Z = Vt[rank:].T
-    return x_p, Z, projected
+        return problem.x_ref.copy(), np.eye(scale.shape[0]), False
+    U, s, Vt = np.linalg.svd(A * scale, full_matrices=True)
+    rank = np.count_nonzero(s > (s[0] * _SVD_RANK_RTOL if s[0] > 0 else np.inf))
+    y_p = ((b - A @ problem.x_ref) @ U[:, :rank] / s[:rank]) @ Vt[:rank]
+    return problem.x_ref + scale * y_p, Vt[rank:], rank < A.shape[0]
 
 
-def _eqp(B: np.ndarray, g: np.ndarray, M: np.ndarray, v: np.ndarray):
-    """Equality-constrained step: min 0.5 y'By + g'y s.t. M y = v.
+def _least_distance(M: np.ndarray, v: np.ndarray, Y: np.ndarray):
+    """Minimize 0.5 ||z||^2 s.t. M z >= v from z = 0 (Goldfarb-Idnani).
 
-    Returns (y, lam, consistent); lam are multipliers of the active rows.
+    ``Y`` holds the same rows in the scaled variable, before the equality
+    elimination; a row whose part left free by the active rows is shorter
+    than ``_SVD_RANK_RTOL`` times its row of ``Y`` counts as dependent on
+    them. Returns (z, working rows, their multipliers, iterations, status).
     """
-    nz = g.shape[0]
-    m = M.shape[0]
-    if m == 0:
-        return np.linalg.solve(B, -g), np.zeros(0), True
-    K = np.zeros((nz + m, nz + m))
-    K[:nz, :nz] = B
-    K[:nz, nz:] = -M.T
-    K[nz:, :nz] = M
-    rhs = np.concatenate([-g, v])
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-    y = sol[:nz]
-    lam = sol[nz:]
-    consistent = float(np.max(np.abs(M @ y - v), initial=0.0)) <= 1e-8
-    return y, lam, consistent
+    z = np.zeros(M.shape[1])
+    working: list[int] = []
+    mu = np.zeros(0)
+    for iters in range(1, _MAX_ITER + 1):
+        slack = M @ z - v
+        slack[working] = 0.0  # active rows are enforced exactly; ignore their numerical dust
+        p = int(slack.argmin())  # ties: lowest index via argmin
+        if slack[p] >= -_TOL_FEAS * 0.1:
+            return z, working, mu, iters, STATUS_OPTIMAL
+        row, mu_p = M[p], 0.0
+        while True:
+            # Raising row p's multiplier by t moves z by t d, the part of row p
+            # the active rows leave free, and lowers their multipliers by t r;
+            # the first of them to reach zero blocks the step at ``partial``.
+            r, d, partial = np.zeros(0), row, np.inf
+            if working:
+                N = M[working]
+                r = np.linalg.solve(N @ N.T, N @ row)
+                d = row - r @ N
+                blocking = np.flatnonzero(r > 0.0)
+                ratios = np.maximum(mu[blocking], 0.0) / r[blocking]
+                partial = float(ratios.min(initial=np.inf))
+            dd = float(d @ d)
+            full = (v[p] - row @ z) / dd if dd > _SVD_RANK_RTOL**2 * (Y[p] @ Y[p]) else np.inf
+            if full == np.inf and partial == np.inf:
+                return z, working, mu, iters, STATUS_INFEASIBLE
+            t = min(full, partial)
+            z = z + t * d
+            mu = mu - t * r
+            mu_p += t
+            if full <= partial:
+                working.append(p)
+                mu = np.concatenate((mu, [mu_p]))
+                break
+            drop = int(blocking[ratios.argmin()])
+            working.pop(drop)
+            mu = np.delete(mu, drop)
+    return z, working, mu, _MAX_ITER, STATUS_MAX_ITER
 
 
 def solve(problem: QpProblem) -> QpSolution:
     """Solve the QP; deterministic for fixed inputs."""
-    x_p, Z, projected = _eliminate_equalities(problem)
-    G, h = _inequality_rows(problem)
-    nz = Z.shape[1]
+    scale = problem.weights**-0.5
+    x0, null, projected = _eliminate_equalities(problem, scale)
+    G = problem.G
 
     def finish(x, status, kkt, iters, lam, active):
-        eq_res = float(np.max(np.abs(problem.A @ x - problem.b), initial=0.0))
+        eq_res = float(np.abs(problem.A @ x - problem.b).max(initial=0.0))
         return QpSolution(
             x=x,
             status=status,
@@ -203,73 +194,33 @@ def solve(problem: QpProblem) -> QpSolution:
             active_set=tuple(active),
         )
 
-    if nz == 0:
-        x = x_p
-        feas = float(np.max(h - G @ x, initial=0.0))
-        status = STATUS_OPTIMAL if feas <= _TOL_FEAS else STATUS_INFEASIBLE
-        return finish(x, status, 0.0, 0, np.zeros(0), ())
+    # Every one-sided row g . x >= h at x0: explicit inequalities first, then
+    # the lower and the upper bounds, whose slack is infinite where they are.
+    slack = np.concatenate((G @ x0 - problem.h, x0 - problem.lower, problem.upper - x0))
+    worst = float(slack.min())
+    if null.shape[0] == 0:
+        return finish(x0, STATUS_OPTIMAL if worst >= -_TOL_FEAS else STATUS_INFEASIBLE, 0.0, 0, np.zeros(0), ())
+    if worst >= -_TOL_FEAS * 0.1:
+        return finish(x0, STATUS_OPTIMAL, 0.0, 1, np.zeros(0), ())
 
-    B = Z.T @ problem.H @ Z
-    g = Z.T @ (problem.H @ x_p + problem.f)
-    M = G @ Z
-    v = h - G @ x_p
-
-    working: list[int] = []
-    y, lam, _ = _eqp(B, g, np.zeros((0, nz)), np.zeros(0))
-    iters = 0
-    status = STATUS_MAX_ITER
-    while iters < _MAX_ITER:
-        iters += 1
-        slack = M @ y - v if M.shape[0] else np.zeros(0)
-        if working:  # active rows are enforced exactly; ignore their numerical dust
-            slack = slack.copy()
-            slack[working] = 0.0
-        if slack.size == 0 or float(np.min(slack)) >= -_TOL_FEAS * 0.1:
-            status = STATUS_OPTIMAL
-            break
-        worst = int(np.argmin(slack))  # ties: lowest index via argmin
-        working.append(worst)
-        y_new, lam_new, consistent = _eqp(B, g, M[working], v[working])
-        if not consistent:
-            # The new row is dependent on the working set with conflicting
-            # rhs; pivot out the first old row whose removal restores a
-            # consistent active system. No candidate means a genuine conflict.
-            for k in range(len(working) - 1):
-                trial = working[:k] + working[k + 1 :]
-                y_t, lam_t, ok = _eqp(B, g, M[trial], v[trial])
-                if ok:
-                    working = trial
-                    y_new, lam_new, consistent = y_t, lam_t, True
-                    break
-            if not consistent:
-                working.pop()
-                status = STATUS_INFEASIBLE
-                break
-        # Drop rows whose multipliers went negative, most negative first.
-        drops = 0
-        while lam_new.size and float(np.min(lam_new)) < -_TOL_KKT and drops < _MAX_ITER:
-            drop_pos = int(np.argmin(lam_new))
-            working.pop(drop_pos)
-            y_new, lam_new, consistent = _eqp(B, g, M[working], v[working])
-            if not consistent:
-                return finish(x_p + Z @ y_new, STATUS_INFEASIBLE, np.inf, iters, lam_new, working)
-            drops += 1
-        y, lam = y_new, lam_new
-
-    x = x_p + Z @ y
+    # The same rows in the scaled variable (Y) and over z (M); infinite bounds are left out.
+    finite = np.isfinite(slack)
+    bounds = np.diag(scale)
+    Y = np.concatenate((G * scale, bounds, -bounds))[finite]
+    M = Y @ null.T
+    v = -slack[finite]
+    z, working, mu, iters, status = _least_distance(M, v, Y)
+    x = x0 + scale * (z @ null)
+    lam = 2.0 * mu  # multipliers of sum_i w_i (x_i - x_ref_i)^2, whose gradient in z is 2 z
     if status != STATUS_OPTIMAL:
         return finish(x, status, np.inf, iters, lam, working)
 
     # KKT verification in the reduced space before reporting OPTIMAL.
-    stationarity = B @ y + g
-    if working:
-        stationarity = stationarity - M[working].T @ lam
-    kkt = float(np.max(np.abs(stationarity), initial=0.0))
+    active = M[working]
+    kkt = float(np.abs(2.0 * z - lam @ active).max())
     if lam.size:
-        kkt = max(kkt, float(max(0.0, -np.min(lam))))
-        comp = np.abs(lam * (M[working] @ y - v[working]))
-        kkt = max(kkt, float(np.max(comp, initial=0.0)))
-    feas = float(np.max(v - M @ y, initial=0.0)) if M.shape[0] else 0.0
+        kkt = max(kkt, -float(lam.min()), float(np.abs(lam * (active @ z - v[working])).max()))
+    feas = float((v - M @ z).max())
     if kkt > _TOL_KKT or feas > _TOL_FEAS:
         status = STATUS_MAX_ITER
     return finish(x, status, kkt, iters, lam, working)

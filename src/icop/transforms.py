@@ -52,4 +52,9 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    first = a1 * b2 - a2 * b1
+    out = np.empty(first.shape + (3,))
+    out[..., 0] = first
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out

@@ -114,14 +114,23 @@ def fd_scene_gradient(q, chain, capsules, scene, h: float = 1e-6) -> np.ndarray:
     return g
 
 
+def qp_objective(problem, x) -> float:
+    """The weighted squared distance sum_i w_i (x_i - x_ref_i)^2 that every QpProblem minimizes."""
+    return float(problem.weights @ (np.asarray(x, dtype=float) - problem.x_ref) ** 2)
+
+
 def qp_enumeration_oracle(problem, tol: float = 1e-9):
     """Try every candidate active subset; return (objective, x) of the feasible best.
 
-    Bounds at +-inf are skipped; candidate subsets go up to the free dimension
-    after equality rows, since a strictly convex optimum cannot have more
-    independent active rows than that.
+    The objective is expanded into the dense form 0.5 x'Hx + f'x with
+    H = diag(2 w) and f = -2 w x_ref, and each candidate solves its full KKT
+    system. Bounds at +-inf are skipped; candidate subsets go up to the free
+    dimension after equality rows, since a strictly convex optimum cannot have
+    more independent active rows than that.
     """
-    n = problem.dim
+    n = problem.x_ref.shape[0]
+    H = np.diag(2.0 * problem.weights)
+    f = -2.0 * problem.weights * problem.x_ref
     rows, rhs = list(problem.G), list(problem.h)
     eye = np.eye(n)
     for i in range(n):
@@ -147,17 +156,17 @@ def qp_enumeration_oracle(problem, tol: float = 1e-9):
             b_act = np.concatenate([b_eq, h[idx]]) if idx else b_eq
             ma = A_act.shape[0]
             K = np.zeros((n + ma, n + ma))
-            K[:n, :n] = problem.H
+            K[:n, :n] = H
             K[:n, n:] = A_act.T
             K[n:, :n] = A_act
-            rhs_k = np.concatenate([-problem.f, b_act])
+            rhs_k = np.concatenate([-f, b_act])
             sol, *_ = np.linalg.lstsq(K, rhs_k, rcond=None)
             x = sol[:n]
             if ma and np.max(np.abs(A_act @ x - b_act)) > 1e-8:
                 continue
             if m and float(np.min(G @ x - h)) < -tol:
                 continue
-            obj = problem.objective(x)
+            obj = qp_objective(problem, x)
             if best is None or obj < best[0]:
                 best = (obj, x)
     return best

@@ -325,7 +325,6 @@ def _rebuilt(scene):
         **_plane_arrays(scene),
         fringe_segments=scene.fringe_segments,
         entrance_plane_index=scene.entrance_plane_index,
-        mounting=scene.mounting,
     )
 
 

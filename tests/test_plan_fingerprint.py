@@ -1,18 +1,55 @@
 """Smoke test for scripts/plan_fingerprint.py, which has no other test.
 
 Running the script's ``fingerprint`` catches a planner or scenario symbol it
-uses going away or changing signature.
+uses going away or changing signature; saving the plans and comparing them
+with themselves exercises ``--save`` and ``--compare``.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "plan_fingerprint.py"
 
 
-def test_fingerprint_is_a_sha256_hex_digest():
+@pytest.fixture(scope="module")
+def script():
     spec = importlib.util.spec_from_file_location("plan_fingerprint", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    digest = module.fingerprint()
+    return module
+
+
+@pytest.fixture(scope="module")
+def results(script):
+    return script.run_plans()
+
+
+def test_fingerprint_is_a_sha256_hex_digest(script, results):
+    digest = script.fingerprint(results)
     assert len(digest) == 64 and int(digest, 16) >= 0
+
+
+def test_saved_plans_compare_equal_to_themselves(script, results, tmp_path):
+    saved = tmp_path / "plans.npz"
+    script.save(saved, results)
+    rows = script.compare(saved, results)
+    assert [key for key, *_ in rows] == list(results)
+    assert len(rows) == len(script.SCENARIOS) * len(script.PARAM_SETS)
+    for key, change, iters_match, reports_match in rows:
+        assert iters_match and reports_match, key
+        assert change == 0.0 or isinstance(results[key], script.NonConvergedError), key
+
+
+def test_compare_flags_a_changed_iteration_count(script, results, tmp_path):
+    saved = tmp_path / "plans.npz"
+    script.save(saved, results)
+    with np.load(saved) as plans:
+        arrays = dict(plans)
+    key = next(name for name in arrays if name.endswith("/inner_iterations"))
+    arrays[key] = arrays[key] + 1
+    np.savez(saved, **arrays)
+    mismatched = [row[0] for row in script.compare(saved, results) if not row[2]]
+    assert mismatched == [key.rsplit("/", 1)[0]]
