@@ -26,7 +26,7 @@ witnesses pinned to the entrance crossing.
 All capsules of a configuration are scored together: one array pass tests
 which axes cross the entrance opening and one (capsules x fringe segments)
 closest-point pass scores the FRINGE case, so ``scene_distance``,
-``capsule_witnesses`` and ``capsule_distance`` share the same arithmetic and
+``world_state`` and ``capsule_distance`` share the same arithmetic and
 agree bit for bit. The scalar ``segment_segment_distance`` and
 ``classify_segment`` stay as the reference they are tested against.
 
@@ -495,19 +495,9 @@ def world_capsule_segments(q, chain: RobotChain, capsules: CapsuleSet) -> np.nda
     return _world_segments(_frames_with_base(joint_config(q), chain), capsules)
 
 
-def _capsule_witnesses(segments: np.ndarray, capsules: CapsuleSet, scene: Scene) -> list[DistanceWitness]:
-    return _score_axes(segments, [cap.radius for cap in capsules], scene, range(len(capsules)))
-
-
-def capsule_witnesses(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene) -> list[DistanceWitness]:
-    """Per-capsule distance witnesses at configuration q."""
-    return _capsule_witnesses(world_capsule_segments(q, chain, capsules), capsules, scene)
-
-
 def scene_distance(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene) -> DistanceWitness:
     """Minimum signed distance over all capsules, with its witness."""
-    witnesses = capsule_witnesses(q, chain, capsules, scene)
-    return min(witnesses, key=lambda w: w.value)
+    return world_state(q, chain, capsules, scene).witness
 
 
 @dataclass(frozen=True)
@@ -543,7 +533,7 @@ def world_state(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene) -> Wor
     qv = joint_config(q)
     frames = _frames_with_base(qv, chain)
     segments = _world_segments(frames, capsules)
-    witnesses = tuple(_capsule_witnesses(segments, capsules, scene))
+    witnesses = tuple(_score_axes(segments, [cap.radius for cap in capsules], scene, range(len(capsules))))
     return WorldState(
         q=qv,
         frames=frames,

@@ -60,10 +60,6 @@ class RobotChain:
         tool.flags.writeable = False
         object.__setattr__(self, "tool_offset", tool)
 
-    @property
-    def num_joints(self) -> int:
-        return len(self.joints)
-
 
 @dataclass(frozen=True)
 class BodyPoint:

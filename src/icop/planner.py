@@ -38,6 +38,9 @@ from .qp import STATUS_OPTIMAL, QpProblem, solve
 STATUS_CONVERGED = "CONVERGED"
 STATUS_NON_CONVERGED = "NON_CONVERGED"
 
+# How many times a step whose inner loop fails to converge is halved before the planner gives up.
+_BISECT_DEPTH = 3
+
 
 @dataclass(frozen=True)
 class PlannerParams:
@@ -50,17 +53,16 @@ class PlannerParams:
     max_inner: int = 50
     step_max: float = 0.05
     per_capsule_rows: bool = False
-    bisect_depth: int = 3
 
     def __post_init__(self) -> None:
         q_diag = np.array(self.q_diag, dtype=float).reshape(-1)
         lower = np.array(self.joint_lower, dtype=float).reshape(-1)
         upper = np.array(self.joint_upper, dtype=float).reshape(-1)
-        if q_diag.shape != (NUM_JOINTS,) or np.any(q_diag <= 0):
-            raise ValueError("q_diag must be 6 positive weights")
+        if q_diag.shape != (NUM_JOINTS,) or not (np.isfinite(q_diag) & (q_diag > 0)).all():
+            raise ValueError("q_diag must be 6 finite positive weights")
         if lower.shape != (NUM_JOINTS,) or upper.shape != (NUM_JOINTS,):
             raise ValueError("joint limits must be 6-vectors")
-        if np.any(lower > upper):
+        if not (lower <= upper).all():  # a NaN limit fails too
             raise ValueError("joint_lower exceeds joint_upper")
         if not self.xi > 0:
             raise ValueError("xi must be positive")
@@ -68,8 +70,6 @@ class PlannerParams:
             raise ValueError("max_inner must be >= 1")
         if not self.step_max > 0:
             raise ValueError("step_max must be positive")
-        if self.bisect_depth < 0:
-            raise ValueError("bisect_depth must be >= 0")
         for arr in (q_diag, lower, upper):
             arr.flags.writeable = False
         object.__setattr__(self, "q_diag", q_diag)
@@ -200,7 +200,7 @@ def _advance(
     result = safetrack(start, target, chain, params)
     if result.converged:
         return result, result.inner_iterations
-    if depth < params.bisect_depth:
+    if depth < _BISECT_DEPTH:
         mid = 0.5 * (c_from + target)
         half, it1 = _advance(start, mid, chain, params, depth + 1)
         end, it2 = _advance(half.state, target, chain, params, depth + 1)

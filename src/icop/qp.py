@@ -67,7 +67,7 @@ class QpProblem:
         upper = np.array(self.upper, dtype=float).reshape(-1)
         if lower.shape != (n,) or upper.shape != (n,):
             raise ValueError("bounds must match the variable dimension")
-        if (lower > upper).any():
+        if not (lower <= upper).all():  # a NaN bound fails too
             raise ValueError("lower bound exceeds upper bound")
         A, b = _rows(self.A, self.b, n, "equality")
         G, h = _rows(self.G, self.h, n, "inequality")

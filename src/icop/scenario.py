@@ -11,6 +11,7 @@ failing fields at once; load -> serialize -> load is the identity.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -90,9 +91,18 @@ def mounted_scene_and_path(scenario: Scenario) -> tuple[Scene, np.ndarray]:
 # ---------------------------------------------------------------------------
 # parsing helpers
 
+_MISSING = object()
+
 
 class _FieldReader:
-    """Walks the parsed YAML tree, recording every failure with its field path."""
+    """Reads typed values out of the parsed YAML tree, recording every failure with its field path.
+
+    Each accessor takes the mapping that holds the field and the field's full
+    path, whose last dotted component is the key. A missing key is a failure
+    unless a default is given; a parent that failed to read (None) yields None
+    with no second failure. A bool is never a number or an integer, every
+    number must be finite, and no string is converted to anything else.
+    """
 
     def __init__(self):
         self.failures: list[str] = []
@@ -100,127 +110,144 @@ class _FieldReader:
     def fail(self, field: str, message: str) -> None:
         self.failures.append(f"{field}: {message}")
 
-    def require(self, mapping, field: str, kind=None):
-        parts = field.split(".")
-        node = mapping
-        for p in parts:
-            if not isinstance(node, dict) or p not in node:
+    def _get(self, node, field: str, default):
+        if node is None:
+            return _MISSING
+        key = field.rpartition(".")[2]
+        if key not in node:
+            if default is _MISSING:
                 self.fail(field, "missing")
-                return None
-            node = node[p]
-        if kind is not None and not isinstance(node, kind):
-            self.fail(field, f"expected {getattr(kind, '__name__', kind)}")
-            return None
-        return node
+            return default
+        return node[key]
 
-    def vector(self, node, field: str, length: int) -> np.ndarray | None:
+    def _typed(self, node, field: str, default, kinds: tuple[type, ...], expected: str):
+        value = self._get(node, field, default)
+        if value is _MISSING:
+            return None
+        if type(value) not in kinds:
+            self.fail(field, f"expected {expected}, got {type(value).__name__}")
+            return None
+        return value
+
+    def integer(self, node, field: str, default=_MISSING) -> int | None:
+        return self._typed(node, field, default, (int,), "an integer")
+
+    def boolean(self, node, field: str, default=_MISSING) -> bool | None:
+        return self._typed(node, field, default, (bool,), "a boolean")
+
+    def string(self, node, field: str, default=_MISSING) -> str | None:
+        return self._typed(node, field, default, (str,), "a string")
+
+    def mapping(self, node, field: str) -> dict | None:
+        return self._typed(node, field, _MISSING, (dict,), "a mapping")
+
+    def mappings(self, node, field: str, count: int | None = None) -> list[dict]:
+        """A non-empty list of mappings, of exactly ``count`` if given; [] when it fails."""
+        items = self._typed(node, field, _MISSING, (list,), "a list")
+        if items is None:
+            return []
+        if not items or (count is not None and len(items) != count):
+            self.fail(field, f"expected {count} entries, got {len(items)}" if count else "expected a non-empty list")
+            return []
+        bad = [i for i, item in enumerate(items) if type(item) is not dict]
+        for i in bad:
+            self.fail(f"{field}[{i}]", "expected a mapping")
+        return [] if bad else items
+
+    def number(self, node, field: str, default=_MISSING) -> float | None:
+        value = self._typed(node, field, default, (int, float), "a number")
+        if value is not None and not abs(value) <= sys.float_info.max:  # NaN, infinite, or an integer too large
+            self.fail(field, f"expected a finite number, got {value}")
+            return None
+        return None if value is None else float(value)
+
+    def array(self, node, field: str, shape: tuple[int, ...]) -> np.ndarray | None:
+        """A finite float array of ``shape``, in which -1 matches any length >= 1."""
+        value = self._get(node, field, _MISSING)
+        if value is _MISSING:
+            return None
         try:
-            arr = np.array(node, dtype=float)
-        except (TypeError, ValueError):
-            self.fail(field, "not numeric")
+            arr = np.array(value, dtype=object)
+        except ValueError:  # nested lists of uneven depth
+            arr = np.empty(0, dtype=object)
+        fits = arr.ndim == len(shape) and all(n == s or (s < 0 and n > 0) for n, s in zip(arr.shape, shape))
+        if not fits or not set(map(type, arr.flat)) <= {int, float}:
+            self.fail(field, f"expected numbers of shape ({', '.join('n' if n < 0 else str(n) for n in shape)})")
             return None
-        if arr.shape != (length,):
-            self.fail(field, f"expected {length} numbers, got shape {arr.shape}")
-            return None
-        if not np.all(np.isfinite(arr)):
-            self.fail(field, "contains non-finite values")
+        try:
+            arr = arr.astype(float)
+        except OverflowError:  # an integer beyond the float range
+            arr = np.full(arr.shape, np.inf)
+        finite = np.isfinite(arr)
+        if not finite.all():
+            bad = np.argwhere(~finite)[0]
+            self.fail(field, f"expected finite numbers, got {arr[tuple(bad)]} at {bad.tolist()}")
             return None
         return arr
 
-    def scalar(self, node, field: str) -> float | None:
-        if not isinstance(node, (int, float)) or isinstance(node, bool):
-            self.fail(field, "expected a number")
+    def build(self, field: str, make, **kwargs):
+        """``make(**kwargs)``; None when an argument failed to read or ``make`` rejects them."""
+        if any(value is None for value in kwargs.values()):
             return None
-        return float(node)
+        try:
+            return make(**kwargs)
+        except ValueError as err:
+            self.fail(field, str(err))
+            return None
+
+
+def _all_read(items: list) -> tuple | None:
+    return tuple(items) if items and all(item is not None for item in items) else None
 
 
 def _parse_chain(reader: _FieldReader, data) -> RobotChain | None:
-    joints_node = reader.require(data, "chain.joints", list)
-    tool_node = reader.require(data, "chain.tool_offset", dict)
-    if joints_node is None or tool_node is None:
-        return None
-    if len(joints_node) != NUM_JOINTS:
-        reader.fail("chain.joints", f"expected {NUM_JOINTS} joints, got {len(joints_node)}")
-        return None
+    node = reader.mapping(data, "chain")
     joints = []
-    for i, jn in enumerate(joints_node):
+    for i, jn in enumerate(reader.mappings(node, "chain.joints", count=NUM_JOINTS)):
         field = f"chain.joints[{i}]"
-        if not isinstance(jn, dict):
-            reader.fail(field, "expected a mapping")
-            return None
-        try:
-            joints.append(
-                JointParams(
-                    a=float(jn.get("a", np.nan)),
-                    alpha=float(jn.get("alpha", np.nan)),
-                    d=float(jn.get("d", np.nan)),
-                    theta_offset=float(jn.get("theta_offset", 0.0)),
-                )
+        joints.append(
+            reader.build(
+                field,
+                JointParams,
+                a=reader.number(jn, f"{field}.a"),
+                alpha=reader.number(jn, f"{field}.alpha"),
+                d=reader.number(jn, f"{field}.d"),
+                theta_offset=reader.number(jn, f"{field}.theta_offset", 0.0),
             )
-        except (TypeError, ValueError) as err:
-            reader.fail(field, str(err))
-            return None
-    rot = reader.require(tool_node, "rotation")
-    trans = reader.vector(tool_node.get("translation"), "chain.tool_offset.translation", 3)
-    if rot is None or trans is None:
-        return None
-    try:
-        R = np.array(rot, dtype=float).reshape(3, 3)
-    except (TypeError, ValueError):
-        reader.fail("chain.tool_offset.rotation", "expected a 3x3 matrix")
-        return None
-    try:
-        return RobotChain(joints=tuple(joints), tool_offset=homogeneous(R, trans))
-    except ValueError as err:
-        reader.fail("chain", str(err))
-        return None
+        )
+    tool = reader.mapping(node, "chain.tool_offset")
+    rotation = reader.array(tool, "chain.tool_offset.rotation", (3, 3))
+    translation = reader.array(tool, "chain.tool_offset.translation", (3,))
+    tool_offset = None if rotation is None or translation is None else homogeneous(rotation, translation)
+    return reader.build("chain", RobotChain, joints=_all_read(joints), tool_offset=tool_offset)
 
 
 def _parse_capsules(reader: _FieldReader, data) -> CapsuleSet | None:
-    node = reader.require(data, "capsules", list)
-    if node is None:
-        return None
     caps = []
-    for i, cn in enumerate(node):
+    for i, cn in enumerate(reader.mappings(data, "capsules")):
         field = f"capsules[{i}]"
-        if not isinstance(cn, dict):
-            reader.fail(field, "expected a mapping")
-            return None
-        a = reader.vector(cn.get("endpoint_a"), f"{field}.endpoint_a", 3)
-        b = reader.vector(cn.get("endpoint_b"), f"{field}.endpoint_b", 3)
-        r = reader.scalar(cn.get("radius"), f"{field}.radius")
-        link = cn.get("link_index")
-        if a is None or b is None or r is None or link is None:
-            continue
-        try:
-            caps.append(Capsule(link_index=int(link), endpoint_a=a, endpoint_b=b, radius=r))
-        except ValueError as err:
-            reader.fail(field, str(err))
-    if reader.failures or not caps:
-        return None
-    return tuple(caps)
+        caps.append(
+            reader.build(
+                field,
+                Capsule,
+                link_index=reader.integer(cn, f"{field}.link_index"),
+                endpoint_a=reader.array(cn, f"{field}.endpoint_a", (3,)),
+                endpoint_b=reader.array(cn, f"{field}.endpoint_b", (3,)),
+                radius=reader.number(cn, f"{field}.radius"),
+            )
+        )
+    return _all_read(caps)
 
 
 def _parse_scene(reader: _FieldReader, data) -> Scene | None:
-    node = reader.require(data, "scene", dict)
-    if node is None:
-        return None
-    planes_node = reader.require(node, "planes", list)
-    fringe_node = reader.require(node, "fringe_segments", list)
-    entrance = node.get("entrance_plane_index")
-    if planes_node is None or fringe_node is None or entrance is None:
-        if entrance is None:
-            reader.fail("scene.entrance_plane_index", "missing")
-        return None
+    node = reader.mapping(data, "scene")
+    known_failures = len(reader.failures)
     rows, normals, offsets, boundaries = [], [], [], []
-    for i, pn in enumerate(planes_node):
+    for i, pn in enumerate(reader.mappings(node, "scene.planes")):
         field = f"scene.planes[{i}]"
-        if not isinstance(pn, dict):
-            reader.fail(field, "expected a mapping")
-            return None
-        normal = reader.vector(pn.get("normal"), f"{field}.normal", 3)
-        offset = reader.scalar(pn.get("offset"), f"{field}.offset")
-        verts = pn.get("vertices")
+        normal = reader.array(pn, f"{field}.normal", (3,))
+        offset = reader.number(pn, f"{field}.offset")
+        verts = reader.array(pn, f"{field}.vertices", (-1, 3))
         if normal is None or offset is None or verts is None:
             continue
         norm = np.linalg.norm(normal)
@@ -231,18 +258,15 @@ def _parse_scene(reader: _FieldReader, data) -> Scene | None:
             if abs(norm - 1.0) > 1e-9:
                 warn(f"renormalizing plane {i} normal (off by {abs(norm - 1.0):.2e})")
             normal = normal / norm
-        try:
-            verts = np.array(verts, dtype=float)
-        except (TypeError, ValueError) as err:
-            reader.fail(field, str(err))
-            continue
-        if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 3:
-            reader.fail(field, "plane boundary needs at least 3 vertices of dimension 3")
+        if len(verts) < 3:
+            reader.fail(field + ".vertices", "plane boundary needs at least 3 vertices")
             continue
         rows.append(i)
         normals.append(normal)
         offsets.append(offset)
         boundaries.append(verts)
+    fringe = reader.array(node, "scene.fringe_segments", (-1, 2, 3))
+    entrance = reader.integer(node, "scene.entrance_plane_index")
     counts = np.array([len(v) for v in boundaries], dtype=int)
     vertices = np.zeros((len(boundaries), max(counts, default=3), 3))
     for row, verts in enumerate(boundaries):
@@ -252,51 +276,39 @@ def _parse_scene(reader: _FieldReader, data) -> Scene | None:
     # The constructor's own plane check, run here to name each plane by its index in the file.
     for row, reason in geometry._plane_failures(normals, offsets, vertices, counts):
         reader.fail(f"scene.planes[{rows[row]}]", reason)
-    if reader.failures:
+    if len(reader.failures) > known_failures:
         return None
-    try:
-        return Scene(
-            normals=normals,
-            offsets=offsets,
-            vertices=vertices,
-            vertex_counts=counts,
-            fringe_segments=np.array(fringe_node, dtype=float),
-            entrance_plane_index=int(entrance),
-        )
-    except (TypeError, ValueError) as err:
-        reader.fail("scene", str(err))
-        return None
+    return reader.build(
+        "scene",
+        Scene,
+        normals=normals,
+        offsets=offsets,
+        vertices=vertices,
+        vertex_counts=counts,
+        fringe_segments=fringe,
+        entrance_plane_index=entrance,
+    )
 
 
 _PARAMS_KEYS = ("q_diag", "xi", "max_inner", "step_max", "joint_lower", "joint_upper", "per_capsule_rows")
 
 
 def _parse_params(reader: _FieldReader, data) -> planner.PlannerParams | None:
-    node = reader.require(data, "params", dict)
-    if node is None:
-        return None
-    for key in node:
+    node = reader.mapping(data, "params")
+    for key in node or ():
         if key not in _PARAMS_KEYS:
             warn(f"ignoring unknown params key {key!r}")
-    q_diag = reader.vector(node.get("q_diag"), "params.q_diag", NUM_JOINTS)
-    lower = reader.vector(node.get("joint_lower"), "params.joint_lower", NUM_JOINTS)
-    upper = reader.vector(node.get("joint_upper"), "params.joint_upper", NUM_JOINTS)
-    xi = reader.scalar(node.get("xi"), "params.xi")
-    if q_diag is None or lower is None or upper is None or xi is None:
-        return None
-    try:
-        return planner.PlannerParams(
-            q_diag=q_diag,
-            joint_lower=lower,
-            joint_upper=upper,
-            xi=xi,
-            max_inner=int(node.get("max_inner", 50)),
-            step_max=float(node.get("step_max", 0.05)),
-            per_capsule_rows=bool(node.get("per_capsule_rows", False)),
-        )
-    except (TypeError, ValueError) as err:
-        reader.fail("params", str(err))
-        return None
+    return reader.build(
+        "params",
+        planner.PlannerParams,
+        q_diag=reader.array(node, "params.q_diag", (NUM_JOINTS,)),
+        joint_lower=reader.array(node, "params.joint_lower", (NUM_JOINTS,)),
+        joint_upper=reader.array(node, "params.joint_upper", (NUM_JOINTS,)),
+        xi=reader.number(node, "params.xi"),
+        max_inner=reader.integer(node, "params.max_inner", 50),
+        step_max=reader.number(node, "params.step_max", 0.05),
+        per_capsule_rows=reader.boolean(node, "params.per_capsule_rows", False),
+    )
 
 
 def load_scenario(path) -> Scenario:
@@ -312,49 +324,34 @@ def load_scenario(path) -> Scenario:
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as err:
+    except (yaml.YAMLError, ValueError) as err:  # ValueError: an integer literal beyond the digit limit of int()
         raise ScenarioError(source, [f"YAML parse error: {err}"]) from err
     if not isinstance(data, dict):
         raise ScenarioError(source, ["top level must be a mapping"])
 
     reader = _FieldReader()
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        reader.fail("format_version", f"expected {FORMAT_VERSION}, got {version!r}")
-    name = data.get("name")
-    if not isinstance(name, str) or not name:
+    version = reader.integer(data, "format_version")
+    if version is not None and version != FORMAT_VERSION:
+        reader.fail("format_version", f"expected {FORMAT_VERSION}, got {version}")
+    name = reader.string(data, "name")
+    if name == "":
         reader.fail("name", "expected a non-empty string")
+    description = reader.string(data, "description", "")
 
     chain = _parse_chain(reader, data)
     capsules = _parse_capsules(reader, data)
     scene = _parse_scene(reader, data)
-
-    weld_node = reader.require(data, "weld_path", list)
-    weld_path = None
-    if weld_node is not None:
-        try:
-            weld_path = np.array(weld_node, dtype=float)
-            if weld_path.ndim != 2 or weld_path.shape[1] != 3 or weld_path.shape[0] == 0:
-                reader.fail("weld_path", f"expected a non-empty list of 3-vectors, got shape {weld_path.shape}")
-                weld_path = None
-        except (TypeError, ValueError):
-            reader.fail("weld_path", "not numeric")
-
-    mount_node = reader.require(data, "mounting", dict)
-    mount_l = mount_alpha = None
-    if mount_node is not None:
-        mount_l = reader.scalar(mount_node.get("l"), "mounting.l")
-        mount_alpha = reader.scalar(mount_node.get("alpha"), "mounting.alpha")
-
+    weld_path = reader.array(data, "weld_path", (-1, 3))
+    mounting = reader.mapping(data, "mounting")
+    mount_l = reader.number(mounting, "mounting.l")
+    mount_alpha = reader.number(mounting, "mounting.alpha")
     params = _parse_params(reader, data)
-    initial = reader.vector(data.get("initial_config"), "initial_config", NUM_JOINTS)
+    initial = reader.array(data, "initial_config", (NUM_JOINTS,))
 
     if reader.failures:
         raise ScenarioError(source, reader.failures)
-
-    if params is not None and initial is not None:
-        if np.any(initial < params.joint_lower) or np.any(initial > params.joint_upper):
-            raise ScenarioError(source, ["initial_config: violates the joint limits"])
+    if np.any(initial < params.joint_lower) or np.any(initial > params.joint_upper):
+        raise ScenarioError(source, ["initial_config: violates the joint limits"])
 
     scenario = Scenario(
         name=name,
@@ -366,7 +363,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         mounting_alpha=mount_alpha,
         params=params,
         initial_config=initial,
-        description=str(data.get("description", "")),
+        description=description,
     )
 
     mounted_scene, mounted_path = mounted_scene_and_path(scenario)

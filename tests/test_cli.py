@@ -2,9 +2,10 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
 from icop.cli import EXIT_OK, EXIT_PARSE, main
-from icop.scenario import bundled_scenario_path
+from icop.scenario import bundled_scenario_path, load_scenario, scenario_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +103,17 @@ def test_sweep_duplicate_xi_rows_identical(c1_path, tmp_path):
 
 def test_per_capsule_rows_flag(c1_path, tmp_path):
     assert main(["--scenario", c1_path, "--out", str(tmp_path), "--per-capsule-rows"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("key, value", [("l", float("nan")), ("alpha", float("inf"))])
+def test_non_finite_mounting_exits_parse_code_without_outputs(c1_path, tmp_path, key, value):
+    data = scenario_to_dict(load_scenario(c1_path))
+    data["mounting"][key] = value
+    path = tmp_path / "bad.scenario"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--scenario", str(path), "--out", str(out)]) == EXIT_PARSE
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_invalid_override_exits_parse_code(c1_path, tmp_path):

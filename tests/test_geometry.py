@@ -17,6 +17,7 @@ from icop.geometry import (
     transform_scene,
     witness_gradient,
     world_capsule_segments,
+    world_state,
 )
 from icop.kinematics import forward_kinematics
 from icop.transforms import apply_transform, homogeneous, rot_y, rot_z
@@ -151,11 +152,10 @@ class TestSceneDistance:
 
     def test_min_over_capsules(self, c4):
         from icop.scenario import mounted_scene_and_path
-        from icop.geometry import capsule_witnesses
 
         scene, _ = mounted_scene_and_path(c4)
         q = c4.initial_config
-        per_capsule = capsule_witnesses(q, c4.chain, c4.capsules, scene)
+        per_capsule = world_state(q, c4.chain, c4.capsules, scene).witnesses
         w = scene_distance(q, c4.chain, c4.capsules, scene)
         assert w.value == min(x.value for x in per_capsule)
 
@@ -398,7 +398,6 @@ class TestBatchedKernel:
         return batch
 
     def test_random_c4_configurations(self, c4):
-        from icop.geometry import capsule_witnesses
         from icop.scenario import mounted_scene_and_path
 
         scene, _ = mounted_scene_and_path(c4)
@@ -409,7 +408,7 @@ class TestBatchedKernel:
             q = c4.initial_config + rng.uniform(-0.4, 0.4, 6)
             segs = world_capsule_segments(q, c4.chain, c4.capsules)
             batch = self._check(segs, radii, scene)
-            assert [w.value for w in capsule_witnesses(q, c4.chain, c4.capsules, scene)] == [w.value for w in batch]
+            assert [w.value for w in world_state(q, c4.chain, c4.capsules, scene).witnesses] == [w.value for w in batch]
             assert scene_distance(q, c4.chain, c4.capsules, scene).value == min(w.value for w in batch)
             cases.update(w.case_tag for w in batch)
         assert cases == {CASE_FRINGE, CASE_TUNNEL}

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from icop import planner
 from icop.geometry import scene_distance, world_state
 from icop.kinematics import BodyPoint, body_point_position, tool_tip
 from icop.planner import (
@@ -108,21 +109,23 @@ def test_long_step_interpolation_is_transparent(world):
     assert traj.inner_iterations[0] > traj_coarse.inner_iterations[0]
 
 
-def test_unreachable_waypoint_raises_with_index(world):
+def test_unreachable_waypoint_raises_with_index(world, monkeypatch):
     c4, scene, path = world
+    monkeypatch.setattr(planner, "_BISECT_DEPTH", 1)
     bad = path.copy()
     bad[5] = np.array([10.0, 0.0, 0.0])  # far outside the reachable workspace
-    params = dataclasses.replace(c4.params, max_inner=10, bisect_depth=1, step_max=20.0)
+    params = dataclasses.replace(c4.params, max_inner=10, step_max=20.0)
     with pytest.raises(NonConvergedError) as err:
         plan(bad, c4.initial_config, c4.chain, c4.capsules, scene, params)
     assert err.value.waypoint_index == 5
 
 
-def test_collision_blocking_straight_line(world):
+def test_collision_blocking_straight_line(world, monkeypatch):
     # a target behind the entrance face material forces the planner to give up
     c4, scene, path = world
+    monkeypatch.setattr(planner, "_BISECT_DEPTH", 1)
     outside = path[0] + 2.5 * scene.entrance_outward_normal + np.array([0.0, 1.5, 0.0])
-    params = dataclasses.replace(c4.params, max_inner=8, bisect_depth=1, step_max=20.0)
+    params = dataclasses.replace(c4.params, max_inner=8, step_max=20.0)
     try:
         traj = plan(outside[None, :], c4.initial_config, c4.chain, c4.capsules, scene, params)
         # if it does find a way, the contract still holds
@@ -162,6 +165,14 @@ def test_params_validation():
         PlannerParams(q_diag=np.ones(6), joint_lower=np.ones(6), joint_upper=-np.ones(6))
     with pytest.raises(ValueError):
         PlannerParams(q_diag=np.ones(6), joint_lower=-np.ones(6), joint_upper=np.ones(6), xi=0.0)
+    # NaN compares false both ways, so each check must be written to fail on it
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            PlannerParams(q_diag=[1.0, 1.0, bad, 1.0, 1.0, 1.0], joint_lower=-np.ones(6), joint_upper=np.ones(6))
+    with pytest.raises(ValueError):
+        PlannerParams(q_diag=np.ones(6), joint_lower=[-1.0, -1.0, np.nan, -1.0, -1.0, -1.0], joint_upper=np.ones(6))
+    with pytest.raises(ValueError):
+        PlannerParams(q_diag=np.ones(6), joint_lower=-np.ones(6), joint_upper=[1.0, np.nan, 1.0, 1.0, 1.0, 1.0])
 
 
 def test_plan_rejects_invalid_inputs(world):
@@ -174,7 +185,6 @@ def test_plan_rejects_invalid_inputs(world):
 
 
 def test_one_scene_evaluation_per_accepted_iterate(monkeypatch):
-    from icop import planner
     from icop.scenario import load_bundled
 
     c1 = load_bundled("c1")

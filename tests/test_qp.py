@@ -146,6 +146,13 @@ def test_problem_validation():
         QpProblem(np.ones(6), np.zeros(6), np.ones(6), np.zeros(6))
     with pytest.raises(ValueError):
         QpProblem(np.ones(6), [0.0, 0.0, np.nan, 0.0, 0.0, 0.0], np.zeros(6), np.ones(6))
+    nan_bound = [0.0, 0.0, np.nan, 0.0, 0.0, 0.0]
+    for bounds in ((nan_bound, np.ones(6)), (-np.ones(6), nan_bound), (np.full(6, np.inf), np.ones(6))):
+        with pytest.raises(ValueError):
+            QpProblem(np.ones(6), np.zeros(6), *bounds)
+    with pytest.raises(ValueError):
+        QpProblem([1.0, 1.0, np.inf, 1.0, 1.0, 1.0], np.zeros(6), -np.ones(6), np.ones(6))
+    QpProblem(np.ones(6), np.zeros(6), np.full(6, -np.inf), np.full(6, np.inf))  # an infinite bound disables a side
     nan_row = np.eye(6)[:1].copy()
     nan_row[0, 2] = np.nan
     rejected_rows = (

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 import yaml
@@ -63,6 +66,8 @@ class TestLoading:
         with pytest.raises(ScenarioError) as err:
             parse_scenario("foo: [unclosed")
         assert "YAML" in err.value.failures[0]
+        with pytest.raises(ScenarioError):
+            parse_scenario("max_inner: " + "9" * 5000)  # more digits than int() converts
 
     def test_roundtrip_identity(self, c4, tmp_path):
         out = tmp_path / "copy.scenario"
@@ -125,6 +130,38 @@ class TestLoading:
             parse_scenario(yaml.safe_dump(data))
         for i in (1, 2, 5):
             assert any(f"scene.planes[{i}]" in f for f in err.value.failures), i
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "field, keys, value",
+    [
+        ("capsules[3].link_index", ("capsules", 3, "link_index"), _DELETE),
+        ("capsules[3].link_index", ("capsules", 3, "link_index"), 2.7),
+        ("capsules", ("capsules",), []),
+        ("scene.planes[1].vertices", ("scene", "planes", 1, "vertices"), _DELETE),
+        ("scene.entrance_plane_index", ("scene", "entrance_plane_index"), 0.5),
+        ("weld_path", ("weld_path", 3, 1), float("nan")),
+        ("mounting.l", ("mounting", "l"), float("nan")),
+        ("mounting.alpha", ("mounting", "alpha"), float("inf")),
+        ("chain.joints[0].a", ("chain", "joints", 0, "a"), True),
+        ("chain.joints[0].a", ("chain", "joints", 0, "a"), "0.145"),
+        ("params.max_inner", ("params", "max_inner"), 2.7),
+        ("params.per_capsule_rows", ("params", "per_capsule_rows"), "false"),
+    ],
+)
+def test_each_field_is_checked_not_dropped_or_coerced(c4, field, keys, value):
+    data = scenario_to_dict(c4)
+    parent = functools.reduce(operator.getitem, keys[:-1], data)
+    if value is _DELETE:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(yaml.safe_dump(data))
+    assert any(f.startswith(f"{field}: ") for f in err.value.failures), err.value.failures
 
 
 class TestMounting:
