@@ -126,7 +126,7 @@ def weld_seam() -> np.ndarray:
     return pts + BASE_POSITION
 
 
-def default_params(per_capsule_rows: bool = False) -> PlannerParams:
+def default_params() -> PlannerParams:
     return PlannerParams(
         q_diag=np.ones(6),
         joint_lower=JOINT_LOWER,
@@ -134,7 +134,6 @@ def default_params(per_capsule_rows: bool = False) -> PlannerParams:
         xi=1e-4,
         max_inner=50,
         step_max=0.05,
-        per_capsule_rows=per_capsule_rows,
     )
 
 

@@ -1,9 +1,8 @@
 """Print one sha256 over the plans of the bundled c1..c4 scenarios.
 
-Each scenario is planned under five parameter sets: its bundled params,
-``xi`` 1e-6, ``step_max`` 0.004 (long steps are split), ``max_inner`` 2
-with ``xi`` 1e-7 (failed waypoints are bisected) and ``per_capsule_rows``
-(one collision row per capsule instead of the worst one). The hash covers the raw
+Each scenario is planned under four parameter sets: its bundled params,
+``xi`` 1e-6, ``step_max`` 0.004 (long steps are split) and ``max_inner`` 2
+with ``xi`` 1e-7 (failed waypoints are bisected). The hash covers the raw
 bytes of the states, ``tcp_error``, ``min_distance`` and
 ``inner_iterations`` of every plan; a plan that raises ``NonConvergedError``
 contributes its waypoint index, TCP error and clearance instead. Two
@@ -44,7 +43,6 @@ PARAM_SETS = (
     ("xi=1e-6", {"xi": 1e-6}),
     ("step_max=0.004", {"step_max": 0.004}),
     ("max_inner=2,xi=1e-7", {"max_inner": 2, "xi": 1e-7}),
-    ("per_capsule_rows", {"per_capsule_rows": True}),
 )
 
 

@@ -5,12 +5,12 @@ configuration by the half-space
 
     grad_d(x_ref) . x >= grad_d(x_ref) . x_ref - d(x_ref)
 
-one row for the worst capsule by default, or one row per capsule when
-requested. The rows come back as arrays ``(G, h)`` for ``G x >= h``, the
-format the QP layer takes. Joint limit boxes are already convex and pass
-through the QP unchanged. The half-space is a first-order model and may admit
-infeasible points; the planner re-verifies the true distance on every
-accepted iterate.
+one row for the worst capsule, whose witness is the minimum of the signed
+distance over all capsules. The row comes back as arrays ``(G, h)`` for
+``G x >= h``, the format the QP layer takes, with no row when the distance is
+locally flat. Joint limit boxes are already convex and pass through the QP
+unchanged. The half-space is a first-order model and may admit infeasible
+points; the planner re-verifies the true distance on every accepted iterate.
 """
 
 from __future__ import annotations
@@ -28,20 +28,14 @@ def convexify_collision(
     chain: RobotChain,
     capsules: CapsuleSet,
     scene: Scene,
-    per_capsule_rows: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Linearized collision rows (G, h) at q_ref; each row satisfies g . q_ref - h = d(q_ref)."""
-    return collision_rows(world_state(q_ref, chain, capsules, scene), per_capsule_rows)
+    """Linearized collision row (G, h) at q_ref; the row satisfies g . q_ref - h = d(q_ref)."""
+    return collision_rows(world_state(q_ref, chain, capsules, scene))
 
 
-def collision_rows(state: WorldState, per_capsule_rows: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Linearized collision rows G (k, 6) and h (k,) read from an evaluated state's witnesses."""
-    witnesses = state.witnesses if per_capsule_rows else (state.witness,)
-    G, h = [], []
-    for w in witnesses:
-        g = state.gradient(w)
-        if np.max(np.abs(g)) < _ZERO_GRADIENT_TOL:
-            continue  # locally flat distance: no usable half-space
-        G.append(g)
-        h.append(float(g @ state.q) - w.value)
-    return np.reshape(G, (len(h), state.q.shape[0])), np.array(h)
+def collision_rows(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
+    """The worst capsule's row of an evaluated state: G (k, 6) and h (k,), k <= 1."""
+    g = state.gradient(state.witness)
+    if np.max(np.abs(g)) < _ZERO_GRADIENT_TOL:
+        return np.empty((0, state.q.shape[0])), np.empty(0)  # locally flat distance: no usable half-space
+    return g[None, :], np.array([g @ state.q - state.witness.value])

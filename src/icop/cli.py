@@ -32,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory (default: current)")
     parser.add_argument("--xi", type=float, default=None, help="override the equality threshold (m)")
     parser.add_argument("--horizon", type=int, default=None, help="resample the weld path to this many waypoints")
-    parser.add_argument("--per-capsule-rows", action="store_true", help="one collision row per capsule")
     parser.add_argument("--sweep-horizon", default=None, help="comma-separated horizons, e.g. 14,21,43,82,164")
     parser.add_argument("--sweep-xi", default=None, help="comma-separated thresholds, e.g. 1e-2,1e-3,1e-4")
     return parser
@@ -42,8 +41,6 @@ def _override_params(params: planner.PlannerParams, args) -> planner.PlannerPara
     changes = {}
     if args.xi is not None:
         changes["xi"] = args.xi
-    if args.per_capsule_rows:
-        changes["per_capsule_rows"] = True
     return dataclasses.replace(params, **changes) if changes else params
 
 

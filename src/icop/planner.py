@@ -52,7 +52,6 @@ class PlannerParams:
     xi: float = 1e-4
     max_inner: int = 50
     step_max: float = 0.05
-    per_capsule_rows: bool = False
 
     def __post_init__(self) -> None:
         q_diag = np.array(self.q_diag, dtype=float).reshape(-1)
@@ -152,7 +151,7 @@ def safetrack(
 
     iterations = 0
     while (residual > params.xi or state.witness.value < 0.0) and iterations < params.max_inner:
-        G, h = collision_rows(state, per_capsule_rows=params.per_capsule_rows)
+        G, h = collision_rows(state)
         A, b = task_rows(state.tool_jacobian(), state.q, state.tool_position, c_next)
         sol = solve(QpProblem(params.q_diag, state.q, params.joint_lower, params.joint_upper, A=A, b=b, G=G, h=h))
         iterations += 1

@@ -132,9 +132,6 @@ class _FieldReader:
     def integer(self, node, field: str, default=_MISSING) -> int | None:
         return self._typed(node, field, default, (int,), "an integer")
 
-    def boolean(self, node, field: str, default=_MISSING) -> bool | None:
-        return self._typed(node, field, default, (bool,), "a boolean")
-
     def string(self, node, field: str, default=_MISSING) -> str | None:
         return self._typed(node, field, default, (str,), "a string")
 
@@ -257,7 +254,7 @@ def _parse_scene(reader: _FieldReader, data) -> Scene | None:
         if abs(norm - 1.0) > 1e-12:
             if abs(norm - 1.0) > 1e-9:
                 warn(f"renormalizing plane {i} normal (off by {abs(norm - 1.0):.2e})")
-            normal = normal / norm
+            normal, offset = normal / norm, offset / norm  # the same plane {p : normal . p = offset}
         if len(verts) < 3:
             reader.fail(field + ".vertices", "plane boundary needs at least 3 vertices")
             continue
@@ -290,7 +287,7 @@ def _parse_scene(reader: _FieldReader, data) -> Scene | None:
     )
 
 
-_PARAMS_KEYS = ("q_diag", "xi", "max_inner", "step_max", "joint_lower", "joint_upper", "per_capsule_rows")
+_PARAMS_KEYS = ("q_diag", "xi", "max_inner", "step_max", "joint_lower", "joint_upper")
 
 
 def _parse_params(reader: _FieldReader, data) -> planner.PlannerParams | None:
@@ -307,7 +304,6 @@ def _parse_params(reader: _FieldReader, data) -> planner.PlannerParams | None:
         xi=reader.number(node, "params.xi"),
         max_inner=reader.integer(node, "params.max_inner", 50),
         step_max=reader.number(node, "params.step_max", 0.05),
-        per_capsule_rows=reader.boolean(node, "params.per_capsule_rows", False),
     )
 
 
@@ -336,6 +332,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     name = reader.string(data, "name")
     if name == "":
         reader.fail("name", "expected a non-empty string")
+    elif name is not None and any(c in name for c in "/\\\0"):
+        reader.fail("name", "must not contain '/', '\\' or NUL; output file names are built from it")
     description = reader.string(data, "description", "")
 
     chain = _parse_chain(reader, data)
@@ -435,7 +433,6 @@ def scenario_to_dict(s: Scenario) -> dict:
             "step_max": s.params.step_max,
             "joint_lower": _listify(s.params.joint_lower),
             "joint_upper": _listify(s.params.joint_upper),
-            "per_capsule_rows": s.params.per_capsule_rows,
         },
         "initial_config": _listify(s.initial_config),
     }

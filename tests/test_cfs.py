@@ -48,17 +48,6 @@ def test_boundary_reference_halfspace_through_reference(c4, mounted):
     assert boundary_point_residual == pytest.approx(0.0, abs=1e-12)
 
 
-def test_per_capsule_rows(c4, mounted):
-    q_ref = c4.initial_config
-    G, h = convexify_collision(q_ref, c4.chain, c4.capsules, mounted, per_capsule_rows=True)
-    # one row per capsule whose witness can move at all (base-pinned witness
-    # points have an identically zero gradient and produce no row)
-    assert 2 <= len(h) <= len(c4.capsules) and G.shape == (len(h), 6)
-    G1, h1 = convexify_collision(q_ref, c4.chain, c4.capsules, mounted)
-    # the worst capsule's row appears among the per-capsule rows
-    assert any(np.allclose(G[i], G1[0]) and h[i] == pytest.approx(h1[0]) for i in range(len(h)))
-
-
 def test_first_order_validity_ball(c4, mounted):
     rng = np.random.default_rng(34)
     for _ in range(10):

@@ -101,8 +101,21 @@ def test_sweep_duplicate_xi_rows_identical(c1_path, tmp_path):
     assert a[0] == b[0] and a[2] == b[2] and a[3] == b[3]
 
 
-def test_per_capsule_rows_flag(c1_path, tmp_path):
-    assert main(["--scenario", c1_path, "--out", str(tmp_path), "--per-capsule-rows"]) == EXIT_OK
+def test_removed_per_capsule_rows_flag_is_a_usage_error(c1_path, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main(["--scenario", c1_path, "--out", str(tmp_path), "--per-capsule-rows"])
+    assert err.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_name_with_a_path_separator_exits_parse_code_without_outputs(c1_path, tmp_path):
+    data = scenario_to_dict(load_scenario(c1_path))
+    data["name"] = "../escaped"
+    path = tmp_path / "bad.scenario"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    out = tmp_path / "out" / "sub"
+    assert main(["--scenario", str(path), "--out", str(out)]) == EXIT_PARSE
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.scenario"]
 
 
 @pytest.mark.parametrize("key, value", [("l", float("nan")), ("alpha", float("inf"))])

@@ -155,9 +155,9 @@ class TestSceneDistance:
 
         scene, _ = mounted_scene_and_path(c4)
         q = c4.initial_config
-        per_capsule = world_state(q, c4.chain, c4.capsules, scene).witnesses
+        witnesses = world_state(q, c4.chain, c4.capsules, scene).witnesses
         w = scene_distance(q, c4.chain, c4.capsules, scene)
-        assert w.value == min(x.value for x in per_capsule)
+        assert w.value == min(x.value for x in witnesses)
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(26)

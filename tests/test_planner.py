@@ -7,12 +7,14 @@ from icop import planner
 from icop.geometry import scene_distance, world_state
 from icop.kinematics import BodyPoint, body_point_position, tool_tip
 from icop.planner import (
+    STATUS_NON_CONVERGED,
     NonConvergedError,
     PlannerParams,
     plan,
     safetrack,
     verify_trajectory,
 )
+from icop.qp import STATUS_INFEASIBLE, STATUS_OPTIMAL, QpSolution
 from icop.scenario import mounted_scene_and_path
 
 
@@ -151,11 +153,59 @@ def test_inner_loop_constructs_no_body_point(world, monkeypatch):
     assert built == []
 
 
-def test_per_capsule_rows_variant_plans(world):
+def _safetrack_with_solve(world, monkeypatch, solution):
+    """safetrack from c4's initial state towards path[0] while every QP solve returns solution(problem)."""
     c4, scene, path = world
-    params = dataclasses.replace(c4.params, per_capsule_rows=True)
-    traj = plan(path, c4.initial_config, c4.chain, c4.capsules, scene, params)
-    assert verify_trajectory(traj, params) == []
+    calls = []
+
+    def fake_solve(problem):
+        calls.append(problem)
+        return solution(problem)
+
+    monkeypatch.setattr(planner, "solve", fake_solve)
+    start = world_state(c4.initial_config, c4.chain, c4.capsules, scene)
+    return start, safetrack(start, path[0], c4.chain, c4.params), calls
+
+
+def test_non_optimal_qp_stops_safetrack_at_the_start(world, monkeypatch):
+    def infeasible(problem):
+        return QpSolution(problem.x_ref + 0.1, STATUS_INFEASIBLE, kkt_residual=0.0, eq_residual=0.0)
+
+    start, res, calls = _safetrack_with_solve(world, monkeypatch, infeasible)
+    assert len(calls) == 1 and res.inner_iterations == 1
+    assert res.status == STATUS_NON_CONVERGED and res.state is start
+
+
+def test_stalled_qp_stops_safetrack_at_the_start(world, monkeypatch):
+    def stalled(problem):
+        return QpSolution(problem.x_ref.copy(), STATUS_OPTIMAL, kkt_residual=0.0, eq_residual=0.0)
+
+    start, res, calls = _safetrack_with_solve(world, monkeypatch, stalled)
+    assert len(calls) == 1 and res.inner_iterations == 1
+    assert res.status == STATUS_NON_CONVERGED and res.state is start
+
+
+def test_bisection_exhaustion_raises_at_the_failing_waypoint(world, monkeypatch):
+    c4, scene, path = world
+    traj = plan(path, c4.initial_config, c4.chain, c4.capsules, scene, c4.params)
+    k = 5
+    assert traj.inner_iterations[k] >= 1  # waypoint k needs a QP solve
+    solved_before_k = int(np.sum(traj.inner_iterations[:k]))
+    real_solve, calls = planner.solve, []
+
+    def fails_from_waypoint_k(problem):
+        calls.append(problem)
+        if len(calls) <= solved_before_k:
+            return real_solve(problem)
+        return QpSolution(problem.x_ref, STATUS_INFEASIBLE, kkt_residual=0.0, eq_residual=0.0)
+
+    monkeypatch.setattr(planner, "solve", fails_from_waypoint_k)
+    monkeypatch.setattr(planner, "_BISECT_DEPTH", 2)
+    with pytest.raises(NonConvergedError) as err:
+        plan(path, c4.initial_config, c4.chain, c4.capsules, scene, c4.params)
+    assert err.value.waypoint_index == k
+    # the failed step and its first half at depths 1 and 2, one failed solve each
+    assert len(calls) == solved_before_k + 3
 
 
 def test_params_validation():

@@ -98,18 +98,29 @@ class TestLoading:
         data = scenario_to_dict(c4)
         data["params"]["rounds"] = 2
         data["params"]["step_mx"] = 0.1
+        data["params"]["per_capsule_rows"] = True
         with pytest.warns(UserWarning) as record:
             s = parse_scenario(yaml.safe_dump(data))
         messages = [str(w.message) for w in record]
-        assert any("'rounds'" in m for m in messages) and any("'step_mx'" in m for m in messages)
+        for key in ("rounds", "step_mx", "per_capsule_rows"):
+            assert any(f"'{key}'" in m for m in messages), key
         assert s.params.step_max == c4.params.step_max
 
     def test_off_unit_normal_renormalized_with_warning(self, c4):
+        # {p : n . p = d} is the plane {p : 2n . p = 2d}: the file describes c4's own planes 0 and 1
         data = scenario_to_dict(c4)
-        data["scene"]["planes"][0]["normal"] = [float(2 * v) for v in data["scene"]["planes"][0]["normal"]]
-        with pytest.warns(UserWarning, match="renormalizing plane 0"):
+        for plane in data["scene"]["planes"][:2]:
+            assert plane["offset"] != 0.0
+            plane["normal"] = [2.0 * v for v in plane["normal"]]
+            plane["offset"] = 2.0 * plane["offset"]
+        with pytest.warns(UserWarning) as record:
             s = parse_scenario(yaml.safe_dump(data))
-        assert np.linalg.norm(s.scene.normals[0]) == pytest.approx(1.0, abs=1e-15)
+        messages = [str(w.message) for w in record]
+        for i in (0, 1):
+            assert any(m.startswith(f"renormalizing plane {i} ") for m in messages), i
+        np.testing.assert_allclose(s.scene.normals, c4.scene.normals, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(s.scene.offsets, c4.scene.offsets, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(s.scene.vertices, c4.scene.vertices)
 
     def test_vertices_off_plane_rejected(self, c4):
         data = scenario_to_dict(c4)
@@ -149,7 +160,9 @@ _DELETE = object()
         ("chain.joints[0].a", ("chain", "joints", 0, "a"), True),
         ("chain.joints[0].a", ("chain", "joints", 0, "a"), "0.145"),
         ("params.max_inner", ("params", "max_inner"), 2.7),
-        ("params.per_capsule_rows", ("params", "per_capsule_rows"), "false"),
+        ("name", ("name",), "../escaped"),
+        ("name", ("name",), "c4\\x"),
+        ("name", ("name",), "c4\0"),
     ],
 )
 def test_each_field_is_checked_not_dropped_or_coerced(c4, field, keys, value):
