@@ -84,17 +84,20 @@ def cmd_plan(scenario: scn.Scenario, params: planner.PlannerParams, out_dir: Pat
     return EXIT_OK
 
 
-def _sweep(scenario, params, values, kind, out_dir: Path) -> int:
+def _sweep_runs(args, scenario: scn.Scenario, params: planner.PlannerParams) -> tuple[str, list[tuple]] | None:
+    """The sweep's kind and (label, scenario, params) per value, or None; a bad value raises ValueError here."""
+    if args.sweep_horizon:
+        horizons = [int(v) for v in args.sweep_horizon.split(",") if v.strip()]
+        return "horizon", [(str(h), _apply_horizon(scenario, h), params) for h in horizons]
+    if args.sweep_xi:
+        xis = [float(v) for v in args.sweep_xi.split(",") if v.strip()]
+        return "xi", [(f"{xi:.1e}", scenario, dataclasses.replace(params, xi=xi)) for xi in xis]
+    return None
+
+
+def _sweep(name: str, kind: str, runs: list[tuple], out_dir: Path) -> int:
     rows = []
-    for value in values:
-        if kind == "horizon":
-            s = _apply_horizon(scenario, int(value))
-            p = params
-            label = str(int(value))
-        else:
-            s = scenario
-            p = dataclasses.replace(params, xi=float(value))
-            label = f"{float(value):.1e}"
+    for label, s, p in runs:
         start = time.perf_counter()
         try:
             traj, metrics = scn.plan_scenario(s, p)
@@ -103,11 +106,10 @@ def _sweep(scenario, params, values, kind, out_dir: Path) -> int:
         except planner.NonConvergedError as err:
             elapsed = time.perf_counter() - start
             rows.append((label, f"{elapsed:.4f}", "-", f"non_converged@{err.waypoint_index}"))
-    header = {"horizon": "horizon", "xi": "xi"}[kind]
-    lines = [_host_comment(), f"{header:>12} {'time_s':>10} {'total_inner_iters':>18} {'status':>14}"]
+    lines = [_host_comment(), f"{kind:>12} {'time_s':>10} {'total_inner_iters':>18} {'status':>14}"]
     for row in rows:
         lines.append(f"{row[0]:>12} {row[1]:>10} {row[2]:>18} {row[3]:>14}")
-    out_path = out_dir / f"{scenario.name}_{kind}_sweep.txt"
+    out_path = out_dir / f"{name}_{kind}_sweep.txt"
     try:
         out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as err:
@@ -128,6 +130,7 @@ def main(argv=None) -> int:
     try:
         scenario = _apply_horizon(scenario, args.horizon)
         params = _override_params(scenario.params, args)
+        sweep = _sweep_runs(args, scenario, params)
     except ValueError as err:
         print(f"invalid override: {err}", file=sys.stderr)
         return EXIT_PARSE
@@ -139,12 +142,8 @@ def main(argv=None) -> int:
         print(f"I/O failure: {err}", file=sys.stderr)
         return EXIT_IO
 
-    if args.sweep_horizon:
-        values = [int(v) for v in args.sweep_horizon.split(",") if v.strip()]
-        return _sweep(scenario, params, values, "horizon", out_dir)
-    if args.sweep_xi:
-        values = [float(v) for v in args.sweep_xi.split(",") if v.strip()]
-        return _sweep(scenario, params, values, "xi", out_dir)
+    if sweep:
+        return _sweep(scenario.name, *sweep, out_dir)
     return cmd_plan(scenario, params, out_dir)
 
 

@@ -18,22 +18,21 @@ means surface clearance. Wall clearance is affine along the axis and the
 minimum of affine functions is concave, so the in-tunnel minimum is attained
 at an interval endpoint; the evaluation is exact, no sampling.
 
-Every returned distance carries a witness (capsule, axis parameter, closest
+The minimum distance carries a witness (capsule, axis parameter, closest
 points, clipping plane if any) so the configuration-space gradient can be
 assembled from body-point Jacobians, including the chain-rule term for
 witnesses pinned to the entrance crossing.
 
-All capsules of a configuration are scored together: one array pass tests
-which axes cross the entrance opening and one (capsules x fringe segments)
-closest-point pass scores the FRINGE case, so ``scene_distance``,
-``world_state`` and ``capsule_distance`` share the same arithmetic and
-agree bit for bit. The scalar ``segment_segment_distance`` and
-``classify_segment`` stay as the reference they are tested against.
+All capsules of a configuration are scored into one clearance array: one
+array pass finds the axes that cross the entrance opening and one (capsules x
+fringe segments) closest-point pass scores the FRINGE case. Only the worst
+capsule (the first on a tie) gets a witness. ``scene_distance``,
+``world_state`` and ``capsule_distance`` agree bit for bit; the scalar
+``segment_segment_distance`` and ``classify_segment`` are their reference.
 
-A planner iterate is evaluated once: ``world_state`` builds the joint frames,
-the world capsule axes, the tool position and every capsule's witness from
-one forward-kinematics pass, and the collision rows, the contact rows, the
-distance gradients and the recorded clearance all read that state.
+A planner iterate is evaluated once: ``world_state`` builds the frames, the
+world capsule axes, the tool position, the clearances and the witness from
+one forward-kinematics pass, and every consumer reads that state.
 """
 
 from __future__ import annotations
@@ -123,6 +122,11 @@ def _plane_failures(normals, offsets, vertices, vertex_counts) -> list[tuple[int
     return failures
 
 
+def _opening_faces(normals: np.ndarray, entrance_plane_index: int) -> np.ndarray:
+    """Mask of the planes (anti)parallel to the entrance, the opening faces; the rest are walls."""
+    return np.abs(np.abs(normals @ normals[entrance_plane_index]) - 1.0) <= _PARALLEL_TOL
+
+
 @dataclass(frozen=True)
 class Scene:
     """Obstacle world: bounded planes as stacked arrays, fringe segments, entrance face.
@@ -161,11 +165,11 @@ class Scene:
         failures = _plane_failures(normals, offsets, vertices, counts)
         if failures:
             raise ValueError("; ".join(f"planes[{i}]: {reason}" for i, reason in failures))
+        if _opening_faces(normals, self.entrance_plane_index).all():
+            raise ValueError("scene needs at least one wall plane, a plane not parallel to the entrance")
         fringe = np.array(self.fringe_segments, dtype=float)
-        if fringe.size == 0:
-            fringe = fringe.reshape(0, 2, 3)
-        if fringe.ndim != 3 or fringe.shape[1:] != (2, 3):
-            raise ValueError("fringe_segments must have shape (m, 2, 3)")
+        if fringe.ndim != 3 or fringe.shape[0] == 0 or fringe.shape[1:] != (2, 3):
+            raise ValueError("fringe_segments must have shape (m, 2, 3) with m >= 1")
 
         # on_plane[s, p]: fringe segment s lies on plane p at both ends
         off_plane = np.abs(fringe @ normals.T - offsets).max(axis=1)
@@ -184,11 +188,10 @@ class Scene:
     def _store(self, *values) -> None:
         """Set the fields, given in declaration order from valid geometry, and derive the orientation arrays."""
         normals, offsets, vertices, vertex_counts, _fringe, entrance_plane_index = values
-        # Opening faces are (anti)parallel to the entrance; the rest are walls.
-        opening = np.abs(np.abs(normals @ normals[entrance_plane_index]) - 1.0) <= _PARALLEL_TOL
+        opening = _opening_faces(normals, entrance_plane_index)
         wall_idx, opening_idx = np.nonzero(~opening)[0], np.nonzero(opening)[0]
         centers = vertices.sum(axis=1) / vertex_counts[:, None]
-        interior = centers[wall_idx].sum(axis=0) / len(wall_idx) if len(wall_idx) else centers[entrance_plane_index]
+        interior = centers[wall_idx].sum(axis=0) / len(wall_idx)
         # Walls face inward (interior on their positive side), opening faces outward.
         side = normals @ interior - offsets
         sign = np.where(np.where(opening, side > 0.0, side < 0.0), -1.0, 1.0)
@@ -368,8 +371,6 @@ def segment_bounded_planes_distance(a, b, scene: Scene) -> float:
 
 def _tunnel_clearance(a, b, scene: Scene):
     """Worst wall clearance over the in-tunnel interval, with witness bookkeeping."""
-    if scene._wall_normals.shape[0] == 0:
-        raise ValueError("scene has no wall planes for the TUNNEL distance case")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     interval = _in_tunnel_interval(a, b, scene)
@@ -459,29 +460,28 @@ def _closest_fringe(axes: np.ndarray, fringe: np.ndarray):
     return dist[rows, nearest], s[rows, nearest], on_axis[rows, nearest], on_fringe[rows, nearest], nearest
 
 
-def _score_axes(axes: np.ndarray, radii, scene: Scene, capsule_indices) -> list[DistanceWitness]:
-    """Witnesses of capsules with world-frame axes (n, 2, 3) and the given radii."""
-    tunnel = _crosses_opening(axes, scene)
-    if not tunnel.all():
-        if scene.fringe_segments.shape[0] == 0:
-            raise ValueError("scene has no fringe segments for the FRINGE distance case")
-        dist, s, on_axis, on_fringe, nearest = _closest_fringe(axes, scene.fringe_segments)
-    witnesses = []
-    for i, (radius, capsule_index) in enumerate(zip(radii, capsule_indices)):
-        if tunnel[i]:
-            gap, t, clip, plane, on_robot, on_obstacle = _tunnel_clearance(axes[i, 0], axes[i, 1], scene)
-            case = CASE_TUNNEL
-        else:
-            gap, t, clip, plane = float(dist[i]), s[i], None, int(nearest[i])
-            on_robot, on_obstacle, case = on_axis[i], on_fringe[i], CASE_FRINGE
-        witnesses.append(DistanceWitness(gap - radius, capsule_index, on_robot, on_obstacle, case, float(t), plane, clip))
-    return witnesses
+def _score_axes(axes: np.ndarray, radii, scene: Scene, capsule_indices) -> tuple[np.ndarray, DistanceWitness]:
+    """Signed clearances (n,) of world-frame axes (n, 2, 3) with radii, and the witness of ``clearances.argmin()``."""
+    crossing = np.flatnonzero(_crosses_opening(axes, scene)).tolist()
+    tunnel = {i: _tunnel_clearance(axes[i, 0], axes[i, 1], scene) for i in crossing}
+    gaps, s, on_axis, on_fringe, nearest = _closest_fringe(axes, scene.fringe_segments)
+    gaps[crossing] = [tunnel[i][0] for i in crossing]
+    clearances = gaps - np.asarray(radii, dtype=float)
+    k = int(np.argmin(clearances))
+    if k in tunnel:
+        _gap, t, clip, plane, on_robot, on_obstacle = tunnel[k]
+        case = CASE_TUNNEL
+    else:
+        t, clip, plane, on_robot, on_obstacle = s[k], None, int(nearest[k]), on_axis[k], on_fringe[k]
+        case = CASE_FRINGE
+    value = float(clearances[k])
+    return clearances, DistanceWitness(value, capsule_indices[k], on_robot, on_obstacle, case, float(t), plane, clip)
 
 
 def capsule_distance(world_a, world_b, radius: float, scene: Scene, capsule_index: int = -1) -> DistanceWitness:
     """Signed distance of one capsule (world-frame axis endpoints) to the scene."""
     axes = np.array([[world_a, world_b]], dtype=float)
-    return _score_axes(axes, (radius,), scene, (capsule_index,))[0]
+    return _score_axes(axes, (radius,), scene, (capsule_index,))[1]
 
 
 def _world_segments(frames: np.ndarray, capsules: CapsuleSet) -> np.ndarray:
@@ -505,16 +505,16 @@ class WorldState:
     """One configuration placed in the scene, evaluated once for every consumer.
 
     Holds the joint frames of one forward-kinematics pass, the capsule axes,
-    the tool position and each capsule's witness, with the capsules and scene
-    they were scored against. ``witness`` is the minimizing one (first capsule
-    on a tie, as in ``scene_distance``).
+    the tool position and each capsule's signed clearance, with the capsules
+    and scene they were scored against. Only the minimizing capsule (the
+    first on a tie, as in ``scene_distance``) has a ``witness``.
     """
 
     q: np.ndarray
     frames: np.ndarray  # (7, 4, 4) base->frame_k, k = 0..6
     segments: np.ndarray  # (n, 2, 3) world-frame capsule axes
     tool_position: np.ndarray  # (3,)
-    witnesses: tuple[DistanceWitness, ...]
+    clearances: np.ndarray  # (n,) signed clearance of each capsule
     witness: DistanceWitness
     capsules: CapsuleSet
     scene: Scene
@@ -523,24 +523,24 @@ class WorldState:
         """3x6 positional Jacobian of the tool tip at this configuration."""
         return point_jacobian(self.frames, NUM_JOINTS, self.tool_position)
 
-    def gradient(self, witness: DistanceWitness) -> np.ndarray:
-        """Configuration-space gradient (6,) of one of this state's witnesses."""
-        return _witness_gradient(self.frames, self.segments, self.capsules, self.scene, witness)
+    def gradient(self) -> np.ndarray:
+        """Configuration-space gradient (6,) of the minimum distance, from ``witness``."""
+        return _witness_gradient(self.frames, self.segments, self.capsules, self.scene, self.witness)
 
 
 def world_state(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene) -> WorldState:
-    """Evaluate configuration q once: frames, capsule axes, tool position, witnesses."""
+    """Evaluate configuration q once: frames, capsule axes, tool position, clearances, worst witness."""
     qv = joint_config(q)
     frames = _frames_with_base(qv, chain)
     segments = _world_segments(frames, capsules)
-    witnesses = tuple(_score_axes(segments, [cap.radius for cap in capsules], scene, range(len(capsules))))
+    clearances, witness = _score_axes(segments, [cap.radius for cap in capsules], scene, range(len(capsules)))
     return WorldState(
         q=qv,
         frames=frames,
         segments=segments,
         tool_position=tool_point(frames, chain),
-        witnesses=witnesses,
-        witness=min(witnesses, key=lambda w: w.value),
+        clearances=clearances,
+        witness=witness,
         capsules=capsules,
         scene=scene,
     )

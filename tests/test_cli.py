@@ -133,6 +133,19 @@ def test_invalid_override_exits_parse_code(c1_path, tmp_path):
     assert main(["--scenario", c1_path, "--out", str(tmp_path), "--xi", "-1.0"]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("option, values", [
+    ("--sweep-horizon", "14,abc"),
+    ("--sweep-horizon", "0"),
+    ("--sweep-xi", "1e-3,x"),
+    ("--sweep-xi", "0"),
+])
+def test_bad_sweep_value_exits_parse_code_without_a_table(c1_path, tmp_path, capsys, option, values):
+    out = tmp_path / "o"
+    assert main(["--scenario", c1_path, "--out", str(out), option, values]) == EXIT_PARSE
+    assert "invalid override" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*_sweep.txt"))
+
+
 def test_console_script_smoke(c1_path, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "icop.cli", "--scenario", c1_path, "--out", str(tmp_path)],

@@ -1,10 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from icop import geometry
 from icop.geometry import (
     CASE_FRINGE,
     CASE_TUNNEL,
     Capsule,
+    DistanceWitness,
     Scene,
     _score_axes,
     _tunnel_clearance,
@@ -155,9 +159,29 @@ class TestSceneDistance:
 
         scene, _ = mounted_scene_and_path(c4)
         q = c4.initial_config
-        witnesses = world_state(q, c4.chain, c4.capsules, scene).witnesses
+        state = world_state(q, c4.chain, c4.capsules, scene)
+        alone = [capsule_distance(a, b, cap.radius, scene, i).value
+                 for i, ((a, b), cap) in enumerate(zip(state.segments, c4.capsules))]
+        assert state.clearances.tolist() == alone
         w = scene_distance(q, c4.chain, c4.capsules, scene)
-        assert w.value == min(x.value for x in witnesses)
+        assert w.value == min(alone)
+        assert w.capsule_index == alone.index(min(alone))
+
+    def test_world_state_builds_one_witness(self, c4, monkeypatch):
+        # only the worst capsule gets a witness; the others are scored into the clearance array
+        from icop.scenario import mounted_scene_and_path
+
+        scene, _ = mounted_scene_and_path(c4)
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(DistanceWitness(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(geometry, "DistanceWitness", counted)
+        state = world_state(c4.initial_config, c4.chain, c4.capsules, scene)
+        assert len(built) == 1 and built[0] is state.witness
+        assert state.clearances.shape == (len(c4.capsules),) == (6,)
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(26)
@@ -285,6 +309,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             Capsule(link_index=1, endpoint_a=[0, 0, 0], endpoint_b=[0, 0, 0], radius=0.1)
 
+    def test_scene_rejects_empty_fringe(self, square_tunnel):
+        with pytest.raises(ValueError, match=r"fringe_segments must have shape \(m, 2, 3\) with m >= 1"):
+            Scene(**_plane_arrays(square_tunnel), fringe_segments=np.zeros((0, 2, 3)), entrance_plane_index=0)
+
+    def test_scene_rejects_no_wall_plane(self, square_tunnel):
+        # the entrance and the same plane facing the other way, both opening faces; one rim edge lies on both
+        entrance = square_tunnel.vertices[0, : square_tunnel.vertex_counts[0]]
+        with pytest.raises(ValueError, match="scene needs at least one wall plane"):
+            Scene(
+                normals=[square_tunnel.normals[0], -square_tunnel.normals[0]],
+                offsets=[square_tunnel.offsets[0], -square_tunnel.offsets[0]],
+                vertices=[entrance, entrance[::-1]],
+                vertex_counts=[len(entrance)] * 2,
+                fringe_segments=square_tunnel.fringe_segments[:1],
+                entrance_plane_index=0,
+            )
+
     def test_scene_rejects_fringe_off_entrance(self, square_tunnel):
         bad_fringe = square_tunnel.fringe_segments.copy()
         bad_fringe[0, 0, 0] += 0.01
@@ -377,12 +418,22 @@ def _reference_witness(a, b, radius, scene):
     return clearance - radius, CASE_TUNNEL, wall, clip, {wall}
 
 
+def _assert_same_witness(w1, w2):
+    for field in fields(DistanceWitness):
+        np.testing.assert_array_equal(getattr(w1, field.name), getattr(w2, field.name), err_msg=field.name)
+
+
 class TestBatchedKernel:
     """The batched (capsules x fringe segments) kernel against the scalar reference."""
 
     def _check(self, axes, radii, scene):
-        batch = _score_axes(np.asarray(axes, dtype=float), radii, scene, range(len(radii)))
-        for i, w in enumerate(batch):
+        """Check each capsule alone against the reference and the batch against the alone results.
+
+        Returns the batch's (clearances, witness) and each capsule's witness scored alone.
+        """
+        clearances, witness = _score_axes(np.asarray(axes, dtype=float), radii, scene, range(len(radii)))
+        alone = [capsule_distance(a, b, radius, scene, i) for i, ((a, b), radius) in enumerate(zip(axes, radii))]
+        for i, w in enumerate(alone):
             value, case, plane, clip, ties = _reference_witness(axes[i][0], axes[i][1], radii[i], scene)
             assert abs(w.value - value) <= 1e-12
             assert (w.case_tag, w.clip_plane_index) == (case, clip)
@@ -390,12 +441,10 @@ class TestBatchedKernel:
             # the scalar and the batched sums may break differently.
             assert w.plane_index == plane or (w.plane_index in ties and len(ties) > 1)
             # one capsule scored alone takes the same arithmetic as in the batch
-            alone = capsule_distance(axes[i][0], axes[i][1], radii[i], scene, i)
-            assert alone.value == w.value
-            assert (alone.case_tag, alone.plane_index, alone.clip_plane_index, alone.axis_param) == (
-                w.case_tag, w.plane_index, w.clip_plane_index, w.axis_param
-            )
-        return batch
+            assert clearances[i] == w.value
+        assert witness.capsule_index == int(np.argmin(clearances))
+        _assert_same_witness(witness, alone[witness.capsule_index])
+        return clearances, witness, alone
 
     def test_random_c4_configurations(self, c4):
         from icop.scenario import mounted_scene_and_path
@@ -407,10 +456,12 @@ class TestBatchedKernel:
         for _ in range(150):
             q = c4.initial_config + rng.uniform(-0.4, 0.4, 6)
             segs = world_capsule_segments(q, c4.chain, c4.capsules)
-            batch = self._check(segs, radii, scene)
-            assert [w.value for w in world_state(q, c4.chain, c4.capsules, scene).witnesses] == [w.value for w in batch]
-            assert scene_distance(q, c4.chain, c4.capsules, scene).value == min(w.value for w in batch)
-            cases.update(w.case_tag for w in batch)
+            clearances, witness, alone = self._check(segs, radii, scene)
+            state = world_state(q, c4.chain, c4.capsules, scene)
+            assert state.clearances.tolist() == clearances.tolist()
+            _assert_same_witness(state.witness, witness)
+            assert scene_distance(q, c4.chain, c4.capsules, scene).value == clearances.min()
+            cases.update(w.case_tag for w in alone)
         assert cases == {CASE_FRINGE, CASE_TUNNEL}
 
     def test_random_tunnels(self):
@@ -424,8 +475,8 @@ class TestBatchedKernel:
             for _ in range(4):  # axes through the opening, most of them TUNNEL
                 jitter = rng.uniform(-0.2, 0.2, 3)
                 axes.append((center + 0.4 * n_out + jitter, center - rng.uniform(0.1, 2.5) * n_out + jitter))
-            batch = self._check(axes, [0.05] * len(axes), scene)
-            tunnels += sum(w.case_tag == CASE_TUNNEL for w in batch)
+            _clearances, _witness, alone = self._check(axes, [0.05] * len(axes), scene)
+            tunnels += sum(w.case_tag == CASE_TUNNEL for w in alone)
         assert tunnels > 60
 
     def test_parallel_segments(self, square_tunnel):
@@ -435,8 +486,8 @@ class TestBatchedKernel:
             ([-0.3, 0.8, 0.7], [-0.3, 0.8, 1.2]),  # parallel, beyond the edge's end
             ([-0.3, -0.2, -0.9], [-0.3, 0.3, -0.9]),  # parallel to the z = -0.5 edge
         ]
-        batch = self._check(axes, [0.05] * 3, square_tunnel)
-        assert all(w.case_tag == CASE_FRINGE for w in batch)
+        _clearances, _witness, alone = self._check(axes, [0.05] * 3, square_tunnel)
+        assert all(w.case_tag == CASE_FRINGE for w in alone)
 
     def test_zero_length_fringe_segment(self, square_tunnel):
         corner = square_tunnel.fringe_segments[0, 0]
@@ -450,13 +501,23 @@ class TestBatchedKernel:
             (corner + [-0.3, -0.1, 0.0], corner + [-0.3, 0.1, 0.0]),
             (corner + [-0.3, 0.0, 0.0], corner + [-0.3, 0.0, 0.0]),  # a zero-length axis as well
         ]
-        batch = self._check(axes, [0.05] * 3, scene)
-        assert batch[1].plane_index == 0  # the point segment comes first and ties the edges at the corner
+        _clearances, _witness, alone = self._check(axes, [0.05] * 3, scene)
+        assert alone[1].plane_index == 0  # the point segment comes first and ties the edges at the corner
 
     def test_equal_distance_tie_keeps_first_index(self, square_tunnel):
         # on the tunnel's centre line the four rim edges are equally far away
         axes = [([-2.0, 0.0, 0.0], [-1.0, 0.0, 0.0])]
         distances = [segment_segment_distance(*axes[0], s0, s1).distance for s0, s1 in square_tunnel.fringe_segments]
         assert len(set(distances)) == 1
-        batch = self._check(axes, [0.05], square_tunnel)
-        assert batch[0].plane_index == 0 == _reference_witness(*axes[0], 0.05, square_tunnel)[2]
+        _clearances, _witness, alone = self._check(axes, [0.05], square_tunnel)
+        assert alone[0].plane_index == 0 == _reference_witness(*axes[0], 0.05, square_tunnel)[2]
+
+    @pytest.mark.parametrize("worst, case", [
+        (([-0.3, 0.8, -0.2], [-0.3, 0.8, 0.4]), CASE_FRINGE),  # parallel to the y = 0.5 rim edge
+        (([-0.5, 0.1, 0.0], [1.0, 0.3, 0.0]), CASE_TUNNEL),  # through the opening
+    ], ids=["fringe", "tunnel"])
+    def test_identical_axes_tie_names_the_first_capsule(self, square_tunnel, worst, case):
+        far = ([-3.0, 0.0, 0.0], [-2.0, 0.0, 0.0])
+        clearances, witness, _alone = self._check([far, worst, worst], [0.05] * 3, square_tunnel)
+        assert clearances[1] == clearances[2] < clearances[0]
+        assert (witness.capsule_index, witness.case_tag) == (1, case)
