@@ -16,10 +16,15 @@ iterate it accepts, and the accepted state is the start of the next
 SafeTrack call. The residual, the feasibility test, the collision and contact
 rows, and the clearance that ``plan`` records all read that one evaluation.
 
-Cartesian steps larger than ``step_max`` are split into intermediate targets
-before tracking, and a waypoint whose inner loop fails to converge is retried
-through recursive bisection of the step (bounded depth) before the planner
-gives up loudly.
+A waypoint farther than ``step_max`` from the accepted tool position is split
+once into ``ceil(gap / step_max)`` evenly spaced pieces, measured from that
+position; a piece is never split again. A piece whose SafeTrack call fails is
+bisected: the midpoint between the current tool position and the target is
+tracked first, then the target, each one level deeper, down to
+``_BISECT_DEPTH`` levels, after which the planner raises
+``NonConvergedError``. So a waypoint costs at most
+``pieces * (2 ** (_BISECT_DEPTH + 1) - 1)`` SafeTrack calls, and any finite
+positive ``xi`` and ``step_max`` give a plan that terminates.
 """
 
 from __future__ import annotations
@@ -63,12 +68,12 @@ class PlannerParams:
             raise ValueError("joint limits must be 6-vectors")
         if not (lower <= upper).all():  # a NaN limit fails too
             raise ValueError("joint_lower exceeds joint_upper")
-        if not self.xi > 0:
-            raise ValueError("xi must be positive")
+        if not 0 < self.xi < math.inf:  # a NaN fails too
+            raise ValueError("xi must be positive and finite")
         if self.max_inner < 1:
             raise ValueError("max_inner must be >= 1")
-        if not self.step_max > 0:
-            raise ValueError("step_max must be positive")
+        if not 0 < self.step_max < math.inf:
+            raise ValueError("step_max must be positive and finite")
         for arr in (q_diag, lower, upper):
             arr.flags.writeable = False
         object.__setattr__(self, "q_diag", q_diag)
@@ -173,40 +178,6 @@ def safetrack(
     return SafeTrackResult(best_state, STATUS_NON_CONVERGED, iterations, res_best)
 
 
-def _advance(
-    start: WorldState,
-    target: np.ndarray,
-    chain: RobotChain,
-    params: PlannerParams,
-    depth: int,
-):
-    """Reach target from the accepted state start, splitting long steps and bisecting on failure.
-
-    Returns the converged SafeTrack result of the last piece and the inner
-    iterations spent over all pieces.
-    """
-    c_from = start.tool_position
-    gap = float(np.linalg.norm(target - c_from))
-    if gap > params.step_max:
-        pieces = math.ceil(gap / params.step_max)
-        state, total = start, 0
-        for i in range(1, pieces + 1):
-            sub_target = c_from + (i / pieces) * (target - c_from)
-            result, iters = _advance(state, sub_target, chain, params, depth)
-            state, total = result.state, total + iters
-        return result, total
-
-    result = safetrack(start, target, chain, params)
-    if result.converged:
-        return result, result.inner_iterations
-    if depth < _BISECT_DEPTH:
-        mid = 0.5 * (c_from + target)
-        half, it1 = _advance(start, mid, chain, params, depth + 1)
-        end, it2 = _advance(half.state, target, chain, params, depth + 1)
-        return end, result.inner_iterations + it1 + it2
-    raise NonConvergedError(-1, result.tcp_error, result.min_distance)
-
-
 def plan(
     weld_path,
     q_init,
@@ -227,6 +198,8 @@ def plan(
     path = np.asarray(weld_path, dtype=float)
     if path.ndim != 2 or path.shape[1] != 3 or path.shape[0] == 0:
         raise ValueError("weld_path must be a non-empty (T, 3) array")
+    if not np.isfinite(path).all():
+        raise ValueError("weld_path must be finite")
     q0 = joint_config(q_init)
     if np.any(q0 < params.joint_lower - 1e-12) or np.any(q0 > params.joint_upper + 1e-12):
         raise ValueError("q_init violates the joint limits")
@@ -239,14 +212,27 @@ def plan(
 
     state = world_state(q0, chain, capsules, scene)
     for t in range(T):
-        try:
-            result, iters = _advance(state, path[t], chain, params, depth=0)
-        except NonConvergedError as err:
-            raise NonConvergedError(t, err.tcp_error, err.min_distance) from None
-        state = result.state
+        c_from = state.tool_position
+        gap = float(np.linalg.norm(path[t] - c_from))
+        split = gap > params.step_max
+        pieces = math.ceil(gap / params.step_max) if split else 1
+        iters = 0
+        for i in range(1, pieces + 1):
+            piece = c_from + (i / pieces) * (path[t] - c_from) if split else path[t]
+            stack = [(piece, 0)]
+            while stack:
+                target, depth = stack.pop()
+                result = safetrack(state, target, chain, params)
+                iters += result.inner_iterations
+                if result.converged:
+                    state = result.state
+                elif depth < _BISECT_DEPTH:
+                    stack += [(target, depth + 1), (0.5 * (state.tool_position + target), depth + 1)]
+                else:
+                    raise NonConvergedError(t, result.tcp_error, result.min_distance)
         states[t] = state.q
         tcp_error[t] = float(np.linalg.norm(path[t] - state.tool_position))
-        min_distance[t] = result.min_distance
+        min_distance[t] = state.witness.value
         inner_iterations[t] = iters
 
     return Trajectory(

@@ -91,6 +91,14 @@ def test_sweep_xi_table_and_monotonicity(c1_path, tmp_path):
     assert iters == sorted(iters)
 
 
+def test_sweep_xi_at_least_the_step_length_plans(c1_path, tmp_path):
+    # c1's step_max is 0.05: a threshold near or above it once split steps without end
+    code = main(["--scenario", c1_path, "--out", str(tmp_path), "--sweep-xi", "0.04,0.1"])
+    assert code == EXIT_OK
+    rows = (tmp_path / "c1_xi_sweep.txt").read_text().splitlines()[2:]
+    assert [r.split()[3] for r in rows] == ["ok", "ok"]
+
+
 def test_sweep_duplicate_xi_rows_identical(c1_path, tmp_path):
     code = main(["--scenario", c1_path, "--out", str(tmp_path), "--sweep-xi", "1e-3,1e-3"])
     assert code == EXIT_OK
@@ -130,7 +138,10 @@ def test_non_finite_mounting_exits_parse_code_without_outputs(c1_path, tmp_path,
 
 
 def test_invalid_override_exits_parse_code(c1_path, tmp_path):
-    assert main(["--scenario", c1_path, "--out", str(tmp_path), "--xi", "-1.0"]) == EXIT_PARSE
+    for xi in ("-1.0", "inf"):
+        out = tmp_path / "o"
+        assert main(["--scenario", c1_path, "--out", str(out), "--xi", xi]) == EXIT_PARSE
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("option, values", [
@@ -138,12 +149,13 @@ def test_invalid_override_exits_parse_code(c1_path, tmp_path):
     ("--sweep-horizon", "0"),
     ("--sweep-xi", "1e-3,x"),
     ("--sweep-xi", "0"),
+    ("--sweep-xi", "1e-3,inf"),
 ])
 def test_bad_sweep_value_exits_parse_code_without_a_table(c1_path, tmp_path, capsys, option, values):
     out = tmp_path / "o"
     assert main(["--scenario", c1_path, "--out", str(out), option, values]) == EXIT_PARSE
     assert "invalid override" in capsys.readouterr().err
-    assert not list(tmp_path.rglob("*_sweep.txt"))
+    assert not out.exists()
 
 
 def test_console_script_smoke(c1_path, tmp_path):

@@ -10,6 +10,7 @@ from icop.planner import (
     STATUS_NON_CONVERGED,
     NonConvergedError,
     PlannerParams,
+    SafeTrackResult,
     plan,
     safetrack,
     verify_trajectory,
@@ -219,6 +220,9 @@ def test_params_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             PlannerParams(q_diag=[1.0, 1.0, bad, 1.0, 1.0, 1.0], joint_lower=-np.ones(6), joint_upper=np.ones(6))
+        for field in ("xi", "step_max"):
+            with pytest.raises(ValueError):
+                PlannerParams(q_diag=np.ones(6), joint_lower=-np.ones(6), joint_upper=np.ones(6), **{field: bad})
     with pytest.raises(ValueError):
         PlannerParams(q_diag=np.ones(6), joint_lower=[-1.0, -1.0, np.nan, -1.0, -1.0, -1.0], joint_upper=np.ones(6))
     with pytest.raises(ValueError):
@@ -232,6 +236,46 @@ def test_plan_rejects_invalid_inputs(world):
     q_bad = c4.params.joint_upper + 1.0
     with pytest.raises(ValueError):
         plan(path, q_bad, c4.chain, c4.capsules, scene, c4.params)
+    for bad in (np.inf, np.nan):
+        bad_path = path.copy()
+        bad_path[3, 0] = bad
+        with pytest.raises(ValueError):
+            plan(bad_path, c4.initial_config, c4.chain, c4.capsules, scene, c4.params)
+
+
+@pytest.mark.parametrize("xi", [0.04, 0.049, 0.1, 1.0])
+def test_threshold_near_the_step_length_plans(xi):
+    # c1's step_max is 0.05; a split piece may start up to xi short of its target and is not split again
+    from icop.scenario import load_bundled
+
+    c1 = load_bundled("c1")
+    scene, path = mounted_scene_and_path(c1)
+    params = dataclasses.replace(c1.params, xi=xi)
+    traj = plan(path, c1.initial_config, c1.chain, c1.capsules, scene, params)
+    assert verify_trajectory(traj, params) == []
+
+
+def test_safetrack_calls_per_waypoint_reach_the_bound(world, monkeypatch):
+    # every target farther than 6 mm fails, so each piece of c4's first step
+    # bisects to full depth and only the deepest targets converge
+    c4, scene, path = world
+    real_track, calls = planner.safetrack, []
+
+    def short_steps_only(start, target, *args):
+        calls.append(target)
+        gap = float(np.linalg.norm(target - start.tool_position))
+        if gap > 0.006:
+            return SafeTrackResult(start, STATUS_NON_CONVERGED, 0, gap)
+        return real_track(start, target, *args)
+
+    monkeypatch.setattr(planner, "safetrack", short_steps_only)
+    start = world_state(c4.initial_config, c4.chain, c4.capsules, scene)
+    gap = float(np.linalg.norm(path[0] - start.tool_position))
+    pieces = int(np.ceil(gap / c4.params.step_max))
+    assert pieces > 1
+    traj = plan(path[:1], c4.initial_config, c4.chain, c4.capsules, scene, c4.params)
+    assert len(calls) == pieces * (2 ** (planner._BISECT_DEPTH + 1) - 1)
+    assert traj.tcp_error[0] <= c4.params.xi
 
 
 def test_one_scene_evaluation_per_accepted_iterate(monkeypatch):
