@@ -86,10 +86,10 @@ def cmd_plan(scenario: scn.Scenario, params: planner.PlannerParams, out_dir: Pat
 
 def _sweep_runs(args, scenario: scn.Scenario, params: planner.PlannerParams) -> tuple[str, list[tuple]] | None:
     """The sweep's kind and (label, scenario, params) per value, or None; a bad value raises ValueError here."""
-    if args.sweep_horizon:
+    if args.sweep_horizon is not None:
         horizons = [int(v) for v in args.sweep_horizon.split(",") if v.strip()]
         return "horizon", [(str(h), _apply_horizon(scenario, h), params) for h in horizons]
-    if args.sweep_xi:
+    if args.sweep_xi is not None:
         xis = [float(v) for v in args.sweep_xi.split(",") if v.strip()]
         return "xi", [(f"{xi:.1e}", scenario, dataclasses.replace(params, xi=xi)) for xi in xis]
     return None
@@ -131,6 +131,8 @@ def main(argv=None) -> int:
         scenario = _apply_horizon(scenario, args.horizon)
         params = _override_params(scenario.params, args)
         sweep = _sweep_runs(args, scenario, params)
+        if sweep and not sweep[1]:
+            raise ValueError("the sweep lists no values")
     except ValueError as err:
         print(f"invalid override: {err}", file=sys.stderr)
         return EXIT_PARSE

@@ -8,7 +8,9 @@ equality there, solve the QP that stays closest (in the weighted norm) to the
 current reference, and move the reference to its solution. The QP objective
 is anchored at the current reference rather than the previous waypoint;
 anchoring at the previous waypoint can pin the iterate against the
-constraint set and stall the loop.
+constraint set and stall the loop. The weights and the joint box are the same
+for every QP, so ``PlannerParams`` checks them once into its ``QpProblem``;
+an iterate hands ``qp.solve`` only its reference and its rows.
 
 Each configuration is evaluated once per plan (``geometry.world_state``):
 ``plan`` evaluates the initial configuration, SafeTrack evaluates each QP
@@ -30,7 +32,7 @@ positive ``xi`` and ``step_max`` give a plan that terminates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +51,7 @@ _BISECT_DEPTH = 3
 
 @dataclass(frozen=True)
 class PlannerParams:
-    """Weights, thresholds and limits consumed by the tracking loops."""
+    """Weights, thresholds and limits; ``q_diag`` and the joint limits are the frozen arrays of ``qp``."""
 
     q_diag: np.ndarray
     joint_lower: np.ndarray
@@ -57,28 +59,20 @@ class PlannerParams:
     xi: float = 1e-4
     max_inner: int = 50
     step_max: float = 0.05
+    qp: QpProblem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        q_diag = np.array(self.q_diag, dtype=float).reshape(-1)
-        lower = np.array(self.joint_lower, dtype=float).reshape(-1)
-        upper = np.array(self.joint_upper, dtype=float).reshape(-1)
-        if q_diag.shape != (NUM_JOINTS,) or not (np.isfinite(q_diag) & (q_diag > 0)).all():
-            raise ValueError("q_diag must be 6 finite positive weights")
-        if lower.shape != (NUM_JOINTS,) or upper.shape != (NUM_JOINTS,):
-            raise ValueError("joint limits must be 6-vectors")
-        if not (lower <= upper).all():  # a NaN limit fails too
-            raise ValueError("joint_lower exceeds joint_upper")
+        qp = QpProblem(self.q_diag, self.joint_lower, self.joint_upper)
+        if qp.weights.shape != (NUM_JOINTS,):
+            raise ValueError("q_diag and the joint limits must be 6-vectors")
         if not 0 < self.xi < math.inf:  # a NaN fails too
             raise ValueError("xi must be positive and finite")
-        if self.max_inner < 1:
-            raise ValueError("max_inner must be >= 1")
+        if not isinstance(self.max_inner, (int, np.integer)) or self.max_inner < 1:
+            raise ValueError("max_inner must be an integer >= 1")
         if not 0 < self.step_max < math.inf:
             raise ValueError("step_max must be positive and finite")
-        for arr in (q_diag, lower, upper):
-            arr.flags.writeable = False
-        object.__setattr__(self, "q_diag", q_diag)
-        object.__setattr__(self, "joint_lower", lower)
-        object.__setattr__(self, "joint_upper", upper)
+        for name, value in (("qp", qp), ("q_diag", qp.weights), ("joint_lower", qp.lower), ("joint_upper", qp.upper)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -158,7 +152,7 @@ def safetrack(
     while (residual > params.xi or state.witness.value < 0.0) and iterations < params.max_inner:
         G, h = collision_rows(state)
         A, b = task_rows(state.tool_jacobian(), state.q, state.tool_position, c_next)
-        sol = solve(QpProblem(params.q_diag, state.q, params.joint_lower, params.joint_upper, A=A, b=b, G=G, h=h))
+        sol = solve(params.qp, state.q, A=A, b=b, G=G, h=h)
         iterations += 1
         if sol.status != STATUS_OPTIMAL:
             break

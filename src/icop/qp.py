@@ -5,9 +5,12 @@ weighted norm:
 
     minimize  sum_i w_i (x_i - x_ref_i)^2   s.t.   A x = b,  G x >= h,  lower <= x <= upper
 
-with every weight w_i > 0. The rows are plain arrays, and this module owns
-their format: the collision and contact layers hand over ``(G, h)`` and
-``(A, b)`` and nothing here imports from the layers above.
+with every weight w_i > 0. The weights and the bounds stay fixed across a
+caller's QPs, so a ``QpProblem`` holds only them: it checks and freezes them
+once. Each ``solve`` call passes x_ref and the rows, and checks only those.
+The rows are plain arrays, and this module owns their format: the collision
+and contact layers hand over ``(G, h)`` and ``(A, b)`` and nothing here
+imports from the layers above.
 
 In the scaled variable y = sqrt(w) (x - x_ref) the objective is ||y||^2, so
 the problem is a least-distance problem. The equality rows are eliminated
@@ -20,8 +23,11 @@ method of Goldfarb and Idnani (Math. Programming 27, 1983) starts from z = 0
 and repeatedly adds the most violated row, ties breaking on the lowest
 constraint index so results are deterministic. Where the step towards that
 row would make an active multiplier negative, it stops at the multiplier's
-zero, drops that row and continues, so it never returns to a working set. A
-full KKT check runs before OPTIMAL is ever reported.
+zero, drops that row and continues, so it never returns to a working set.
+The row is split against the active rows through a QR factorization of
+them, so nearly opposite rows are found dependent and end in INFEASIBLE
+rather than in a singular system. A full KKT check runs before OPTIMAL is
+ever reported.
 """
 
 from __future__ import annotations
@@ -42,45 +48,35 @@ _MAX_ITER = 200
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Weighted least-distance QP data; bounds may be +-inf to disable a side.
+    """The weights and the bounds (+-inf disables a side) shared by a family of QPs.
 
-    ``A``/``b`` hold the equality rows and ``G``/``h`` the inequality rows;
-    an empty sequence means no rows of that kind.
+    Checked once and frozen, with what ``solve`` derives from them alone:
+    ``scale`` = 1 / sqrt(w) and ``box``, the bound rows in the scaled variable.
     """
 
     weights: np.ndarray
-    x_ref: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    A: np.ndarray = ()
-    b: np.ndarray = ()
-    G: np.ndarray = ()
-    h: np.ndarray = ()
+    scale: np.ndarray = field(init=False, repr=False, compare=False)
+    box: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        x_ref = np.array(self.x_ref, dtype=float).reshape(-1)
-        n = x_ref.shape[0]
         weights = np.array(self.weights, dtype=float).reshape(-1)
-        if weights.shape != (n,):
-            raise ValueError(f"weights must be ({n},), got {weights.shape}")
+        n = weights.shape[0]
         lower = np.array(self.lower, dtype=float).reshape(-1)
         upper = np.array(self.upper, dtype=float).reshape(-1)
         if lower.shape != (n,) or upper.shape != (n,):
-            raise ValueError("bounds must match the variable dimension")
+            raise ValueError(f"bounds must be ({n},) like the weights, got {lower.shape} and {upper.shape}")
         if not (lower <= upper).all():  # a NaN bound fails too
             raise ValueError("lower bound exceeds upper bound")
-        A, b = _rows(self.A, self.b, n, "equality")
-        G, h = _rows(self.G, self.h, n, "inequality")
-        # One finiteness pass over every coefficient; the per-array pass only names the culprits.
-        if not np.isfinite(np.concatenate((weights, x_ref, A.ravel(), b, G.ravel(), h))).all():
-            named = {"weights": weights, "x_ref": x_ref, "A": A, "b": b, "G": G, "h": h}
-            bad = [name for name, arr in named.items() if not np.isfinite(arr).all()]
-            raise ValueError(f"{', '.join(bad)} must be finite")
         # A diagonal Hessian diag(2 w) is positive definite exactly when every weight is > 0.
-        if not weights.min() > 0.0:
-            raise ValueError("weights must be positive")
-        for name, arr in (("weights", weights), ("x_ref", x_ref), ("lower", lower), ("upper", upper),
-                          ("A", A), ("b", b), ("G", G), ("h", h)):
+        if not (np.isfinite(weights) & (weights > 0.0)).all():
+            raise ValueError("weights must be finite and positive")
+        scale = weights**-0.5
+        bounds = np.diag(scale)
+        frozen = {"weights": weights, "lower": lower, "upper": upper, "scale": scale,
+                  "box": np.concatenate((bounds, -bounds))}
+        for name, arr in frozen.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -98,9 +94,9 @@ class QpSolution:
 
 
 def _rows(M, v, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Float copies of the constraint rows M (k, n) and right-hand sides v (k,), shape-checked."""
-    M = np.array(M, dtype=float)
-    v = np.array(v, dtype=float).reshape(-1)
+    """The constraint rows M (k, n) and right-hand sides v (k,) as float arrays, shape-checked."""
+    M = np.asarray(M, dtype=float)
+    v = np.asarray(v, dtype=float).reshape(-1)
     if M.shape == (0,):
         M = M.reshape(0, n)
     if M.ndim != 2 or M.shape[1] != n:
@@ -110,7 +106,7 @@ def _rows(M, v, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     return M, v
 
 
-def _eliminate_equalities(problem: QpProblem, scale: np.ndarray):
+def _eliminate_equalities(x_ref: np.ndarray, A: np.ndarray, b: np.ndarray, scale: np.ndarray):
     """Parameterize x = x0 + scale * (null.T @ z) on the (projected) equality manifold.
 
     ``scale`` is 1 / sqrt(w). x0 is the weighted projection of x_ref onto the
@@ -118,13 +114,12 @@ def _eliminate_equalities(problem: QpProblem, scale: np.ndarray):
     space in the scaled variable, so the objective is its value at x0 plus
     ||z||^2.
     """
-    A, b = problem.A, problem.b
     if A.shape[0] == 0:
-        return problem.x_ref.copy(), np.eye(scale.shape[0]), False
+        return x_ref.copy(), np.eye(scale.shape[0]), False
     U, s, Vt = np.linalg.svd(A * scale, full_matrices=True)
     rank = np.count_nonzero(s > (s[0] * _SVD_RANK_RTOL if s[0] > 0 else np.inf))
-    y_p = ((b - A @ problem.x_ref) @ U[:, :rank] / s[:rank]) @ Vt[:rank]
-    return problem.x_ref + scale * y_p, Vt[rank:], rank < A.shape[0]
+    y_p = ((b - A @ x_ref) @ U[:, :rank] / s[:rank]) @ Vt[:rank]
+    return x_ref + scale * y_p, Vt[rank:], rank < A.shape[0]
 
 
 def _least_distance(M: np.ndarray, v: np.ndarray, Y: np.ndarray):
@@ -149,11 +144,14 @@ def _least_distance(M: np.ndarray, v: np.ndarray, Y: np.ndarray):
             # Raising row p's multiplier by t moves z by t d, the part of row p
             # the active rows leave free, and lowers their multipliers by t r;
             # the first of them to reach zero blocks the step at ``partial``.
+            # r and d come from a QR factorization of the active rows: the
+            # normal equations N N^T would square its condition number.
             r, d, partial = np.zeros(0), row, np.inf
             if working:
-                N = M[working]
-                r = np.linalg.solve(N @ N.T, N @ row)
-                d = row - r @ N
+                Q, R = np.linalg.qr(M[working].T)
+                c = Q.T @ row
+                r = np.linalg.solve(R, c)
+                d = row - Q @ c
                 blocking = np.flatnonzero(r > 0.0)
                 ratios = np.maximum(mu[blocking], 0.0) / r[blocking]
                 partial = float(ratios.min(initial=np.inf))
@@ -175,28 +173,33 @@ def _least_distance(M: np.ndarray, v: np.ndarray, Y: np.ndarray):
     return z, working, mu, _MAX_ITER, STATUS_MAX_ITER
 
 
-def solve(problem: QpProblem) -> QpSolution:
-    """Solve the QP; deterministic for fixed inputs."""
-    scale = problem.weights**-0.5
-    x0, null, projected = _eliminate_equalities(problem, scale)
-    G = problem.G
+def solve(problem: QpProblem, x_ref, A=(), b=(), G=(), h=()) -> QpSolution:
+    """Minimize sum_i w_i (x_i - x_ref_i)^2 s.t. A x = b, G x >= h and the problem's bounds.
+
+    An empty sequence means no rows of that kind. Only the arguments of this
+    call are checked: their shapes against ``problem`` and their finiteness.
+    Deterministic for fixed inputs.
+    """
+    n = problem.weights.shape[0]
+    x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
+    if x_ref.shape != (n,):
+        raise ValueError(f"x_ref must be ({n},), got {x_ref.shape}")
+    A, b = _rows(A, b, n, "equality")
+    G, h = _rows(G, h, n, "inequality")
+    # One finiteness pass over every coefficient; the per-array pass only names the culprits.
+    if not np.isfinite(np.concatenate((x_ref, A.ravel(), b, G.ravel(), h))).all():
+        named = {"x_ref": x_ref, "A": A, "b": b, "G": G, "h": h}
+        raise ValueError(f"{', '.join(k for k, arr in named.items() if not np.isfinite(arr).all())} must be finite")
+    scale = problem.scale
+    x0, null, projected = _eliminate_equalities(x_ref, A, b, scale)
 
     def finish(x, status, kkt, iters, lam, active):
-        eq_res = float(np.abs(problem.A @ x - problem.b).max(initial=0.0))
-        return QpSolution(
-            x=x,
-            status=status,
-            kkt_residual=kkt,
-            eq_residual=eq_res,
-            iterations=iters,
-            eq_projected=projected,
-            multipliers=lam,
-            active_set=tuple(active),
-        )
+        eq_res = float(np.abs(A @ x - b).max(initial=0.0))
+        return QpSolution(x, status, kkt, eq_res, iters, projected, lam, tuple(active))
 
     # Every one-sided row g . x >= h at x0: explicit inequalities first, then
     # the lower and the upper bounds, whose slack is infinite where they are.
-    slack = np.concatenate((G @ x0 - problem.h, x0 - problem.lower, problem.upper - x0))
+    slack = np.concatenate((G @ x0 - h, x0 - problem.lower, problem.upper - x0))
     worst = float(slack.min())
     if null.shape[0] == 0:
         return finish(x0, STATUS_OPTIMAL if worst >= -_TOL_FEAS else STATUS_INFEASIBLE, 0.0, 0, np.zeros(0), ())
@@ -205,8 +208,7 @@ def solve(problem: QpProblem) -> QpSolution:
 
     # The same rows in the scaled variable (Y) and over z (M); infinite bounds are left out.
     finite = np.isfinite(slack)
-    bounds = np.diag(scale)
-    Y = np.concatenate((G * scale, bounds, -bounds))[finite]
+    Y = np.concatenate((G * scale, problem.box))[finite]
     M = Y @ null.T
     v = -slack[finite]
     z, working, mu, iters, status = _least_distance(M, v, Y)

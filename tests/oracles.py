@@ -114,24 +114,26 @@ def fd_scene_gradient(q, chain, capsules, scene, h: float = 1e-6) -> np.ndarray:
     return g
 
 
-def qp_objective(problem, x) -> float:
-    """The weighted squared distance sum_i w_i (x_i - x_ref_i)^2 that every QpProblem minimizes."""
-    return float(problem.weights @ (np.asarray(x, dtype=float) - problem.x_ref) ** 2)
+def qp_objective(problem, x_ref, x) -> float:
+    """The weighted squared distance sum_i w_i (x_i - x_ref_i)^2 that every ``qp.solve`` call minimizes."""
+    return float(problem.weights @ (np.asarray(x, dtype=float) - np.asarray(x_ref, dtype=float)) ** 2)
 
 
-def qp_enumeration_oracle(problem, tol: float = 1e-9):
+def qp_enumeration_oracle(problem, x_ref, A=(), b=(), G=(), h=(), tol: float = 1e-9):
     """Try every candidate active subset; return (objective, x) of the feasible best.
 
-    The objective is expanded into the dense form 0.5 x'Hx + f'x with
-    H = diag(2 w) and f = -2 w x_ref, and each candidate solves its full KKT
-    system. Bounds at +-inf are skipped; candidate subsets go up to the free
-    dimension after equality rows, since a strictly convex optimum cannot have
-    more independent active rows than that.
+    Takes the arguments of ``qp.solve``. The objective is expanded into the
+    dense form 0.5 x'Hx + f'x with H = diag(2 w) and f = -2 w x_ref, and
+    each candidate solves its full KKT system. Bounds at +-inf are skipped;
+    candidate subsets go up to the free dimension after equality rows, since
+    a strictly convex optimum cannot have more independent active rows than
+    that.
     """
-    n = problem.x_ref.shape[0]
+    n = problem.weights.shape[0]
+    x_ref = np.asarray(x_ref, dtype=float)
     H = np.diag(2.0 * problem.weights)
-    f = -2.0 * problem.weights * problem.x_ref
-    rows, rhs = list(problem.G), list(problem.h)
+    f = -2.0 * problem.weights * x_ref
+    rows, rhs = list(np.asarray(G, dtype=float).reshape(-1, n)), list(np.asarray(h, dtype=float).reshape(-1))
     eye = np.eye(n)
     for i in range(n):
         if np.isfinite(problem.lower[i]):
@@ -144,7 +146,8 @@ def qp_enumeration_oracle(problem, tol: float = 1e-9):
     G = np.array(rows) if rows else np.zeros((0, n))
     h = np.array(rhs) if rhs else np.zeros(0)
 
-    A_eq, b_eq = problem.A, problem.b
+    A_eq = np.asarray(A, dtype=float).reshape(-1, n)
+    b_eq = np.asarray(b, dtype=float).reshape(-1)
     free_dim = n - np.linalg.matrix_rank(A_eq) if A_eq.shape[0] else n
 
     best = None
@@ -166,7 +169,7 @@ def qp_enumeration_oracle(problem, tol: float = 1e-9):
                 continue
             if m and float(np.min(G @ x - h)) < -tol:
                 continue
-            obj = qp_objective(problem, x)
+            obj = qp_objective(problem, x_ref, x)
             if best is None or obj < best[0]:
                 best = (obj, x)
     return best

@@ -200,11 +200,11 @@ def test_criterion_8_qp_oracle():
     rng = np.random.default_rng(103)
     worst_gap, worst_kkt = 0.0, 0.0
     for _ in range(500):
-        p = _random_feasible_problem(rng)
-        s = solve(p)
+        p, call = _random_feasible_problem(rng)
+        s = solve(p, **call)
         assert s.status == STATUS_OPTIMAL
-        ref = qp_enumeration_oracle(p)
-        worst_gap = max(worst_gap, qp_objective(p, s.x) - ref[0])
+        ref = qp_enumeration_oracle(p, **call)
+        worst_gap = max(worst_gap, qp_objective(p, call["x_ref"], s.x) - ref[0])
         worst_kkt = max(worst_kkt, s.kkt_residual)
     _report(
         "criterion 8 (QP oracle suite)",

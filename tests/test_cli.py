@@ -150,6 +150,9 @@ def test_invalid_override_exits_parse_code(c1_path, tmp_path):
     ("--sweep-xi", "1e-3,x"),
     ("--sweep-xi", "0"),
     ("--sweep-xi", "1e-3,inf"),
+    ("--sweep-horizon", ","),
+    ("--sweep-xi", " , "),
+    ("--sweep-horizon", ""),
 ])
 def test_bad_sweep_value_exits_parse_code_without_a_table(c1_path, tmp_path, capsys, option, values):
     out = tmp_path / "o"

@@ -103,5 +103,5 @@ def test_singularity_flag(straight_chain, gp50_chain):
         c_ref = body_point_position(q, chain, tool)
         A, b = linearize_task(q, c_ref, c_ref + [1e-3, -1e-3, 0.0], chain, tool)
         assert (np.linalg.matrix_rank(A) < 3) == singular
-        problem = QpProblem(np.ones(6), q, np.full(6, -np.inf), np.full(6, np.inf), A=A, b=b)
-        assert solve(problem).eq_projected == singular
+        problem = QpProblem(np.ones(6), np.full(6, -np.inf), np.full(6, np.inf))
+        assert solve(problem, q, A=A, b=b).eq_projected == singular

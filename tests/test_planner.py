@@ -15,7 +15,7 @@ from icop.planner import (
     safetrack,
     verify_trajectory,
 )
-from icop.qp import STATUS_INFEASIBLE, STATUS_OPTIMAL, QpSolution
+from icop.qp import STATUS_INFEASIBLE, STATUS_OPTIMAL, QpProblem, QpSolution
 from icop.scenario import mounted_scene_and_path
 
 
@@ -154,14 +154,30 @@ def test_inner_loop_constructs_no_body_point(world, monkeypatch):
     assert built == []
 
 
+def test_plan_constructs_no_qp_problem(world, monkeypatch):
+    # the weights and the joint box are checked once, when the params are built
+    c4, scene, path = world
+    validate = QpProblem.__post_init__
+    built = []
+
+    def counted(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(QpProblem, "__post_init__", counted)
+    traj = plan(path, c4.initial_config, c4.chain, c4.capsules, scene, c4.params)
+    assert traj.inner_iterations.sum() > 0
+    assert built == []
+
+
 def _safetrack_with_solve(world, monkeypatch, solution):
-    """safetrack from c4's initial state towards path[0] while every QP solve returns solution(problem)."""
+    """safetrack from c4's initial state towards path[0] while every QP solve returns solution(x_ref)."""
     c4, scene, path = world
     calls = []
 
-    def fake_solve(problem):
-        calls.append(problem)
-        return solution(problem)
+    def fake_solve(problem, x_ref, **rows):
+        calls.append(x_ref)
+        return solution(x_ref)
 
     monkeypatch.setattr(planner, "solve", fake_solve)
     start = world_state(c4.initial_config, c4.chain, c4.capsules, scene)
@@ -169,8 +185,8 @@ def _safetrack_with_solve(world, monkeypatch, solution):
 
 
 def test_non_optimal_qp_stops_safetrack_at_the_start(world, monkeypatch):
-    def infeasible(problem):
-        return QpSolution(problem.x_ref + 0.1, STATUS_INFEASIBLE, kkt_residual=0.0, eq_residual=0.0)
+    def infeasible(x_ref):
+        return QpSolution(x_ref + 0.1, STATUS_INFEASIBLE, kkt_residual=0.0, eq_residual=0.0)
 
     start, res, calls = _safetrack_with_solve(world, monkeypatch, infeasible)
     assert len(calls) == 1 and res.inner_iterations == 1
@@ -178,8 +194,8 @@ def test_non_optimal_qp_stops_safetrack_at_the_start(world, monkeypatch):
 
 
 def test_stalled_qp_stops_safetrack_at_the_start(world, monkeypatch):
-    def stalled(problem):
-        return QpSolution(problem.x_ref.copy(), STATUS_OPTIMAL, kkt_residual=0.0, eq_residual=0.0)
+    def stalled(x_ref):
+        return QpSolution(x_ref.copy(), STATUS_OPTIMAL, kkt_residual=0.0, eq_residual=0.0)
 
     start, res, calls = _safetrack_with_solve(world, monkeypatch, stalled)
     assert len(calls) == 1 and res.inner_iterations == 1
@@ -194,11 +210,11 @@ def test_bisection_exhaustion_raises_at_the_failing_waypoint(world, monkeypatch)
     solved_before_k = int(np.sum(traj.inner_iterations[:k]))
     real_solve, calls = planner.solve, []
 
-    def fails_from_waypoint_k(problem):
-        calls.append(problem)
+    def fails_from_waypoint_k(problem, x_ref, **rows):
+        calls.append(x_ref)
         if len(calls) <= solved_before_k:
-            return real_solve(problem)
-        return QpSolution(problem.x_ref, STATUS_INFEASIBLE, kkt_residual=0.0, eq_residual=0.0)
+            return real_solve(problem, x_ref, **rows)
+        return QpSolution(x_ref, STATUS_INFEASIBLE, kkt_residual=0.0, eq_residual=0.0)
 
     monkeypatch.setattr(planner, "solve", fails_from_waypoint_k)
     monkeypatch.setattr(planner, "_BISECT_DEPTH", 2)
@@ -220,9 +236,11 @@ def test_params_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             PlannerParams(q_diag=[1.0, 1.0, bad, 1.0, 1.0, 1.0], joint_lower=-np.ones(6), joint_upper=np.ones(6))
-        for field in ("xi", "step_max"):
+        for field in ("xi", "step_max", "max_inner"):
             with pytest.raises(ValueError):
                 PlannerParams(q_diag=np.ones(6), joint_lower=-np.ones(6), joint_upper=np.ones(6), **{field: bad})
+    with pytest.raises(ValueError):
+        PlannerParams(q_diag=np.ones(6), joint_lower=-np.ones(6), joint_upper=np.ones(6), max_inner=2.5)
     with pytest.raises(ValueError):
         PlannerParams(q_diag=np.ones(6), joint_lower=[-1.0, -1.0, np.nan, -1.0, -1.0, -1.0], joint_upper=np.ones(6))
     with pytest.raises(ValueError):

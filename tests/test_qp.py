@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ UNBOUNDED = (np.full(6, -np.inf), np.full(6, np.inf))
 
 
 def _random_feasible_problem(rng, n=None, with_bounds=True):
+    """A feasible ``QpProblem`` and the keyword arguments of one ``solve`` call on it."""
     n = int(rng.integers(2, 7)) if n is None else n
     weights = rng.uniform(0.1, 10.0, n)
     x0 = rng.uniform(-1.0, 1.0, n)
@@ -35,20 +38,18 @@ def _random_feasible_problem(rng, n=None, with_bounds=True):
         lower = np.full(n, -np.inf)
         upper = np.full(n, np.inf)
     x_ref = rng.uniform(-2.0, 2.0, n)
-    return QpProblem(weights, x_ref, lower, upper, A=A, b=b, G=G, h=h)
+    return QpProblem(weights, lower, upper), {"x_ref": x_ref, "A": A, "b": b, "G": G, "h": h}
 
 
 def test_unconstrained_minimum_is_reference():
     r = np.array([1.0, -2.0, 3.0, 0.5, -0.25, 2.0])
-    p = QpProblem(np.ones(6), r, *UNBOUNDED)
-    s = solve(p)
+    s = solve(QpProblem(np.ones(6), *UNBOUNDED), r)
     assert s.status == STATUS_OPTIMAL
     assert np.max(np.abs(s.x - r)) < 1e-14
 
 
 def test_single_active_constraint_projection():
-    p = QpProblem(np.ones(6), np.zeros(6), *UNBOUNDED, G=np.eye(6)[:1], h=[1.0])
-    s = solve(p)
+    s = solve(QpProblem(np.ones(6), *UNBOUNDED), np.zeros(6), G=np.eye(6)[:1], h=[1.0])
     assert s.status == STATUS_OPTIMAL
     assert np.allclose(s.x, [1, 0, 0, 0, 0, 0], atol=1e-14)
 
@@ -56,24 +57,24 @@ def test_single_active_constraint_projection():
 def test_matches_enumeration_oracle():
     rng = np.random.default_rng(51)
     for _ in range(150):
-        p = _random_feasible_problem(rng)
-        s = solve(p)
+        p, call = _random_feasible_problem(rng)
+        s = solve(p, **call)
         assert s.status == STATUS_OPTIMAL, f"unexpected status {s.status}"
-        ref = qp_enumeration_oracle(p)
+        ref = qp_enumeration_oracle(p, **call)
         assert ref is not None
-        assert qp_objective(p, s.x) - ref[0] <= 1e-7
+        assert qp_objective(p, call["x_ref"], s.x) - ref[0] <= 1e-7
         assert s.kkt_residual <= 1e-8
 
 
 def test_kkt_certificate_on_optimal():
     rng = np.random.default_rng(52)
     for _ in range(100):
-        p = _random_feasible_problem(rng)
-        s = solve(p)
+        p, call = _random_feasible_problem(rng)
+        s = solve(p, **call)
         assert s.status == STATUS_OPTIMAL
         assert s.kkt_residual <= 1e-8
         assert s.eq_residual <= 1e-9
-        assert np.all(p.G @ s.x - p.h >= -1e-9)
+        assert np.all(call["G"] @ s.x - call["h"] >= -1e-9)
         assert np.all(s.x >= p.lower - 1e-9) and np.all(s.x <= p.upper + 1e-9)
         assert np.all(s.multipliers >= -1e-8)
 
@@ -81,15 +82,14 @@ def test_kkt_certificate_on_optimal():
 def test_monotone_restriction():
     rng = np.random.default_rng(53)
     for _ in range(50):
-        p = _random_feasible_problem(rng, with_bounds=False)
-        s0 = solve(p)
-        g, c = rng.normal(size=p.x_ref.shape[0]), float(rng.normal())
-        p2 = QpProblem(p.weights, p.x_ref, p.lower, p.upper, A=p.A, b=p.b,
-                       G=np.vstack([p.G, g]), h=np.append(p.h, c))
-        s2 = solve(p2)
+        p, call = _random_feasible_problem(rng, with_bounds=False)
+        s0 = solve(p, **call)
+        g, c = rng.normal(size=p.weights.shape[0]), float(rng.normal())
+        s2 = solve(p, **{**call, "G": np.vstack([call["G"], g]), "h": np.append(call["h"], c)})
         if s2.status != STATUS_OPTIMAL:
             continue  # the extra row may make it infeasible
-        assert qp_objective(p, s2.x) >= qp_objective(p, s0.x) - 1e-9
+        x_ref = call["x_ref"]
+        assert qp_objective(p, x_ref, s2.x) >= qp_objective(p, x_ref, s0.x) - 1e-9
 
 
 def test_scaling_invariance():
@@ -102,9 +102,8 @@ def test_scaling_invariance():
         G = rng.normal(size=(m, n))
         x0 = rng.uniform(-1, 1, n)
         h = G @ x0 - 0.2
-        p1 = QpProblem(w, x_ref, *UNBOUNDED, G=G, h=h)
-        p2 = QpProblem(7.5 * w, x_ref, *UNBOUNDED, G=G, h=h)
-        s1, s2 = solve(p1), solve(p2)
+        s1 = solve(QpProblem(w, *UNBOUNDED), x_ref, G=G, h=h)
+        s2 = solve(QpProblem(7.5 * w, *UNBOUNDED), x_ref, G=G, h=h)
         assert s1.status == STATUS_OPTIMAL and s2.status == STATUS_OPTIMAL
         assert np.max(np.abs(s1.x - s2.x)) < 1e-9
 
@@ -112,15 +111,13 @@ def test_scaling_invariance():
 def test_infeasible_equality_vs_box():
     A = np.zeros((1, 6))
     A[0, 0] = 1.0
-    p = QpProblem(np.ones(6), np.zeros(6), -np.ones(6), np.ones(6), A=A, b=[5.0])
-    s = solve(p)
+    s = solve(QpProblem(np.ones(6), -np.ones(6), np.ones(6)), np.zeros(6), A=A, b=[5.0])
     assert s.status == STATUS_INFEASIBLE
 
 
 def test_rank_deficient_equalities_are_projected():
     A = np.vstack([np.eye(6)[0], np.eye(6)[0]])  # duplicated row
-    p = QpProblem(np.ones(6), np.zeros(6), *UNBOUNDED, A=A, b=[0.5, 0.7])  # rank 1, inconsistent rhs
-    s = solve(p)
+    s = solve(QpProblem(np.ones(6), *UNBOUNDED), np.zeros(6), A=A, b=[0.5, 0.7])  # rank 1, inconsistent rhs
     assert s.eq_projected
     assert s.status == STATUS_OPTIMAL
     # least-squares consistent projection: x0 lands on the average target
@@ -130,29 +127,31 @@ def test_rank_deficient_equalities_are_projected():
 
 def test_determinism():
     rng = np.random.default_rng(55)
-    p = _random_feasible_problem(rng)
-    s1 = solve(p)
-    s2 = solve(p)
+    p, call = _random_feasible_problem(rng)
+    s1 = solve(p, **call)
+    s2 = solve(p, **call)
     assert s1.x.tobytes() == s2.x.tobytes()
     assert s1.active_set == s2.active_set
 
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        QpProblem(-np.ones(6), np.zeros(6), np.zeros(6), np.ones(6))
+        QpProblem(-np.ones(6), np.zeros(6), np.ones(6))
     with pytest.raises(ValueError):
-        QpProblem(np.ones(5), np.zeros(6), np.zeros(6), np.ones(6))  # weights of another dimension
+        QpProblem(np.ones(5), np.zeros(6), np.ones(6))  # weights of another dimension
     with pytest.raises(ValueError):
-        QpProblem(np.ones(6), np.zeros(6), np.ones(6), np.zeros(6))
-    with pytest.raises(ValueError):
-        QpProblem(np.ones(6), [0.0, 0.0, np.nan, 0.0, 0.0, 0.0], np.zeros(6), np.ones(6))
+        QpProblem(np.ones(6), np.ones(6), np.zeros(6))
+    box = QpProblem(np.ones(6), -np.ones(6), np.ones(6))
+    for x_ref in ([0.0, 0.0, np.nan, 0.0, 0.0, 0.0], np.zeros(5)):
+        with pytest.raises(ValueError):
+            solve(box, x_ref)
     nan_bound = [0.0, 0.0, np.nan, 0.0, 0.0, 0.0]
     for bounds in ((nan_bound, np.ones(6)), (-np.ones(6), nan_bound), (np.full(6, np.inf), np.ones(6))):
         with pytest.raises(ValueError):
-            QpProblem(np.ones(6), np.zeros(6), *bounds)
+            QpProblem(np.ones(6), *bounds)
     with pytest.raises(ValueError):
-        QpProblem([1.0, 1.0, np.inf, 1.0, 1.0, 1.0], np.zeros(6), -np.ones(6), np.ones(6))
-    QpProblem(np.ones(6), np.zeros(6), np.full(6, -np.inf), np.full(6, np.inf))  # an infinite bound disables a side
+        QpProblem([1.0, 1.0, np.inf, 1.0, 1.0, 1.0], -np.ones(6), np.ones(6))
+    QpProblem(np.ones(6), np.full(6, -np.inf), np.full(6, np.inf))  # an infinite bound disables a side
     nan_row = np.eye(6)[:1].copy()
     nan_row[0, 2] = np.nan
     rejected_rows = (
@@ -163,14 +162,14 @@ def test_problem_validation():
     )
     for rows in rejected_rows:
         with pytest.raises(ValueError):
-            QpProblem(np.ones(6), np.zeros(6), -np.ones(6), np.ones(6), **rows)
+            solve(box, np.zeros(6), **rows)
 
 
 def test_hessian_must_be_finite_and_positive_definite():
     """The Hessian is diag(2 w): finite and positive definite exactly when every weight is finite and > 0."""
 
     def problem(w):
-        return QpProblem(w, np.zeros(6), -np.ones(6), np.ones(6))
+        return QpProblem(w, -np.ones(6), np.ones(6))
 
     rng = np.random.default_rng(58)
     for _ in range(20):
@@ -192,7 +191,8 @@ def test_no_cycling_on_diagonal_weight_problems():
     """
     rng = np.random.default_rng(7)
     for _ in range(5000):
-        s = solve(_random_feasible_problem(rng))
+        p, call = _random_feasible_problem(rng)
+        s = solve(p, **call)
         assert s.status == STATUS_OPTIMAL
         assert s.kkt_residual <= 1e-8
 
@@ -201,38 +201,73 @@ def test_cycling_reproducer_matches_oracle():
     """A problem the jump-and-drop loop cycled on; it now reaches the enumerated optimum."""
     p = QpProblem(
         weights=[0.6714160865514534, 1.4802481757290906],
-        x_ref=[-0.17499444555045152, -1.947215636978957],
         lower=[-1.049959036768366, 0.3325748096099974],
         upper=[1.410173119390202, 2.6781138427227082],
-        G=[[0.9469925882176367, 0.21956617888458488],
-           [0.3333909489032885, 0.6418219935354756],
-           [-0.30837617659720395, -1.5298288931534236]],
-        h=[0.801571767262735, 0.659978982206232, -1.7480720698113408],
     )
-    s = solve(p)
+    call = {
+        "x_ref": [-0.17499444555045152, -1.947215636978957],
+        "G": [[0.9469925882176367, 0.21956617888458488],
+              [0.3333909489032885, 0.6418219935354756],
+              [-0.30837617659720395, -1.5298288931534236]],
+        "h": [0.801571767262735, 0.659978982206232, -1.7480720698113408],
+    }
+    s = solve(p, **call)
     assert s.status == STATUS_OPTIMAL
     assert s.kkt_residual <= 1e-8
-    ref = qp_enumeration_oracle(p)
+    ref = qp_enumeration_oracle(p, **call)
     assert np.max(np.abs(s.x - ref[1])) <= 1e-9
+
+
+def test_nearly_opposite_rows_reproducer_is_infeasible():
+    """A problem whose last row is the first one negated plus 1e-7 noise, infeasible within the box.
+
+    Projecting each violated row off the active ones through the normal
+    equations N N^T squared their condition number: nearly opposite rows
+    both entered the working set, it outgrew the dimension, and the solve
+    raised ``LinAlgError: Singular matrix``.
+    """
+    p = QpProblem(
+        weights=[0.1312615371357216, 0.1386456454462088, 0.045764819315154213,
+                 0.4617494626451793, 0.01790333236899272, 0.012680083726296535],
+        lower=np.full(6, -3.0),
+        upper=np.full(6, 3.0),
+    )
+    call = {
+        "x_ref": [-0.6693730427858617, 1.965688326153931, 0.9082247662346918,
+                  -0.2890774534500711, -1.2024615360943072, -1.51380342611564],
+        "G": [[0.3768451073305704, 1.0501313269503614, 1.0790155135012853,
+               -0.7839513663149491, -0.7932353410041735, 1.2673009187104822],
+              [-1.0923877024313569, 1.0902313512146344, -0.2268879272034576,
+               0.7664035884711488, 0.7061647137637838, 0.7766524810610778],
+              [-0.3768450252879007, -1.0501314258894594, -1.0790154837491746,
+               0.7839513677131902, 0.7932353718449764, -1.2673007953856428]],
+        "h": [0.08220261575574161, -0.7506903864132981, 0.503461051573072],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = solve(p, **call)
+    assert s.status == STATUS_INFEASIBLE
+    assert qp_enumeration_oracle(p, **call) is None
 
 
 def test_planner_problems_match_oracle(monkeypatch):
     """Every QP a c4 plan poses: six joints, the contact rows, one collision row and both joint limits."""
     posed = []
 
-    def recording_solve(problem):
-        posed.append((problem, solve(problem)))
-        return posed[-1][1]
+    def recording_solve(problem, x_ref, **rows):
+        posed.append((problem, {"x_ref": x_ref, **rows}, solve(problem, x_ref, **rows)))
+        return posed[-1][2]
 
     monkeypatch.setattr(planner, "solve", recording_solve)
     s = load_bundled("c4")
     scene, path = mounted_scene_and_path(s)
     plan(path, s.initial_config, s.chain, s.capsules, scene, s.params)
     assert posed
-    for p, sol in posed:
-        assert p.A.shape == (3, 6) and p.G.shape == (1, 6)
+    for p, call, sol in posed:
+        assert p is s.params.qp
+        assert call["A"].shape == (3, 6) and call["G"].shape == (1, 6)
         assert np.isfinite(p.lower).all() and np.isfinite(p.upper).all()
         assert sol.status == STATUS_OPTIMAL
         assert sol.iterations == 1 + len(sol.active_set)  # one pass per row added, none dropped
-        ref = qp_enumeration_oracle(p)
+        ref = qp_enumeration_oracle(p, **call)
         assert np.max(np.abs(sol.x - ref[1])) <= 1e-9
