@@ -3,7 +3,8 @@
 The obstacle is a workpiece tunnel built from convex bounded planes: one
 entrance face whose boundary polygon is the tunnel opening, optionally an
 exit face parallel to it, and the tunnel walls in between. The fringe
-segments are the rim edges where wall planes meet the entrance surface.
+segments are the rim, the opening polygon's edge ring: ``Scene`` derives them
+from the entrance boundary, so the opening is described once.
 
 A ``Scene`` holds its planes as stacked arrays, validated in one batched
 pass by its constructor. ``transform_scene`` maps the arrays by a rigid
@@ -127,23 +128,23 @@ def _opening_faces(normals: np.ndarray, entrance_plane_index: int) -> np.ndarray
     return np.abs(np.abs(normals @ normals[entrance_plane_index]) - 1.0) <= _PARALLEL_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
-    """Obstacle world: bounded planes as stacked arrays, fringe segments, entrance face.
+    """Obstacle world: bounded planes as stacked arrays and the index of the entrance face.
 
     Plane i is {p : normals[i] . p = offsets[i]} restricted to the convex
     polygon ``vertices[i, :vertex_counts[i]]``, counter-clockwise about
     ``normals[i]``; rows past ``vertex_counts[i]`` are zero. Derived
     orientation data (which planes are walls, inward wall normals, outward
     opening normals, the inward normals of the opening's edges) is computed
-    once here so the distance queries stay branch-free.
+    once here so the distance queries stay branch-free. So is the rim,
+    ``fringe_segments`` (m, 2, 3): the entrance polygon's edges, reversed.
     """
 
     normals: np.ndarray  # (P, 3)
     offsets: np.ndarray  # (P,)
     vertices: np.ndarray  # (P, K, 3), zero-padded
     vertex_counts: np.ndarray  # (P,), 3 <= count <= K
-    fringe_segments: np.ndarray  # (m, 2, 3)
     entrance_plane_index: int
 
     def __post_init__(self) -> None:
@@ -167,27 +168,11 @@ class Scene:
             raise ValueError("; ".join(f"planes[{i}]: {reason}" for i, reason in failures))
         if _opening_faces(normals, self.entrance_plane_index).all():
             raise ValueError("scene needs at least one wall plane, a plane not parallel to the entrance")
-        fringe = np.array(self.fringe_segments, dtype=float)
-        if fringe.ndim != 3 or fringe.shape[0] == 0 or fringe.shape[1:] != (2, 3):
-            raise ValueError("fringe_segments must have shape (m, 2, 3) with m >= 1")
-
-        # on_plane[s, p]: fringe segment s lies on plane p at both ends
-        off_plane = np.abs(fringe @ normals.T - offsets).max(axis=1)
-        on_plane = off_plane <= 1e-9
-        errors = []
-        for si in np.nonzero(~on_plane[:, self.entrance_plane_index] | (on_plane.sum(axis=1) < 2))[0].tolist():
-            gap = off_plane[si, self.entrance_plane_index]
-            if not gap <= 1e-9:
-                errors.append(f"fringe segment {si} off the entrance surface by {gap:.3e}")
-            if np.count_nonzero(on_plane[si]) < 2:
-                errors.append(f"fringe segment {si} does not lie on the intersection of two scene planes")
-        if errors:
-            raise ValueError("; ".join(errors))
-        self._store(normals, offsets, vertices, counts, fringe, self.entrance_plane_index)
+        self._store(normals, offsets, vertices, counts, self.entrance_plane_index)
 
     def _store(self, *values) -> None:
-        """Set the fields, given in declaration order from valid geometry, and derive the orientation arrays."""
-        normals, offsets, vertices, vertex_counts, _fringe, entrance_plane_index = values
+        """Set the fields, given in declaration order from valid geometry, and derive the orientation arrays and rim."""
+        normals, offsets, vertices, vertex_counts, entrance_plane_index = values
         opening = _opening_faces(normals, entrance_plane_index)
         wall_idx, opening_idx = np.nonzero(~opening)[0], np.nonzero(opening)[0]
         centers = vertices.sum(axis=1) / vertex_counts[:, None]
@@ -202,6 +187,7 @@ class Scene:
         # Inward normals of the opening's edges: a point p on the entrance plane
         # is inside the opening when edge_normals[i] . (p - vertices[i]) >= 0.
         edge_normals = cross(normals[entrance_plane_index], _next_rows(entrance_vertices) - entrance_vertices)
+        rim = entrance_vertices[::-1]  # a prism section's order, which decides fringe distance ties
         derived = {
             "_wall_indices": tuple(wall_idx.tolist()),
             "_wall_normals": oriented_normals[wall_idx],
@@ -213,6 +199,7 @@ class Scene:
             "_entrance_offset": float(oriented_offsets[entrance_plane_index]),
             "_entrance_edge_normals": edge_normals,
             "_entrance_vertices": entrance_vertices,
+            "fringe_segments": np.stack([rim, _next_rows(rim)], axis=1),
         }
         for name, value in [*zip([f.name for f in fields(self)], values), *derived.items()]:
             if isinstance(value, np.ndarray):
@@ -596,7 +583,7 @@ def witness_gradient(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene, w
 
 
 def transform_scene(scene: Scene, T: np.ndarray) -> Scene:
-    """Rigidly transform every plane, boundary vertex and fringe segment; only ``T`` is checked."""
+    """Rigidly transform every plane and boundary vertex, and re-derive the rest; only ``T`` is checked."""
     T = np.asarray(T, dtype=float)
     if not is_rigid(T):
         raise ValueError("scene transform must be a proper rigid transform")
@@ -606,9 +593,8 @@ def transform_scene(scene: Scene, T: np.ndarray) -> Scene:
     offsets = scene.offsets + (normals[:, None, :] @ t[:, None])[:, 0, 0]
     real = np.arange(scene.vertices.shape[1]) < scene.vertex_counts[:, None]
     vertices = np.where(real[..., None], apply_transform(T, scene.vertices), 0.0)
-    fringe = apply_transform(T, scene.fringe_segments.reshape(-1, 3)).reshape(-1, 2, 3)
     moved = object.__new__(Scene)
-    moved._store(normals, offsets, vertices, scene.vertex_counts, fringe, scene.entrance_plane_index)
+    moved._store(normals, offsets, vertices, scene.vertex_counts, scene.entrance_plane_index)
     return moved
 
 
@@ -618,7 +604,7 @@ def build_prism_tunnel(section: np.ndarray, depth: float) -> Scene:
     ``section`` is a convex (k, 2) polygon in the (y, z) plane, ordered
     counter-clockwise when viewed from +x. The entrance face sits at x = 0
     with the tunnel running to x = depth; plane 0 is the entrance, plane 1
-    the exit, planes 2..k+1 the walls. Fringe segments are the entrance rim.
+    the exit, planes 2..k+1 the walls. Fringe segment i joins section vertices i and i + 1.
     """
     sec = np.asarray(section, dtype=float)
     if sec.ndim != 2 or sec.shape[0] < 3 or sec.shape[1] != 2:
@@ -647,7 +633,6 @@ def build_prism_tunnel(section: np.ndarray, depth: float) -> Scene:
         offsets=np.concatenate([[0.0, depth], (wall_normals[:, None, :] @ rim[:, :, None])[:, 0, 0]]),
         vertices=vertices,
         vertex_counts=np.array([k, k] + [4] * k),
-        fringe_segments=np.stack([rim, next_rim], axis=1),
         entrance_plane_index=0,
     )
 

@@ -49,7 +49,7 @@ STATUS_NON_CONVERGED = "NON_CONVERGED"
 _BISECT_DEPTH = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlannerParams:
     """Weights, thresholds and limits; ``q_diag`` and the joint limits are the frozen arrays of ``qp``."""
 
@@ -59,7 +59,7 @@ class PlannerParams:
     xi: float = 1e-4
     max_inner: int = 50
     step_max: float = 0.05
-    qp: QpProblem = field(init=False, repr=False, compare=False)
+    qp: QpProblem = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         qp = QpProblem(self.q_diag, self.joint_lower, self.joint_upper)

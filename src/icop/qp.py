@@ -46,7 +46,7 @@ _TOL_KKT = 1e-8
 _MAX_ITER = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QpProblem:
     """The weights and the bounds (+-inf disables a side) shared by a family of QPs.
 
@@ -57,8 +57,8 @@ class QpProblem:
     weights: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    scale: np.ndarray = field(init=False, repr=False, compare=False)
-    box: np.ndarray = field(init=False, repr=False, compare=False)
+    scale: np.ndarray = field(init=False, repr=False)
+    box: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         weights = np.array(self.weights, dtype=float).reshape(-1)

@@ -26,7 +26,7 @@ from .geometry import Capsule, CapsuleSet, Scene
 from .kinematics import NUM_JOINTS, JointParams, RobotChain, forward_kinematics
 from .transforms import homogeneous, rot_y
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ScenarioError(ValueError):
@@ -262,7 +262,6 @@ def _parse_scene(reader: _FieldReader, data) -> Scene | None:
         normals.append(normal)
         offsets.append(offset)
         boundaries.append(verts)
-    fringe = reader.array(node, "scene.fringe_segments", (-1, 2, 3))
     entrance = reader.integer(node, "scene.entrance_plane_index")
     counts = np.array([len(v) for v in boundaries], dtype=int)
     vertices = np.zeros((len(boundaries), max(counts, default=3), 3))
@@ -282,7 +281,6 @@ def _parse_scene(reader: _FieldReader, data) -> Scene | None:
         offsets=offsets,
         vertices=vertices,
         vertex_counts=counts,
-        fringe_segments=fringe,
         entrance_plane_index=entrance,
     )
 
@@ -422,7 +420,6 @@ def scenario_to_dict(s: Scenario) -> dict:
                     s.scene.normals, s.scene.offsets.tolist(), s.scene.vertices, s.scene.vertex_counts
                 )
             ],
-            "fringe_segments": _listify(s.scene.fringe_segments),
         },
         "weld_path": _listify(s.weld_path),
         "mounting": {"l": s.mounting_l, "alpha": s.mounting_alpha},

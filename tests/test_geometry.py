@@ -12,6 +12,7 @@ from icop.geometry import (
     Scene,
     _score_axes,
     _tunnel_clearance,
+    build_prism_tunnel,
     capsule_distance,
     classify_segment,
     point_in_polygon,
@@ -284,7 +285,6 @@ def _one_plane_scene(normal, vertices):
         offsets=[0.0],
         vertices=[vertices],
         vertex_counts=[len(vertices)],
-        fringe_segments=np.zeros((0, 2, 3)),
         entrance_plane_index=0,
     )
 
@@ -309,12 +309,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             Capsule(link_index=1, endpoint_a=[0, 0, 0], endpoint_b=[0, 0, 0], radius=0.1)
 
-    def test_scene_rejects_empty_fringe(self, square_tunnel):
-        with pytest.raises(ValueError, match=r"fringe_segments must have shape \(m, 2, 3\) with m >= 1"):
-            Scene(**_plane_arrays(square_tunnel), fringe_segments=np.zeros((0, 2, 3)), entrance_plane_index=0)
-
     def test_scene_rejects_no_wall_plane(self, square_tunnel):
-        # the entrance and the same plane facing the other way, both opening faces; one rim edge lies on both
+        # the entrance and the same plane facing the other way, both opening faces
         entrance = square_tunnel.vertices[0, : square_tunnel.vertex_counts[0]]
         with pytest.raises(ValueError, match="scene needs at least one wall plane"):
             Scene(
@@ -322,18 +318,7 @@ class TestValidation:
                 offsets=[square_tunnel.offsets[0], -square_tunnel.offsets[0]],
                 vertices=[entrance, entrance[::-1]],
                 vertex_counts=[len(entrance)] * 2,
-                fringe_segments=square_tunnel.fringe_segments[:1],
                 entrance_plane_index=0,
-            )
-
-    def test_scene_rejects_fringe_off_entrance(self, square_tunnel):
-        bad_fringe = square_tunnel.fringe_segments.copy()
-        bad_fringe[0, 0, 0] += 0.01
-        with pytest.raises(ValueError):
-            Scene(
-                **_plane_arrays(square_tunnel),
-                fringe_segments=bad_fringe,
-                entrance_plane_index=square_tunnel.entrance_plane_index,
             )
 
     def test_world_capsule_segments_shape(self, c4):
@@ -357,16 +342,13 @@ _DERIVED = (
     "_entrance_offset",
     "_entrance_edge_normals",
     "_entrance_vertices",
+    "fringe_segments",
 )
 
 
 def _rebuilt(scene):
     """The same scene through the validating constructor."""
-    return Scene(
-        **_plane_arrays(scene),
-        fringe_segments=scene.fringe_segments,
-        entrance_plane_index=scene.entrance_plane_index,
-    )
+    return Scene(**_plane_arrays(scene), entrance_plane_index=scene.entrance_plane_index)
 
 
 class TestTransformScene:
@@ -489,13 +471,12 @@ class TestBatchedKernel:
         _clearances, _witness, alone = self._check(axes, [0.05] * 3, square_tunnel)
         assert all(w.case_tag == CASE_FRINGE for w in alone)
 
-    def test_zero_length_fringe_segment(self, square_tunnel):
-        corner = square_tunnel.fringe_segments[0, 0]
-        scene = Scene(
-            **_plane_arrays(square_tunnel),
-            fringe_segments=np.concatenate([[[corner, corner]], square_tunnel.fringe_segments]),
-            entrance_plane_index=square_tunnel.entrance_plane_index,
-        )
+    def test_zero_length_fringe_segment(self):
+        # the unit square with its (0.5, 0.5) corner doubled 1e-9 away: rim edge 0 is point-like
+        section = [[0.5, 0.5], [0.5 - 1e-9, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]
+        scene = build_prism_tunnel(np.array(section), depth=2.0)
+        corner, end = scene.fringe_segments[0]
+        assert np.sum((end - corner) ** 2) <= geometry._SEGMENT_EPS
         axes = [
             (corner + [-0.5, 0.2, 0.3], corner + [-0.2, 0.4, 0.1]),
             (corner + [-0.3, -0.1, 0.0], corner + [-0.3, 0.1, 0.0]),

@@ -247,6 +247,20 @@ def test_params_validation():
         PlannerParams(q_diag=np.ones(6), joint_lower=-np.ones(6), joint_upper=[1.0, np.nan, 1.0, 1.0, 1.0, 1.0])
 
 
+def test_params_problem_and_scene_compare_and_hash_by_identity(world):
+    # Their array fields have no single truth value, so they are compared by identity.
+    c4, scene, _ = world
+    for value, copy in (
+        (c4.params, dataclasses.replace(c4.params)),
+        (c4.params.qp, dataclasses.replace(c4.params.qp)),
+        (scene, dataclasses.replace(scene)),
+    ):
+        assert value == value
+        assert (value == copy) is False
+        assert value != copy
+        assert len({value, copy, value}) == 2
+
+
 def test_plan_rejects_invalid_inputs(world):
     c4, scene, path = world
     with pytest.raises(ValueError):

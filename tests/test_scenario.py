@@ -10,6 +10,7 @@ from icop.planner import Trajectory
 from icop.scenario import (
     MetricsReport,
     ScenarioError,
+    bundled_scenario_path,
     compute_metrics,
     export_trajectory,
     load_bundled,
@@ -88,6 +89,12 @@ class TestLoading:
             assert j1 == j2
         np.testing.assert_array_equal(again.chain.tool_offset, c4.chain.tool_offset)
 
+    @pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4"])
+    def test_bundled_asset_is_its_own_serialization(self, name, tmp_path):
+        out = tmp_path / f"{name}.scenario"
+        serialize_scenario(load_bundled(name), out)
+        assert out.read_bytes() == bundled_scenario_path(name).read_bytes()
+
     def test_weld_point_outside_tunnel_warns(self, c4):
         data = scenario_to_dict(c4)
         data["weld_path"][0] = [5.0, 5.0, 5.0]
@@ -163,6 +170,7 @@ _DELETE = object()
         ("name", ("name",), "../escaped"),
         ("name", ("name",), "c4\\x"),
         ("name", ("name",), "c4\0"),
+        ("format_version", ("format_version",), 1),
     ],
 )
 def test_each_field_is_checked_not_dropped_or_coerced(c4, field, keys, value):
