@@ -62,7 +62,7 @@ _SEGMENT_EPS = 1e-14
 _OPENING_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Capsule:
     """A swept sphere wrapping one link: segment endpoints in link frame + radius."""
 
@@ -216,7 +216,7 @@ class Scene:
         return self._entrance_offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceWitness:
     """Where the minimum distance is attained and how it was measured.
 
@@ -487,7 +487,7 @@ def scene_distance(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene) -> 
     return world_state(q, chain, capsules, scene).witness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorldState:
     """One configuration placed in the scene, evaluated once for every consumer.
 

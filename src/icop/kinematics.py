@@ -44,7 +44,7 @@ class JointParams:
                 raise ValueError(f"joint angle parameter {name!r}={value} outside (-pi, pi]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RobotChain:
     """Immutable kinematic description of a 6-joint revolute arm plus tool tip offset."""
 
@@ -61,7 +61,7 @@ class RobotChain:
         object.__setattr__(self, "tool_offset", tool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BodyPoint:
     """A point rigidly attached to one frame of the chain."""
 

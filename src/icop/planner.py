@@ -1,16 +1,18 @@
 """Incremental waypoint planner: outer loop over the Cartesian path, inner
 tracking loop per waypoint.
 
-Each waypoint is reached by the SafeTrack loop: while the tool-point residual
-exceeds the equality threshold or the configuration is in collision, build
-the collision half-space at the current reference, linearize the contact
+Each waypoint is reached by the SafeTrack loop: until the tool-point residual
+is within the equality threshold and the clearance is positive, build the
+collision half-space at the current reference, linearize the contact
 equality there, solve the QP that stays closest (in the weighted norm) to the
-current reference, and move the reference to its solution. The QP objective
-is anchored at the current reference rather than the previous waypoint;
-anchoring at the previous waypoint can pin the iterate against the
-constraint set and stall the loop. The weights and the joint box are the same
-for every QP, so ``PlannerParams`` checks them once into its ``QpProblem``;
-an iterate hands ``qp.solve`` only its reference and its rows.
+current reference, and move the reference to its solution. SafeTrack returns
+the iterate it stopped on, converged or not; ``plan`` keeps only a converged
+one and reads a failed one only for the numbers of ``NonConvergedError``.
+The QP objective is anchored at the current reference rather than the
+previous waypoint; anchoring at the previous waypoint can pin the iterate
+against the constraint set and stall the loop. The weights and the joint box
+are the same for every QP, so ``PlannerParams`` checks them once into its
+``QpProblem``; an iterate hands ``qp.solve`` only its reference and its rows.
 
 Each configuration is evaluated once per plan (``geometry.world_state``):
 ``plan`` evaluates the initial configuration, SafeTrack evaluates each QP
@@ -41,9 +43,6 @@ from .equality import task_rows
 from .geometry import CapsuleSet, Scene, WorldState, world_state
 from .kinematics import NUM_JOINTS, RobotChain, joint_config
 from .qp import STATUS_OPTIMAL, QpProblem, solve
-
-STATUS_CONVERGED = "CONVERGED"
-STATUS_NON_CONVERGED = "NON_CONVERGED"
 
 # How many times a step whose inner loop fails to converge is halved before the planner gives up.
 _BISECT_DEPTH = 3
@@ -77,27 +76,15 @@ class PlannerParams:
 
 @dataclass(frozen=True)
 class SafeTrackResult:
-    """The iterate SafeTrack returns, with the evaluation it was judged on."""
+    """The iterate SafeTrack stopped on, with the evaluation it was judged on."""
 
     state: WorldState
-    status: str
+    converged: bool
     inner_iterations: int
     tcp_error: float
 
-    @property
-    def q(self) -> np.ndarray:
-        return self.state.q
 
-    @property
-    def min_distance(self) -> float:
-        return self.state.witness.value
-
-    @property
-    def converged(self) -> bool:
-        return self.status == STATUS_CONVERGED
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Planned joint states with per-step diagnostics."""
 
@@ -135,41 +122,30 @@ def safetrack(
     chain: RobotChain,
     params: PlannerParams,
 ) -> SafeTrackResult:
-    """Track one Cartesian target from start; returns the best iterate found.
+    """Track one Cartesian target from start; returns the iterate it stopped on.
 
     start is the state the previous step accepted, and it is not evaluated
-    again. Convergence means the tool-point residual is at or below xi and
-    the scene distance is non-negative. Zero QP solves happen when start
-    already satisfies both; each QP iterate accepted is evaluated once,
-    against start's capsules and scene.
+    again. The loop stops when the iterate converges (the tool-point
+    residual is at or below xi and the scene distance is positive), when a
+    QP is not optimal or returns its own reference, or after max_inner QP
+    solves. Zero QP solves happen when start already converges; each QP
+    iterate accepted is evaluated once, against start's capsules and scene.
     """
     c_next = np.asarray(c_next, dtype=float)
-    state = start
-    residual = float(np.linalg.norm(c_next - state.tool_position))
-    best = (state, residual)
-
-    iterations = 0
-    while (residual > params.xi or state.witness.value < 0.0) and iterations < params.max_inner:
+    state, iterations = start, 0
+    while True:
+        residual = float(np.linalg.norm(c_next - state.tool_position))
+        converged = residual <= params.xi and state.witness.value > 0.0
+        if converged or iterations >= params.max_inner:
+            break
         G, h = collision_rows(state)
         A, b = task_rows(state.tool_jacobian(), state.q, state.tool_position, c_next)
         sol = solve(params.qp, state.q, A=A, b=b, G=G, h=h)
         iterations += 1
-        if sol.status != STATUS_OPTIMAL:
-            break
-        if float(np.max(np.abs(sol.x - state.q))) < 1e-15:
-            break  # stalled: QP returned the reference itself
+        if sol.status != STATUS_OPTIMAL or float(np.max(np.abs(sol.x - state.q))) < 1e-15:
+            break  # no solution, or stalled: the QP returned the reference itself
         state = world_state(sol.x, chain, start.capsules, start.scene)
-        residual = float(np.linalg.norm(c_next - state.tool_position))
-        distance, best_distance = state.witness.value, best[0].witness.value
-        better_feasible = distance >= 0.0 and (best_distance < 0.0 or residual < best[1])
-        rescued = distance > best_distance and best_distance < 0.0
-        if better_feasible or rescued:
-            best = (state, residual)
-
-    if residual <= params.xi and state.witness.value >= 0.0:
-        return SafeTrackResult(state, STATUS_CONVERGED, iterations, residual)
-    best_state, res_best = best
-    return SafeTrackResult(best_state, STATUS_NON_CONVERGED, iterations, res_best)
+    return SafeTrackResult(state, converged, iterations, residual)
 
 
 def plan(
@@ -223,7 +199,7 @@ def plan(
                 elif depth < _BISECT_DEPTH:
                     stack += [(target, depth + 1), (0.5 * (state.tool_position + target), depth + 1)]
                 else:
-                    raise NonConvergedError(t, result.tcp_error, result.min_distance)
+                    raise NonConvergedError(t, result.tcp_error, result.state.witness.value)
         states[t] = state.q
         tcp_error[t] = float(np.linalg.norm(path[t] - state.tool_position))
         min_distance[t] = state.witness.value

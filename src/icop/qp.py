@@ -81,7 +81,7 @@ class QpProblem:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QpSolution:
     x: np.ndarray
     status: str

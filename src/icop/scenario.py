@@ -39,7 +39,7 @@ class ScenarioError(ValueError):
         super().__init__(f"invalid scenario {self.path}:\n  {detail}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Everything one planning run consumes, before mounting is applied."""
 
@@ -102,10 +102,13 @@ class _FieldReader:
     unless a default is given; a parent that failed to read (None) yields None
     with no second failure. A bool is never a number or an integer, every
     number must be finite, and no string is converted to anything else.
+    Every key looked up is recorded against the mapping that holds it, so
+    ``unread`` can name the keys that no accessor asked for.
     """
 
     def __init__(self):
         self.failures: list[str] = []
+        self._keys_read: dict[int, tuple[dict, str, set]] = {}  # id -> (mapping, its path, keys looked up)
 
     def fail(self, field: str, message: str) -> None:
         self.failures.append(f"{field}: {message}")
@@ -113,7 +116,8 @@ class _FieldReader:
     def _get(self, node, field: str, default):
         if node is None:
             return _MISSING
-        key = field.rpartition(".")[2]
+        parent, _, key = field.rpartition(".")
+        self._keys_read.setdefault(id(node), (node, parent, set()))[2].add(key)
         if key not in node:
             if default is _MISSING:
                 self.fail(field, "missing")
@@ -181,6 +185,10 @@ class _FieldReader:
             self.fail(field, f"expected finite numbers, got {arr[tuple(bad)]} at {bad.tolist()}")
             return None
         return arr
+
+    def unread(self) -> list[tuple[str, object]]:
+        """(path of the mapping, key) for each key of a mapping read from that was never looked up."""
+        return [(path, key) for node, path, read in self._keys_read.values() for key in node if key not in read]
 
     def build(self, field: str, make, **kwargs):
         """``make(**kwargs)``; None when an argument failed to read or ``make`` rejects them."""
@@ -285,14 +293,8 @@ def _parse_scene(reader: _FieldReader, data) -> Scene | None:
     )
 
 
-_PARAMS_KEYS = ("q_diag", "xi", "max_inner", "step_max", "joint_lower", "joint_upper")
-
-
 def _parse_params(reader: _FieldReader, data) -> planner.PlannerParams | None:
     node = reader.mapping(data, "params")
-    for key in node or ():
-        if key not in _PARAMS_KEYS:
-            warn(f"ignoring unknown params key {key!r}")
     return reader.build(
         "params",
         planner.PlannerParams,
@@ -344,6 +346,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     params = _parse_params(reader, data)
     initial = reader.array(data, "initial_config", (NUM_JOINTS,))
 
+    for parent, key in reader.unread():
+        warn(f"ignoring unknown key {key!r} in {parent or 'the top level'}")
     if reader.failures:
         raise ScenarioError(source, reader.failures)
     if np.any(initial < params.joint_lower) or np.any(initial > params.joint_upper):

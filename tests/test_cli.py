@@ -1,11 +1,15 @@
+import json
 import subprocess
 import sys
 
 import pytest
 import yaml
 
-from icop.cli import EXIT_OK, EXIT_PARSE, main
-from icop.scenario import bundled_scenario_path, load_scenario, scenario_to_dict
+from icop import planner
+from icop.cli import EXIT_NON_CONVERGED, EXIT_OK, EXIT_PARSE, main
+from icop.geometry import world_state
+from icop.qp import STATUS_INFEASIBLE, QpSolution
+from icop.scenario import bundled_scenario_path, load_bundled, load_scenario, mounted_scene_and_path, scenario_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +24,23 @@ def test_plan_writes_outputs_and_exits_zero(c1_path, tmp_path, capsys):
     assert (tmp_path / "c1_metrics.txt").exists()
     out = capsys.readouterr().out
     assert "mean_tcp_error" in out
+
+
+def test_non_convergence_exits_three_with_one_json_line(c1_path, tmp_path, capsys, monkeypatch):
+    # every QP is infeasible, so the state never leaves c1's initial configuration
+    def infeasible(problem, x_ref, **rows):
+        return QpSolution(x_ref, STATUS_INFEASIBLE, kkt_residual=0.0, eq_residual=0.0)
+
+    monkeypatch.setattr(planner, "solve", infeasible)
+    code = main(["--scenario", c1_path, "--out", str(tmp_path)])
+    assert code == EXIT_NON_CONVERGED
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["status"] == "non_converged" and report["waypoint"] == 0
+    c1 = load_bundled("c1")
+    scene, _ = mounted_scene_and_path(c1)
+    assert report["min_distance"] == world_state(c1.initial_config, c1.chain, c1.capsules, scene).witness.value
 
 
 def test_missing_file_exits_parse_code_without_outputs(tmp_path):

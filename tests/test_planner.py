@@ -7,7 +7,6 @@ from icop import planner
 from icop.geometry import scene_distance, world_state
 from icop.kinematics import BodyPoint, body_point_position, tool_tip
 from icop.planner import (
-    STATUS_NON_CONVERGED,
     NonConvergedError,
     PlannerParams,
     SafeTrackResult,
@@ -32,7 +31,7 @@ def test_already_satisfied_target_needs_zero_qp_solves(world):
     res = safetrack(world_state(q, c4.chain, c4.capsules, scene), target, c4.chain, c4.params)
     assert res.converged
     assert res.inner_iterations == 0
-    assert np.array_equal(res.q, q)
+    assert np.array_equal(res.state.q, q)
 
 
 def test_small_free_space_step_converges_fast(world):
@@ -46,7 +45,7 @@ def test_small_free_space_step_converges_fast(world):
         assert res.converged
         assert res.inner_iterations <= 3
         assert res.tcp_error <= c4.params.xi
-        assert res.min_distance >= 0.0
+        assert res.state.witness.value > 0.0
 
 
 def test_safetrack_result_satisfies_contract(world):
@@ -54,10 +53,11 @@ def test_safetrack_result_satisfies_contract(world):
     start = world_state(c4.initial_config, c4.chain, c4.capsules, scene)
     res = safetrack(start, path[0], c4.chain, c4.params)
     assert res.converged
-    tip = body_point_position(res.q, c4.chain, tool_tip(c4.chain))
+    q = res.state.q
+    tip = body_point_position(q, c4.chain, tool_tip(c4.chain))
     assert np.linalg.norm(tip - path[0]) <= c4.params.xi
-    assert scene_distance(res.q, c4.chain, c4.capsules, scene).value >= 0.0
-    assert np.all(res.q >= c4.params.joint_lower) and np.all(res.q <= c4.params.joint_upper)
+    assert scene_distance(q, c4.chain, c4.capsules, scene).value > 0.0
+    assert np.all(q >= c4.params.joint_lower) and np.all(q <= c4.params.joint_upper)
 
 
 def test_degenerate_single_waypoint_plan(world):
@@ -190,7 +190,7 @@ def test_non_optimal_qp_stops_safetrack_at_the_start(world, monkeypatch):
 
     start, res, calls = _safetrack_with_solve(world, monkeypatch, infeasible)
     assert len(calls) == 1 and res.inner_iterations == 1
-    assert res.status == STATUS_NON_CONVERGED and res.state is start
+    assert not res.converged and res.state is start
 
 
 def test_stalled_qp_stops_safetrack_at_the_start(world, monkeypatch):
@@ -199,7 +199,43 @@ def test_stalled_qp_stops_safetrack_at_the_start(world, monkeypatch):
 
     start, res, calls = _safetrack_with_solve(world, monkeypatch, stalled)
     assert len(calls) == 1 and res.inner_iterations == 1
-    assert res.status == STATUS_NON_CONVERGED and res.state is start
+    assert not res.converged and res.state is start
+
+
+def test_safetrack_returns_the_iterate_it_stopped_on(world, monkeypatch):
+    # the first QP approaches the target, the second steps away and stays
+    # clear, the third fails: SafeTrack stops on the second iterate, not the closer first
+    c4, scene, path = world
+    real_solve, calls = planner.solve, []
+
+    def approach_retreat_fail(problem, x_ref, **rows):
+        calls.append(x_ref)
+        if len(calls) == 1:
+            return real_solve(problem, x_ref, **rows)
+        if len(calls) == 2:
+            return QpSolution(x_ref + 0.01, STATUS_OPTIMAL, kkt_residual=0.0, eq_residual=0.0)
+        return QpSolution(x_ref, STATUS_INFEASIBLE, kkt_residual=0.0, eq_residual=0.0)
+
+    monkeypatch.setattr(planner, "solve", approach_retreat_fail)
+    start = world_state(c4.initial_config, c4.chain, c4.capsules, scene)
+    res = safetrack(start, path[0], c4.chain, c4.params)
+    assert len(calls) == 3 and res.inner_iterations == 3 and not res.converged
+    first = world_state(calls[1], c4.chain, c4.capsules, scene)
+    first_error = float(np.linalg.norm(path[0] - first.tool_position))
+    assert first_error < float(np.linalg.norm(path[0] - start.tool_position))
+    assert res.state.q.tobytes() == calls[2].tobytes()
+    assert res.state.witness.value > 0.0
+    assert res.tcp_error == float(np.linalg.norm(path[0] - res.state.tool_position)) > first_error
+
+
+def test_zero_clearance_is_not_converged(world):
+    # a state that touches the scene is not collision-free, even at its target;
+    # with zero residual and a zero-offset collision row the QP returns its reference
+    c4, scene, _ = world
+    start = world_state(c4.initial_config, c4.chain, c4.capsules, scene)
+    touching = dataclasses.replace(start, witness=dataclasses.replace(start.witness, value=0.0))
+    res = safetrack(touching, touching.tool_position, c4.chain, c4.params)
+    assert not res.converged and res.inner_iterations == 1 and res.state is touching
 
 
 def test_bisection_exhaustion_raises_at_the_failing_waypoint(world, monkeypatch):
@@ -254,6 +290,9 @@ def test_params_problem_and_scene_compare_and_hash_by_identity(world):
         (c4.params, dataclasses.replace(c4.params)),
         (c4.params.qp, dataclasses.replace(c4.params.qp)),
         (scene, dataclasses.replace(scene)),
+        (c4.chain, dataclasses.replace(c4.chain)),
+        (c4.capsules[0], dataclasses.replace(c4.capsules[0])),
+        (c4, dataclasses.replace(c4)),
     ):
         assert value == value
         assert (value == copy) is False
@@ -297,7 +336,7 @@ def test_safetrack_calls_per_waypoint_reach_the_bound(world, monkeypatch):
         calls.append(target)
         gap = float(np.linalg.norm(target - start.tool_position))
         if gap > 0.006:
-            return SafeTrackResult(start, STATUS_NON_CONVERGED, 0, gap)
+            return SafeTrackResult(start, False, 0, gap)
         return real_track(start, target, *args)
 
     monkeypatch.setattr(planner, "safetrack", short_steps_only)

@@ -113,6 +113,27 @@ class TestLoading:
             assert any(f"'{key}'" in m for m in messages), key
         assert s.params.step_max == c4.params.step_max
 
+    def test_unknown_key_in_any_mapping_warns_with_its_path(self, c4):
+        data = scenario_to_dict(c4)
+        data["scene"]["fringe_segments"] = [[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]]  # the rim, as version 1 stored it
+        data["scene"]["bogus"] = 1
+        data["mounting"]["lx"] = 0.5
+        data["capsules"][1]["colour"] = "red"
+        data["extra"] = True
+        with pytest.warns(UserWarning) as record:
+            s = parse_scenario(yaml.safe_dump(data))
+        messages = [str(w.message) for w in record]
+        for key, parent in (
+            ("fringe_segments", "scene"),
+            ("bogus", "scene"),
+            ("lx", "mounting"),
+            ("colour", "capsules[1]"),
+            ("extra", "the top level"),
+        ):
+            assert sum(f"'{key}'" in m and m.endswith(parent) for m in messages) == 1, key
+        assert len(messages) == 5
+        assert s.mounting_l == c4.mounting_l
+
     def test_off_unit_normal_renormalized_with_warning(self, c4):
         # {p : n . p = d} is the plane {p : 2n . p = 2d}: the file describes c4's own planes 0 and 1
         data = scenario_to_dict(c4)
