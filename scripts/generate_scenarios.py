@@ -20,9 +20,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from icop.geometry import Capsule, build_prism_tunnel, transform_scene
 from icop.kinematics import (
+    NUM_JOINTS,
     JointParams,
     RobotChain,
-    _dh_matrix,
+    _dh_matrices,
     body_point_jacobian,
     body_point_position,
     tool_tip,
@@ -60,8 +61,10 @@ def gp50_like_chain() -> RobotChain:
 
 
 def gp50_like_capsules(chain: RobotChain):
+    at_zero = _dh_matrices(np.zeros(NUM_JOINTS), chain)
+
     def prev_origin_local(i: int) -> np.ndarray:
-        A = _dh_matrix(chain.joints[i - 1], 0.0)
+        A = at_zero[i - 1]
         p = -A[:3, :3].T @ A[:3, 3]
         p[np.abs(p) < 1e-12] = 0.0
         return p

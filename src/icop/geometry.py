@@ -9,6 +9,7 @@ from the entrance boundary, so the opening is described once.
 A ``Scene`` holds its planes as stacked arrays, validated in one batched
 pass by its constructor. ``transform_scene`` maps the arrays by a rigid
 motion, which keeps every invariant, so it does not validate them again.
+All that the distance queries read is derived once, in ``Scene._store``.
 
 A capsule whose axis does not cross the entrance opening keeps its distance
 to the fringe segments (FRINGE case). A capsule whose axis crosses the
@@ -26,10 +27,12 @@ witnesses pinned to the entrance crossing.
 
 All capsules of a configuration are scored into one clearance array: one
 array pass finds the axes that cross the entrance opening and one (capsules x
-fringe segments) closest-point pass scores the FRINGE case. Only the worst
-capsule (the first on a tie) gets a witness. ``scene_distance``,
-``world_state`` and ``capsule_distance`` agree bit for bit; the scalar
-``segment_segment_distance`` and ``classify_segment`` are their reference.
+fringe segments) closest-point pass scores the FRINGE case. Both read
+component-major arrays (axis endpoints (3, 2, n), the rim table), so each x, y
+and z operand is a contiguous row. Only the worst capsule (the first on a tie)
+gets a witness. ``scene_distance``, ``world_state`` and ``capsule_distance``
+agree bit for bit; the scalar ``segment_segment_distance`` and
+``classify_segment`` are their reference.
 
 A planner iterate is evaluated once: ``world_state`` builds the frames, the
 world capsule axes, the tool position, the clearances and the witness from
@@ -39,6 +42,7 @@ one forward-kinematics pass, and every consumer reads that state.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -91,6 +95,17 @@ class Capsule:
 CapsuleSet = tuple[Capsule, ...]
 
 
+@lru_cache(maxsize=8)
+def _capsule_table(capsules: CapsuleSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Link indices (n,), local axis endpoints (n, 2, 3, 1) and radii (n,), built once per set (hashed by identity)."""
+    links = np.array([cap.link_index for cap in capsules])
+    ends = np.array([[cap.endpoint_a, cap.endpoint_b] for cap in capsules])[..., None]
+    radii = np.array([cap.radius for cap in capsules], dtype=float)
+    for array in (links, ends, radii):
+        array.flags.writeable = False  # every caller gets the same arrays
+    return links, ends, radii
+
+
 def _next_rows(rows: np.ndarray) -> np.ndarray:
     """Row i + 1 in place of row i, cyclically: ``np.roll(rows, -1, axis=0)`` at a fraction of its cost."""
     return np.concatenate([rows[1:], rows[:1]])
@@ -136,9 +151,10 @@ class Scene:
     polygon ``vertices[i, :vertex_counts[i]]``, counter-clockwise about
     ``normals[i]``; rows past ``vertex_counts[i]`` are zero. Derived
     orientation data (which planes are walls, inward wall normals, outward
-    opening normals, the inward normals of the opening's edges) is computed
-    once here so the distance queries stay branch-free. So is the rim,
-    ``fringe_segments`` (m, 2, 3): the entrance polygon's edges, reversed.
+    opening normals) is computed once here. So is the component-major rim
+    table ``_rim`` (10, m): rim segment starts, directions (x, y, z rows
+    each) and squared lengths, then the inward normal of the opening edge
+    through each start. ``_rim_ok`` masks the segments that are not points.
     """
 
     normals: np.ndarray  # (P, 3)
@@ -188,6 +204,8 @@ class Scene:
         # is inside the opening when edge_normals[i] . (p - vertices[i]) >= 0.
         edge_normals = cross(normals[entrance_plane_index], _next_rows(entrance_vertices) - entrance_vertices)
         rim = entrance_vertices[::-1]  # a prism section's order, which decides fringe distance ties
+        direction = (_next_rows(rim) - rim).T
+        length2 = _dot(direction, direction)
         derived = {
             "_wall_indices": tuple(wall_idx.tolist()),
             "_wall_normals": oriented_normals[wall_idx],
@@ -197,14 +215,19 @@ class Scene:
             "_opening_offsets": oriented_offsets[opening_idx],
             "_entrance_normal": oriented_normals[entrance_plane_index],
             "_entrance_offset": float(oriented_offsets[entrance_plane_index]),
-            "_entrance_edge_normals": edge_normals,
-            "_entrance_vertices": entrance_vertices,
-            "fringe_segments": np.stack([rim, _next_rows(rim)], axis=1),
+            "_rim": np.concatenate([rim.T, direction, length2[None], edge_normals[::-1].T]),
+            "_rim_ok": length2 > _SEGMENT_EPS,
         }
         for name, value in [*zip([f.name for f in fields(self)], values), *derived.items()]:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
+
+    @property
+    def fringe_segments(self) -> np.ndarray:
+        """The rim as (m, 2, 3) segments: rim segment i runs from rim vertex i to vertex i + 1."""
+        rim = self._rim[:3].T
+        return np.stack([rim, _next_rows(rim)], axis=1)
 
     @property
     def entrance_outward_normal(self) -> np.ndarray:
@@ -307,7 +330,8 @@ def classify_segment(a, b, scene: Scene) -> str:
         return CASE_FRINGE
     t = sa / (sa - sb)
     crossing = np.asarray(a, dtype=float) + t * (np.asarray(b, dtype=float) - np.asarray(a, dtype=float))
-    if point_in_polygon(crossing, scene._entrance_vertices, scene.normals[scene.entrance_plane_index], _OPENING_TOL):
+    e = scene.entrance_plane_index
+    if point_in_polygon(crossing, scene.vertices[e, : scene.vertex_counts[e]], scene.normals[e], _OPENING_TOL):
         return CASE_TUNNEL
     return CASE_FRINGE
 
@@ -388,70 +412,72 @@ def _tunnel_clearance(a, b, scene: Scene):
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot product over the last axis of (..., 3) arrays, summed in a fixed order.
+    """Dot product over the first axis of component-major (3, ...) arrays, summed in a fixed order.
 
     Every entry comes from the same three products and two sums whatever the
     batch shape, so one capsule scored alone and the same capsule scored in a
     batch give the same bits.
     """
-    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
-def _crosses_opening(axes: np.ndarray, scene: Scene) -> np.ndarray:
-    """Per axis (n, 2, 3): does it cross the entrance opening? The TUNNEL test of ``classify_segment``."""
-    a, b = axes[:, 0], axes[:, 1]
-    sa = _dot(a, scene._entrance_normal) - scene._entrance_offset
-    sb = _dot(b, scene._entrance_normal) - scene._entrance_offset
+def _unit_clip(x: np.ndarray) -> np.ndarray:
+    """``np.clip(x, 0, 1)`` at a fraction of its cost on small arrays; -0.0 comes out as 0.0."""
+    return np.minimum(np.maximum(x, 0.0), 1.0)
+
+
+def _crosses_opening(ends: np.ndarray, scene: Scene) -> np.ndarray:
+    """Per axis of ``ends`` (3, 2, n): does it cross the entrance opening? The TUNNEL test of ``classify_segment``."""
+    sa, sb = _dot(ends, scene._entrance_normal) - scene._entrance_offset
+    a, b = ends[:, 0], ends[:, 1]
     # Axes that do not cross the entrance plane get a meaningless crossing point; the sign test drops them.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        crossing = a + (sa / (sa - sb))[:, None] * (b - a)
-        inside = _dot(crossing[:, None, :] - scene._entrance_vertices, scene._entrance_edge_normals)
+    crossing = a + sa / (sa - sb) * (b - a)
+    inside = _dot(crossing[:, :, None] - scene._rim[:3, None], scene._rim[7:, None])
     return (sa * sb < 0.0) & np.all(inside >= -_OPENING_TOL, axis=1)
 
 
-def _closest_fringe(axes: np.ndarray, fringe: np.ndarray):
-    """Closest approach of every axis (n, 2, 3) to its nearest fringe segment (m, 2, 3).
+def _closest_fringe(ends: np.ndarray, scene: Scene):
+    """Closest approach of every axis of ``ends`` (3, 2, n) to its nearest rim segment.
 
     The arithmetic of ``segment_segment_distance`` over the whole
-    (axes x fringe segments) grid at once, branches replaced by selections;
-    a distance tie keeps the lowest fringe index. Returns, per axis, the
-    distance, the axis parameter, both closest points and the fringe index.
+    (axes x rim segments) grid at once, branches replaced by selections;
+    a distance tie keeps the lowest rim index. Returns, per axis, the
+    distance and the rim index, and over the grid the axis parameter and
+    both closest points (3, n, m).
     """
-    a0 = axes[:, None, 0]
-    d1 = axes[:, None, 1] - a0
-    b0 = fringe[None, :, 0]
-    d2 = fringe[None, :, 1] - b0
+    a0 = ends[:, 0, :, None]
+    d1 = ends[:, 1, :, None] - a0
+    b0, d2, e = scene._rim[:3, None], scene._rim[3:6, None], scene._rim[6]
     r = a0 - b0
     a = _dot(d1, d1)
-    e = _dot(d2, d2)
     b = _dot(d1, d2)
     c = _dot(d1, r)
     f = _dot(d2, r)
-    axis_ok, fringe_ok = a > _SEGMENT_EPS, e > _SEGMENT_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = a * e - b * b
-        s = np.where(denom > _SEGMENT_EPS, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
-        t = (b * s + f) / e
-        s_start = np.clip(-c / a, 0.0, 1.0)  # closest axis point to the fringe start
-        s = np.where(t < 0.0, s_start, np.where(t > 1.0, np.clip((b - c) / a, 0.0, 1.0), s))
-        t = np.clip(t, 0.0, 1.0)
-        # A zero-length fringe segment is a point; a zero-length axis is a point too.
-        s = np.where(axis_ok, np.where(fringe_ok, s, s_start), 0.0)
-        t = np.where(fringe_ok, np.where(axis_ok, t, np.clip(f / e, 0.0, 1.0)), 0.0)
-    on_axis = a0 + s[..., None] * d1
-    on_fringe = b0 + t[..., None] * d2
+    axis_ok, fringe_ok = a > _SEGMENT_EPS, scene._rim_ok
+    denom = a * e - b * b
+    s = np.where(denom > _SEGMENT_EPS, _unit_clip((b * f - c * e) / denom), 0.0)
+    t = (b * s + f) / e
+    s_start = _unit_clip(-c / a)  # closest axis point to the rim segment's start
+    s = np.where(t < 0.0, s_start, np.where(t > 1.0, _unit_clip((b - c) / a), s))
+    t = _unit_clip(t)
+    # A zero-length rim segment is a point; a zero-length axis is a point too.
+    s = np.where(axis_ok, np.where(fringe_ok, s, s_start), 0.0)
+    t = np.where(fringe_ok, np.where(axis_ok, t, _unit_clip(f / e)), 0.0)
+    on_axis = a0 + s * d1
+    on_fringe = b0 + t * d2
     gap = on_axis - on_fringe
     dist = np.sqrt(_dot(gap, gap))
     nearest = np.argmin(dist, axis=1)
-    rows = np.arange(axes.shape[0])
-    return dist[rows, nearest], s[rows, nearest], on_axis[rows, nearest], on_fringe[rows, nearest], nearest
+    return dist[np.arange(len(nearest)), nearest], nearest, s, on_axis, on_fringe
 
 
 def _score_axes(axes: np.ndarray, radii, scene: Scene, capsule_indices) -> tuple[np.ndarray, DistanceWitness]:
     """Signed clearances (n,) of world-frame axes (n, 2, 3) with radii, and the witness of ``clearances.argmin()``."""
-    crossing = np.flatnonzero(_crosses_opening(axes, scene)).tolist()
+    ends = np.ascontiguousarray(axes.transpose(2, 1, 0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossing = np.flatnonzero(_crosses_opening(ends, scene)).tolist()
+        gaps, nearest, s, on_axis, on_fringe = _closest_fringe(ends, scene)
     tunnel = {i: _tunnel_clearance(axes[i, 0], axes[i, 1], scene) for i in crossing}
-    gaps, s, on_axis, on_fringe, nearest = _closest_fringe(axes, scene.fringe_segments)
     gaps[crossing] = [tunnel[i][0] for i in crossing]
     clearances = gaps - np.asarray(radii, dtype=float)
     k = int(np.argmin(clearances))
@@ -459,7 +485,8 @@ def _score_axes(axes: np.ndarray, radii, scene: Scene, capsule_indices) -> tuple
         _gap, t, clip, plane, on_robot, on_obstacle = tunnel[k]
         case = CASE_TUNNEL
     else:
-        t, clip, plane, on_robot, on_obstacle = s[k], None, int(nearest[k]), on_axis[k], on_fringe[k]
+        plane = int(nearest[k])
+        t, clip, on_robot, on_obstacle = s[k, plane], None, on_axis[:, k, plane].copy(), on_fringe[:, k, plane].copy()
         case = CASE_FRINGE
     value = float(clearances[k])
     return clearances, DistanceWitness(value, capsule_indices[k], on_robot, on_obstacle, case, float(t), plane, clip)
@@ -472,9 +499,9 @@ def capsule_distance(world_a, world_b, radius: float, scene: Scene, capsule_inde
 
 
 def _world_segments(frames: np.ndarray, capsules: CapsuleSet) -> np.ndarray:
-    T = frames[[cap.link_index for cap in capsules], None]  # (n, 1, 4, 4)
-    ends = np.array([[cap.endpoint_a, cap.endpoint_b] for cap in capsules])  # (n, 2, 3)
-    return (T[..., :3, :3] @ ends[..., None])[..., 0] + T[..., :3, 3]
+    links, ends, _radii = _capsule_table(capsules)
+    T = frames[links, None]  # (n, 1, 4, 4)
+    return (T[..., :3, :3] @ ends)[..., 0] + T[..., :3, 3]
 
 
 def world_capsule_segments(q, chain: RobotChain, capsules: CapsuleSet) -> np.ndarray:
@@ -520,7 +547,7 @@ def world_state(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene) -> Wor
     qv = joint_config(q)
     frames = _frames_with_base(qv, chain)
     segments = _world_segments(frames, capsules)
-    clearances, witness = _score_axes(segments, [cap.radius for cap in capsules], scene, range(len(capsules)))
+    clearances, witness = _score_axes(segments, _capsule_table(capsules)[2], scene, range(len(capsules)))
     return WorldState(
         q=qv,
         frames=frames,
@@ -543,8 +570,7 @@ def _witness_gradient(
         dist = np.linalg.norm(diff)
         if dist < 1e-12:
             # Touching witness: any unit direction is a valid sub-gradient choice.
-            seg = scene.fringe_segments[witness.plane_index]
-            axis = seg[1] - seg[0]
+            axis = scene._rim[3:6, witness.plane_index]
             n = cross(axis, np.array([1.0, 0.0, 0.0]))
             if np.linalg.norm(n) < 1e-9:
                 n = cross(axis, np.array([0.0, 1.0, 0.0]))

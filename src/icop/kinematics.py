@@ -12,6 +12,8 @@ the base). A body point is addressed by the frame it is rigidly attached to
 is just a body point on frame 6, not a special case.
 
 All functions here are pure; ``RobotChain`` is immutable after construction.
+It derives its per-joint constants once (``_dh``: angle offset, ``a``, ``d``,
+cos and sin of ``alpha``), so forward kinematics takes one cos and one sin of q.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ class RobotChain:
             raise ValueError("tool_offset must be a proper 4x4 rigid transform")
         tool.flags.writeable = False
         object.__setattr__(self, "tool_offset", tool)
+        offset, a, d, alpha = np.array([(jp.theta_offset, jp.a, jp.d, jp.alpha) for jp in self.joints]).T
+        dh = np.array([offset, a, d, np.cos(alpha), np.sin(alpha)])  # (5, 6)
+        dh.flags.writeable = False
+        object.__setattr__(self, "_dh", dh)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,26 +94,24 @@ def joint_config(q) -> np.ndarray:
     return arr.copy()
 
 
-def _dh_matrix(jp: JointParams, q: float) -> np.ndarray:
-    theta = q + jp.theta_offset
+def _dh_matrices(q: np.ndarray, chain: RobotChain) -> np.ndarray:
+    """(6, 4, 4): joint i's transform T_i(q_i) for every joint at once."""
+    offset, a, d, ca, sa = chain._dh
+    theta = q + offset
     ct, st = np.cos(theta), np.sin(theta)
-    ca, sa = np.cos(jp.alpha), np.sin(jp.alpha)
-    return np.array(
-        [
-            [ct, -st * ca, st * sa, jp.a * ct],
-            [st, ct * ca, -ct * sa, jp.a * st],
-            [0.0, sa, ca, jp.d],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
+    A = np.zeros((NUM_JOINTS, 4, 4))
+    A[:, 0, 0], A[:, 0, 1], A[:, 0, 2], A[:, 0, 3] = ct, -st * ca, st * sa, a * ct
+    A[:, 1, 0], A[:, 1, 1], A[:, 1, 2], A[:, 1, 3] = st, ct * ca, -ct * sa, a * st
+    A[:, 2, 1], A[:, 2, 2], A[:, 2, 3], A[:, 3, 3] = sa, ca, d, 1.0
+    return A
 
 
 def _frames_with_base(q: np.ndarray, chain: RobotChain) -> np.ndarray:
     """Prefix products: (7, 4, 4) array of base->frame_k transforms for k = 0..6."""
     frames = np.empty((NUM_JOINTS + 1, 4, 4))
     frames[0] = np.eye(4)
-    for i, jp in enumerate(chain.joints):
-        frames[i + 1] = frames[i] @ _dh_matrix(jp, q[i])
+    for i, joint in enumerate(_dh_matrices(q, chain)):
+        np.matmul(frames[i], joint, out=frames[i + 1])
     return frames
 
 

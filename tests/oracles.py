@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from icop.geometry import Scene
-from icop.kinematics import BodyPoint, RobotChain, body_point_position
+from icop.kinematics import BodyPoint, JointParams, RobotChain, body_point_position
 
 
 def _rz(theta: float) -> np.ndarray:
@@ -52,6 +52,30 @@ def fk_oracle(q, chain: RobotChain) -> np.ndarray:
         out.append(T.copy())
     out.append(T @ chain.tool_offset)
     return np.array(out)
+
+
+def _dh_matrix(jp: JointParams, q: float) -> np.ndarray:
+    """One joint's closed-form link matrix from Python scalars."""
+    theta = q + jp.theta_offset
+    ct, st = np.cos(theta), np.sin(theta)
+    ca, sa = np.cos(jp.alpha), np.sin(jp.alpha)
+    return np.array(
+        [
+            [ct, -st * ca, st * sa, jp.a * ct],
+            [st, ct * ca, -ct * sa, jp.a * st],
+            [0.0, sa, ca, jp.d],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+
+
+def frames_reference(q, chain: RobotChain) -> np.ndarray:
+    """Base->frame_k transforms (7, 4, 4), k = 0..6, one scalar-built link matrix per joint."""
+    frames = np.empty((len(chain.joints) + 1, 4, 4))
+    frames[0] = np.eye(4)
+    for i, jp in enumerate(chain.joints):
+        frames[i + 1] = frames[i] @ _dh_matrix(jp, q[i])
+    return frames
 
 
 def fd_jacobian(q, chain: RobotChain, point: BodyPoint, h: float = 1e-6) -> np.ndarray:

@@ -107,7 +107,7 @@ class TestClassification:
                 t = sa / (sa - sb)
                 p = a + t * (b - a)
                 normal = square_tunnel.normals[square_tunnel.entrance_plane_index]
-                assert not point_in_polygon(p, square_tunnel._entrance_vertices, normal, tol=-1e-9)
+                assert not point_in_polygon(p, square_tunnel.vertices[0, :4], normal, tol=-1e-9)
 
 
 class TestTunnelClearance:
@@ -340,9 +340,8 @@ _DERIVED = (
     "_opening_offsets",
     "_entrance_normal",
     "_entrance_offset",
-    "_entrance_edge_normals",
-    "_entrance_vertices",
-    "fringe_segments",
+    "_rim",
+    "_rim_ok",
 )
 
 
@@ -452,7 +451,7 @@ class TestBatchedKernel:
         for _ in range(60):
             scene = random_tunnel(rng)
             n_out = scene.entrance_outward_normal
-            center = scene._entrance_vertices.mean(axis=0)
+            center = scene.vertices[0, : scene.vertex_counts[0]].mean(axis=0)  # the entrance polygon
             axes = [_random_segment(rng, scale=1.5) for _ in range(4)]
             for _ in range(4):  # axes through the opening, most of them TUNNEL
                 jitter = rng.uniform(-0.2, 0.2, 3)
@@ -484,6 +483,17 @@ class TestBatchedKernel:
         ]
         _clearances, _witness, alone = self._check(axes, [0.05] * 3, scene)
         assert alone[1].plane_index == 0  # the point segment comes first and ties the edges at the corner
+
+    def test_point_like_axis(self, square_tunnel):
+        # a valid capsule whose axis is about 1e-9 long: its squared length is below _SEGMENT_EPS, so it is
+        # scored as a point; the axis points at the nearest rim corner, where the segment formulas would move s to 1
+        a = np.array([-0.1, 0.6, 0.6])
+        cap = Capsule(link_index=0, endpoint_a=a, endpoint_b=a + [5e-10, -5e-10, -5e-10], radius=0.05)
+        assert np.sum((cap.endpoint_b - cap.endpoint_a) ** 2) < geometry._SEGMENT_EPS
+        axes = [([-1.0, 0.0, 0.9], [-0.6, 0.2, 0.9]), (cap.endpoint_a, cap.endpoint_b)]
+        _clearances, witness, alone = self._check(axes, [0.05, cap.radius], square_tunnel)
+        assert (witness.capsule_index, witness.case_tag) == (1, CASE_FRINGE)
+        assert alone[1].axis_param == 0.0
 
     def test_equal_distance_tie_keeps_first_index(self, square_tunnel):
         # on the tunnel's centre line the four rim edges are equally far away

@@ -5,14 +5,16 @@ from icop.kinematics import (
     BodyPoint,
     JointParams,
     RobotChain,
+    _frames_with_base,
     body_point_jacobian,
     body_point_position,
     forward_kinematics,
     joint_config,
     tool_tip,
 )
+from icop.scenario import load_bundled
 
-from oracles import fd_jacobian, fk_oracle
+from oracles import fd_jacobian, fk_oracle, frames_reference
 
 
 def test_zero_angle_straight_chain_is_cumulative_length(straight_chain):
@@ -34,6 +36,16 @@ def test_fk_matches_matrix_chain_oracle(gp50_chain):
     for _ in range(200):
         q = rng.uniform(-np.pi, np.pi, 6)
         assert np.max(np.abs(forward_kinematics(q, gp50_chain) - fk_oracle(q, gp50_chain))) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4"])
+def test_batched_frames_match_the_per_joint_product(name):
+    # all six link matrices come from one np.cos and one np.sin over q; the bits must not move
+    chain = load_bundled(name).chain
+    rng = np.random.default_rng(10)
+    for _ in range(1000):
+        q = rng.uniform(-np.pi, np.pi, 6)
+        np.testing.assert_array_equal(_frames_with_base(q, chain), frames_reference(q, chain))
 
 
 def test_fk_rotations_are_proper(gp50_chain):

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from icop import planner
+from icop import geometry, planner
 from icop.geometry import scene_distance, world_state
-from icop.kinematics import BodyPoint, body_point_position, tool_tip
+from icop.kinematics import BodyPoint, RobotChain, body_point_position, tool_tip
 from icop.planner import (
     NonConvergedError,
     PlannerParams,
@@ -168,6 +168,19 @@ def test_plan_constructs_no_qp_problem(world, monkeypatch):
     traj = plan(path, c4.initial_config, c4.chain, c4.capsules, scene, c4.params)
     assert traj.inner_iterations.sum() > 0
     assert built == []
+
+
+def test_plan_stacks_capsules_once_and_derives_no_chain_constants(world, monkeypatch):
+    # the capsule arrays are built once per capsule set, the joint constants once per chain
+    c4, scene, path = world
+    derived = []
+    monkeypatch.setattr(RobotChain, "__post_init__", lambda chain: derived.append(chain))
+    geometry._capsule_table.cache_clear()
+    traj = plan(path, c4.initial_config, c4.chain, c4.capsules, scene, c4.params)
+    assert traj.inner_iterations.sum() > 0
+    table = geometry._capsule_table.cache_info()
+    assert table.misses <= 1 < table.hits
+    assert derived == []
 
 
 def _safetrack_with_solve(world, monkeypatch, solution):
