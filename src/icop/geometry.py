@@ -8,7 +8,9 @@ from the entrance boundary, so the opening is described once.
 
 A ``Scene`` holds its planes as stacked arrays, validated in one batched
 pass by its constructor. ``transform_scene`` maps the arrays by a rigid
-motion, which keeps every invariant, so it does not validate them again.
+motion, which keeps every invariant, so it does not validate them again. A
+scenario load checks the planes itself, to name each by its index in the
+file, and tells the constructor so; the plane check runs once per load.
 All that the distance queries read is derived once, in ``Scene._store``.
 
 A capsule whose axis does not cross the entrance opening keeps its distance
@@ -41,7 +43,7 @@ one forward-kinematics pass, and every consumer reads that state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -162,8 +164,9 @@ class Scene:
     vertices: np.ndarray  # (P, K, 3), zero-padded
     vertex_counts: np.ndarray  # (P,), 3 <= count <= K
     entrance_plane_index: int
+    _planes_checked: InitVar[bool] = False  # the caller has already run ``_plane_failures`` on these planes
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _planes_checked: bool) -> None:
         normals = np.array(self.normals, dtype=float)
         offsets = np.array(self.offsets, dtype=float)
         vertices = np.array(self.vertices, dtype=float)
@@ -179,7 +182,7 @@ class Scene:
             raise ValueError("vertices past vertex_counts must be zero")
         if not 0 <= self.entrance_plane_index < P:
             raise ValueError(f"entrance_plane_index {self.entrance_plane_index} out of range")
-        failures = _plane_failures(normals, offsets, vertices, counts)
+        failures = [] if _planes_checked else _plane_failures(normals, offsets, vertices, counts)
         if failures:
             raise ValueError("; ".join(f"planes[{i}]: {reason}" for i, reason in failures))
         if _opening_faces(normals, self.entrance_plane_index).all():
@@ -663,14 +666,12 @@ def build_prism_tunnel(section: np.ndarray, depth: float) -> Scene:
     )
 
 
-def point_tunnel_clearance(point, scene: Scene) -> float:
-    """Wall clearance of a single point if inside the tunnel slab, else -inf.
+def point_tunnel_clearance(points, scene: Scene) -> np.ndarray:
+    """Wall clearance of each of ``points`` (..., 3) inside the tunnel slab, -inf for one outside it.
 
-    Convenience used to validate that weld points sit inside the tunnel.
+    Used to check that the weld points sit inside the tunnel.
     """
-    p = np.asarray(point, dtype=float)
-    behind = scene._opening_normals @ p - scene._opening_offsets
-    if np.any(behind > 0.0):
-        return -np.inf
-    clear = scene._wall_normals @ p - scene._wall_offsets
-    return float(np.min(clear))
+    p = np.asarray(points, dtype=float)
+    behind = p @ scene._opening_normals.T - scene._opening_offsets
+    clear = (p @ scene._wall_normals.T - scene._wall_offsets).min(axis=-1)
+    return np.where((behind > 0.0).any(axis=-1), -np.inf, clear)

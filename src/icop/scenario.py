@@ -28,6 +28,10 @@ from .transforms import homogeneous, rot_y
 
 FORMAT_VERSION = 2
 
+# PyYAML's libyaml-backed loader when it was built with libyaml: it builds the same
+# Python objects as the pure loader, about seven times faster on the bundled scenarios.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 class ScenarioError(ValueError):
     """Structured scenario failure: file path plus one message per failing field."""
@@ -277,7 +281,7 @@ def _parse_scene(reader: _FieldReader, data) -> Scene | None:
         vertices[row, : len(verts)] = verts
     normals = np.array(normals).reshape(-1, 3)
     offsets = np.array(offsets)
-    # The constructor's own plane check, run here to name each plane by its index in the file.
+    # The constructor's plane check, run here instead to name each plane by its index in the file.
     for row, reason in geometry._plane_failures(normals, offsets, vertices, counts):
         reader.fail(f"scene.planes[{rows[row]}]", reason)
     if len(reader.failures) > known_failures:
@@ -290,6 +294,7 @@ def _parse_scene(reader: _FieldReader, data) -> Scene | None:
         vertices=vertices,
         vertex_counts=counts,
         entrance_plane_index=entrance,
+        _planes_checked=True,
     )
 
 
@@ -314,13 +319,16 @@ def load_scenario(path) -> Scenario:
         text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise ScenarioError(path, [f"cannot read file: {err}"]) from err
+    except UnicodeDecodeError as err:
+        reason = f"not UTF-8 (byte {err.object[err.start]:#04x} at offset {err.start})"
+        raise ScenarioError(path, [f"cannot read file: {reason}"]) from err
     return parse_scenario(text, source=str(path))
 
 
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     try:
-        data = yaml.safe_load(text)
-    except (yaml.YAMLError, ValueError) as err:  # ValueError: an integer literal beyond the digit limit of int()
+        data = yaml.load(text, Loader=_YAML_LOADER)
+    except (yaml.YAMLError, ValueError) as err:  # ValueError: int()'s digit limit, or libyaml given a lone surrogate
         raise ScenarioError(source, [f"YAML parse error: {err}"]) from err
     if not isinstance(data, dict):
         raise ScenarioError(source, ["top level must be a mapping"])
@@ -367,9 +375,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     )
 
     mounted_scene, mounted_path = mounted_scene_and_path(scenario)
-    for t, point in enumerate(mounted_path):
-        if geometry.point_tunnel_clearance(point, mounted_scene) <= 0.0:
-            warn(f"weld point {t} lies outside the mounted tunnel region")
+    for t in np.flatnonzero(geometry.point_tunnel_clearance(mounted_path, mounted_scene) <= 0.0).tolist():
+        warn(f"weld point {t} lies outside the mounted tunnel region")
     return scenario
 
 

@@ -49,6 +49,15 @@ def test_missing_file_exits_parse_code_without_outputs(tmp_path):
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
 
+def test_non_utf8_file_exits_parse_code_without_outputs(tmp_path, capsys):
+    bad = tmp_path / "bad.scenario"
+    bad.write_bytes(b"name: \xff\n")
+    code = main(["--scenario", str(bad), "--out", str(tmp_path / "o")])
+    assert code == EXIT_PARSE
+    assert "not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_determinism_byte_identical_trajectories(c1_path, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["--scenario", c1_path, "--out", str(a)]) == EXIT_OK

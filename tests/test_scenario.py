@@ -53,6 +53,13 @@ class TestLoading:
         with pytest.raises(ScenarioError):
             load_scenario(tmp_path / "nope.scenario")
 
+    def test_non_utf8_file_is_structured_error(self, tmp_path):
+        path = tmp_path / "bad.scenario"
+        path.write_bytes(b"name: \xff\n")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.failures == ["cannot read file: not UTF-8 (byte 0xff at offset 6)"]
+
     def test_all_failures_reported_at_once(self, c4):
         data = scenario_to_dict(c4)
         data["capsules"][0]["radius"] = -1.0
@@ -69,6 +76,8 @@ class TestLoading:
         assert "YAML" in err.value.failures[0]
         with pytest.raises(ScenarioError):
             parse_scenario("max_inner: " + "9" * 5000)  # more digits than int() converts
+        with pytest.raises(ScenarioError):
+            parse_scenario("name: \ud800")  # a lone surrogate, which no text decoded from UTF-8 holds
 
     def test_roundtrip_identity(self, c4, tmp_path):
         out = tmp_path / "copy.scenario"
@@ -100,6 +109,18 @@ class TestLoading:
         data["weld_path"][0] = [5.0, 5.0, 5.0]
         with pytest.warns(UserWarning, match="outside the mounted tunnel"):
             parse_scenario(yaml.safe_dump(data))
+
+    def test_each_weld_point_outside_the_tunnel_warns_in_order(self, c4):
+        data = scenario_to_dict(c4)
+        x0, y0, z0 = data["weld_path"][0]
+        x5, _, z5 = data["weld_path"][5]
+        data["weld_path"][0] = [-5.0, y0, z0]  # in front of the entrance face
+        data["weld_path"][5] = [x5, 5.0, z5]  # between the opening faces, beyond a wall
+        with pytest.warns(UserWarning) as record:
+            parse_scenario(yaml.safe_dump(data))
+        assert [str(w.message) for w in record] == [
+            f"weld point {t} lies outside the mounted tunnel region" for t in (0, 5)
+        ]
 
     def test_unknown_params_key_warns(self, c4):
         data = scenario_to_dict(c4)
