@@ -49,7 +49,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import NUM_JOINTS, RobotChain, _frames_with_base, joint_config, point_jacobian, tool_point
+from .kinematics import (
+    NUM_JOINTS,
+    RobotChain,
+    _frames_with_base,
+    is_link_index,
+    joint_config,
+    point_jacobian,
+    tool_point,
+)
 from .transforms import apply_transform, cross, is_rigid
 
 CASE_FRINGE = "FRINGE"
@@ -78,14 +86,14 @@ class Capsule:
     radius: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.link_index <= NUM_JOINTS:
-            raise ValueError(f"capsule link_index {self.link_index} outside 0..{NUM_JOINTS}")
-        if not self.radius > 0.0:
-            raise ValueError(f"capsule radius must be > 0, got {self.radius}")
+        if not is_link_index(self.link_index):
+            raise ValueError(f"capsule link_index {self.link_index!r} is not an integer in 0..{NUM_JOINTS}")
+        if not 0.0 < self.radius < np.inf:  # a NaN fails too
+            raise ValueError(f"capsule radius must be > 0 and finite, got {self.radius}")
         a = np.array(self.endpoint_a, dtype=float)
         b = np.array(self.endpoint_b, dtype=float)
-        if a.shape != (3,) or b.shape != (3,):
-            raise ValueError("capsule endpoints must be 3-vectors")
+        if a.shape != (3,) or b.shape != (3,) or not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("capsule endpoints must be finite 3-vectors")
         if np.linalg.norm(b - a) < 1e-12:
             raise ValueError("capsule endpoints must be distinct")
         a.flags.writeable = False

@@ -67,6 +67,11 @@ class RobotChain:
         object.__setattr__(self, "_dh", dh)
 
 
+def is_link_index(value) -> bool:
+    """Whether value is an integer (a Python or numpy one, not a bool) naming frame 0..NUM_JOINTS."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 <= value <= NUM_JOINTS
+
+
 @dataclass(frozen=True, eq=False)
 class BodyPoint:
     """A point rigidly attached to one frame of the chain."""
@@ -75,8 +80,8 @@ class BodyPoint:
     local_position: np.ndarray  # 3-vector in that frame, meters
 
     def __post_init__(self) -> None:
-        if not 0 <= self.link_index <= NUM_JOINTS:
-            raise ValueError(f"link_index {self.link_index} outside 0..{NUM_JOINTS}")
+        if not is_link_index(self.link_index):
+            raise ValueError(f"link_index {self.link_index!r} is not an integer in 0..{NUM_JOINTS}")
         local = np.array(self.local_position, dtype=float)
         if local.shape != (3,) or not np.all(np.isfinite(local)):
             raise ValueError("local_position must be a finite 3-vector")

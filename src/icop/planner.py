@@ -19,6 +19,12 @@ Each configuration is evaluated once per plan (``geometry.world_state``):
 iterate it accepts, and the accepted state is the start of the next
 SafeTrack call. The residual, the feasibility test, the collision and contact
 rows, and the clearance that ``plan`` records all read that one evaluation.
+A plan that returns keeps the state it ended on as the resume point, and the
+next plan starts from it instead of evaluating its initial configuration when
+four keys match: the same ``chain``, ``capsules`` and ``scene`` objects, and
+an initial configuration with the same bits as the state's ``q``. A plan
+that raises leaves the resume point as it was. So a plan streamed one
+waypoint per call evaluates each accepted state once in all.
 
 A waypoint farther than ``step_max`` from the accepted tool position is split
 once into ``ceil(gap / step_max)`` evenly spaced pieces, measured from that
@@ -46,6 +52,10 @@ from .qp import STATUS_OPTIMAL, QpProblem, solve
 
 # How many times a step whose inner loop fails to converge is halved before the planner gives up.
 _BISECT_DEPTH = 3
+
+# The state the last plan that returned ended on, with the chain it was evaluated with. It is read
+# and replaced whole, so a plan in another thread either matches all four keys or evaluates its start.
+_resume: tuple[RobotChain | None, WorldState | None] = (None, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,11 +170,16 @@ def plan(
 
     States chain from waypoint to waypoint; every emitted state satisfies the
     tracking threshold, a positive scene distance and the joint limits. The
-    initial configuration is evaluated once here, and each waypoint starts
-    from the state the previous one accepted. The recorded TCP error and
-    clearance are read from the evaluation of the state that SafeTrack
-    accepted.
+    initial configuration is evaluated once here, unless it resumes the last
+    plan that returned: when ``chain``, ``capsules`` and ``scene`` are the
+    objects that plan used and ``q_init`` has the bits of the state it ended
+    on, that state is the start. ``world_state`` is a pure function of those
+    four, so the start is the one a fresh evaluation would give. Each
+    waypoint starts from the state the previous one accepted. The recorded
+    TCP error and clearance are read from the evaluation of the state that
+    SafeTrack accepted.
     """
+    global _resume
     path = np.asarray(weld_path, dtype=float)
     if path.ndim != 2 or path.shape[1] != 3 or path.shape[0] == 0:
         raise ValueError("weld_path must be a non-empty (T, 3) array")
@@ -180,7 +195,14 @@ def plan(
     min_distance = np.zeros(T)
     inner_iterations = np.zeros(T, dtype=int)
 
-    state = world_state(q0, chain, capsules, scene)
+    resume_chain, state = _resume
+    if not (
+        resume_chain is chain
+        and state.capsules is capsules
+        and state.scene is scene
+        and state.q.tobytes() == q0.tobytes()
+    ):
+        state = world_state(q0, chain, capsules, scene)
     for t in range(T):
         c_from = state.tool_position
         gap = float(np.linalg.norm(path[t] - c_from))
@@ -205,6 +227,7 @@ def plan(
         min_distance[t] = state.witness.value
         inner_iterations[t] = iters
 
+    _resume = (chain, state)
     return Trajectory(
         states=states,
         tcp_error=tcp_error,

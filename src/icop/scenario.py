@@ -374,8 +374,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         description=description,
     )
 
-    mounted_scene, mounted_path = mounted_scene_and_path(scenario)
-    for t in np.flatnonzero(geometry.point_tunnel_clearance(mounted_path, mounted_scene) <= 0.0).tolist():
+    # a rigid mounting moves the path and the scene together, so the construction frame gives the same clearance
+    for t in np.flatnonzero(geometry.point_tunnel_clearance(weld_path, scene) <= 0.0).tolist():
         warn(f"weld point {t} lies outside the mounted tunnel region")
     return scenario
 

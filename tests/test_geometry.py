@@ -308,6 +308,18 @@ class TestValidation:
             Capsule(link_index=1, endpoint_a=[0, 0, 0], endpoint_b=[1, 0, 0], radius=0.0)
         with pytest.raises(ValueError):
             Capsule(link_index=1, endpoint_a=[0, 0, 0], endpoint_b=[0, 0, 0], radius=0.1)
+        for bad in (
+            dict(link_index=2.5),
+            dict(link_index=True),
+            dict(link_index=7),
+            dict(endpoint_a=[0, np.nan, 0]),
+            dict(endpoint_b=[np.inf, 0, 0]),
+            dict(radius=np.inf),
+            dict(radius=np.nan),
+        ):
+            with pytest.raises(ValueError):
+                Capsule(**{**dict(link_index=1, endpoint_a=[0, 0, 0], endpoint_b=[1, 0, 0], radius=0.1), **bad})
+        assert Capsule(link_index=np.int64(2), endpoint_a=[0, 0, 0], endpoint_b=[1, 0, 0], radius=0.1).link_index == 2
 
     def test_scene_rejects_no_wall_plane(self, square_tunnel):
         # the entrance and the same plane facing the other way, both opening faces

@@ -154,6 +154,16 @@ def test_chain_validation():
         RobotChain(joints=tuple(JointParams(a=1.0, alpha=0.0, d=0.0) for _ in range(6)), tool_offset=bad_tool)
 
 
+def test_body_point_validation():
+    for link in (2.5, True, -1, 7, np.nan):
+        with pytest.raises(ValueError):
+            BodyPoint(link, np.zeros(3))
+    for local in ([0.0, np.nan, 0.0], [np.inf, 0.0, 0.0], [0.0, 0.0]):
+        with pytest.raises(ValueError):
+            BodyPoint(1, local)
+    assert BodyPoint(np.int64(6), np.zeros(3)).link_index == 6
+
+
 def test_joint_config_validation():
     with pytest.raises(ValueError):
         joint_config([0.0, 1.0])

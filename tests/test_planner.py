@@ -15,7 +15,7 @@ from icop.planner import (
     verify_trajectory,
 )
 from icop.qp import STATUS_INFEASIBLE, STATUS_OPTIMAL, QpProblem, QpSolution
-from icop.scenario import mounted_scene_and_path
+from icop.scenario import load_bundled, mounted_scene_and_path
 
 
 @pytest.fixture(scope="module")
@@ -251,21 +251,27 @@ def test_zero_clearance_is_not_converged(world):
     assert not res.converged and res.inner_iterations == 1 and res.state is touching
 
 
+def _fail_solves_after(monkeypatch, n):
+    """Solve the first n QPs, then report every one INFEASIBLE; returns the list of QP references."""
+    real_solve, calls = planner.solve, []
+
+    def failing(problem, x_ref, **rows):
+        calls.append(x_ref)
+        if len(calls) <= n:
+            return real_solve(problem, x_ref, **rows)
+        return QpSolution(x_ref, STATUS_INFEASIBLE, kkt_residual=0.0, eq_residual=0.0)
+
+    monkeypatch.setattr(planner, "solve", failing)
+    return calls
+
+
 def test_bisection_exhaustion_raises_at_the_failing_waypoint(world, monkeypatch):
     c4, scene, path = world
     traj = plan(path, c4.initial_config, c4.chain, c4.capsules, scene, c4.params)
     k = 5
     assert traj.inner_iterations[k] >= 1  # waypoint k needs a QP solve
     solved_before_k = int(np.sum(traj.inner_iterations[:k]))
-    real_solve, calls = planner.solve, []
-
-    def fails_from_waypoint_k(problem, x_ref, **rows):
-        calls.append(x_ref)
-        if len(calls) <= solved_before_k:
-            return real_solve(problem, x_ref, **rows)
-        return QpSolution(x_ref, STATUS_INFEASIBLE, kkt_residual=0.0, eq_residual=0.0)
-
-    monkeypatch.setattr(planner, "solve", fails_from_waypoint_k)
+    calls = _fail_solves_after(monkeypatch, solved_before_k)
     monkeypatch.setattr(planner, "_BISECT_DEPTH", 2)
     with pytest.raises(NonConvergedError) as err:
         plan(path, c4.initial_config, c4.chain, c4.capsules, scene, c4.params)
@@ -330,8 +336,6 @@ def test_plan_rejects_invalid_inputs(world):
 @pytest.mark.parametrize("xi", [0.04, 0.049, 0.1, 1.0])
 def test_threshold_near_the_step_length_plans(xi):
     # c1's step_max is 0.05; a split piece may start up to xi short of its target and is not split again
-    from icop.scenario import load_bundled
-
     c1 = load_bundled("c1")
     scene, path = mounted_scene_and_path(c1)
     params = dataclasses.replace(c1.params, xi=xi)
@@ -362,19 +366,25 @@ def test_safetrack_calls_per_waypoint_reach_the_bound(world, monkeypatch):
     assert traj.tcp_error[0] <= c4.params.xi
 
 
-def test_one_scene_evaluation_per_accepted_iterate(monkeypatch):
-    from icop.scenario import load_bundled
+def _count_evaluations(monkeypatch):
+    """Record every state that ``plan`` and SafeTrack evaluate; returns the list they are appended to."""
+    evaluate, evaluations = planner.world_state, []
 
-    c1 = load_bundled("c1")
-    scene, path = mounted_scene_and_path(c1)
-    evaluate, track = planner.world_state, planner.safetrack
-    evaluations = []  # states returned by world_state
-    per_call = []  # (start, evaluations during the call, SafeTrack result)
-
-    def counted_evaluate(*args):
+    def counted(*args):
         state = evaluate(*args)
         evaluations.append(state)
         return state
+
+    monkeypatch.setattr(planner, "world_state", counted)
+    return evaluations
+
+
+def test_one_scene_evaluation_per_accepted_iterate(monkeypatch):
+    c1 = load_bundled("c1")
+    scene, path = mounted_scene_and_path(c1)
+    track = planner.safetrack
+    evaluations = _count_evaluations(monkeypatch)
+    per_call = []  # (start, evaluations during the call, SafeTrack result)
 
     def counted_track(start, *args):
         before = len(evaluations)
@@ -382,7 +392,6 @@ def test_one_scene_evaluation_per_accepted_iterate(monkeypatch):
         per_call.append((start, len(evaluations) - before, result))
         return result
 
-    monkeypatch.setattr(planner, "world_state", counted_evaluate)
     monkeypatch.setattr(planner, "safetrack", counted_track)
 
     # plan evaluates q_init once; each SafeTrack call evaluates only the QP
@@ -400,12 +409,69 @@ def test_one_scene_evaluation_per_accepted_iterate(monkeypatch):
         assert all(start is prev for (start, _, _), prev in zip(per_call, accepted))
     assert calls[1] > calls[0]  # step_max 0.004 splits more steps
 
-    # no state survives a plan call: streaming one waypoint per call reproduces the whole path
+    # a plan resumes from the state the last plan returned on: streamed one
+    # waypoint per call, only the first call evaluates its start, every later
+    # one only its accepted iterates, and the plan equals the whole path's
     whole = plan(path, c1.initial_config, c1.chain, c1.capsules, scene, c1.params)
     q = c1.initial_config
     for t in range(5):
+        evaluations.clear()
         step = plan(path[t : t + 1], q, c1.chain, c1.capsules, scene, c1.params)
+        assert len(evaluations) == int(t == 0) + int(step.inner_iterations[0])
+        assert step.inner_iterations[0] == whole.inner_iterations[t]
         assert step.states[0].tobytes() == whole.states[t].tobytes()
         assert step.min_distance[0] == whole.min_distance[t]
         assert step.tcp_error[0] == whole.tcp_error[t]
         q = step.states[0]
+
+
+@pytest.mark.parametrize("change", [None, "scene", "capsules", "chain", "one ulp", "negative zero"])
+def test_a_start_unlike_the_resume_point_is_evaluated(change, monkeypatch):
+    # the resume point is c1's initial configuration with its last joint at 0.0,
+    # left by a plan to the tool position it already has
+    c1 = load_bundled("c1")
+    scene, path = mounted_scene_and_path(c1)
+    q = c1.initial_config.copy()
+    q[5] = 0.0
+    target = body_point_position(q, c1.chain, tool_tip(c1.chain))
+    assert plan(target[None, :], q, c1.chain, c1.capsules, scene, c1.params).inner_iterations[0] == 0
+
+    chain, capsules, start = c1.chain, c1.capsules, q.copy()
+    if change == "scene":
+        scene, path = mounted_scene_and_path(c1)  # equal values, new objects
+    elif change == "capsules":
+        capsules = tuple(list(c1.capsules))
+    elif change == "chain":
+        chain = dataclasses.replace(c1.chain)
+    elif change == "one ulp":
+        start[1] = np.nextafter(start[1], np.inf)
+    elif change == "negative zero":
+        start[5] = -0.0
+    evaluations = _count_evaluations(monkeypatch)
+    first = plan(path[:1], start, chain, capsules, scene, c1.params)
+    assert first.inner_iterations[0] >= 1  # it ends away from start, so the next call is cold
+    assert len(evaluations) == int(change is not None) + int(first.inner_iterations[0])
+    evaluations.clear()
+    cold = plan(path[:1], start, chain, capsules, scene, c1.params)
+    assert len(evaluations) == 1 + int(cold.inner_iterations[0])
+    for name in ("states", "tcp_error", "min_distance", "inner_iterations"):
+        assert getattr(first, name).tobytes() == getattr(cold, name).tobytes()
+
+
+def test_a_plan_that_raises_leaves_the_resume_point(monkeypatch):
+    c1 = load_bundled("c1")
+    scene, path = mounted_scene_and_path(c1)
+    whole = plan(path[:3], c1.initial_config, c1.chain, c1.capsules, scene, c1.params)
+    assert whole.inner_iterations[2] >= 1  # waypoint 2 needs a QP solve
+    q1 = plan(path[:1], c1.initial_config, c1.chain, c1.capsules, scene, c1.params).states[0]
+    # resumed from q1, waypoint 1 is solved and accepted, then waypoint 2 fails
+    _fail_solves_after(monkeypatch, int(whole.inner_iterations[1]))
+    monkeypatch.setattr(planner, "_BISECT_DEPTH", 1)
+    with pytest.raises(NonConvergedError) as err:
+        plan(path[1:3], q1, c1.chain, c1.capsules, scene, c1.params)
+    assert err.value.waypoint_index == 1
+    monkeypatch.undo()
+    evaluations = _count_evaluations(monkeypatch)
+    step = plan(path[1:2], q1, c1.chain, c1.capsules, scene, c1.params)
+    assert len(evaluations) == int(step.inner_iterations[0])  # resumed from q1's state
+    assert step.states[0].tobytes() == whole.states[1].tobytes()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+from icop import geometry
 from icop.geometry import transform_scene
 from icop.planner import Trajectory
 from icop.scenario import (
@@ -121,6 +122,19 @@ class TestLoading:
         assert [str(w.message) for w in record] == [
             f"weld point {t} lies outside the mounted tunnel region" for t in (0, 5)
         ]
+
+    def test_load_mounts_no_scene_and_a_plan_mounts_one(self, monkeypatch):
+        transform, mounted = geometry.transform_scene, []
+
+        def counted(*args):
+            mounted.append(args)
+            return transform(*args)
+
+        monkeypatch.setattr(geometry, "transform_scene", counted)
+        c4 = load_bundled("c4")
+        assert len(mounted) == 0  # the weld points are checked in the construction frame
+        plan_scenario(c4)
+        assert len(mounted) == 1
 
     def test_unknown_params_key_warns(self, c4):
         data = scenario_to_dict(c4)
