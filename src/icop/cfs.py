@@ -36,6 +36,6 @@ def convexify_collision(
 def collision_rows(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
     """The worst capsule's row of an evaluated state: G (k, 6) and h (k,), k <= 1."""
     g = state.gradient()
-    if np.max(np.abs(g)) < _ZERO_GRADIENT_TOL:
+    if np.abs(g).max() < _ZERO_GRADIENT_TOL:
         return np.empty((0, state.q.shape[0])), np.empty(0)  # locally flat distance: no usable half-space
     return g[None, :], np.array([g @ state.q - state.witness.value])

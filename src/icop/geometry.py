@@ -28,13 +28,17 @@ assembled from body-point Jacobians, including the chain-rule term for
 witnesses pinned to the entrance crossing.
 
 All capsules of a configuration are scored into one clearance array: one
-array pass finds the axes that cross the entrance opening and one (capsules x
-fringe segments) closest-point pass scores the FRINGE case. Both read
-component-major arrays (axis endpoints (3, 2, n), the rim table), so each x, y
-and z operand is a contiguous row. Only the worst capsule (the first on a tie)
-gets a witness. ``scene_distance``, ``world_state`` and ``capsule_distance``
-agree bit for bit; the scalar ``segment_segment_distance`` and
-``classify_segment`` are their reference.
+array pass gives the entrance-plane distances of every axis end, and only the
+axes whose ends lie strictly on both sides of the plane (usually one or none)
+get a crossing point and the inside test against the rim edges, on Python
+floats. One (capsules x fringe segments) closest-point pass scores the FRINGE
+case; its point-case selections run only when a rim edge or an axis is short
+enough to be scored as a point. Both passes read component-major arrays (axis
+endpoints (3, 2, n), the rim table), so each x, y and z operand is a
+contiguous row. Only the worst capsule (the first on a tie) gets a witness.
+``scene_distance``, ``world_state`` and ``capsule_distance`` agree bit for
+bit; the scalar ``segment_segment_distance`` and ``classify_segment`` are
+their reference.
 
 A planner iterate is evaluated once: ``world_state`` builds the frames, the
 world capsule axes, the tool position, the clearances and the witness from
@@ -43,6 +47,8 @@ one forward-kinematics pass, and every consumer reads that state.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import InitVar, dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
@@ -88,8 +94,9 @@ class Capsule:
     def __post_init__(self) -> None:
         if not is_link_index(self.link_index):
             raise ValueError(f"capsule link_index {self.link_index!r} is not an integer in 0..{NUM_JOINTS}")
-        if not 0.0 < self.radius < np.inf:  # a NaN fails too
-            raise ValueError(f"capsule radius must be > 0 and finite, got {self.radius}")
+        real = isinstance(self.radius, numbers.Real) and not isinstance(self.radius, bool)
+        if not (real and 0.0 < self.radius < np.inf):  # a NaN fails too
+            raise ValueError(f"capsule radius must be > 0 and finite, got {self.radius!r}")
         a = np.array(self.endpoint_a, dtype=float)
         b = np.array(self.endpoint_b, dtype=float)
         if a.shape != (3,) or b.shape != (3,) or not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -100,6 +107,7 @@ class Capsule:
         b.flags.writeable = False
         object.__setattr__(self, "endpoint_a", a)
         object.__setattr__(self, "endpoint_b", b)
+        object.__setattr__(self, "radius", float(self.radius))
 
 
 CapsuleSet = tuple[Capsule, ...]
@@ -164,7 +172,8 @@ class Scene:
     opening normals) is computed once here. So is the component-major rim
     table ``_rim`` (10, m): rim segment starts, directions (x, y, z rows
     each) and squared lengths, then the inward normal of the opening edge
-    through each start. ``_rim_ok`` masks the segments that are not points.
+    through each start. ``_rim_ok`` masks the segments that are not points,
+    and ``_rim_has_point`` says whether any segment is one.
     """
 
     normals: np.ndarray  # (P, 3)
@@ -217,6 +226,7 @@ class Scene:
         rim = entrance_vertices[::-1]  # a prism section's order, which decides fringe distance ties
         direction = (_next_rows(rim) - rim).T
         length2 = _dot(direction, direction)
+        rim_ok = length2 > _SEGMENT_EPS
         derived = {
             "_wall_indices": tuple(wall_idx.tolist()),
             "_wall_normals": oriented_normals[wall_idx],
@@ -227,7 +237,8 @@ class Scene:
             "_entrance_normal": oriented_normals[entrance_plane_index],
             "_entrance_offset": float(oriented_offsets[entrance_plane_index]),
             "_rim": np.concatenate([rim.T, direction, length2[None], edge_normals[::-1].T]),
-            "_rim_ok": length2 > _SEGMENT_EPS,
+            "_rim_ok": rim_ok,
+            "_rim_has_point": not rim_ok.all(),
         }
         for name, value in [*zip([f.name for f in fields(self)], values), *derived.items()]:
             if isinstance(value, np.ndarray):
@@ -437,14 +448,28 @@ def _unit_clip(x: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
-def _crosses_opening(ends: np.ndarray, scene: Scene) -> np.ndarray:
-    """Per axis of ``ends`` (3, 2, n): does it cross the entrance opening? The TUNNEL test of ``classify_segment``."""
-    sa, sb = _dot(ends, scene._entrance_normal) - scene._entrance_offset
-    a, b = ends[:, 0], ends[:, 1]
-    # Axes that do not cross the entrance plane get a meaningless crossing point; the sign test drops them.
-    crossing = a + sa / (sa - sb) * (b - a)
-    inside = _dot(crossing[:, :, None] - scene._rim[:3, None], scene._rim[7:, None])
-    return (sa * sb < 0.0) & np.all(inside >= -_OPENING_TOL, axis=1)
+def _crosses_opening(ends: np.ndarray, scene: Scene) -> list[int]:
+    """Indices of the axes of ``ends`` (3, 2, n) that cross the entrance opening (``classify_segment``'s TUNNEL test).
+
+    One array pass gives every axis's entrance-plane distances. Only an axis
+    whose ends lie strictly on opposite sides gets a crossing point and the
+    inside test against each rim edge, on Python floats in ``_dot``'s order,
+    so the bits are those of the array expressions.
+    """
+    sa, sb = (_dot(ends, scene._entrance_normal) - scene._entrance_offset).tolist()
+    straddle = [i for i, (da, db) in enumerate(zip(sa, sb)) if da * db < 0.0]
+    if not straddle:
+        return []
+    rows = scene._rim.tolist()
+    rim = list(zip(*rows[:3], *rows[7:]))  # per rim edge: its start, then the inward normal of the opening edge
+    crossing = []
+    for i in straddle:
+        (ax, ay, az), (bx, by, bz) = ends[:, :, i].T.tolist()
+        t = sa[i] / (sa[i] - sb[i])
+        x, y, z = ax + t * (bx - ax), ay + t * (by - ay), az + t * (bz - az)
+        if all((x - rx) * nx + (y - ry) * ny + (z - rz) * nz >= -_OPENING_TOL for rx, ry, rz, nx, ny, nz in rim):
+            crossing.append(i)
+    return crossing
 
 
 def _closest_fringe(ends: np.ndarray, scene: Scene):
@@ -454,7 +479,9 @@ def _closest_fringe(ends: np.ndarray, scene: Scene):
     (axes x rim segments) grid at once, branches replaced by selections;
     a distance tie keeps the lowest rim index. Returns, per axis, the
     distance and the rim index, and over the grid the axis parameter and
-    both closest points (3, n, m).
+    both closest points (3, n, m). The point-case selections run only when
+    the scene's rim has a point-like segment (``Scene._rim_has_point``) or an
+    axis is point-like; without either they are identities.
     """
     a0 = ends[:, 0, :, None]
     d1 = ends[:, 1, :, None] - a0
@@ -471,9 +498,10 @@ def _closest_fringe(ends: np.ndarray, scene: Scene):
     s_start = _unit_clip(-c / a)  # closest axis point to the rim segment's start
     s = np.where(t < 0.0, s_start, np.where(t > 1.0, _unit_clip((b - c) / a), s))
     t = _unit_clip(t)
-    # A zero-length rim segment is a point; a zero-length axis is a point too.
-    s = np.where(axis_ok, np.where(fringe_ok, s, s_start), 0.0)
-    t = np.where(fringe_ok, np.where(axis_ok, t, _unit_clip(f / e)), 0.0)
+    # A zero-length rim segment is a point; a zero-length axis is a point too. Without either, both are identities.
+    if scene._rim_has_point or not axis_ok.all():
+        s = np.where(axis_ok, np.where(fringe_ok, s, s_start), 0.0)
+        t = np.where(fringe_ok, np.where(axis_ok, t, _unit_clip(f / e)), 0.0)
     on_axis = a0 + s * d1
     on_fringe = b0 + t * d2
     gap = on_axis - on_fringe
@@ -486,7 +514,7 @@ def _score_axes(axes: np.ndarray, radii, scene: Scene, capsule_indices) -> tuple
     """Signed clearances (n,) of world-frame axes (n, 2, 3) with radii, and the witness of ``clearances.argmin()``."""
     ends = np.ascontiguousarray(axes.transpose(2, 1, 0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        crossing = np.flatnonzero(_crosses_opening(ends, scene)).tolist()
+        crossing = _crosses_opening(ends, scene)
         gaps, nearest, s, on_axis, on_fringe = _closest_fringe(ends, scene)
     tunnel = {i: _tunnel_clearance(axes[i, 0], axes[i, 1], scene) for i in crossing}
     gaps[crossing] = [tunnel[i][0] for i in crossing]
@@ -578,7 +606,7 @@ def _witness_gradient(
 
     if witness.case_tag == CASE_FRINGE:
         diff = witness.point_on_robot - witness.point_on_obstacle
-        dist = np.linalg.norm(diff)
+        dist = math.sqrt(diff @ diff)
         if dist < 1e-12:
             # Touching witness: any unit direction is a valid sub-gradient choice.
             axis = scene._rim[3:6, witness.plane_index]

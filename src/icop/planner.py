@@ -144,7 +144,8 @@ def safetrack(
     c_next = np.asarray(c_next, dtype=float)
     state, iterations = start, 0
     while True:
-        residual = float(np.linalg.norm(c_next - state.tool_position))
+        miss = c_next - state.tool_position
+        residual = math.sqrt(miss @ miss)
         converged = residual <= params.xi and state.witness.value > 0.0
         if converged or iterations >= params.max_inner:
             break
@@ -152,7 +153,7 @@ def safetrack(
         A, b = task_rows(state.tool_jacobian(), state.q, state.tool_position, c_next)
         sol = solve(params.qp, state.q, A=A, b=b, G=G, h=h)
         iterations += 1
-        if sol.status != STATUS_OPTIMAL or float(np.max(np.abs(sol.x - state.q))) < 1e-15:
+        if sol.status != STATUS_OPTIMAL or np.abs(sol.x - state.q).max() < 1e-15:
             break  # no solution, or stalled: the QP returned the reference itself
         state = world_state(sol.x, chain, start.capsules, start.scene)
     return SafeTrackResult(state, converged, iterations, residual)
@@ -205,12 +206,13 @@ def plan(
         state = world_state(q0, chain, capsules, scene)
     for t in range(T):
         c_from = state.tool_position
-        gap = float(np.linalg.norm(path[t] - c_from))
+        step = path[t] - c_from
+        gap = math.sqrt(step @ step)
         split = gap > params.step_max
         pieces = math.ceil(gap / params.step_max) if split else 1
         iters = 0
         for i in range(1, pieces + 1):
-            piece = c_from + (i / pieces) * (path[t] - c_from) if split else path[t]
+            piece = c_from + (i / pieces) * step if split else path[t]
             stack = [(piece, 0)]
             while stack:
                 target, depth = stack.pop()
@@ -223,7 +225,8 @@ def plan(
                 else:
                     raise NonConvergedError(t, result.tcp_error, result.state.witness.value)
         states[t] = state.q
-        tcp_error[t] = float(np.linalg.norm(path[t] - state.tool_position))
+        miss = path[t] - state.tool_position
+        tcp_error[t] = math.sqrt(miss @ miss)
         min_distance[t] = state.witness.value
         inner_iterations[t] = iters
 

@@ -316,6 +316,8 @@ class TestValidation:
             dict(endpoint_b=[np.inf, 0, 0]),
             dict(radius=np.inf),
             dict(radius=np.nan),
+            dict(radius=True),
+            dict(radius="0.1"),
         ):
             with pytest.raises(ValueError):
                 Capsule(**{**dict(link_index=1, endpoint_a=[0, 0, 0], endpoint_b=[1, 0, 0], radius=0.1), **bad})
@@ -354,6 +356,7 @@ _DERIVED = (
     "_entrance_offset",
     "_rim",
     "_rim_ok",
+    "_rim_has_point",
 )
 
 
@@ -506,6 +509,22 @@ class TestBatchedKernel:
         _clearances, witness, alone = self._check(axes, [0.05, cap.radius], square_tunnel)
         assert (witness.capsule_index, witness.case_tag) == (1, CASE_FRINGE)
         assert alone[1].axis_param == 0.0
+
+    def test_axes_where_the_straddle_test_decides(self, square_tunnel):
+        # the unit-square entrance is x = 0, |y|, |z| <= 0.5; only an axis with ends strictly on both sides crosses
+        over = 0.5 + 0.5 * geometry._OPENING_TOL
+        axes = [
+            ([0.0, 0.1, 0.1], [0.7, 0.1, 0.1]),  # an endpoint on the entrance plane, inside the opening
+            ([-0.4, 0.1, 0.2], [0.0, 0.1, 0.2]),  # the same from outside
+            ([0.0, -0.3, 0.1], [0.0, 0.2, 0.1]),  # lying in the entrance plane
+            ([-0.5, over, 0.1], [0.5, over, 0.1]),  # crossing within _OPENING_TOL outside the y = 0.5 rim edge
+            ([-0.5, 0.5 + 4 * geometry._OPENING_TOL, 0.1], [0.5, 0.5 + 4 * geometry._OPENING_TOL, 0.1]),  # beyond it
+            ([-0.5, 0.0, 0.0], [0.5, 1.0, 1.0]),  # through the (0.5, 0.5) rim vertex
+        ]
+        _clearances, _witness, alone = self._check(axes, [0.05] * len(axes), square_tunnel)
+        cases = [CASE_FRINGE, CASE_FRINGE, CASE_FRINGE, CASE_TUNNEL, CASE_FRINGE, CASE_TUNNEL]
+        assert [w.case_tag for w in alone] == cases
+        assert [classify_segment(a, b, square_tunnel) for a, b in axes] == cases
 
     def test_equal_distance_tie_keeps_first_index(self, square_tunnel):
         # on the tunnel's centre line the four rim edges are equally far away
