@@ -18,7 +18,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from icop.geometry import Capsule, build_prism_tunnel, transform_scene
+from icop.geometry import Capsule, CapsuleSet, build_prism_tunnel, transform_scene
 from icop.kinematics import (
     NUM_JOINTS,
     JointParams,
@@ -60,7 +60,7 @@ def gp50_like_chain() -> RobotChain:
     return RobotChain(joints=joints, tool_offset=homogeneous(translation=[0.0, 0.0, TOOL_LENGTH]))
 
 
-def gp50_like_capsules(chain: RobotChain):
+def gp50_like_capsules(chain: RobotChain) -> CapsuleSet:
     at_zero = _dh_matrices(np.zeros(NUM_JOINTS), chain)
 
     def prev_origin_local(i: int) -> np.ndarray:
@@ -86,7 +86,7 @@ def gp50_like_capsules(chain: RobotChain):
             radius=0.035,
         )
     )
-    return tuple(caps)
+    return CapsuleSet(caps)
 
 
 def hexagon_section(half_width: float, half_height: float) -> np.ndarray:

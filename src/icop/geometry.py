@@ -37,8 +37,8 @@ enough to be scored as a point. Both passes read component-major arrays (axis
 endpoints (3, 2, n), the rim table), so each x, y and z operand is a
 contiguous row. Only the worst capsule (the first on a tie) gets a witness.
 ``scene_distance``, ``world_state`` and ``capsule_distance`` agree bit for
-bit; the scalar ``segment_segment_distance`` and ``classify_segment`` are
-their reference.
+bit; their reference is the scalar ``segment_segment_distance`` with
+``classify_segment`` and ``point_in_polygon`` of ``tests/oracles.py``.
 
 A planner iterate is evaluated once: ``world_state`` builds the frames, the
 world capsule axes, the tool position, the clearances and the witness from
@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import InitVar, dataclass, fields
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -110,18 +109,28 @@ class Capsule:
         object.__setattr__(self, "radius", float(self.radius))
 
 
-CapsuleSet = tuple[Capsule, ...]
+class CapsuleSet(tuple):
+    """A non-empty tuple of ``Capsule``s with their link indices (n,), local axis ends (n, 2, 3, 1) and radii (n,).
+
+    The arrays are stacked once, here. ``world_state``, ``world_capsule_segments``
+    and ``witness_gradient`` convert any other sequence of capsules once per call.
+    """
+
+    def __new__(cls, capsules):
+        self = super().__new__(cls, capsules)
+        if not self or not all(isinstance(cap, Capsule) for cap in self):
+            raise ValueError("a capsule set needs at least one capsule, and only Capsule members")
+        self._links = np.array([cap.link_index for cap in self])
+        self._ends = np.array([[cap.endpoint_a, cap.endpoint_b] for cap in self])[..., None]
+        self._radii = np.array([cap.radius for cap in self], dtype=float)
+        for array in (self._links, self._ends, self._radii):
+            array.flags.writeable = False  # every evaluation reads the same arrays
+        return self
 
 
-@lru_cache(maxsize=8)
-def _capsule_table(capsules: CapsuleSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Link indices (n,), local axis endpoints (n, 2, 3, 1) and radii (n,), built once per set (hashed by identity)."""
-    links = np.array([cap.link_index for cap in capsules])
-    ends = np.array([[cap.endpoint_a, cap.endpoint_b] for cap in capsules])[..., None]
-    radii = np.array([cap.radius for cap in capsules], dtype=float)
-    for array in (links, ends, radii):
-        array.flags.writeable = False  # every caller gets the same arrays
-    return links, ends, radii
+def _capsule_set(capsules) -> CapsuleSet:
+    """``capsules`` itself when it is a ``CapsuleSet``, else one built from it."""
+    return capsules if isinstance(capsules, CapsuleSet) else CapsuleSet(capsules)
 
 
 def _next_rows(rows: np.ndarray) -> np.ndarray:
@@ -169,11 +178,13 @@ class Scene:
     polygon ``vertices[i, :vertex_counts[i]]``, counter-clockwise about
     ``normals[i]``; rows past ``vertex_counts[i]`` are zero. Derived
     orientation data (which planes are walls, inward wall normals, outward
-    opening normals) is computed once here. So is the component-major rim
-    table ``_rim`` (10, m): rim segment starts, directions (x, y, z rows
-    each) and squared lengths, then the inward normal of the opening edge
-    through each start. ``_rim_ok`` masks the segments that are not points,
-    and ``_rim_has_point`` says whether any segment is one.
+    opening normals, the entrance's ``entrance_outward_normal`` and
+    ``entrance_outward_offset``) is computed once here. So is the
+    component-major rim table ``_rim`` (10, m): rim segment starts,
+    directions (x, y, z rows each) and squared lengths, then the inward
+    normal of the opening edge through each start. ``_rim_ok`` masks the
+    segments that are not points, and ``_rim_has_point`` says whether any
+    segment is one.
     """
 
     normals: np.ndarray  # (P, 3)
@@ -234,8 +245,8 @@ class Scene:
             "_opening_indices": tuple(opening_idx.tolist()),
             "_opening_normals": oriented_normals[opening_idx],
             "_opening_offsets": oriented_offsets[opening_idx],
-            "_entrance_normal": oriented_normals[entrance_plane_index],
-            "_entrance_offset": float(oriented_offsets[entrance_plane_index]),
+            "entrance_outward_normal": oriented_normals[entrance_plane_index],
+            "entrance_outward_offset": float(oriented_offsets[entrance_plane_index]),
             "_rim": np.concatenate([rim.T, direction, length2[None], edge_normals[::-1].T]),
             "_rim_ok": rim_ok,
             "_rim_has_point": not rim_ok.all(),
@@ -250,15 +261,6 @@ class Scene:
         """The rim as (m, 2, 3) segments: rim segment i runs from rim vertex i to vertex i + 1."""
         rim = self._rim[:3].T
         return np.stack([rim, _next_rows(rim)], axis=1)
-
-    @property
-    def entrance_outward_normal(self) -> np.ndarray:
-        """Unit normal of the entrance surface pointing away from the tunnel interior."""
-        return self._entrance_normal
-
-    @property
-    def entrance_outward_offset(self) -> float:
-        return self._entrance_offset
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,33 +333,6 @@ def segment_segment_distance(a0, a1, b0, b1) -> SegmentClosest:
     return SegmentClosest(float(np.linalg.norm(p1 - p2)), p1, p2, float(s), float(t))
 
 
-def point_in_polygon(point, vertices, normal, tol: float = 1e-12) -> bool:
-    """Membership test for a point on the plane of a convex polygon, vertices (k, 3) CCW about normal."""
-    p = np.asarray(point, dtype=float)
-    k = vertices.shape[0]
-    for i in range(k):
-        edge = vertices[(i + 1) % k] - vertices[i]
-        if np.dot(np.cross(edge, p - vertices[i]), normal) < -tol:
-            return False
-    return True
-
-
-def classify_segment(a, b, scene: Scene) -> str:
-    """FRINGE or TUNNEL: does segment [a, b] cross the entrance opening?"""
-    n = scene.entrance_outward_normal
-    off = scene.entrance_outward_offset
-    sa = float(np.dot(n, a) - off)
-    sb = float(np.dot(n, b) - off)
-    if sa * sb >= 0.0:
-        return CASE_FRINGE
-    t = sa / (sa - sb)
-    crossing = np.asarray(a, dtype=float) + t * (np.asarray(b, dtype=float) - np.asarray(a, dtype=float))
-    e = scene.entrance_plane_index
-    if point_in_polygon(crossing, scene.vertices[e, : scene.vertex_counts[e]], scene.normals[e], _OPENING_TOL):
-        return CASE_TUNNEL
-    return CASE_FRINGE
-
-
 def _in_tunnel_interval(a, b, scene: Scene):
     """Clip segment parameters [0, 1] to the region behind every opening face.
 
@@ -390,16 +365,6 @@ def _in_tunnel_interval(a, b, scene: Scene):
     if t_lo > t_hi:
         return None
     return t_lo, t_hi, clip_lo, clip_hi
-
-
-def segment_bounded_planes_distance(a, b, scene: Scene) -> float:
-    """Signed clearance of a working segment against the tunnel wall half-spaces.
-
-    Positive when the in-tunnel portion of [a, b] keeps clearance from every
-    wall plane; negative with magnitude equal to the deepest violation.
-    """
-    value, *_ = _tunnel_clearance(a, b, scene)
-    return value
 
 
 def _tunnel_clearance(a, b, scene: Scene):
@@ -449,14 +414,14 @@ def _unit_clip(x: np.ndarray) -> np.ndarray:
 
 
 def _crosses_opening(ends: np.ndarray, scene: Scene) -> list[int]:
-    """Indices of the axes of ``ends`` (3, 2, n) that cross the entrance opening (``classify_segment``'s TUNNEL test).
+    """Indices of the axes of ``ends`` (3, 2, n) that cross the entrance opening (the TUNNEL test of ``classify_segment``).
 
     One array pass gives every axis's entrance-plane distances. Only an axis
     whose ends lie strictly on opposite sides gets a crossing point and the
     inside test against each rim edge, on Python floats in ``_dot``'s order,
     so the bits are those of the array expressions.
     """
-    sa, sb = (_dot(ends, scene._entrance_normal) - scene._entrance_offset).tolist()
+    sa, sb = (_dot(ends, scene.entrance_outward_normal) - scene.entrance_outward_offset).tolist()
     straddle = [i for i, (da, db) in enumerate(zip(sa, sb)) if da * db < 0.0]
     if not straddle:
         return []
@@ -538,17 +503,16 @@ def capsule_distance(world_a, world_b, radius: float, scene: Scene, capsule_inde
 
 
 def _world_segments(frames: np.ndarray, capsules: CapsuleSet) -> np.ndarray:
-    links, ends, _radii = _capsule_table(capsules)
-    T = frames[links, None]  # (n, 1, 4, 4)
-    return (T[..., :3, :3] @ ends)[..., 0] + T[..., :3, 3]
+    T = frames[capsules._links, None]  # (n, 1, 4, 4)
+    return (T[..., :3, :3] @ capsules._ends)[..., 0] + T[..., :3, 3]
 
 
-def world_capsule_segments(q, chain: RobotChain, capsules: CapsuleSet) -> np.ndarray:
+def world_capsule_segments(q, chain: RobotChain, capsules) -> np.ndarray:
     """World-frame axis endpoints for every capsule: (n, 2, 3)."""
-    return _world_segments(_frames_with_base(joint_config(q), chain), capsules)
+    return _world_segments(_frames_with_base(joint_config(q), chain), _capsule_set(capsules))
 
 
-def scene_distance(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene) -> DistanceWitness:
+def scene_distance(q, chain: RobotChain, capsules, scene: Scene) -> DistanceWitness:
     """Minimum signed distance over all capsules, with its witness."""
     return world_state(q, chain, capsules, scene).witness
 
@@ -558,8 +522,8 @@ class WorldState:
     """One configuration placed in the scene, evaluated once for every consumer.
 
     Holds the joint frames of one forward-kinematics pass, the capsule axes,
-    the tool position and each capsule's signed clearance, with the capsules
-    and scene they were scored against. Only the minimizing capsule (the
+    the tool position and each capsule's signed clearance, with the chain,
+    capsules and scene they were evaluated with. Only the minimizing capsule (the
     first on a tie, as in ``scene_distance``) has a ``witness``.
     """
 
@@ -569,6 +533,7 @@ class WorldState:
     tool_position: np.ndarray  # (3,)
     clearances: np.ndarray  # (n,) signed clearance of each capsule
     witness: DistanceWitness
+    chain: RobotChain
     capsules: CapsuleSet
     scene: Scene
 
@@ -581,12 +546,13 @@ class WorldState:
         return _witness_gradient(self.frames, self.segments, self.capsules, self.scene, self.witness)
 
 
-def world_state(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene) -> WorldState:
+def world_state(q, chain: RobotChain, capsules, scene: Scene) -> WorldState:
     """Evaluate configuration q once: frames, capsule axes, tool position, clearances, worst witness."""
     qv = joint_config(q)
+    capsules = _capsule_set(capsules)
     frames = _frames_with_base(qv, chain)
     segments = _world_segments(frames, capsules)
-    clearances, witness = _score_axes(segments, _capsule_table(capsules)[2], scene, range(len(capsules)))
+    clearances, witness = _score_axes(segments, capsules._radii, scene, range(len(capsules)))
     return WorldState(
         q=qv,
         frames=frames,
@@ -594,6 +560,7 @@ def world_state(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene) -> Wor
         tool_position=tool_point(frames, chain),
         clearances=clearances,
         witness=witness,
+        chain=chain,
         capsules=capsules,
         scene=scene,
     )
@@ -634,7 +601,7 @@ def _witness_gradient(
     return grad
 
 
-def witness_gradient(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene, witness: DistanceWitness) -> np.ndarray:
+def witness_gradient(q, chain: RobotChain, capsules, scene: Scene, witness: DistanceWitness) -> np.ndarray:
     """Configuration-space gradient (6,) of one capsule's signed distance.
 
     FRINGE: the witness axis point is a material point (minimizing parameters
@@ -643,6 +610,7 @@ def witness_gradient(q, chain: RobotChain, capsules: CapsuleSet, scene: Scene, w
     the witness sits on an opening-plane crossing, whose location shifts as the
     capsule moves.
     """
+    capsules = _capsule_set(capsules)
     frames = _frames_with_base(joint_config(q), chain)
     return _witness_gradient(frames, _world_segments(frames, capsules), capsules, scene, witness)
 

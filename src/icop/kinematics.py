@@ -38,8 +38,9 @@ class JointParams:
 
     def __post_init__(self) -> None:
         for name in ("a", "alpha", "d", "theta_offset"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"joint parameter {name!r} must be finite")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not np.isfinite(value):  # a bool is an int to numpy
+                raise ValueError(f"joint parameter {name!r} must be a finite number")
         for name in ("alpha", "theta_offset"):
             value = getattr(self, name)
             if not (-np.pi < value <= np.pi):

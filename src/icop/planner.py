@@ -17,14 +17,16 @@ are the same for every QP, so ``PlannerParams`` checks them once into its
 Each configuration is evaluated once per plan (``geometry.world_state``):
 ``plan`` evaluates the initial configuration, SafeTrack evaluates each QP
 iterate it accepts, and the accepted state is the start of the next
-SafeTrack call. The residual, the feasibility test, the collision and contact
-rows, and the clearance that ``plan`` records all read that one evaluation.
+SafeTrack call; SafeTrack reads the chain, capsules and scene from that
+start. The residual, the feasibility test, the collision and contact rows,
+and the clearance that ``plan`` records all read that one evaluation.
 A plan that returns keeps the state it ended on as the resume point, and the
 next plan starts from it instead of evaluating its initial configuration when
-four keys match: the same ``chain``, ``capsules`` and ``scene`` objects, and
-an initial configuration with the same bits as the state's ``q``. A plan
-that raises leaves the resume point as it was. So a plan streamed one
-waypoint per call evaluates each accepted state once in all.
+four keys match: the state's ``chain``, ``capsules`` (a ``CapsuleSet``) and
+``scene`` are the objects the plan is given, and the initial configuration
+has the bits of the state's ``q``. A plan that raises leaves the resume
+point as it was. So a plan streamed one waypoint per call evaluates each
+accepted state once in all.
 
 A waypoint farther than ``step_max`` from the accepted tool position is split
 once into ``ceil(gap / step_max)`` evenly spaced pieces, measured from that
@@ -46,16 +48,16 @@ import numpy as np
 
 from .cfs import collision_rows
 from .equality import task_rows
-from .geometry import CapsuleSet, Scene, WorldState, world_state
+from .geometry import Scene, WorldState, world_state
 from .kinematics import NUM_JOINTS, RobotChain, joint_config
 from .qp import STATUS_OPTIMAL, QpProblem, solve
 
 # How many times a step whose inner loop fails to converge is halved before the planner gives up.
 _BISECT_DEPTH = 3
 
-# The state the last plan that returned ended on, with the chain it was evaluated with. It is read
-# and replaced whole, so a plan in another thread either matches all four keys or evaluates its start.
-_resume: tuple[RobotChain | None, WorldState | None] = (None, None)
+# The state the last plan that returned ended on. It is read and replaced whole, so a plan in
+# another thread either matches all four keys or evaluates its start.
+_resume: WorldState | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,12 +76,13 @@ class PlannerParams:
         qp = QpProblem(self.q_diag, self.joint_lower, self.joint_upper)
         if qp.weights.shape != (NUM_JOINTS,):
             raise ValueError("q_diag and the joint limits must be 6-vectors")
-        if not 0 < self.xi < math.inf:  # a NaN fails too
-            raise ValueError("xi must be positive and finite")
-        if not isinstance(self.max_inner, (int, np.integer)) or self.max_inner < 1:
+        # A bool is an int to Python, so each check names it.
+        if isinstance(self.xi, bool) or not 0 < self.xi < math.inf:  # a NaN fails too
+            raise ValueError("xi must be a positive finite number")
+        if isinstance(self.max_inner, bool) or not isinstance(self.max_inner, (int, np.integer)) or self.max_inner < 1:
             raise ValueError("max_inner must be an integer >= 1")
-        if not 0 < self.step_max < math.inf:
-            raise ValueError("step_max must be positive and finite")
+        if isinstance(self.step_max, bool) or not 0 < self.step_max < math.inf:
+            raise ValueError("step_max must be a positive finite number")
         for name, value in (("qp", qp), ("q_diag", qp.weights), ("joint_lower", qp.lower), ("joint_upper", qp.upper)):
             object.__setattr__(self, name, value)
 
@@ -126,12 +129,7 @@ class NonConvergedError(RuntimeError):
         )
 
 
-def safetrack(
-    start: WorldState,
-    c_next,
-    chain: RobotChain,
-    params: PlannerParams,
-) -> SafeTrackResult:
+def safetrack(start: WorldState, c_next, params: PlannerParams) -> SafeTrackResult:
     """Track one Cartesian target from start; returns the iterate it stopped on.
 
     start is the state the previous step accepted, and it is not evaluated
@@ -139,7 +137,7 @@ def safetrack(
     residual is at or below xi and the scene distance is positive), when a
     QP is not optimal or returns its own reference, or after max_inner QP
     solves. Zero QP solves happen when start already converges; each QP
-    iterate accepted is evaluated once, against start's capsules and scene.
+    iterate accepted is evaluated once, with start's chain, capsules and scene.
     """
     c_next = np.asarray(c_next, dtype=float)
     state, iterations = start, 0
@@ -155,30 +153,24 @@ def safetrack(
         iterations += 1
         if sol.status != STATUS_OPTIMAL or np.abs(sol.x - state.q).max() < 1e-15:
             break  # no solution, or stalled: the QP returned the reference itself
-        state = world_state(sol.x, chain, start.capsules, start.scene)
+        state = world_state(sol.x, start.chain, start.capsules, start.scene)
     return SafeTrackResult(state, converged, iterations, residual)
 
 
-def plan(
-    weld_path,
-    q_init,
-    chain: RobotChain,
-    capsules: CapsuleSet,
-    scene: Scene,
-    params: PlannerParams,
-) -> Trajectory:
+def plan(weld_path, q_init, chain: RobotChain, capsules, scene: Scene, params: PlannerParams) -> Trajectory:
     """Plan the full trajectory over the Cartesian waypoint sequence.
 
     States chain from waypoint to waypoint; every emitted state satisfies the
     tracking threshold, a positive scene distance and the joint limits. The
     initial configuration is evaluated once here, unless it resumes the last
     plan that returned: when ``chain``, ``capsules`` and ``scene`` are the
-    objects that plan used and ``q_init`` has the bits of the state it ended
-    on, that state is the start. ``world_state`` is a pure function of those
-    four, so the start is the one a fresh evaluation would give. Each
-    waypoint starts from the state the previous one accepted. The recorded
-    TCP error and clearance are read from the evaluation of the state that
-    SafeTrack accepted.
+    objects its end state holds and ``q_init`` has the bits of its ``q``,
+    that state is the start. ``world_state`` is a pure function of those
+    four, so the start is the one a fresh evaluation would give. Capsules
+    given as a tuple or list, not the ``CapsuleSet`` a state holds, are
+    converted once and never resume. Each waypoint starts from the state
+    the previous one accepted. The recorded TCP error and clearance are
+    read from the evaluation of the state that SafeTrack accepted.
     """
     global _resume
     path = np.asarray(weld_path, dtype=float)
@@ -196,9 +188,10 @@ def plan(
     min_distance = np.zeros(T)
     inner_iterations = np.zeros(T, dtype=int)
 
-    resume_chain, state = _resume
+    state = _resume
     if not (
-        resume_chain is chain
+        state is not None
+        and state.chain is chain
         and state.capsules is capsules
         and state.scene is scene
         and state.q.tobytes() == q0.tobytes()
@@ -216,7 +209,7 @@ def plan(
             stack = [(piece, 0)]
             while stack:
                 target, depth = stack.pop()
-                result = safetrack(state, target, chain, params)
+                result = safetrack(state, target, params)
                 iters += result.inner_iterations
                 if result.converged:
                     state = result.state
@@ -230,7 +223,7 @@ def plan(
         min_distance[t] = state.witness.value
         inner_iterations[t] = iters
 
-    _resume = (chain, state)
+    _resume = state
     return Trajectory(
         states=states,
         tcp_error=tcp_error,

@@ -245,7 +245,7 @@ def _parse_capsules(reader: _FieldReader, data) -> CapsuleSet | None:
                 radius=reader.number(cn, f"{field}.radius"),
             )
         )
-    return _all_read(caps)
+    return reader.build("capsules", CapsuleSet, capsules=_all_read(caps))
 
 
 def _parse_scene(reader: _FieldReader, data) -> Scene | None:

@@ -36,6 +36,11 @@ def square_tunnel():
     return build_prism_tunnel(section, depth=2.0)
 
 
+def rot_z(angle: float) -> np.ndarray:
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
 def random_tunnel(rng: np.random.Generator):
     """A jittered convex polygon prism placed with a random rigid pose."""
     k = int(rng.integers(3, 8))

@@ -4,7 +4,9 @@ Each oracle takes a deliberately different route from the code under test:
 forward kinematics multiplies explicit elementary transform matrices instead
 of the closed-form link matrix, Jacobians come from central differences,
 segment distances from dense parameter grids, tunnel clearances from point
-sampling, and QP optima from exhaustive active-set enumeration.
+sampling, and QP optima from exhaustive active-set enumeration. The scalar
+``classify_segment`` (with ``point_in_polygon``) is the per-segment reference
+for the batched entrance-crossing test ``geometry._crosses_opening``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from icop.geometry import Scene
+from icop.geometry import _OPENING_TOL, CASE_FRINGE, CASE_TUNNEL, Scene
 from icop.kinematics import BodyPoint, JointParams, RobotChain, body_point_position
 
 
@@ -111,6 +113,33 @@ def sampled_tunnel_clearance(a, b, scene: Scene, samples: int = 10_000) -> float
         return np.inf
     clear = pts[inside] @ scene._wall_normals.T - scene._wall_offsets
     return float(clear.min())
+
+
+def point_in_polygon(point, vertices, normal, tol: float = 1e-12) -> bool:
+    """Membership test for a point on the plane of a convex polygon, vertices (k, 3) CCW about normal."""
+    p = np.asarray(point, dtype=float)
+    k = vertices.shape[0]
+    for i in range(k):
+        edge = vertices[(i + 1) % k] - vertices[i]
+        if np.dot(np.cross(edge, p - vertices[i]), normal) < -tol:
+            return False
+    return True
+
+
+def classify_segment(a, b, scene: Scene) -> str:
+    """FRINGE or TUNNEL: does segment [a, b] cross the entrance opening?"""
+    n = scene.entrance_outward_normal
+    off = scene.entrance_outward_offset
+    sa = float(np.dot(n, a) - off)
+    sb = float(np.dot(n, b) - off)
+    if sa * sb >= 0.0:
+        return CASE_FRINGE
+    t = sa / (sa - sb)
+    crossing = np.asarray(a, dtype=float) + t * (np.asarray(b, dtype=float) - np.asarray(a, dtype=float))
+    e = scene.entrance_plane_index
+    if point_in_polygon(crossing, scene.vertices[e, : scene.vertex_counts[e]], scene.normals[e], _OPENING_TOL):
+        return CASE_TUNNEL
+    return CASE_FRINGE
 
 
 def sampled_entrance_side(a, b, scene: Scene, samples: int = 2_000) -> bool:

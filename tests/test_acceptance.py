@@ -12,19 +12,19 @@ import pytest
 from icop.cli import EXIT_OK, main as cli_main
 from icop.geometry import (
     CASE_TUNNEL,
+    _tunnel_clearance,
     capsule_distance,
-    classify_segment,
-    segment_bounded_planes_distance,
     segment_segment_distance,
     transform_scene,
 )
 from icop.kinematics import BodyPoint, body_point_jacobian, forward_kinematics
 from icop.qp import STATUS_OPTIMAL, solve
 from icop.scenario import bundled_scenario_path, load_bundled, plan_scenario, resample_path
-from icop.transforms import apply_transform, homogeneous, rot_y, rot_z
+from icop.transforms import apply_transform, homogeneous, rot_y
 
-from conftest import random_tunnel
+from conftest import random_tunnel, rot_z
 from oracles import (
+    classify_segment,
     fd_jacobian,
     fk_oracle,
     grid_segment_distance,
@@ -173,7 +173,7 @@ def test_criterion_7_geometry_oracles():
         b = a + rng.uniform(-1.5, 1.5, 3)
         if classify_segment(a, b, scene) != CASE_TUNNEL:
             continue
-        exact = segment_bounded_planes_distance(a, b, scene)
+        exact = _tunnel_clearance(a, b, scene)[0]
         worst_plane = max(worst_plane, abs(exact - sampled_tunnel_clearance(a, b, scene)))
         checked += 1
 

@@ -8,16 +8,14 @@ from icop.geometry import (
     CASE_FRINGE,
     CASE_TUNNEL,
     Capsule,
+    CapsuleSet,
     DistanceWitness,
     Scene,
     _score_axes,
     _tunnel_clearance,
     build_prism_tunnel,
     capsule_distance,
-    classify_segment,
-    point_in_polygon,
     scene_distance,
-    segment_bounded_planes_distance,
     segment_segment_distance,
     transform_scene,
     witness_gradient,
@@ -25,10 +23,16 @@ from icop.geometry import (
     world_state,
 )
 from icop.kinematics import forward_kinematics
-from icop.transforms import apply_transform, homogeneous, rot_y, rot_z
+from icop.transforms import apply_transform, homogeneous, rot_y
 
-from conftest import random_tunnel
-from oracles import fd_scene_gradient, grid_segment_distance, sampled_tunnel_clearance
+from conftest import random_tunnel, rot_z
+from oracles import (
+    classify_segment,
+    fd_scene_gradient,
+    grid_segment_distance,
+    point_in_polygon,
+    sampled_tunnel_clearance,
+)
 
 
 def _random_segment(rng, scale=2.0):
@@ -112,15 +116,15 @@ class TestClassification:
 
 class TestTunnelClearance:
     def test_axis_segment_of_unit_square_prism(self, square_tunnel):
-        val = segment_bounded_planes_distance([-0.5, 0, 0], [1.0, 0, 0], square_tunnel)
+        val = _tunnel_clearance([-0.5, 0, 0], [1.0, 0, 0], square_tunnel)[0]
         assert val == pytest.approx(0.5, abs=1e-12)
 
     def test_segment_on_wall_plane(self, square_tunnel):
-        val = segment_bounded_planes_distance([-0.5, 0.5, 0], [1.0, 0.5, 0], square_tunnel)
+        val = _tunnel_clearance([-0.5, 0.5, 0], [1.0, 0.5, 0], square_tunnel)[0]
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_penetrating_segment_is_negative(self, square_tunnel):
-        val = segment_bounded_planes_distance([-0.5, 0, 0], [1.0, 1.2, 0], square_tunnel)
+        val = _tunnel_clearance([-0.5, 0, 0], [1.0, 1.2, 0], square_tunnel)[0]
         assert val < 0.0
 
     def test_matches_sampling_oracle(self):
@@ -131,7 +135,7 @@ class TestTunnelClearance:
             a, b = _random_segment(rng, scale=1.5)
             if classify_segment(a, b, scene) != CASE_TUNNEL:
                 continue
-            exact = segment_bounded_planes_distance(a, b, scene)
+            exact = _tunnel_clearance(a, b, scene)[0]
             approx = sampled_tunnel_clearance(a, b, scene)
             assert abs(exact - approx) < 1e-3
             checked += 1
@@ -345,6 +349,33 @@ class TestValidation:
         assert np.allclose(segs[5, 0], expected, atol=1e-12)
 
 
+class TestCapsuleSet:
+    def test_rejects_an_empty_set_and_a_non_capsule(self, c4):
+        for bad in ((), [], [*c4.capsules, None], [c4.capsules[0], (1, [0, 0, 0], [1, 0, 0], 0.1)]):
+            with pytest.raises(ValueError, match="capsule set"):
+                CapsuleSet(bad)
+
+    def test_a_capsule_list_gives_the_capsule_set_bits(self, c4):
+        from icop.scenario import mounted_scene_and_path
+
+        scene, _ = mounted_scene_and_path(c4)
+        rng = np.random.default_rng(33)
+        as_list = list(c4.capsules)
+        for q in [c4.initial_config] + [c4.initial_config + rng.uniform(-0.4, 0.4, 6) for _ in range(20)]:
+            state = world_state(q, c4.chain, c4.capsules, scene)
+            listed = world_state(q, c4.chain, as_list, scene)
+            assert isinstance(listed.capsules, CapsuleSet) and list(listed.capsules) == as_list
+            for name in ("q", "frames", "segments", "tool_position", "clearances"):
+                assert getattr(listed, name).tobytes() == getattr(state, name).tobytes(), name
+            _assert_same_witness(listed.witness, state.witness)
+            _assert_same_witness(scene_distance(q, c4.chain, as_list, scene), state.witness)
+            gradient = witness_gradient(q, c4.chain, c4.capsules, scene, state.witness)
+            assert witness_gradient(q, c4.chain, as_list, scene, state.witness).tobytes() == gradient.tobytes()
+            assert state.gradient().tobytes() == gradient.tobytes()
+            segments = world_capsule_segments(q, c4.chain, as_list)
+            assert segments.tobytes() == world_capsule_segments(q, c4.chain, c4.capsules).tobytes()
+
+
 _DERIVED = (
     "_wall_indices",
     "_wall_normals",
@@ -352,8 +383,8 @@ _DERIVED = (
     "_opening_indices",
     "_opening_normals",
     "_opening_offsets",
-    "_entrance_normal",
-    "_entrance_offset",
+    "entrance_outward_normal",
+    "entrance_outward_offset",
     "_rim",
     "_rim_ok",
     "_rim_has_point",

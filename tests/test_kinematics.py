@@ -148,6 +148,9 @@ def test_chain_validation():
         JointParams(a=np.inf, alpha=0.0, d=0.0)
     with pytest.raises(ValueError):
         JointParams(a=1.0, alpha=4.0, d=0.0)  # twist outside (-pi, pi]
+    for bad in (dict(a=True), dict(alpha=True), dict(d=False), dict(theta_offset=False)):
+        with pytest.raises(ValueError):
+            JointParams(**{**dict(a=1.0, alpha=0.0, d=0.0), **bad})
     bad_tool = np.eye(4)
     bad_tool[0, 0] = 2.0
     with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
-"""Smoke test for scripts/plan_fingerprint.py, which has no other test.
+"""Tests of scripts/plan_fingerprint.py, and the pin of the bundled plans.
 
-Running the script's ``fingerprint`` catches a planner or scenario symbol it
-uses going away or changing signature; saving the plans and comparing them
-with themselves exercises ``--save`` and ``--compare``.
+The fingerprint of the c1..c4 plans is pinned, so a change that moves any
+planned bit fails here; a change meant to alter the plans updates
+``PINNED`` and says why. Saving the plans and comparing them with themselves
+exercises ``--save`` and ``--compare``.
 """
 
 import importlib.util
@@ -12,6 +13,9 @@ import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "plan_fingerprint.py"
+
+# Includes c3's plan through the tunnel roof (ROADMAP item 1); the change that fixes it updates this.
+PINNED = "4e33d1e4808f2d5f059a0f9dc325f139e24820a67d82a1753fe9669e205c447d"
 
 
 @pytest.fixture(scope="module")
@@ -27,9 +31,8 @@ def results(script):
     return script.run_plans()
 
 
-def test_fingerprint_is_a_sha256_hex_digest(script, results):
-    digest = script.fingerprint(results)
-    assert len(digest) == 64 and int(digest, 16) >= 0
+def test_fingerprint_pins_the_bundled_plans(script, results):
+    assert script.fingerprint(results) == PINNED
 
 
 def test_saved_plans_compare_equal_to_themselves(script, results, tmp_path):

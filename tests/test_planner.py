@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from icop import geometry, planner
-from icop.geometry import scene_distance, world_state
+from icop import planner
+from icop.geometry import CapsuleSet, scene_distance, world_state
 from icop.kinematics import BodyPoint, RobotChain, body_point_position, tool_tip
 from icop.planner import (
     NonConvergedError,
@@ -28,7 +28,7 @@ def test_already_satisfied_target_needs_zero_qp_solves(world):
     c4, scene, _ = world
     q = c4.initial_config
     target = body_point_position(q, c4.chain, tool_tip(c4.chain))
-    res = safetrack(world_state(q, c4.chain, c4.capsules, scene), target, c4.chain, c4.params)
+    res = safetrack(world_state(q, c4.chain, c4.capsules, scene), target, c4.params)
     assert res.converged
     assert res.inner_iterations == 0
     assert np.array_equal(res.state.q, q)
@@ -41,7 +41,7 @@ def test_small_free_space_step_converges_fast(world):
     tool = tool_tip(c4.chain)
     for _ in range(10):
         target = body_point_position(q, c4.chain, tool) + rng.uniform(-1e-3, 1e-3, 3)
-        res = safetrack(world_state(q, c4.chain, c4.capsules, scene), target, c4.chain, c4.params)
+        res = safetrack(world_state(q, c4.chain, c4.capsules, scene), target, c4.params)
         assert res.converged
         assert res.inner_iterations <= 3
         assert res.tcp_error <= c4.params.xi
@@ -51,7 +51,7 @@ def test_small_free_space_step_converges_fast(world):
 def test_safetrack_result_satisfies_contract(world):
     c4, scene, path = world
     start = world_state(c4.initial_config, c4.chain, c4.capsules, scene)
-    res = safetrack(start, path[0], c4.chain, c4.params)
+    res = safetrack(start, path[0], c4.params)
     assert res.converged
     q = res.state.q
     tip = body_point_position(q, c4.chain, tool_tip(c4.chain))
@@ -149,7 +149,7 @@ def test_inner_loop_constructs_no_body_point(world, monkeypatch):
 
     monkeypatch.setattr(BodyPoint, "__post_init__", counted)
     start = world_state(c4.initial_config, c4.chain, c4.capsules, scene)
-    res = safetrack(start, path[0], c4.chain, c4.params)
+    res = safetrack(start, path[0], c4.params)
     assert res.converged and res.inner_iterations >= 2
     assert built == []
 
@@ -171,16 +171,26 @@ def test_plan_constructs_no_qp_problem(world, monkeypatch):
 
 
 def test_plan_stacks_capsules_once_and_derives_no_chain_constants(world, monkeypatch):
-    # the capsule arrays are built once per capsule set, the joint constants once per chain
+    # the capsule arrays are stacked when the CapsuleSet is built, the joint constants once per chain
     c4, scene, path = world
-    derived = []
+    built, derived = [], []
+    new = CapsuleSet.__new__
+    monkeypatch.setattr(CapsuleSet, "__new__", lambda cls, capsules: built.append(capsules) or new(cls, capsules))
     monkeypatch.setattr(RobotChain, "__post_init__", lambda chain: derived.append(chain))
-    geometry._capsule_table.cache_clear()
+    assert isinstance(c4.capsules, CapsuleSet)
     traj = plan(path, c4.initial_config, c4.chain, c4.capsules, scene, c4.params)
     assert traj.inner_iterations.sum() > 0
-    table = geometry._capsule_table.cache_info()
-    assert table.misses <= 1 < table.hits
-    assert derived == []
+    assert planner._resume.capsules is c4.capsules
+    assert built == [] and derived == []
+
+
+def test_a_capsule_list_plans_the_capsule_set_bits(world):
+    # a list is converted once per call, so the plan is cold but the same
+    c4, scene, path = world
+    with_set = plan(path[:5], c4.initial_config, c4.chain, c4.capsules, scene, c4.params)
+    with_list = plan(path[:5], c4.initial_config, c4.chain, list(c4.capsules), scene, c4.params)
+    for name in ("states", "tcp_error", "min_distance", "inner_iterations"):
+        assert getattr(with_list, name).tobytes() == getattr(with_set, name).tobytes(), name
 
 
 def _safetrack_with_solve(world, monkeypatch, solution):
@@ -194,7 +204,7 @@ def _safetrack_with_solve(world, monkeypatch, solution):
 
     monkeypatch.setattr(planner, "solve", fake_solve)
     start = world_state(c4.initial_config, c4.chain, c4.capsules, scene)
-    return start, safetrack(start, path[0], c4.chain, c4.params), calls
+    return start, safetrack(start, path[0], c4.params), calls
 
 
 def test_non_optimal_qp_stops_safetrack_at_the_start(world, monkeypatch):
@@ -231,7 +241,7 @@ def test_safetrack_returns_the_iterate_it_stopped_on(world, monkeypatch):
 
     monkeypatch.setattr(planner, "solve", approach_retreat_fail)
     start = world_state(c4.initial_config, c4.chain, c4.capsules, scene)
-    res = safetrack(start, path[0], c4.chain, c4.params)
+    res = safetrack(start, path[0], c4.params)
     assert len(calls) == 3 and res.inner_iterations == 3 and not res.converged
     first = world_state(calls[1], c4.chain, c4.capsules, scene)
     first_error = float(np.linalg.norm(path[0] - first.tool_position))
@@ -247,7 +257,7 @@ def test_zero_clearance_is_not_converged(world):
     c4, scene, _ = world
     start = world_state(c4.initial_config, c4.chain, c4.capsules, scene)
     touching = dataclasses.replace(start, witness=dataclasses.replace(start.witness, value=0.0))
-    res = safetrack(touching, touching.tool_position, c4.chain, c4.params)
+    res = safetrack(touching, touching.tool_position, c4.params)
     assert not res.converged and res.inner_iterations == 1 and res.state is touching
 
 
@@ -296,6 +306,10 @@ def test_params_validation():
                 PlannerParams(q_diag=np.ones(6), joint_lower=-np.ones(6), joint_upper=np.ones(6), **{field: bad})
     with pytest.raises(ValueError):
         PlannerParams(q_diag=np.ones(6), joint_lower=-np.ones(6), joint_upper=np.ones(6), max_inner=2.5)
+    # a bool is an int to Python; each field rejects it, as Capsule's radius does
+    for field in ("xi", "step_max", "max_inner"):
+        with pytest.raises(ValueError):
+            PlannerParams(q_diag=np.ones(6), joint_lower=-np.ones(6), joint_upper=np.ones(6), **{field: True})
     with pytest.raises(ValueError):
         PlannerParams(q_diag=np.ones(6), joint_lower=[-1.0, -1.0, np.nan, -1.0, -1.0, -1.0], joint_upper=np.ones(6))
     with pytest.raises(ValueError):
