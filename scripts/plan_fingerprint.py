@@ -15,8 +15,9 @@ and compare the other against them:
     python3 scripts/plan_fingerprint.py --compare plans.npz   # second checkout
 
 ``--compare`` prints, per scenario and parameter set, the largest change in
-any planned joint value and whether the inner-iteration counts and the
-non-convergence reports match; it exits 1 if any of them does not.
+any planned joint value and in any recorded ``min_distance``, and whether the
+inner-iteration counts and the non-convergence reports match; it exits 1 if
+the counts or the reports do not.
 
 Run from the repository root:  python3 scripts/plan_fingerprint.py
 """
@@ -78,13 +79,14 @@ def fingerprint(results: dict[str, Trajectory | NonConvergedError] | None = None
 
 
 def _arrays(results) -> dict[str, np.ndarray]:
-    """Per plan: ``states`` and ``inner_iterations``, or the ``non_converged`` report."""
+    """Per plan: ``states``, ``min_distance`` and ``inner_iterations``, or the ``non_converged`` report."""
     out = {}
     for key, result in results.items():
         if isinstance(result, NonConvergedError):
             out[f"{key}/non_converged"] = np.array([result.waypoint_index, result.tcp_error, result.min_distance])
         else:
             out[f"{key}/states"] = result.states
+            out[f"{key}/min_distance"] = result.min_distance
             out[f"{key}/inner_iterations"] = result.inner_iterations.astype(np.int64)
     return out
 
@@ -94,10 +96,11 @@ def save(path, results) -> None:
         np.savez(fh, **_arrays(results))
 
 
-def compare(path, results) -> list[tuple[str, float | None, bool, bool]]:
-    """Per plan, against the plans saved at ``path``: (key, largest joint change, counts match, reports match).
+def compare(path, results) -> list[tuple[str, float | None, bool, bool, float | None]]:
+    """Per plan, against the plans saved at ``path``: (key, largest joint change, counts match, reports match,
+    largest ``min_distance`` change).
 
-    The joint change is None when either plan did not converge.
+    A change is None when either plan did not converge, or when ``path`` does not hold that array.
     """
     with np.load(path) as saved:
         saved = dict(saved)
@@ -107,14 +110,26 @@ def compare(path, results) -> list[tuple[str, float | None, bool, bool]]:
         old, new = saved.get(name), current.get(name)
         return (old is None) == (new is None) and (old is None or np.array_equal(old, new))
 
-    rows = []
-    for key in results:
-        old, new = saved.get(f"{key}/states"), current.get(f"{key}/states")
-        change = None
-        if old is not None and new is not None and old.shape == new.shape:
-            change = float(np.max(np.abs(new - old), initial=0.0))
-        rows.append((key, change, same(f"{key}/inner_iterations"), same(f"{key}/non_converged")))
-    return rows
+    def largest_change(name):
+        old, new = saved.get(name), current.get(name)
+        if old is None or new is None or old.shape != new.shape:
+            return None
+        return float(np.max(np.abs(new - old), initial=0.0))
+
+    return [
+        (
+            key,
+            largest_change(f"{key}/states"),
+            same(f"{key}/inner_iterations"),
+            same(f"{key}/non_converged"),
+            largest_change(f"{key}/min_distance"),
+        )
+        for key in results
+    ]
+
+
+def _format(change: float | None) -> str:
+    return "n/a" if change is None else f"{change:.3e}"
 
 
 def main(argv=None) -> int:
@@ -128,13 +143,13 @@ def main(argv=None) -> int:
         save(args.save, results)
     if args.compare:
         rows = compare(args.compare, results)
-        for key, change, iters_match, reports_match in rows:
+        for key, change, iters_match, reports_match, distance_change in rows:
             print(
-                f"{key:<26} max|dq|={'n/a' if change is None else f'{change:.3e}':<10} "
+                f"{key:<26} max|dq|={_format(change):<10} max|dmin|={_format(distance_change):<10} "
                 f"inner_iterations {'match' if iters_match else 'DIFFER'}, "
                 f"non-converged reports {'match' if reports_match else 'DIFFER'}"
             )
-        return 0 if all(iters and reports for _, _, iters, reports in rows) else 1
+        return 0 if all(iters and reports for _, _, iters, reports, _ in rows) else 1
     return 0
 
 

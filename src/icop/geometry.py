@@ -30,15 +30,19 @@ witnesses pinned to the entrance crossing.
 All capsules of a configuration are scored into one clearance array: one
 array pass gives the entrance-plane distances of every axis end, and only the
 axes whose ends lie strictly on both sides of the plane (usually one or none)
-get a crossing point and the inside test against the rim edges, on Python
-floats. One (capsules x fringe segments) closest-point pass scores the FRINGE
-case; its point-case selections run only when a rim edge or an axis is short
-enough to be scored as a point. Both passes read component-major arrays (axis
-endpoints (3, 2, n), the rim table), so each x, y and z operand is a
-contiguous row. Only the worst capsule (the first on a tie) gets a witness.
-``scene_distance``, ``world_state`` and ``capsule_distance`` agree bit for
-bit; their reference is the scalar ``segment_segment_distance`` with
-``classify_segment`` and ``point_in_polygon`` of ``tests/oracles.py``.
+get a crossing point and the inside test against the rim edges. The same
+pass, on Python floats, scores each axis that crosses the opening: it clips
+the axis to the region behind the opening faces and measures the walls at
+both ends of that interval. One (capsules x fringe segments) closest-point
+pass scores the FRINGE case; its point-case selections run only when a rim
+edge or an axis is short enough to be scored as a point. Both passes read
+component-major arrays (axis endpoints (3, 2, n), the rim table), so each x,
+y and z operand is a contiguous row. Only the worst capsule (the first on a
+tie) gets a witness. ``scene_distance``, ``world_state`` and
+``capsule_distance`` agree bit for bit; their reference is the scalar
+``segment_segment_distance`` with ``classify_segment`` and
+``point_in_polygon`` of ``tests/oracles.py``, and the numpy TUNNEL clearance
+there.
 
 A planner iterate is evaluated once: ``world_state`` builds the frames, the
 world capsule axes, the tool position, the clearances and the witness from
@@ -256,12 +260,6 @@ class Scene:
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
 
-    @property
-    def fringe_segments(self) -> np.ndarray:
-        """The rim as (m, 2, 3) segments: rim segment i runs from rim vertex i to vertex i + 1."""
-        rim = self._rim[:3].T
-        return np.stack([rim, _next_rows(rim)], axis=1)
-
 
 @dataclass(frozen=True, eq=False)
 class DistanceWitness:
@@ -333,71 +331,6 @@ def segment_segment_distance(a0, a1, b0, b1) -> SegmentClosest:
     return SegmentClosest(float(np.linalg.norm(p1 - p2)), p1, p2, float(s), float(t))
 
 
-def _in_tunnel_interval(a, b, scene: Scene):
-    """Clip segment parameters [0, 1] to the region behind every opening face.
-
-    Returns (t_lo, t_hi, clip_lo, clip_hi) where the clip entries name the
-    opening plane that pinned that end, or None for a material endpoint.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = b - a
-    t_lo, t_hi = 0.0, 1.0
-    clip_lo: int | None = None
-    clip_hi: int | None = None
-    for row, plane_idx in enumerate(scene._opening_indices):
-        n = scene._opening_normals[row]
-        off = scene._opening_offsets[row]
-        # inside the tunnel slab: n . p - off <= 0 (outward-oriented normals)
-        fa = float(np.dot(n, a) - off)
-        slope = float(np.dot(n, d))
-        if abs(slope) < 1e-14:
-            if fa > 0.0:
-                return None  # segment parallel to and outside this opening face
-            continue
-        t_cross = -fa / slope
-        if slope > 0.0:  # leaving through this face as t grows
-            if t_cross < t_hi:
-                t_hi, clip_hi = t_cross, plane_idx
-        else:  # entering through this face as t grows
-            if t_cross > t_lo:
-                t_lo, clip_lo = t_cross, plane_idx
-    if t_lo > t_hi:
-        return None
-    return t_lo, t_hi, clip_lo, clip_hi
-
-
-def _tunnel_clearance(a, b, scene: Scene):
-    """Worst wall clearance over the in-tunnel interval, with witness bookkeeping."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    interval = _in_tunnel_interval(a, b, scene)
-    if interval is None:
-        # Degenerate: the crossing sliver vanished; fall back to the entrance crossing point.
-        n = scene.entrance_outward_normal
-        off = scene.entrance_outward_offset
-        sa = float(np.dot(n, a) - off)
-        sb = float(np.dot(n, b) - off)
-        t_c = sa / (sa - sb)
-        interval = (t_c, t_c, scene.entrance_plane_index, scene.entrance_plane_index)
-    t_lo, t_hi, clip_lo, clip_hi = interval
-    ends = ((t_lo, clip_lo), (t_hi, clip_hi))
-    best_value = np.inf
-    best = None
-    for t, clip in ends:
-        p = a + t * (b - a)
-        clear = scene._wall_normals @ p - scene._wall_offsets
-        w = int(np.argmin(clear))
-        if clear[w] < best_value:
-            best_value = float(clear[w])
-            best = (t, clip, w, p)
-    t_star, clip_star, wall_row, p_star = best
-    wall_plane_index = scene._wall_indices[wall_row]
-    n_w = scene._wall_normals[wall_row]
-    foot = p_star - best_value * n_w
-    return best_value, t_star, clip_star, wall_plane_index, p_star, foot
-
-
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dot product over the first axis of component-major (3, ...) arrays, summed in a fixed order.
 
@@ -413,28 +346,61 @@ def _unit_clip(x: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
-def _crosses_opening(ends: np.ndarray, scene: Scene) -> list[int]:
-    """Indices of the axes of ``ends`` (3, 2, n) that cross the entrance opening (the TUNNEL test of ``classify_segment``).
+def _tunnel_scores(ends: np.ndarray, scene: Scene) -> dict[int, tuple]:
+    """TUNNEL score of every axis of ``ends`` (3, 2, n) that crosses the entrance opening (the test of ``classify_segment``).
 
     One array pass gives every axis's entrance-plane distances. Only an axis
     whose ends lie strictly on opposite sides gets a crossing point and the
-    inside test against each rim edge, on Python floats in ``_dot``'s order,
-    so the bits are those of the array expressions.
+    inside test against each rim edge. A crossing axis is clipped to the
+    region behind every opening face and scored at both ends of that
+    interval against every wall; the lower end, then the lower wall row, wins
+    a tie. When the interval is empty the crossing itself is scored, pinned to
+    the entrance at both ends. All of it runs on Python floats in ``_dot``'s
+    order. Returns {axis: (clearance, axis parameter, clip plane or None,
+    wall plane, point on the axis, its foot on the wall plane)}.
     """
     sa, sb = (_dot(ends, scene.entrance_outward_normal) - scene.entrance_outward_offset).tolist()
     straddle = [i for i, (da, db) in enumerate(zip(sa, sb)) if da * db < 0.0]
     if not straddle:
-        return []
+        return {}
     rows = scene._rim.tolist()
     rim = list(zip(*rows[:3], *rows[7:]))  # per rim edge: its start, then the inward normal of the opening edge
-    crossing = []
+    faces = list(zip(scene._opening_indices, scene._opening_normals.tolist(), scene._opening_offsets.tolist()))
+    walls = list(zip(scene._wall_normals.tolist(), scene._wall_offsets.tolist()))
+    scores = {}
     for i in straddle:
         (ax, ay, az), (bx, by, bz) = ends[:, :, i].T.tolist()
+        dx, dy, dz = bx - ax, by - ay, bz - az
         t = sa[i] / (sa[i] - sb[i])
-        x, y, z = ax + t * (bx - ax), ay + t * (by - ay), az + t * (bz - az)
-        if all((x - rx) * nx + (y - ry) * ny + (z - rz) * nz >= -_OPENING_TOL for rx, ry, rz, nx, ny, nz in rim):
-            crossing.append(i)
-    return crossing
+        x, y, z = ax + t * dx, ay + t * dy, az + t * dz
+        if not all((x - rx) * nx + (y - ry) * ny + (z - rz) * nz >= -_OPENING_TOL for rx, ry, rz, nx, ny, nz in rim):
+            continue
+        # (axis parameter, opening plane that pinned it); inside the slab n . p - off <= 0 (outward normals)
+        lo, hi = (0.0, None), (1.0, None)
+        for plane, (nx, ny, nz), off in faces:
+            fa, slope = nx * ax + ny * ay + nz * az - off, nx * dx + ny * dy + nz * dz
+            if abs(slope) < 1e-14:
+                if fa > 0.0:  # parallel to and outside this face: the interval is empty
+                    lo = (math.inf, None)
+                continue
+            t_face = -fa / slope
+            if slope > 0.0 and t_face < hi[0]:  # leaving through this face as t grows
+                hi = (t_face, plane)
+            elif slope < 0.0 and t_face > lo[0]:  # entering through this face as t grows
+                lo = (t_face, plane)
+        if lo[0] > hi[0]:  # the crossing sliver vanished: score the entrance crossing
+            lo = hi = (t, scene.entrance_plane_index)
+        best = None
+        for t_end, clip in (lo, hi):
+            p = (ax + t_end * dx, ay + t_end * dy, az + t_end * dz)
+            for row, ((nx, ny, nz), off) in enumerate(walls):
+                clearance = nx * p[0] + ny * p[1] + nz * p[2] - off
+                if best is None or clearance < best[0]:
+                    best = (clearance, t_end, clip, row, p)
+        clearance, t_end, clip, row, p = best
+        foot = [pk - clearance * nk for pk, nk in zip(p, walls[row][0])]
+        scores[i] = (clearance, t_end, clip, scene._wall_indices[row], np.array(p), np.array(foot))
+    return scores
 
 
 def _closest_fringe(ends: np.ndarray, scene: Scene):
@@ -479,10 +445,10 @@ def _score_axes(axes: np.ndarray, radii, scene: Scene, capsule_indices) -> tuple
     """Signed clearances (n,) of world-frame axes (n, 2, 3) with radii, and the witness of ``clearances.argmin()``."""
     ends = np.ascontiguousarray(axes.transpose(2, 1, 0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        crossing = _crosses_opening(ends, scene)
+        tunnel = _tunnel_scores(ends, scene)
         gaps, nearest, s, on_axis, on_fringe = _closest_fringe(ends, scene)
-    tunnel = {i: _tunnel_clearance(axes[i, 0], axes[i, 1], scene) for i in crossing}
-    gaps[crossing] = [tunnel[i][0] for i in crossing]
+    for i, score in tunnel.items():
+        gaps[i] = score[0]
     clearances = gaps - np.asarray(radii, dtype=float)
     k = int(np.argmin(clearances))
     if k in tunnel:

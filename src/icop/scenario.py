@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from warnings import warn
@@ -300,6 +300,7 @@ def _parse_scene(reader: _FieldReader, data) -> Scene | None:
 
 def _parse_params(reader: _FieldReader, data) -> planner.PlannerParams | None:
     node = reader.mapping(data, "params")
+    default = {f.name: f.default for f in fields(planner.PlannerParams)}
     return reader.build(
         "params",
         planner.PlannerParams,
@@ -307,8 +308,8 @@ def _parse_params(reader: _FieldReader, data) -> planner.PlannerParams | None:
         joint_lower=reader.array(node, "params.joint_lower", (NUM_JOINTS,)),
         joint_upper=reader.array(node, "params.joint_upper", (NUM_JOINTS,)),
         xi=reader.number(node, "params.xi"),
-        max_inner=reader.integer(node, "params.max_inner", 50),
-        step_max=reader.number(node, "params.step_max", 0.05),
+        max_inner=reader.integer(node, "params.max_inner", default["max_inner"]),
+        step_max=reader.number(node, "params.step_max", default["step_max"]),
     )
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from icop.geometry import build_prism_tunnel, transform_scene
+from icop.geometry import _tunnel_scores, build_prism_tunnel, transform_scene
 from icop.kinematics import JointParams, RobotChain
 from icop.scenario import load_bundled
 from icop.transforms import homogeneous, rot_y
@@ -39,6 +39,17 @@ def square_tunnel():
 def rot_z(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def fringe_segments(scene) -> np.ndarray:
+    """The scene's rim as (m, 2, 3) segments: rim segment i runs from rim vertex i to vertex i + 1."""
+    rim = scene._rim[:3].T
+    return np.stack([rim, np.roll(rim, -1, axis=0)], axis=1)
+
+
+def kernel_tunnel_clearance(a, b, scene) -> float:
+    """The wall clearance ``geometry._tunnel_scores`` gives the axis [a, b]; a KeyError if it does not cross the opening."""
+    return _tunnel_scores(np.array([a, b], dtype=float).T[:, :, None], scene)[0][0]
 
 
 def random_tunnel(rng: np.random.Generator):

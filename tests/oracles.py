@@ -6,7 +6,9 @@ of the closed-form link matrix, Jacobians come from central differences,
 segment distances from dense parameter grids, tunnel clearances from point
 sampling, and QP optima from exhaustive active-set enumeration. The scalar
 ``classify_segment`` (with ``point_in_polygon``) is the per-segment reference
-for the batched entrance-crossing test ``geometry._crosses_opening``.
+for the entrance-crossing test of ``geometry._tunnel_scores``, and the numpy
+``_tunnel_clearance`` (with ``_in_tunnel_interval``) the reference for the
+TUNNEL clearance that pass computes on Python floats.
 """
 
 from __future__ import annotations
@@ -140,6 +142,71 @@ def classify_segment(a, b, scene: Scene) -> str:
     if point_in_polygon(crossing, scene.vertices[e, : scene.vertex_counts[e]], scene.normals[e], _OPENING_TOL):
         return CASE_TUNNEL
     return CASE_FRINGE
+
+
+def _in_tunnel_interval(a, b, scene: Scene):
+    """Clip segment parameters [0, 1] to the region behind every opening face.
+
+    Returns (t_lo, t_hi, clip_lo, clip_hi) where the clip entries name the
+    opening plane that pinned that end, or None for a material endpoint.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    d = b - a
+    t_lo, t_hi = 0.0, 1.0
+    clip_lo: int | None = None
+    clip_hi: int | None = None
+    for row, plane_idx in enumerate(scene._opening_indices):
+        n = scene._opening_normals[row]
+        off = scene._opening_offsets[row]
+        # inside the tunnel slab: n . p - off <= 0 (outward-oriented normals)
+        fa = float(np.dot(n, a) - off)
+        slope = float(np.dot(n, d))
+        if abs(slope) < 1e-14:
+            if fa > 0.0:
+                return None  # segment parallel to and outside this opening face
+            continue
+        t_cross = -fa / slope
+        if slope > 0.0:  # leaving through this face as t grows
+            if t_cross < t_hi:
+                t_hi, clip_hi = t_cross, plane_idx
+        else:  # entering through this face as t grows
+            if t_cross > t_lo:
+                t_lo, clip_lo = t_cross, plane_idx
+    if t_lo > t_hi:
+        return None
+    return t_lo, t_hi, clip_lo, clip_hi
+
+
+def _tunnel_clearance(a, b, scene: Scene):
+    """Worst wall clearance over the in-tunnel interval, with witness bookkeeping."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    interval = _in_tunnel_interval(a, b, scene)
+    if interval is None:
+        # Degenerate: the crossing sliver vanished; fall back to the entrance crossing point.
+        n = scene.entrance_outward_normal
+        off = scene.entrance_outward_offset
+        sa = float(np.dot(n, a) - off)
+        sb = float(np.dot(n, b) - off)
+        t_c = sa / (sa - sb)
+        interval = (t_c, t_c, scene.entrance_plane_index, scene.entrance_plane_index)
+    t_lo, t_hi, clip_lo, clip_hi = interval
+    ends = ((t_lo, clip_lo), (t_hi, clip_hi))
+    best_value = np.inf
+    best = None
+    for t, clip in ends:
+        p = a + t * (b - a)
+        clear = scene._wall_normals @ p - scene._wall_offsets
+        w = int(np.argmin(clear))
+        if clear[w] < best_value:
+            best_value = float(clear[w])
+            best = (t, clip, w, p)
+    t_star, clip_star, wall_row, p_star = best
+    wall_plane_index = scene._wall_indices[wall_row]
+    n_w = scene._wall_normals[wall_row]
+    foot = p_star - best_value * n_w
+    return best_value, t_star, clip_star, wall_plane_index, p_star, foot
 
 
 def sampled_entrance_side(a, b, scene: Scene, samples: int = 2_000) -> bool:

@@ -12,7 +12,6 @@ import pytest
 from icop.cli import EXIT_OK, main as cli_main
 from icop.geometry import (
     CASE_TUNNEL,
-    _tunnel_clearance,
     capsule_distance,
     segment_segment_distance,
     transform_scene,
@@ -22,7 +21,7 @@ from icop.qp import STATUS_OPTIMAL, solve
 from icop.scenario import bundled_scenario_path, load_bundled, plan_scenario, resample_path
 from icop.transforms import apply_transform, homogeneous, rot_y
 
-from conftest import random_tunnel, rot_z
+from conftest import kernel_tunnel_clearance, random_tunnel, rot_z
 from oracles import (
     classify_segment,
     fd_jacobian,
@@ -173,7 +172,7 @@ def test_criterion_7_geometry_oracles():
         b = a + rng.uniform(-1.5, 1.5, 3)
         if classify_segment(a, b, scene) != CASE_TUNNEL:
             continue
-        exact = _tunnel_clearance(a, b, scene)[0]
+        exact = kernel_tunnel_clearance(a, b, scene)
         worst_plane = max(worst_plane, abs(exact - sampled_tunnel_clearance(a, b, scene)))
         checked += 1
 

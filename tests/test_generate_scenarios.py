@@ -11,6 +11,8 @@ import numpy as np
 
 from icop.scenario import load_bundled
 
+from conftest import fringe_segments
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "generate_scenarios.py"
 
 
@@ -34,7 +36,8 @@ def test_script_rebuilds_the_bundled_scenes_bit_for_bit():
     built = _load_script().workpiece_scene()
     for name in ("c1", "c2", "c3", "c4"):
         bundled = load_bundled(name).scene
-        for field in ("normals", "offsets", "vertex_counts", "fringe_segments"):
+        for field in ("normals", "offsets", "vertex_counts"):
             assert getattr(built, field).tobytes() == getattr(bundled, field).tobytes(), (name, field)
+        assert fringe_segments(built).tobytes() == fringe_segments(bundled).tobytes(), name
         for i, count in enumerate(bundled.vertex_counts):
             assert built.vertices[i, :count].tobytes() == bundled.vertices[i, :count].tobytes(), (name, i)

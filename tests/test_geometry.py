@@ -12,7 +12,6 @@ from icop.geometry import (
     DistanceWitness,
     Scene,
     _score_axes,
-    _tunnel_clearance,
     build_prism_tunnel,
     capsule_distance,
     scene_distance,
@@ -25,8 +24,10 @@ from icop.geometry import (
 from icop.kinematics import forward_kinematics
 from icop.transforms import apply_transform, homogeneous, rot_y
 
-from conftest import random_tunnel, rot_z
+from conftest import fringe_segments, kernel_tunnel_clearance, random_tunnel, rot_z
 from oracles import (
+    _in_tunnel_interval,
+    _tunnel_clearance,
     classify_segment,
     fd_scene_gradient,
     grid_segment_distance,
@@ -116,15 +117,15 @@ class TestClassification:
 
 class TestTunnelClearance:
     def test_axis_segment_of_unit_square_prism(self, square_tunnel):
-        val = _tunnel_clearance([-0.5, 0, 0], [1.0, 0, 0], square_tunnel)[0]
+        val = kernel_tunnel_clearance([-0.5, 0, 0], [1.0, 0, 0], square_tunnel)
         assert val == pytest.approx(0.5, abs=1e-12)
 
     def test_segment_on_wall_plane(self, square_tunnel):
-        val = _tunnel_clearance([-0.5, 0.5, 0], [1.0, 0.5, 0], square_tunnel)[0]
+        val = kernel_tunnel_clearance([-0.5, 0.5, 0], [1.0, 0.5, 0], square_tunnel)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_penetrating_segment_is_negative(self, square_tunnel):
-        val = _tunnel_clearance([-0.5, 0, 0], [1.0, 1.2, 0], square_tunnel)[0]
+        val = kernel_tunnel_clearance([-0.5, 0, 0], [1.0, 1.2, 0], square_tunnel)
         assert val < 0.0
 
     def test_matches_sampling_oracle(self):
@@ -135,7 +136,7 @@ class TestTunnelClearance:
             a, b = _random_segment(rng, scale=1.5)
             if classify_segment(a, b, scene) != CASE_TUNNEL:
                 continue
-            exact = _tunnel_clearance(a, b, scene)[0]
+            exact = kernel_tunnel_clearance(a, b, scene)
             approx = sampled_tunnel_clearance(a, b, scene)
             assert abs(exact - approx) < 1e-3
             checked += 1
@@ -153,7 +154,7 @@ class TestSceneDistance:
 
     def test_capsule_touching_fringe_is_minus_radius(self, square_tunnel):
         # axis through a fringe rim point, staying outside the entrance plane
-        seg = square_tunnel.fringe_segments[0]
+        seg = fringe_segments(square_tunnel)[0]
         touch = 0.5 * (seg[0] + seg[1])
         w = capsule_distance(touch + [-0.4, 0, 0], touch, 0.05, square_tunnel)
         assert w.case_tag == CASE_FRINGE
@@ -430,19 +431,30 @@ class TestTransformScene:
 def _reference_witness(a, b, radius, scene):
     """Scalar per-capsule reference: classification, then fringe loop or tunnel clearance.
 
-    Returns (value, case, plane index, clip plane index, the indices whose
-    distance ties the minimum to 1e-12).
+    Returns (value, case, plane index, clip plane index, the (clip plane
+    index, plane index) pairs whose distance ties the minimum to 1e-12).
     """
     if classify_segment(a, b, scene) == CASE_FRINGE:
-        closest = [segment_segment_distance(a, b, s0, s1) for s0, s1 in scene.fringe_segments]
+        closest = [segment_segment_distance(a, b, s0, s1) for s0, s1 in fringe_segments(scene)]
         best = 0
         for i, cand in enumerate(closest):
             if cand.distance < closest[best].distance:  # strict: the first index wins a tie
                 best = i
-        ties = {i for i, cand in enumerate(closest) if cand.distance - closest[best].distance <= 1e-12}
+        ties = {(None, i) for i, cand in enumerate(closest) if cand.distance - closest[best].distance <= 1e-12}
         return closest[best].distance - radius, CASE_FRINGE, best, None, ties
-    clearance, _t, clip, wall, _p, _foot = _tunnel_clearance(a, b, scene)
-    return clearance - radius, CASE_TUNNEL, wall, clip, {wall}
+    clearance, t, clip, wall, _p, _foot = _tunnel_clearance(a, b, scene)
+    interval = _in_tunnel_interval(a, b, scene)
+    if interval is None:  # the crossing sliver vanished: both ends are the entrance crossing
+        ends = [(t, clip)]
+    else:
+        t_lo, t_hi, clip_lo, clip_hi = interval
+        ends = [(t_lo, clip_lo), (t_hi, clip_hi)]
+    ties = set()
+    for t_end, end_clip in ends:
+        p = np.asarray(a, dtype=float) + t_end * (np.asarray(b, dtype=float) - a)
+        close = scene._wall_normals @ p - scene._wall_offsets - clearance <= 1e-12
+        ties |= {(end_clip, scene._wall_indices[row]) for row in np.flatnonzero(close).tolist()}
+    return clearance - radius, CASE_TUNNEL, wall, clip, ties
 
 
 def _assert_same_witness(w1, w2):
@@ -463,10 +475,11 @@ class TestBatchedKernel:
         for i, w in enumerate(alone):
             value, case, plane, clip, ties = _reference_witness(axes[i][0], axes[i][1], radii[i], scene)
             assert abs(w.value - value) <= 1e-12
-            assert (w.case_tag, w.clip_plane_index) == (case, clip)
-            # Two rim edges meeting at the closest corner tie up to rounding, which
-            # the scalar and the batched sums may break differently.
-            assert w.plane_index == plane or (w.plane_index in ties and len(ties) > 1)
+            assert w.case_tag == case
+            # Two rim edges meeting at the closest corner tie up to rounding, and so do both
+            # ends of a tunnel interval parallel to a wall; the reference's sums and the
+            # kernel's may break such a tie differently.
+            assert (w.clip_plane_index, w.plane_index) in ties | {(clip, plane)}
             # one capsule scored alone takes the same arithmetic as in the batch
             assert clearances[i] == w.value
         assert witness.capsule_index == int(np.argmin(clearances))
@@ -520,7 +533,7 @@ class TestBatchedKernel:
         # the unit square with its (0.5, 0.5) corner doubled 1e-9 away: rim edge 0 is point-like
         section = [[0.5, 0.5], [0.5 - 1e-9, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]
         scene = build_prism_tunnel(np.array(section), depth=2.0)
-        corner, end = scene.fringe_segments[0]
+        corner, end = fringe_segments(scene)[0]
         assert np.sum((end - corner) ** 2) <= geometry._SEGMENT_EPS
         axes = [
             (corner + [-0.5, 0.2, 0.3], corner + [-0.2, 0.4, 0.1]),
@@ -557,10 +570,18 @@ class TestBatchedKernel:
         assert [w.case_tag for w in alone] == cases
         assert [classify_segment(a, b, square_tunnel) for a, b in axes] == cases
 
+    def test_grazing_crossing_scores_the_entrance_crossing(self):
+        # the axis crosses x = 0 within 1e-16 of parallel to it, so the in-tunnel interval is empty
+        scene = build_prism_tunnel(np.array([[0.5, -0.5], [0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5]]), depth=1.0)
+        axes = [([-1e-16, -0.2, 0.1], [1e-16, 0.3, 0.1])]
+        _clearances, _witness, (w,) = self._check(axes, [0.05], scene)
+        assert (w.case_tag, w.axis_param, w.clip_plane_index, w.plane_index) == (CASE_TUNNEL, 0.5, 0, 3)
+        assert w.value == pytest.approx(0.35, abs=1e-15)
+
     def test_equal_distance_tie_keeps_first_index(self, square_tunnel):
         # on the tunnel's centre line the four rim edges are equally far away
         axes = [([-2.0, 0.0, 0.0], [-1.0, 0.0, 0.0])]
-        distances = [segment_segment_distance(*axes[0], s0, s1).distance for s0, s1 in square_tunnel.fringe_segments]
+        distances = [segment_segment_distance(*axes[0], s0, s1).distance for s0, s1 in fringe_segments(square_tunnel)]
         assert len(set(distances)) == 1
         _clearances, _witness, alone = self._check(axes, [0.05], square_tunnel)
         assert alone[0].plane_index == 0 == _reference_witness(*axes[0], 0.05, square_tunnel)[2]

@@ -26,6 +26,8 @@ from icop.scenario import (
     write_metrics,
 )
 
+from conftest import fringe_segments
+
 
 class TestLoading:
     def test_bundled_c4_fields(self, c4):
@@ -91,7 +93,7 @@ class TestLoading:
         np.testing.assert_array_equal(again.params.q_diag, c4.params.q_diag)
         for name in ("normals", "offsets", "vertices", "vertex_counts"):
             np.testing.assert_array_equal(getattr(again.scene, name), getattr(c4.scene, name))
-        np.testing.assert_array_equal(again.scene.fringe_segments, c4.scene.fringe_segments)
+        np.testing.assert_array_equal(fringe_segments(again.scene), fringe_segments(c4.scene))
         for c1_, c2_ in zip(again.capsules, c4.capsules):
             np.testing.assert_array_equal(c1_.endpoint_a, c2_.endpoint_a)
             assert c1_.radius == c2_.radius
@@ -263,8 +265,8 @@ class TestMounting:
     def test_mounting_is_isometry(self, square_tunnel):
         rng = np.random.default_rng(71)
         m = transform_scene(square_tunnel, mounting_transform(1.3, 0.7))
-        pts_before = square_tunnel.fringe_segments.reshape(-1, 3)
-        pts_after = m.fringe_segments.reshape(-1, 3)
+        pts_before = fringe_segments(square_tunnel).reshape(-1, 3)
+        pts_after = fringe_segments(m).reshape(-1, 3)
         d_before = np.linalg.norm(pts_before[:, None] - pts_before[None, :], axis=2)
         d_after = np.linalg.norm(pts_after[:, None] - pts_after[None, :], axis=2)
         assert np.max(np.abs(d_before - d_after)) < 1e-9
