@@ -1,7 +1,7 @@
 """Regenerate the bundled c1..c4 scenario assets.
 
-The workpiece is a synthetic reconstruction: a hexagonal prism tunnel built
-from 8 bounded planes (entrance face, exit face, six walls) with a straight
+The workpiece is a synthetic reconstruction: a hexagonal prism tunnel (a
+hexagonal section, a depth, and a pose that places the prism) with a straight
 interior weld seam along the tunnel floor line. The chain uses publicly
 documented Motoman GP50 dimensions; the four mounting placements (l, alpha)
 are the scenario family labels with l interpreted in centimeters.
@@ -18,7 +18,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from icop.geometry import Capsule, CapsuleSet, build_prism_tunnel, transform_scene
+from icop.geometry import Capsule, CapsuleSet, Scene, transform_scene
 from icop.kinematics import (
     NUM_JOINTS,
     JointParams,
@@ -118,9 +118,9 @@ APPROACH_BACKOFF = 0.10  # initial tip standoff behind the seam start, along the
 BASE_POSITION = np.array([0.10, 0.0, 1.28])
 
 
-def workpiece_scene():
-    scene = build_prism_tunnel(hexagon_section(TUNNEL_HALF_WIDTH, TUNNEL_HALF_HEIGHT), TUNNEL_DEPTH)
-    return transform_scene(scene, homogeneous(translation=BASE_POSITION))
+def workpiece_scene() -> Scene:
+    section = hexagon_section(TUNNEL_HALF_WIDTH, TUNNEL_HALF_HEIGHT)
+    return Scene(section, TUNNEL_DEPTH, homogeneous(translation=BASE_POSITION))
 
 
 def weld_seam() -> np.ndarray:

@@ -1,17 +1,15 @@
-"""Signed distance between the robot's link capsules and a bounded-plane tunnel.
+"""Signed distance between the robot's link capsules and a prism tunnel.
 
-The obstacle is a workpiece tunnel built from convex bounded planes: one
-entrance face whose boundary polygon is the tunnel opening, optionally an
-exit face parallel to it, and the tunnel walls in between. The fringe
-segments are the rim, the opening polygon's edge ring: ``Scene`` derives them
-from the entrance boundary, so the opening is described once.
+The obstacle is the workpiece tunnel, a convex prism: a ``Scene`` stores its
+cross-section, its depth and its pose, and nothing else. The entrance face is
+the tunnel opening, the exit face is parallel to it, and the walls run
+between them. The fringe segments are the rim, the opening polygon's edge
+ring.
 
-A ``Scene`` holds its planes as stacked arrays, validated in one batched
-pass by its constructor. ``transform_scene`` maps the arrays by a rigid
-motion, which keeps every invariant, so it does not validate them again. A
-scenario load checks the planes itself, to name each by its index in the
-file, and tells the constructor so; the plane check runs once per load.
-All that the distance queries read is derived once, in ``Scene._store``.
+The constructor checks the section, the depth and the pose once.
+``transform_scene`` composes a rigid motion into the pose, which keeps every
+invariant, so it does not check them again. All that the distance queries
+read is derived once, in world coordinates, in ``Scene._store``.
 
 A capsule whose axis does not cross the entrance opening keeps its distance
 to the fringe segments (FRINGE case). A capsule whose axis crosses the
@@ -53,7 +51,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import InitVar, dataclass, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -71,10 +69,6 @@ from .transforms import apply_transform, cross, is_rigid
 
 CASE_FRINGE = "FRINGE"
 CASE_TUNNEL = "TUNNEL"
-
-# Planes whose normals are this close to (anti)parallel with the entrance
-# normal are treated as opening faces, not walls.
-_PARALLEL_TOL = 1e-9
 
 # Squared segment length below which segment_segment_distance treats a
 # segment as a point.
@@ -142,120 +136,103 @@ def _next_rows(rows: np.ndarray) -> np.ndarray:
     return np.concatenate([rows[1:], rows[:1]])
 
 
-def _plane_failures(normals, offsets, vertices, vertex_counts) -> list[tuple[int, str]]:
-    """(index, first failed check) of every plane that is not a convex CCW polygon on its unit-normal plane."""
-    column = np.arange(vertices.shape[1])
-    real = column < vertex_counts[:, None]
-    # Index of the cyclic successor of each real vertex within its own polygon.
-    successor = np.arange(len(vertices))[:, None], (column + 1) % vertex_counts[:, None]
-    edges = vertices[successor] - vertices
-    turns = (cross(edges, edges[successor]) @ normals[:, :, None])[..., 0]
-    norm = np.linalg.norm(normals, axis=1)
-    off_plane = np.where(real, np.abs((vertices @ normals[:, :, None])[..., 0] - offsets[:, None]), 0.0).max(axis=1)
-    shortest = np.where(real, np.linalg.norm(edges, axis=2), np.inf).min(axis=1)
-    sharpest = np.where(real, turns, 0.0).min(axis=1)
-    # A NaN fails every check.
-    ok = (np.abs(norm - 1.0) <= 1e-12) & (off_plane <= 1e-9) & (shortest >= 1e-12) & (sharpest >= -1e-12)
-    failures = []
-    for i in np.flatnonzero(~ok).tolist():
-        if not abs(norm[i] - 1.0) <= 1e-12:
-            failures.append((i, f"plane normal must be unit length, |n| = {norm[i]!r}"))
-        elif not off_plane[i] <= 1e-9:
-            failures.append((i, f"boundary vertices off the plane by {off_plane[i]:.3e}"))
-        elif not shortest[i] >= 1e-12:
-            failures.append((i, "degenerate boundary edge"))
-        else:
-            failures.append((i, "boundary polygon must be convex and counter-clockwise about the normal"))
-    return failures
-
-
-def _opening_faces(normals: np.ndarray, entrance_plane_index: int) -> np.ndarray:
-    """Mask of the planes (anti)parallel to the entrance, the opening faces; the rest are walls."""
-    return np.abs(np.abs(normals @ normals[entrance_plane_index]) - 1.0) <= _PARALLEL_TOL
-
-
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """Obstacle world: bounded planes as stacked arrays and the index of the entrance face.
+    """The workpiece tunnel: a convex prism given by its section, its depth and its pose.
 
-    Plane i is {p : normals[i] . p = offsets[i]} restricted to the convex
-    polygon ``vertices[i, :vertex_counts[i]]``, counter-clockwise about
-    ``normals[i]``; rows past ``vertex_counts[i]`` are zero. Derived
-    orientation data (which planes are walls, inward wall normals, outward
-    opening normals, the entrance's ``entrance_outward_normal`` and
-    ``entrance_outward_offset``) is computed once here. So is the
-    component-major rim table ``_rim`` (10, m): rim segment starts,
-    directions (x, y, z rows each) and squared lengths, then the inward
-    normal of the opening edge through each start. ``_rim_ok`` masks the
-    segments that are not points, and ``_rim_has_point`` says whether any
+    In the prism's own frame ``section`` (k, 2) is the tunnel's cross-section
+    in the (y, z) plane, strictly convex and counter-clockwise seen from +x;
+    the entrance face is x = 0, the exit face x = ``depth``, and wall i joins
+    section vertices i and i + 1. ``pose`` (4, 4) is the rigid motion that
+    places that frame in the world. Plane 0 is the entrance, plane 1 the exit
+    and plane 2 + i wall i; a witness's ``plane_index`` and
+    ``clip_plane_index`` count the same way.
+
+    The constructor checks the three fields once; ``transform_scene`` moves a
+    checked scene without checking it again. Every world-frame table the
+    distance queries read is derived once, in ``_store``: inward wall normals
+    and offsets (k rows), outward opening normals and offsets (entrance,
+    then exit), the entrance's ``entrance_outward_normal`` and
+    ``entrance_outward_offset``, and the component-major rim table ``_rim``
+    (10, k): rim segment starts, directions (x, y, z rows each) and squared
+    lengths, then the inward normal of the opening edge through each start.
+    Rim segment i runs along the entrance edge of wall i. ``_rim_ok`` masks
+    the segments that are not points, and ``_rim_has_point`` says whether any
     segment is one.
     """
 
-    normals: np.ndarray  # (P, 3)
-    offsets: np.ndarray  # (P,)
-    vertices: np.ndarray  # (P, K, 3), zero-padded
-    vertex_counts: np.ndarray  # (P,), 3 <= count <= K
-    entrance_plane_index: int
-    _planes_checked: InitVar[bool] = False  # the caller has already run ``_plane_failures`` on these planes
+    section: np.ndarray  # (k, 2), k >= 3
+    depth: float
+    pose: np.ndarray = field(default_factory=lambda: np.eye(4))  # (4, 4), prism frame -> world
 
-    def __post_init__(self, _planes_checked: bool) -> None:
-        normals = np.array(self.normals, dtype=float)
-        offsets = np.array(self.offsets, dtype=float)
-        vertices = np.array(self.vertices, dtype=float)
-        counts = np.array(self.vertex_counts)
-        if normals.ndim != 2 or normals.shape[0] == 0 or normals.shape[1] != 3:
-            raise ValueError("scene needs at least one bounded plane: normals must have shape (P, 3)")
-        P = normals.shape[0]
-        if offsets.shape != (P,) or counts.shape != (P,) or vertices.ndim != 3 or vertices.shape[::2] != (P, 3):
-            raise ValueError(f"offsets, vertex_counts and vertices must have shapes ({P},), ({P},) and ({P}, K, 3)")
-        if counts.dtype.kind not in "iu" or (counts < 3).any() or (counts > vertices.shape[1]).any():
-            raise ValueError("vertex_counts must be integers from 3 to the padded vertex count")
-        if (vertices[np.arange(vertices.shape[1]) >= counts[:, None]] != 0.0).any():
-            raise ValueError("vertices past vertex_counts must be zero")
-        if not 0 <= self.entrance_plane_index < P:
-            raise ValueError(f"entrance_plane_index {self.entrance_plane_index} out of range")
-        failures = [] if _planes_checked else _plane_failures(normals, offsets, vertices, counts)
+    def __post_init__(self) -> None:
+        section = np.array(self.section, dtype=float)
+        pose = np.array(self.pose, dtype=float)
+        failures = []
+        if section.ndim != 2 or section.shape[0] < 3 or section.shape[1] != 2:
+            failures.append(f"section must be a (k, 2) polygon with k >= 3, got shape {section.shape}")
+        elif not np.isfinite(section).all():
+            failures.append("section must be finite")
+        elif (section[:, None] == section).all(axis=2).sum() > len(section):  # a vertex equal to another
+            failures.append("section repeats a vertex")
+        else:
+            # Every vertex off an edge lies strictly on its left: convex, counter-clockwise, no collinear vertex.
+            edges = _next_rows(section) - section
+            rel = section[None] - section[:, None]  # [i, j]: vertex j seen from vertex i
+            left = edges[:, None, 0] * rel[..., 1] - edges[:, None, 1] * rel[..., 0]
+            own = np.eye(len(section), dtype=bool)
+            on_edge = own | _next_rows(own)  # edge i starts at vertex i and ends at vertex i + 1
+            if not (left[~on_edge] > 0.0).all():
+                failures.append("section must be strictly convex and counter-clockwise seen from +x")
+        real = isinstance(self.depth, numbers.Real) and not isinstance(self.depth, bool)
+        if not (real and 0.0 < self.depth < np.inf):  # a NaN fails too
+            failures.append(f"depth must be > 0 and finite, got {self.depth!r}")
+        if not is_rigid(pose):
+            failures.append("pose must be a proper rigid transform")
         if failures:
-            raise ValueError("; ".join(f"planes[{i}]: {reason}" for i, reason in failures))
-        if _opening_faces(normals, self.entrance_plane_index).all():
-            raise ValueError("scene needs at least one wall plane, a plane not parallel to the entrance")
-        self._store(normals, offsets, vertices, counts, self.entrance_plane_index)
+            raise ValueError("; ".join(failures))
+        self._store(section, float(self.depth), pose)
 
-    def _store(self, *values) -> None:
-        """Set the fields, given in declaration order from valid geometry, and derive the orientation arrays and rim."""
-        normals, offsets, vertices, vertex_counts, entrance_plane_index = values
-        opening = _opening_faces(normals, entrance_plane_index)
-        wall_idx, opening_idx = np.nonzero(~opening)[0], np.nonzero(opening)[0]
-        centers = vertices.sum(axis=1) / vertex_counts[:, None]
-        interior = centers[wall_idx].sum(axis=0) / len(wall_idx)
-        # Walls face inward (interior on their positive side), opening faces outward.
-        side = normals @ interior - offsets
-        sign = np.where(np.where(opening, side > 0.0, side < 0.0), -1.0, 1.0)
-        oriented_normals = sign[:, None] * normals
-        oriented_offsets = sign * offsets
-
-        entrance_vertices = vertices[entrance_plane_index, : vertex_counts[entrance_plane_index]]
+    def _store(self, section: np.ndarray, depth: float, pose: np.ndarray) -> None:
+        """Set the fields, given valid, and derive the world-frame tables from them."""
+        k = len(section)
+        rim = np.zeros((k, 3))
+        rim[:, 1:] = section
+        # A counter-clockwise rim edge has the tunnel on its left, so edge x (+x)
+        # points out of the tunnel; the wall normals point in.
+        outward = cross(_next_rows(rim) - rim, np.array([1.0, 0.0, 0.0]))
+        # Each length summed as np.linalg.norm sums one vector's; the pinned plans depend on these bits.
+        walls = -(outward / np.sqrt((outward[:, None, :] @ outward[:, :, None])[:, 0]))
+        normals = np.concatenate([[[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], walls])
+        offsets = np.concatenate([[0.0, depth], (walls[:, None, :] @ rim[:, :, None])[:, 0, 0]])
+        R, t = pose[:3, :3], pose[:3, 3]
+        # Stacked products, summed as the per-plane R @ n and n @ t are.
+        normals = (R @ normals[..., None])[..., 0]
+        offsets = offsets + (normals[:, None, :] @ t[:, None])[:, 0, 0]
+        # The entrance polygon, counter-clockwise about the entrance's outward normal: the section reversed.
+        entrance = apply_transform(pose, np.ascontiguousarray(rim[::-1]))
         # Inward normals of the opening's edges: a point p on the entrance plane
-        # is inside the opening when edge_normals[i] . (p - vertices[i]) >= 0.
-        edge_normals = cross(normals[entrance_plane_index], _next_rows(entrance_vertices) - entrance_vertices)
-        rim = entrance_vertices[::-1]  # a prism section's order, which decides fringe distance ties
+        # is inside the opening when edge_normals[i] . (p - entrance[i]) >= 0.
+        edge_normals = cross(normals[0], _next_rows(entrance) - entrance)
+        rim = entrance[::-1]
         direction = (_next_rows(rim) - rim).T
         length2 = _dot(direction, direction)
         rim_ok = length2 > _SEGMENT_EPS
-        derived = {
-            "_wall_indices": tuple(wall_idx.tolist()),
-            "_wall_normals": oriented_normals[wall_idx],
-            "_wall_offsets": oriented_offsets[wall_idx],
-            "_opening_indices": tuple(opening_idx.tolist()),
-            "_opening_normals": oriented_normals[opening_idx],
-            "_opening_offsets": oriented_offsets[opening_idx],
-            "entrance_outward_normal": oriented_normals[entrance_plane_index],
-            "entrance_outward_offset": float(oriented_offsets[entrance_plane_index]),
+        values = {
+            "section": section,
+            "depth": depth,
+            "pose": pose,
+            "_wall_normals": normals[2:],
+            "_wall_offsets": offsets[2:],
+            "_opening_normals": normals[:2],
+            "_opening_offsets": offsets[:2],
+            "entrance_outward_normal": normals[0],
+            "entrance_outward_offset": float(offsets[0]),
             "_rim": np.concatenate([rim.T, direction, length2[None], edge_normals[::-1].T]),
             "_rim_ok": rim_ok,
             "_rim_has_point": not rim_ok.all(),
         }
-        for name, value in [*zip([f.name for f in fields(self)], values), *derived.items()]:
+        for name, value in values.items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -365,7 +342,7 @@ def _tunnel_scores(ends: np.ndarray, scene: Scene) -> dict[int, tuple]:
         return {}
     rows = scene._rim.tolist()
     rim = list(zip(*rows[:3], *rows[7:]))  # per rim edge: its start, then the inward normal of the opening edge
-    faces = list(zip(scene._opening_indices, scene._opening_normals.tolist(), scene._opening_offsets.tolist()))
+    faces = list(enumerate(zip(scene._opening_normals.tolist(), scene._opening_offsets.tolist())))
     walls = list(zip(scene._wall_normals.tolist(), scene._wall_offsets.tolist()))
     scores = {}
     for i in straddle:
@@ -377,7 +354,7 @@ def _tunnel_scores(ends: np.ndarray, scene: Scene) -> dict[int, tuple]:
             continue
         # (axis parameter, opening plane that pinned it); inside the slab n . p - off <= 0 (outward normals)
         lo, hi = (0.0, None), (1.0, None)
-        for plane, (nx, ny, nz), off in faces:
+        for plane, ((nx, ny, nz), off) in faces:
             fa, slope = nx * ax + ny * ay + nz * az - off, nx * dx + ny * dy + nz * dz
             if abs(slope) < 1e-14:
                 if fa > 0.0:  # parallel to and outside this face: the interval is empty
@@ -389,7 +366,7 @@ def _tunnel_scores(ends: np.ndarray, scene: Scene) -> dict[int, tuple]:
             elif slope < 0.0 and t_face > lo[0]:  # entering through this face as t grows
                 lo = (t_face, plane)
         if lo[0] > hi[0]:  # the crossing sliver vanished: score the entrance crossing
-            lo = hi = (t, scene.entrance_plane_index)
+            lo = hi = (t, 0)  # plane 0, the entrance
         best = None
         for t_end, clip in (lo, hi):
             p = (ax + t_end * dx, ay + t_end * dy, az + t_end * dz)
@@ -399,7 +376,7 @@ def _tunnel_scores(ends: np.ndarray, scene: Scene) -> dict[int, tuple]:
                     best = (clearance, t_end, clip, row, p)
         clearance, t_end, clip, row, p = best
         foot = [pk - clearance * nk for pk, nk in zip(p, walls[row][0])]
-        scores[i] = (clearance, t_end, clip, scene._wall_indices[row], np.array(p), np.array(foot))
+        scores[i] = (clearance, t_end, clip, 2 + row, np.array(p), np.array(foot))  # wall row i is plane 2 + i
     return scores
 
 
@@ -551,15 +528,13 @@ def _witness_gradient(
             n = diff / dist
         return n @ J_point
 
-    wall_row = scene._wall_indices.index(witness.plane_index)
-    n_w = scene._wall_normals[wall_row]
+    n_w = scene._wall_normals[witness.plane_index - 2]  # plane 2 + i is wall row i
     grad = n_w @ J_point
     if witness.clip_plane_index is not None:
         # Witness point pinned to an opening-plane crossing: t* moves with q.
         a, b = segments[witness.capsule_index]
         d = b - a
-        clip_row = scene._opening_indices.index(witness.clip_plane_index)
-        n_c = scene._opening_normals[clip_row]
+        n_c = scene._opening_normals[witness.clip_plane_index]
         slope = float(np.dot(n_c, d))
         if abs(slope) > 1e-12:
             dt_dq = -(n_c @ J_point) / slope
@@ -582,58 +557,13 @@ def witness_gradient(q, chain: RobotChain, capsules, scene: Scene, witness: Dist
 
 
 def transform_scene(scene: Scene, T: np.ndarray) -> Scene:
-    """Rigidly transform every plane and boundary vertex, and re-derive the rest; only ``T`` is checked."""
+    """The scene moved by the rigid motion ``T``: its pose becomes ``T @ scene.pose``; only ``T`` is checked."""
     T = np.asarray(T, dtype=float)
     if not is_rigid(T):
         raise ValueError("scene transform must be a proper rigid transform")
-    R, t = T[:3, :3], T[:3, 3]
-    # Stacked products, summed as the per-plane R @ n and n @ t are.
-    normals = (R @ scene.normals[..., None])[..., 0]
-    offsets = scene.offsets + (normals[:, None, :] @ t[:, None])[:, 0, 0]
-    real = np.arange(scene.vertices.shape[1]) < scene.vertex_counts[:, None]
-    vertices = np.where(real[..., None], apply_transform(T, scene.vertices), 0.0)
     moved = object.__new__(Scene)
-    moved._store(normals, offsets, vertices, scene.vertex_counts, scene.entrance_plane_index)
+    moved._store(scene.section, scene.depth, T @ scene.pose)
     return moved
-
-
-def build_prism_tunnel(section: np.ndarray, depth: float) -> Scene:
-    """Construct a prism tunnel scene in its local frame.
-
-    ``section`` is a convex (k, 2) polygon in the (y, z) plane, ordered
-    counter-clockwise when viewed from +x. The entrance face sits at x = 0
-    with the tunnel running to x = depth; plane 0 is the entrance, plane 1
-    the exit, planes 2..k+1 the walls. Fringe segment i joins section vertices i and i + 1.
-    """
-    sec = np.asarray(section, dtype=float)
-    if sec.ndim != 2 or sec.shape[0] < 3 or sec.shape[1] != 2:
-        raise ValueError("section must be a (k, 2) polygon with k >= 3")
-    if not depth > 0.0:
-        raise ValueError("depth must be positive")
-    k = sec.shape[0]
-    rim = np.zeros((k, 3))
-    rim[:, 1:] = sec
-    next_rim = _next_rows(rim)
-    back, next_back = rim + np.array([depth, 0.0, 0.0]), next_rim + np.array([depth, 0.0, 0.0])
-
-    # A counter-clockwise rim edge has the tunnel on its left, so edge × (+x)
-    # points out of the tunnel; the wall normals point in. Each wall quad then
-    # runs back rim -> front rim to be counter-clockwise about its normal.
-    outward = cross(next_rim - rim, np.array([1.0, 0.0, 0.0]))
-    # Lengths summed as np.linalg.norm sums one vector's, so the bundled assets rebuild bit for bit.
-    wall_normals = -(outward / np.sqrt((outward[:, None, :] @ outward[:, :, None])[:, 0]))
-    vertices = np.zeros((k + 2, max(k, 4), 3))
-    # Entrance: outward normal -x; CCW about it means the (y, z)-CCW ring reversed.
-    vertices[0, :k] = rim[::-1]
-    vertices[1, :k] = back
-    vertices[2:, 0], vertices[2:, 1], vertices[2:, 2], vertices[2:, 3] = back, next_back, next_rim, rim
-    return Scene(
-        normals=np.concatenate([[[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], wall_normals]),
-        offsets=np.concatenate([[0.0, depth], (wall_normals[:, None, :] @ rim[:, :, None])[:, 0, 0]]),
-        vertices=vertices,
-        vertex_counts=np.array([k, k] + [4] * k),
-        entrance_plane_index=0,
-    )
 
 
 def point_tunnel_clearance(points, scene: Scene) -> np.ndarray:

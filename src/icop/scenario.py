@@ -26,7 +26,7 @@ from .geometry import Capsule, CapsuleSet, Scene
 from .kinematics import NUM_JOINTS, JointParams, RobotChain, forward_kinematics
 from .transforms import homogeneous, rot_y
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # PyYAML's libyaml-backed loader when it was built with libyaml: it builds the same
 # Python objects as the pure loader, about seven times faster on the bundled scenarios.
@@ -224,11 +224,16 @@ def _parse_chain(reader: _FieldReader, data) -> RobotChain | None:
                 theta_offset=reader.number(jn, f"{field}.theta_offset", 0.0),
             )
         )
-    tool = reader.mapping(node, "chain.tool_offset")
-    rotation = reader.array(tool, "chain.tool_offset.rotation", (3, 3))
-    translation = reader.array(tool, "chain.tool_offset.translation", (3,))
-    tool_offset = None if rotation is None or translation is None else homogeneous(rotation, translation)
+    tool_offset = _parse_pose(reader, node, "chain.tool_offset")
     return reader.build("chain", RobotChain, joints=_all_read(joints), tool_offset=tool_offset)
+
+
+def _parse_pose(reader: _FieldReader, data, field: str) -> np.ndarray | None:
+    """The 4x4 transform of the ``{rotation: mat3, translation: vec3}`` mapping at ``field``; its owner checks it is rigid."""
+    node = reader.mapping(data, field)
+    rotation = reader.array(node, f"{field}.rotation", (3, 3))
+    translation = reader.array(node, f"{field}.translation", (3,))
+    return None if rotation is None or translation is None else homogeneous(rotation, translation)
 
 
 def _parse_capsules(reader: _FieldReader, data) -> CapsuleSet | None:
@@ -250,51 +255,12 @@ def _parse_capsules(reader: _FieldReader, data) -> CapsuleSet | None:
 
 def _parse_scene(reader: _FieldReader, data) -> Scene | None:
     node = reader.mapping(data, "scene")
-    known_failures = len(reader.failures)
-    rows, normals, offsets, boundaries = [], [], [], []
-    for i, pn in enumerate(reader.mappings(node, "scene.planes")):
-        field = f"scene.planes[{i}]"
-        normal = reader.array(pn, f"{field}.normal", (3,))
-        offset = reader.number(pn, f"{field}.offset")
-        verts = reader.array(pn, f"{field}.vertices", (-1, 3))
-        if normal is None or offset is None or verts is None:
-            continue
-        norm = np.linalg.norm(normal)
-        if norm < 1e-12:
-            reader.fail(field + ".normal", "normal has zero length")
-            continue
-        if abs(norm - 1.0) > 1e-12:
-            if abs(norm - 1.0) > 1e-9:
-                warn(f"renormalizing plane {i} normal (off by {abs(norm - 1.0):.2e})")
-            normal, offset = normal / norm, offset / norm  # the same plane {p : normal . p = offset}
-        if len(verts) < 3:
-            reader.fail(field + ".vertices", "plane boundary needs at least 3 vertices")
-            continue
-        rows.append(i)
-        normals.append(normal)
-        offsets.append(offset)
-        boundaries.append(verts)
-    entrance = reader.integer(node, "scene.entrance_plane_index")
-    counts = np.array([len(v) for v in boundaries], dtype=int)
-    vertices = np.zeros((len(boundaries), max(counts, default=3), 3))
-    for row, verts in enumerate(boundaries):
-        vertices[row, : len(verts)] = verts
-    normals = np.array(normals).reshape(-1, 3)
-    offsets = np.array(offsets)
-    # The constructor's plane check, run here instead to name each plane by its index in the file.
-    for row, reason in geometry._plane_failures(normals, offsets, vertices, counts):
-        reader.fail(f"scene.planes[{rows[row]}]", reason)
-    if len(reader.failures) > known_failures:
-        return None
     return reader.build(
         "scene",
         Scene,
-        normals=normals,
-        offsets=offsets,
-        vertices=vertices,
-        vertex_counts=counts,
-        entrance_plane_index=entrance,
-        _planes_checked=True,
+        section=reader.array(node, "scene.section", (-1, 2)),
+        depth=reader.number(node, "scene.depth"),
+        pose=_parse_pose(reader, node, "scene.pose"),
     )
 
 
@@ -400,6 +366,10 @@ def _listify(arr) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
+def _pose_dict(T: np.ndarray) -> dict:
+    return {"rotation": _listify(T[:3, :3]), "translation": _listify(T[:3, 3])}
+
+
 def scenario_to_dict(s: Scenario) -> dict:
     return {
         "format_version": FORMAT_VERSION,
@@ -410,10 +380,7 @@ def scenario_to_dict(s: Scenario) -> dict:
                 {"a": jp.a, "alpha": jp.alpha, "d": jp.d, "theta_offset": jp.theta_offset}
                 for jp in s.chain.joints
             ],
-            "tool_offset": {
-                "rotation": _listify(s.chain.tool_offset[:3, :3]),
-                "translation": _listify(s.chain.tool_offset[:3, 3]),
-            },
+            "tool_offset": _pose_dict(s.chain.tool_offset),
         },
         "capsules": [
             {
@@ -425,13 +392,9 @@ def scenario_to_dict(s: Scenario) -> dict:
             for c in s.capsules
         ],
         "scene": {
-            "entrance_plane_index": s.scene.entrance_plane_index,
-            "planes": [
-                {"normal": _listify(normal), "offset": offset, "vertices": _listify(verts[:count])}
-                for normal, offset, verts, count in zip(
-                    s.scene.normals, s.scene.offsets.tolist(), s.scene.vertices, s.scene.vertex_counts
-                )
-            ],
+            "section": _listify(s.scene.section),
+            "depth": s.scene.depth,
+            "pose": _pose_dict(s.scene.pose),
         },
         "weld_path": _listify(s.weld_path),
         "mounting": {"l": s.mounting_l, "alpha": s.mounting_alpha},

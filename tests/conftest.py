@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from icop.geometry import _tunnel_scores, build_prism_tunnel, transform_scene
+from icop.geometry import Scene, _tunnel_scores
 from icop.kinematics import JointParams, RobotChain
 from icop.scenario import load_bundled
 from icop.transforms import homogeneous, rot_y
@@ -33,7 +33,7 @@ def gp50_capsules(c4):
 def square_tunnel():
     """Unit-square prism tunnel (half-width 0.5, depth 2) at the origin."""
     section = np.array([[0.5, -0.5], [0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5]])
-    return build_prism_tunnel(section, depth=2.0)
+    return Scene(section, depth=2.0)
 
 
 def rot_z(angle: float) -> np.ndarray:
@@ -60,6 +60,5 @@ def random_tunnel(rng: np.random.Generator):
         angles = np.sort(rng.uniform(0.0, 2 * np.pi, k))
     radius = rng.uniform(0.3, 0.8)
     section = radius * np.column_stack([np.cos(angles), np.sin(angles)])
-    scene = build_prism_tunnel(section, depth=float(rng.uniform(0.5, 2.0)))
-    T = homogeneous(rot_y(rng.uniform(-np.pi, np.pi)), rng.uniform(-1.0, 1.0, 3))
-    return transform_scene(scene, T)
+    depth = float(rng.uniform(0.5, 2.0))
+    return Scene(section, depth, homogeneous(rot_y(rng.uniform(-np.pi, np.pi)), rng.uniform(-1.0, 1.0, 3)))

@@ -8,12 +8,16 @@ sampling, and QP optima from exhaustive active-set enumeration. The scalar
 ``classify_segment`` (with ``point_in_polygon``) is the per-segment reference
 for the entrance-crossing test of ``geometry._tunnel_scores``, and the numpy
 ``_tunnel_clearance`` (with ``_in_tunnel_interval``) the reference for the
-TUNNEL clearance that pass computes on Python floats.
+TUNNEL clearance that pass computes on Python floats. The tunnel oracles read
+a scene's ``section``, ``depth`` and ``pose`` only: ``prism_faces`` builds the
+entrance polygon and the face planes from them, never from the tables the
+kernel derives.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,8 +103,36 @@ def grid_segment_distance(a0, a1, b0, b1, resolution: float = 1e-3) -> float:
     u = np.linspace(0.0, 1.0, n)
     p = np.asarray(a0) + u[:, None] * (np.asarray(a1) - np.asarray(a0))
     qq = np.asarray(b0) + u[:, None] * (np.asarray(b1) - np.asarray(b0))
-    d2 = np.sum((p[:, None, :] - qq[None, :, :]) ** 2, axis=2)
+    dx, dy, dz = (p[:, None, i] - qq[None, :, i] for i in range(3))
+    d2 = dx * dx + dy * dy + dz * dz  # summed left to right, as np.sum sums three terms
     return float(np.sqrt(d2.min()))
+
+
+class PrismFaces(NamedTuple):
+    """A prism scene's faces in the world frame; plane 0 is the entrance, 1 the exit, 2 + i wall i."""
+
+    entrance: np.ndarray  # (k, 3) opening polygon, counter-clockwise about the entrance's outward normal
+    opening_normals: np.ndarray  # (2, 3) outward, entrance then exit
+    opening_offsets: np.ndarray  # (2,)
+    wall_normals: np.ndarray  # (k, 3) inward, wall i along section edge i -> i + 1
+    wall_offsets: np.ndarray  # (k,)
+
+
+def prism_faces(scene: Scene) -> PrismFaces:
+    """The faces of ``scene`` built from its ``section``, ``depth`` and ``pose`` alone."""
+    R, t = scene.pose[:3, :3], scene.pose[:3, 3]
+    axis = R[:, 0]  # the prism's +x, from the entrance into the tunnel
+    y, z = scene.section.T
+    rim = t + y[:, None] * R[:, 1] + z[:, None] * R[:, 2]  # the section placed on the entrance plane
+    inward = np.cross(axis, np.roll(rim, -1, axis=0) - rim)  # each edge's left, where the tunnel is
+    walls = inward / np.linalg.norm(inward, axis=1)[:, None]
+    return PrismFaces(
+        entrance=rim[::-1],
+        opening_normals=np.array([-axis, axis]),
+        opening_offsets=np.array([-np.dot(axis, t), np.dot(axis, t) + scene.depth]),
+        wall_normals=walls,
+        wall_offsets=np.einsum("ij,ij->i", walls, rim),
+    )
 
 
 def sampled_tunnel_clearance(a, b, scene: Scene, samples: int = 10_000) -> float:
@@ -109,11 +141,12 @@ def sampled_tunnel_clearance(a, b, scene: Scene, samples: int = 10_000) -> float
     b = np.asarray(b, dtype=float)
     t = np.linspace(0.0, 1.0, samples)
     pts = a + t[:, None] * (b - a)
-    behind = pts @ scene._opening_normals.T - scene._opening_offsets
+    faces = prism_faces(scene)
+    behind = pts @ faces.opening_normals.T - faces.opening_offsets
     inside = np.all(behind <= 1e-12, axis=1)
     if not np.any(inside):
         return np.inf
-    clear = pts[inside] @ scene._wall_normals.T - scene._wall_offsets
+    clear = pts[inside] @ faces.wall_normals.T - faces.wall_offsets
     return float(clear.min())
 
 
@@ -130,16 +163,15 @@ def point_in_polygon(point, vertices, normal, tol: float = 1e-12) -> bool:
 
 def classify_segment(a, b, scene: Scene) -> str:
     """FRINGE or TUNNEL: does segment [a, b] cross the entrance opening?"""
-    n = scene.entrance_outward_normal
-    off = scene.entrance_outward_offset
+    faces = prism_faces(scene)
+    n, off = faces.opening_normals[0], faces.opening_offsets[0]
     sa = float(np.dot(n, a) - off)
     sb = float(np.dot(n, b) - off)
     if sa * sb >= 0.0:
         return CASE_FRINGE
     t = sa / (sa - sb)
     crossing = np.asarray(a, dtype=float) + t * (np.asarray(b, dtype=float) - np.asarray(a, dtype=float))
-    e = scene.entrance_plane_index
-    if point_in_polygon(crossing, scene.vertices[e, : scene.vertex_counts[e]], scene.normals[e], _OPENING_TOL):
+    if point_in_polygon(crossing, faces.entrance, n, _OPENING_TOL):
         return CASE_TUNNEL
     return CASE_FRINGE
 
@@ -156,9 +188,8 @@ def _in_tunnel_interval(a, b, scene: Scene):
     t_lo, t_hi = 0.0, 1.0
     clip_lo: int | None = None
     clip_hi: int | None = None
-    for row, plane_idx in enumerate(scene._opening_indices):
-        n = scene._opening_normals[row]
-        off = scene._opening_offsets[row]
+    faces = prism_faces(scene)
+    for plane_idx, (n, off) in enumerate(zip(faces.opening_normals, faces.opening_offsets)):
         # inside the tunnel slab: n . p - off <= 0 (outward-oriented normals)
         fa = float(np.dot(n, a) - off)
         slope = float(np.dot(n, d))
@@ -182,31 +213,29 @@ def _tunnel_clearance(a, b, scene: Scene):
     """Worst wall clearance over the in-tunnel interval, with witness bookkeeping."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    faces = prism_faces(scene)
     interval = _in_tunnel_interval(a, b, scene)
     if interval is None:
         # Degenerate: the crossing sliver vanished; fall back to the entrance crossing point.
-        n = scene.entrance_outward_normal
-        off = scene.entrance_outward_offset
+        n, off = faces.opening_normals[0], faces.opening_offsets[0]
         sa = float(np.dot(n, a) - off)
         sb = float(np.dot(n, b) - off)
         t_c = sa / (sa - sb)
-        interval = (t_c, t_c, scene.entrance_plane_index, scene.entrance_plane_index)
+        interval = (t_c, t_c, 0, 0)
     t_lo, t_hi, clip_lo, clip_hi = interval
     ends = ((t_lo, clip_lo), (t_hi, clip_hi))
     best_value = np.inf
     best = None
     for t, clip in ends:
         p = a + t * (b - a)
-        clear = scene._wall_normals @ p - scene._wall_offsets
+        clear = faces.wall_normals @ p - faces.wall_offsets
         w = int(np.argmin(clear))
         if clear[w] < best_value:
             best_value = float(clear[w])
             best = (t, clip, w, p)
     t_star, clip_star, wall_row, p_star = best
-    wall_plane_index = scene._wall_indices[wall_row]
-    n_w = scene._wall_normals[wall_row]
-    foot = p_star - best_value * n_w
-    return best_value, t_star, clip_star, wall_plane_index, p_star, foot
+    foot = p_star - best_value * faces.wall_normals[wall_row]
+    return best_value, t_star, clip_star, 2 + wall_row, p_star, foot
 
 
 def sampled_entrance_side(a, b, scene: Scene, samples: int = 2_000) -> bool:
@@ -215,7 +244,8 @@ def sampled_entrance_side(a, b, scene: Scene, samples: int = 2_000) -> bool:
     b = np.asarray(b, dtype=float)
     t = np.linspace(0.0, 1.0, samples)
     pts = a + t[:, None] * (b - a)
-    side = pts @ scene.entrance_outward_normal - scene.entrance_outward_offset
+    faces = prism_faces(scene)
+    side = pts @ faces.opening_normals[0] - faces.opening_offsets[0]
     return bool(side.min() < 0.0 < side.max())
 
 

@@ -12,7 +12,6 @@ from icop.geometry import (
     DistanceWitness,
     Scene,
     _score_axes,
-    build_prism_tunnel,
     capsule_distance,
     scene_distance,
     segment_segment_distance,
@@ -32,6 +31,7 @@ from oracles import (
     fd_scene_gradient,
     grid_segment_distance,
     point_in_polygon,
+    prism_faces,
     sampled_tunnel_clearance,
 )
 
@@ -105,14 +105,13 @@ class TestClassification:
                 assert crosses
             elif crosses:
                 # crossing the plane but not through the opening polygon
-                n = square_tunnel.entrance_outward_normal
-                off = square_tunnel.entrance_outward_offset
+                faces = prism_faces(square_tunnel)
+                n, off = faces.opening_normals[0], faces.opening_offsets[0]
                 sa = float(n @ a - off)
                 sb = float(n @ b - off)
                 t = sa / (sa - sb)
                 p = a + t * (b - a)
-                normal = square_tunnel.normals[square_tunnel.entrance_plane_index]
-                assert not point_in_polygon(p, square_tunnel.vertices[0, :4], normal, tol=-1e-9)
+                assert not point_in_polygon(p, faces.entrance, n, tol=-1e-9)
 
 
 class TestTunnelClearance:
@@ -279,34 +278,74 @@ def _near_witness_switch(q, scenario, scene, h: float = 2e-6) -> bool:
     return False
 
 
-def _plane_arrays(scene):
-    """The plane fields of a scene, as keyword arguments of the Scene constructor."""
-    return {name: getattr(scene, name) for name in ("normals", "offsets", "vertices", "vertex_counts")}
-
-
-def _one_plane_scene(normal, vertices):
-    return Scene(
-        normals=[normal],
-        offsets=[0.0],
-        vertices=[vertices],
-        vertex_counts=[len(vertices)],
-        entrance_plane_index=0,
-    )
+_UNIT_SQUARE = [[0.5, -0.5], [0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5]]
 
 
 class TestValidation:
     def test_scene_rejects_non_unit_normal(self):
-        with pytest.raises(ValueError, match=r"planes\[0\]: plane normal must be unit length"):
-            _one_plane_scene([2, 0, 0], [[0, 0, 0], [0, 1, 0], [0, 0, 1]])
+        # a scaling pose would stretch every face normal off unit length
+        with pytest.raises(ValueError, match="pose must be a proper rigid transform"):
+            Scene(_UNIT_SQUARE, 1.0, np.diag([2.0, 2.0, 2.0, 1.0]))
 
     def test_scene_rejects_off_plane_vertex(self):
-        with pytest.raises(ValueError, match=r"planes\[0\]: boundary vertices off the plane"):
-            _one_plane_scene([1, 0, 0], [[0, 0, 0], [0, 1, 0], [0.1, 0, 1]])
+        # section vertices are (y, z) points of the entrance plane; one with a third coordinate lies off it
+        with pytest.raises(ValueError, match=r"section must be a \(k, 2\) polygon"):
+            Scene([[0.5, -0.5, 0.0], [0.5, 0.5, 0.1], [-0.5, 0.5, 0.0]], 1.0)
 
     def test_scene_rejects_concave_polygon(self):
-        verts = [[0, 0, 0], [0, 2, 0], [0, 1, 0.2], [0, 0, 2]]  # reflex at third vertex
-        with pytest.raises(ValueError, match=r"planes\[0\]: boundary polygon must be convex"):
-            _one_plane_scene([1.0, 0, 0], verts)
+        section = [[1.0, -1.0], [1.0, 1.0], [0.0, 0.2], [-1.0, 1.0], [-1.0, -1.0]]  # reflex at the third vertex
+        with pytest.raises(ValueError, match="section must be strictly convex and counter-clockwise"):
+            Scene(section, 1.0)
+
+    def test_scene_rejects_no_wall_plane(self):
+        # a wall per section edge: fewer than three vertices bound no tunnel
+        for section in (np.zeros((0, 2)), [[0.5, -0.5]], [[0.5, -0.5], [0.5, 0.5]]):
+            with pytest.raises(ValueError, match=r"section must be a \(k, 2\) polygon with k >= 3"):
+                Scene(section, 1.0)
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            (_UNIT_SQUARE[::-1], "section must be strictly convex and counter-clockwise"),
+            ([[0.5, -0.5], [0.5, 0.5], [0.0, 0.5], [-0.5, 0.5], [-0.5, -0.5]], "strictly convex"),  # collinear
+            ([[0.5, -0.5], [0.5, 0.5], [0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5]], "section repeats a vertex"),
+            ([[0.5, -0.5], [0.5, 0.5], [-0.5, 0.5], [0.5, 0.5], [-0.5, -0.5]], "section repeats a vertex"),
+            ([[0.5, -0.5], [0.5, np.nan], [-0.5, 0.5]], "section must be finite"),
+            # a pentagram turns left at every vertex but winds twice
+            ([[np.cos(a), np.sin(a)] for a in np.arange(5) * 4 * np.pi / 5], "strictly convex"),
+        ],
+        ids=["clockwise", "collinear", "repeated", "repeated-apart", "nan", "star"],
+    )
+    def test_scene_rejects_a_bad_section(self, section, message):
+        with pytest.raises(ValueError, match=message):
+            Scene(section, 1.0)
+
+    @pytest.mark.parametrize("depth", [0.0, -1.0, np.nan, np.inf, True, "1.0"], ids=repr)
+    def test_scene_rejects_a_bad_depth(self, depth):
+        with pytest.raises(ValueError, match="depth must be > 0 and finite"):
+            Scene(_UNIT_SQUARE, depth)
+
+    @pytest.mark.parametrize(
+        "pose",
+        [np.diag([1.0, 1.0, -1.0, 1.0]), np.eye(3), np.full((4, 4), np.nan)],
+        ids=["reflection", "3x3", "nan"],
+    )
+    def test_scene_rejects_a_non_rigid_pose(self, pose):
+        with pytest.raises(ValueError, match="pose must be a proper rigid transform"):
+            Scene(_UNIT_SQUARE, 1.0, pose)
+
+    def test_scene_reports_every_bad_field_at_once(self):
+        with pytest.raises(ValueError) as err:
+            Scene(_UNIT_SQUARE[::-1], -1.0, np.diag([2.0, 2.0, 2.0, 1.0]))
+        assert [part.split(" ")[0] for part in str(err.value).split("; ")] == ["section", "depth", "pose"]
+
+    def test_scene_keeps_a_valid_prism(self):
+        pose = homogeneous(rot_y(0.3), [1.0, -2.0, 0.5])
+        scene = Scene(np.array(_UNIT_SQUARE), np.float64(2.0), pose)
+        assert scene.section.tolist() == _UNIT_SQUARE and scene.depth == 2.0 and type(scene.depth) is float
+        assert scene.pose.tobytes() == pose.tobytes()
+        assert not scene.section.flags.writeable and not scene.pose.flags.writeable
+        assert Scene(_UNIT_SQUARE, 2).pose.tobytes() == np.eye(4).tobytes()
 
     def test_capsule_rejects_bad_radius_and_degenerate_axis(self):
         with pytest.raises(ValueError):
@@ -327,18 +366,6 @@ class TestValidation:
             with pytest.raises(ValueError):
                 Capsule(**{**dict(link_index=1, endpoint_a=[0, 0, 0], endpoint_b=[1, 0, 0], radius=0.1), **bad})
         assert Capsule(link_index=np.int64(2), endpoint_a=[0, 0, 0], endpoint_b=[1, 0, 0], radius=0.1).link_index == 2
-
-    def test_scene_rejects_no_wall_plane(self, square_tunnel):
-        # the entrance and the same plane facing the other way, both opening faces
-        entrance = square_tunnel.vertices[0, : square_tunnel.vertex_counts[0]]
-        with pytest.raises(ValueError, match="scene needs at least one wall plane"):
-            Scene(
-                normals=[square_tunnel.normals[0], -square_tunnel.normals[0]],
-                offsets=[square_tunnel.offsets[0], -square_tunnel.offsets[0]],
-                vertices=[entrance, entrance[::-1]],
-                vertex_counts=[len(entrance)] * 2,
-                entrance_plane_index=0,
-            )
 
     def test_world_capsule_segments_shape(self, c4):
         segs = world_capsule_segments(np.zeros(6), c4.chain, c4.capsules)
@@ -378,10 +405,8 @@ class TestCapsuleSet:
 
 
 _DERIVED = (
-    "_wall_indices",
     "_wall_normals",
     "_wall_offsets",
-    "_opening_indices",
     "_opening_normals",
     "_opening_offsets",
     "entrance_outward_normal",
@@ -394,7 +419,12 @@ _DERIVED = (
 
 def _rebuilt(scene):
     """The same scene through the validating constructor."""
-    return Scene(**_plane_arrays(scene), entrance_plane_index=scene.entrance_plane_index)
+    return Scene(scene.section, scene.depth, scene.pose)
+
+
+def _assert_same_scene(s1, s2):
+    for name in ("section", "depth", "pose", *_DERIVED):
+        assert np.asarray(getattr(s1, name)).tobytes() == np.asarray(getattr(s2, name)).tobytes(), name
 
 
 class TestTransformScene:
@@ -406,9 +436,18 @@ class TestTransformScene:
             scene = random_tunnel(rng)
             T = homogeneous(rot_y(rng.uniform(-np.pi, np.pi)) @ rot_z(rng.uniform(-np.pi, np.pi)), rng.uniform(-2, 2, 3))
             moved = transform_scene(scene, T)
-            rebuilt = _rebuilt(moved)
-            for name in _DERIVED:
-                np.testing.assert_array_equal(getattr(rebuilt, name), getattr(moved, name), err_msg=name)
+            _assert_same_scene(_rebuilt(moved), moved)
+
+    def test_two_moves_compose_into_one(self):
+        # from the identity pose, T @ I is T to the bit, so moving by A then B stores B @ A
+        rng = np.random.default_rng(82)
+        for _ in range(200):
+            scene = Scene(random_tunnel(rng).section, float(rng.uniform(0.5, 2.0)))
+            A, B = (
+                homogeneous(rot_y(rng.uniform(-np.pi, np.pi)) @ rot_z(rng.uniform(-np.pi, np.pi)), rng.uniform(-2, 2, 3))
+                for _ in range(2)
+            )
+            _assert_same_scene(transform_scene(transform_scene(scene, A), B), transform_scene(scene, B @ A))
 
     @pytest.mark.parametrize(
         "T", [np.diag([2.0, 2.0, 2.0, 1.0]), np.diag([1.0, 1.0, -1.0, 1.0])], ids=["scaling", "reflection"]
@@ -418,13 +457,15 @@ class TestTransformScene:
             transform_scene(square_tunnel, T)
 
     def test_does_not_run_the_plane_check(self, square_tunnel, monkeypatch):
+        # the constructor's check of the section, depth and pose the planes come from
         def refuse(*_args):
-            raise AssertionError("plane check called")
+            raise AssertionError("scene checks called")
 
-        monkeypatch.setattr("icop.geometry._plane_failures", refuse)
-        moved = transform_scene(square_tunnel, homogeneous(rot_y(0.4), [0.3, -0.2, 1.0]))
-        np.testing.assert_array_equal(moved.vertex_counts, square_tunnel.vertex_counts)
-        with pytest.raises(AssertionError, match="plane check called"):  # the constructor does call it
+        monkeypatch.setattr(Scene, "__post_init__", refuse)
+        T = homogeneous(rot_y(0.4), [0.3, -0.2, 1.0])
+        moved = transform_scene(square_tunnel, T)
+        assert moved.pose.tobytes() == (T @ square_tunnel.pose).tobytes()
+        with pytest.raises(AssertionError, match="scene checks called"):  # the constructor does run them
             _rebuilt(moved)
 
 
@@ -443,6 +484,7 @@ def _reference_witness(a, b, radius, scene):
         ties = {(None, i) for i, cand in enumerate(closest) if cand.distance - closest[best].distance <= 1e-12}
         return closest[best].distance - radius, CASE_FRINGE, best, None, ties
     clearance, t, clip, wall, _p, _foot = _tunnel_clearance(a, b, scene)
+    faces = prism_faces(scene)
     interval = _in_tunnel_interval(a, b, scene)
     if interval is None:  # the crossing sliver vanished: both ends are the entrance crossing
         ends = [(t, clip)]
@@ -452,8 +494,8 @@ def _reference_witness(a, b, radius, scene):
     ties = set()
     for t_end, end_clip in ends:
         p = np.asarray(a, dtype=float) + t_end * (np.asarray(b, dtype=float) - a)
-        close = scene._wall_normals @ p - scene._wall_offsets - clearance <= 1e-12
-        ties |= {(end_clip, scene._wall_indices[row]) for row in np.flatnonzero(close).tolist()}
+        close = faces.wall_normals @ p - faces.wall_offsets - clearance <= 1e-12
+        ties |= {(end_clip, 2 + row) for row in np.flatnonzero(close).tolist()}
     return clearance - radius, CASE_TUNNEL, wall, clip, ties
 
 
@@ -510,7 +552,7 @@ class TestBatchedKernel:
         for _ in range(60):
             scene = random_tunnel(rng)
             n_out = scene.entrance_outward_normal
-            center = scene.vertices[0, : scene.vertex_counts[0]].mean(axis=0)  # the entrance polygon
+            center = prism_faces(scene).entrance.mean(axis=0)
             axes = [_random_segment(rng, scale=1.5) for _ in range(4)]
             for _ in range(4):  # axes through the opening, most of them TUNNEL
                 jitter = rng.uniform(-0.2, 0.2, 3)
@@ -530,9 +572,10 @@ class TestBatchedKernel:
         assert all(w.case_tag == CASE_FRINGE for w in alone)
 
     def test_zero_length_fringe_segment(self):
-        # the unit square with its (0.5, 0.5) corner doubled 1e-9 away: rim edge 0 is point-like
-        section = [[0.5, 0.5], [0.5 - 1e-9, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]
-        scene = build_prism_tunnel(np.array(section), depth=2.0)
+        # the unit square with its (0.5, 0.5) corner doubled 1e-9 away, and 1e-12 out so that the section
+        # stays strictly convex: rim edge 0 is point-like
+        section = [[0.5, 0.5], [0.5 - 1e-9, 0.5 + 1e-12], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]
+        scene = Scene(section, depth=2.0)
         corner, end = fringe_segments(scene)[0]
         assert np.sum((end - corner) ** 2) <= geometry._SEGMENT_EPS
         axes = [
@@ -572,7 +615,7 @@ class TestBatchedKernel:
 
     def test_grazing_crossing_scores_the_entrance_crossing(self):
         # the axis crosses x = 0 within 1e-16 of parallel to it, so the in-tunnel interval is empty
-        scene = build_prism_tunnel(np.array([[0.5, -0.5], [0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5]]), depth=1.0)
+        scene = Scene(_UNIT_SQUARE, depth=1.0)
         axes = [([-1e-16, -0.2, 0.1], [1e-16, 0.3, 0.1])]
         _clearances, _witness, (w,) = self._check(axes, [0.05], scene)
         assert (w.case_tag, w.axis_param, w.clip_plane_index, w.plane_index) == (CASE_TUNNEL, 0.5, 0, 3)

@@ -15,7 +15,7 @@ import pytest
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "plan_fingerprint.py"
 
 # Includes c3's plan through the tunnel roof (ROADMAP item 1); the change that fixes it updates this.
-PINNED = "ea0c35ff7fb1dbd19b0e7ea699a262969aea71fcca6a82c1f020df9ff319b0fe"
+PINNED = "a066e2c3ca1109d451f5586f242cc3118d200411f7fe1fe9ccab67170fdb8c3a"
 
 
 @pytest.fixture(scope="module")

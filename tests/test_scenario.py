@@ -35,7 +35,7 @@ class TestLoading:
         assert c4.mounting_l == pytest.approx(0.18)  # family label quotes 18 cm
         assert c4.mounting_alpha == pytest.approx(0.125 * np.pi)
         assert c4.horizon == 43
-        assert c4.scene.normals.shape[0] == 8
+        assert c4.scene.section.shape == (6, 2) and c4.scene.depth == 0.5
         assert len(c4.capsules) == 6
 
     @pytest.mark.filterwarnings("error")
@@ -91,7 +91,7 @@ class TestLoading:
         np.testing.assert_array_equal(again.weld_path, c4.weld_path)
         np.testing.assert_array_equal(again.initial_config, c4.initial_config)
         np.testing.assert_array_equal(again.params.q_diag, c4.params.q_diag)
-        for name in ("normals", "offsets", "vertices", "vertex_counts"):
+        for name in ("section", "depth", "pose"):
             np.testing.assert_array_equal(getattr(again.scene, name), getattr(c4.scene, name))
         np.testing.assert_array_equal(fringe_segments(again.scene), fringe_segments(c4.scene))
         for c1_, c2_ in zip(again.capsules, c4.capsules):
@@ -171,41 +171,51 @@ class TestLoading:
         assert len(messages) == 5
         assert s.mounting_l == c4.mounting_l
 
-    def test_off_unit_normal_renormalized_with_warning(self, c4):
-        # {p : n . p = d} is the plane {p : 2n . p = 2d}: the file describes c4's own planes 0 and 1
-        data = scenario_to_dict(c4)
-        for plane in data["scene"]["planes"][:2]:
-            assert plane["offset"] != 0.0
-            plane["normal"] = [2.0 * v for v in plane["normal"]]
-            plane["offset"] = 2.0 * plane["offset"]
-        with pytest.warns(UserWarning) as record:
-            s = parse_scenario(yaml.safe_dump(data))
-        messages = [str(w.message) for w in record]
-        for i in (0, 1):
-            assert any(m.startswith(f"renormalizing plane {i} ") for m in messages), i
-        np.testing.assert_allclose(s.scene.normals, c4.scene.normals, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(s.scene.offsets, c4.scene.offsets, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(s.scene.vertices, c4.scene.vertices)
-
     def test_vertices_off_plane_rejected(self, c4):
+        # section vertices are (y, z) points of the entrance plane; one with a third coordinate lies off it
         data = scenario_to_dict(c4)
-        data["scene"]["planes"][0]["vertices"][0][0] += 0.01
+        data["scene"]["section"][1].append(0.01)
         with pytest.raises(ScenarioError) as err:
             parse_scenario(yaml.safe_dump(data))
-        assert any("planes[0]" in f for f in err.value.failures)
+        assert err.value.failures == ["scene.section: expected numbers of shape (n, 2)"]
 
     def test_all_failing_planes_reported_at_once(self, c4):
+        # the walls come from the section and the exit face from the depth: both are reported, with a chain failure
         data = scenario_to_dict(c4)
-        planes = data["scene"]["planes"]
-        del planes[1]["offset"]
-        verts = planes[2]["vertices"]
-        verts[0], verts[1] = verts[1], verts[0]  # the boundary now crosses itself
-        moved = planes[5]["vertices"][2]
-        planes[5]["vertices"][2] = [v + 0.01 * n for v, n in zip(moved, planes[5]["normal"])]  # off its plane
+        section = data["scene"]["section"]
+        section[2] = [0.0, 0.0]  # a reflex vertex: the section is concave
+        data["scene"]["depth"] = -0.5
+        data["chain"]["joints"][1]["d"] = "0.0"
         with pytest.raises(ScenarioError) as err:
             parse_scenario(yaml.safe_dump(data))
-        for i in (1, 2, 5):
-            assert any(f"scene.planes[{i}]" in f for f in err.value.failures), i
+        assert err.value.failures == [
+            "chain.joints[1].d: expected a number, got str",
+            "scene: section must be strictly convex and counter-clockwise seen from +x; "
+            "depth must be > 0 and finite, got -0.5",
+        ]
+
+    def test_scene_pose_is_read_like_the_tool_offset(self, c4):
+        data = scenario_to_dict(c4)
+        data["scene"]["pose"]["rotation"][0][0] = 2.0
+        del data["chain"]["tool_offset"]["translation"]
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(yaml.safe_dump(data))
+        assert err.value.failures == [
+            "chain.tool_offset.translation: missing",
+            "scene: pose must be a proper rigid transform",
+        ]
+
+    def test_a_rotated_scene_pose_round_trips(self, c4, tmp_path):
+        data = scenario_to_dict(c4)
+        data["scene"]["pose"]["rotation"] = [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]
+        with pytest.warns(UserWarning, match="outside the mounted tunnel"):  # the tunnel turned away from the seam
+            s = parse_scenario(yaml.safe_dump(data))
+        np.testing.assert_array_equal(s.scene.pose[:3, :3], data["scene"]["pose"]["rotation"])
+        np.testing.assert_array_equal(s.scene.entrance_outward_normal, [0.0, 0.0, 1.0])  # -x of the prism, rotated
+        out = tmp_path / "rotated.scenario"
+        serialize_scenario(s, out)
+        with pytest.warns(UserWarning, match="outside the mounted tunnel"):
+            assert load_scenario(out).scene.pose.tobytes() == s.scene.pose.tobytes()
 
 
 _DELETE = object()
@@ -217,8 +227,8 @@ _DELETE = object()
         ("capsules[3].link_index", ("capsules", 3, "link_index"), _DELETE),
         ("capsules[3].link_index", ("capsules", 3, "link_index"), 2.7),
         ("capsules", ("capsules",), []),
-        ("scene.planes[1].vertices", ("scene", "planes", 1, "vertices"), _DELETE),
-        ("scene.entrance_plane_index", ("scene", "entrance_plane_index"), 0.5),
+        ("scene.section", ("scene", "section"), _DELETE),
+        ("scene.depth", ("scene", "depth"), True),
         ("weld_path", ("weld_path", 3, 1), float("nan")),
         ("mounting.l", ("mounting", "l"), float("nan")),
         ("mounting.alpha", ("mounting", "alpha"), float("inf")),
@@ -229,6 +239,8 @@ _DELETE = object()
         ("name", ("name",), "c4\\x"),
         ("name", ("name",), "c4\0"),
         ("format_version", ("format_version",), 1),
+        ("format_version", ("format_version",), 2),
+        ("scene.pose", ("scene", "pose"), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
     ],
 )
 def test_each_field_is_checked_not_dropped_or_coerced(c4, field, keys, value):
@@ -246,20 +258,22 @@ def test_each_field_is_checked_not_dropped_or_coerced(c4, field, keys, value):
 class TestMounting:
     def test_identity(self, square_tunnel):
         m = transform_scene(square_tunnel, mounting_transform(0.0, 0.0))
-        np.testing.assert_allclose(m.normals, square_tunnel.normals, atol=1e-15)
-        np.testing.assert_allclose(m.vertices, square_tunnel.vertices, atol=1e-15)
+        np.testing.assert_allclose(m.pose, square_tunnel.pose, atol=1e-15)
+        np.testing.assert_allclose(m._wall_normals, square_tunnel._wall_normals, atol=1e-15)
+        np.testing.assert_allclose(fringe_segments(m), fringe_segments(square_tunnel), atol=1e-15)
 
     def test_pure_translation_shifts_x(self, square_tunnel):
         m = transform_scene(square_tunnel, mounting_transform(5.0, 0.0))
-        np.testing.assert_allclose(m.normals, square_tunnel.normals, atol=1e-15)
-        real = np.arange(m.vertices.shape[1]) < m.vertex_counts[:, None]
-        shift = m.vertices[real] - square_tunnel.vertices[real]
+        np.testing.assert_allclose(m._wall_normals, square_tunnel._wall_normals, atol=1e-15)
+        np.testing.assert_allclose(m._opening_normals, square_tunnel._opening_normals, atol=1e-15)
+        shift = fringe_segments(m) - fringe_segments(square_tunnel)
         np.testing.assert_allclose(shift, np.broadcast_to([5.0, 0, 0], shift.shape), atol=1e-12)
+        np.testing.assert_allclose(m._opening_offsets - square_tunnel._opening_offsets, [-5.0, 5.0], atol=1e-12)
 
     def test_quarter_turn_sends_plus_x_normal_to_minus_z(self, square_tunnel):
         # entrance outward normal of the local tunnel is -x; its exit face is +x
         m = transform_scene(square_tunnel, mounting_transform(0.0, np.pi / 2))
-        exit_normal = m.normals[1]
+        exit_normal = m._opening_normals[1]
         np.testing.assert_allclose(exit_normal, [0.0, 0.0, -1.0], atol=1e-15)
 
     def test_mounting_is_isometry(self, square_tunnel):

@@ -46,9 +46,8 @@ def test_loaders_give_equal_dicts_and_scenarios(name, monkeypatch):
         assert ca.link_index == cb.link_index and ca.radius == cb.radius
         np.testing.assert_array_equal(ca.endpoint_a, cb.endpoint_a)
         np.testing.assert_array_equal(ca.endpoint_b, cb.endpoint_b)
-    for field in ("normals", "offsets", "vertices", "vertex_counts"):
+    for field in ("section", "depth", "pose"):
         np.testing.assert_array_equal(getattr(a.scene, field), getattr(b.scene, field))
-    assert a.scene.entrance_plane_index == b.scene.entrance_plane_index
     for field in ("weld_path", "initial_config"):
         np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
     for field in ("q_diag", "joint_lower", "joint_upper", "xi", "max_inner", "step_max"):
