@@ -68,7 +68,8 @@ def cmd_plan(scenario: scn.Scenario, params: planner.PlannerParams, out_dir: Pat
         }))
         return EXIT_NON_CONVERGED
     try:
-        scn.export_trajectory(traj, out_dir / f"{scenario.name}_trajectory.csv", scenario=scenario)
+        planned = dataclasses.replace(scenario, params=params)  # the header names the xi the plan used
+        scn.export_trajectory(traj, out_dir / f"{scenario.name}_trajectory.csv", scenario=planned)
         scn.write_metrics(metrics, out_dir / f"{scenario.name}_metrics.txt")
     except OSError as err:
         print(f"I/O failure: {err}", file=sys.stderr)

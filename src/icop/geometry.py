@@ -6,10 +6,12 @@ the tunnel opening, the exit face is parallel to it, and the walls run
 between them. The fringe segments are the rim, the opening polygon's edge
 ring.
 
-The constructor checks the section, the depth and the pose once.
-``transform_scene`` composes a rigid motion into the pose, which keeps every
-invariant, so it does not check them again. All that the distance queries
-read is derived once, in world coordinates, in ``Scene._store``.
+The constructor checks the section, the depth and the pose once, and derives
+the tables the distance queries read from the section alone, in the prism's
+own frame: there the entrance is x = 0, the exit x = depth, and every wall a
+line in (y, z). ``transform_scene`` composes a rigid motion into the pose,
+which keeps every invariant, so it checks nothing again and shares the
+tables: the pose is the only world-frame fact a scene holds.
 
 A capsule whose axis does not cross the entrance opening keeps its distance
 to the fringe segments (FRINGE case). A capsule whose axis crosses the
@@ -25,22 +27,22 @@ points, clipping plane if any) so the configuration-space gradient can be
 assembled from body-point Jacobians, including the chain-rule term for
 witnesses pinned to the entrance crossing.
 
-All capsules of a configuration are scored into one clearance array: one
-array pass gives the entrance-plane distances of every axis end, and only the
-axes whose ends lie strictly on both sides of the plane (usually one or none)
-get a crossing point and the inside test against the rim edges. The same
-pass, on Python floats, scores each axis that crosses the opening: it clips
-the axis to the region behind the opening faces and measures the walls at
+All capsules of a configuration are scored into one clearance array, in the
+prism frame: the axes are mapped there once, as ``(axes - t) @ R`` with the
+pose's rotation R and translation t. Only the axes whose ends lie strictly on
+both sides of x = 0 (usually one or none) get a crossing point and the inside
+test against the rim edges; the same pass, on Python floats, clips each axis
+that crosses the opening to the slab 0 <= x <= depth and measures the walls at
 both ends of that interval. One (capsules x fringe segments) closest-point
 pass scores the FRINGE case; its point-case selections run only when a rim
 edge or an axis is short enough to be scored as a point. Both passes read
 component-major arrays (axis endpoints (3, 2, n), the rim table), so each x,
 y and z operand is a contiguous row. Only the worst capsule (the first on a
-tie) gets a witness. ``scene_distance``, ``world_state`` and
-``capsule_distance`` agree bit for bit; their reference is the scalar
-``segment_segment_distance`` with ``classify_segment`` and
-``point_in_polygon`` of ``tests/oracles.py``, and the numpy TUNNEL clearance
-there.
+tie) gets a witness, whose points go back to the world through the pose.
+``scene_distance``, ``world_state`` and ``capsule_distance`` agree bit for
+bit; their reference is the world-frame scalar ``segment_segment_distance``
+with ``classify_segment`` and ``point_in_polygon`` of ``tests/oracles.py``,
+and the numpy TUNNEL clearance there.
 
 A planner iterate is evaluated once: ``world_state`` builds the frames, the
 world capsule axes, the tool position, the clearances and the witness from
@@ -65,7 +67,7 @@ from .kinematics import (
     point_jacobian,
     tool_point,
 )
-from .transforms import apply_transform, cross, is_rigid
+from .transforms import cross, is_rigid
 
 CASE_FRINGE = "FRINGE"
 CASE_TUNNEL = "TUNNEL"
@@ -148,17 +150,16 @@ class Scene:
     and plane 2 + i wall i; a witness's ``plane_index`` and
     ``clip_plane_index`` count the same way.
 
-    The constructor checks the three fields once; ``transform_scene`` moves a
-    checked scene without checking it again. Every world-frame table the
-    distance queries read is derived once, in ``_store``: inward wall normals
-    and offsets (k rows), outward opening normals and offsets (entrance,
-    then exit), the entrance's ``entrance_outward_normal`` and
-    ``entrance_outward_offset``, and the component-major rim table ``_rim``
-    (10, k): rim segment starts, directions (x, y, z rows each) and squared
-    lengths, then the inward normal of the opening edge through each start.
-    Rim segment i runs along the entrance edge of wall i. ``_rim_ok`` masks
-    the segments that are not points, and ``_rim_has_point`` says whether any
-    segment is one.
+    The constructor checks the three fields once and derives, from
+    ``section`` alone, the prism-frame tables the distance queries read: the
+    inward unit wall normals ``_walls`` (k, 2) in (y, z) and their offsets
+    ``_wall_offsets`` (k,), so that wall row i's clearance of a point is
+    ``_walls[i] . (y, z) - _wall_offsets[i]``; and the component-major rim
+    table ``_rim`` (7, k): rim segment starts and directions (x, y, z rows
+    each, the x rows zero) and squared lengths. Rim segment i runs along the
+    entrance edge of wall i. ``_rim_ok`` masks the segments that are not
+    points, and ``_rim_has_point`` says whether any segment is one.
+    ``transform_scene`` changes only the pose and shares the tables.
     """
 
     section: np.ndarray  # (k, 2), k >= 3
@@ -191,44 +192,18 @@ class Scene:
             failures.append("pose must be a proper rigid transform")
         if failures:
             raise ValueError("; ".join(failures))
-        self._store(section, float(self.depth), pose)
-
-    def _store(self, section: np.ndarray, depth: float, pose: np.ndarray) -> None:
-        """Set the fields, given valid, and derive the world-frame tables from them."""
-        k = len(section)
-        rim = np.zeros((k, 3))
-        rim[:, 1:] = section
-        # A counter-clockwise rim edge has the tunnel on its left, so edge x (+x)
-        # points out of the tunnel; the wall normals point in.
-        outward = cross(_next_rows(rim) - rim, np.array([1.0, 0.0, 0.0]))
-        # Each length summed as np.linalg.norm sums one vector's; the pinned plans depend on these bits.
-        walls = -(outward / np.sqrt((outward[:, None, :] @ outward[:, :, None])[:, 0]))
-        normals = np.concatenate([[[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], walls])
-        offsets = np.concatenate([[0.0, depth], (walls[:, None, :] @ rim[:, :, None])[:, 0, 0]])
-        R, t = pose[:3, :3], pose[:3, 3]
-        # Stacked products, summed as the per-plane R @ n and n @ t are.
-        normals = (R @ normals[..., None])[..., 0]
-        offsets = offsets + (normals[:, None, :] @ t[:, None])[:, 0, 0]
-        # The entrance polygon, counter-clockwise about the entrance's outward normal: the section reversed.
-        entrance = apply_transform(pose, np.ascontiguousarray(rim[::-1]))
-        # Inward normals of the opening's edges: a point p on the entrance plane
-        # is inside the opening when edge_normals[i] . (p - entrance[i]) >= 0.
-        edge_normals = cross(normals[0], _next_rows(entrance) - entrance)
-        rim = entrance[::-1]
-        direction = (_next_rows(rim) - rim).T
-        length2 = _dot(direction, direction)
+        (ey, ez), (y, z) = edges.T, section.T
+        length2 = ey * ey + ez * ez
+        walls = np.column_stack([-ez, ey]) / np.sqrt(length2)[:, None]  # each edge's left, where the tunnel is
+        zeros = np.zeros(len(section))
         rim_ok = length2 > _SEGMENT_EPS
         values = {
             "section": section,
-            "depth": depth,
+            "depth": float(self.depth),
             "pose": pose,
-            "_wall_normals": normals[2:],
-            "_wall_offsets": offsets[2:],
-            "_opening_normals": normals[:2],
-            "_opening_offsets": offsets[:2],
-            "entrance_outward_normal": normals[0],
-            "entrance_outward_offset": float(offsets[0]),
-            "_rim": np.concatenate([rim.T, direction, length2[None], edge_normals[::-1].T]),
+            "_walls": walls,
+            "_wall_offsets": walls[:, 0] * y + walls[:, 1] * z,
+            "_rim": np.array([zeros, y, z, zeros, ey, ez, length2]),
             "_rim_ok": rim_ok,
             "_rim_has_point": not rim_ok.all(),
         }
@@ -324,59 +299,57 @@ def _unit_clip(x: np.ndarray) -> np.ndarray:
 
 
 def _tunnel_scores(ends: np.ndarray, scene: Scene) -> dict[int, tuple]:
-    """TUNNEL score of every axis of ``ends`` (3, 2, n) that crosses the entrance opening (the test of ``classify_segment``).
+    """TUNNEL score of every prism-frame axis of ``ends`` (3, 2, n) that crosses the entrance opening (the test of ``classify_segment``).
 
-    One array pass gives every axis's entrance-plane distances. Only an axis
-    whose ends lie strictly on opposite sides gets a crossing point and the
-    inside test against each rim edge. A crossing axis is clipped to the
-    region behind every opening face and scored at both ends of that
-    interval against every wall; the lower end, then the lower wall row, wins
-    a tie. When the interval is empty the crossing itself is scored, pinned to
-    the entrance at both ends. All of it runs on Python floats in ``_dot``'s
-    order. Returns {axis: (clearance, axis parameter, clip plane or None,
-    wall plane, point on the axis, its foot on the wall plane)}.
+    The entrance is the plane x = 0 and the tunnel the slab 0 <= x <= depth.
+    Only an axis whose ends lie strictly on opposite sides of x = 0 gets a
+    crossing point and the inside test against each rim edge, the edge cross
+    product of ``point_in_polygon``. A crossing axis is clipped to the slab
+    and scored at both ends of that interval against every wall; the lower
+    end, then the lower wall row, wins a tie. When the interval is empty the
+    crossing itself is scored, pinned to the entrance at both ends. All of it
+    runs on Python floats. Returns {axis: (clearance, axis parameter, clip
+    plane or None, wall plane, point on the axis, its foot on the wall plane)},
+    the two points in the prism frame.
     """
-    sa, sb = (_dot(ends, scene.entrance_outward_normal) - scene.entrance_outward_offset).tolist()
-    straddle = [i for i, (da, db) in enumerate(zip(sa, sb)) if da * db < 0.0]
+    xa, xb = ends[0].tolist()
+    straddle = [i for i, (ea, eb) in enumerate(zip(xa, xb)) if ea * eb < 0.0]
     if not straddle:
         return {}
     rows = scene._rim.tolist()
-    rim = list(zip(*rows[:3], *rows[7:]))  # per rim edge: its start, then the inward normal of the opening edge
-    faces = list(enumerate(zip(scene._opening_normals.tolist(), scene._opening_offsets.tolist())))
-    walls = list(zip(scene._wall_normals.tolist(), scene._wall_offsets.tolist()))
+    rim = list(zip(rows[1], rows[2], rows[4], rows[5]))  # per rim edge: its start and its direction in (y, z)
+    walls = list(zip(scene._walls.tolist(), scene._wall_offsets.tolist()))
+    depth = scene.depth
     scores = {}
     for i in straddle:
         (ax, ay, az), (bx, by, bz) = ends[:, :, i].T.tolist()
         dx, dy, dz = bx - ax, by - ay, bz - az
-        t = sa[i] / (sa[i] - sb[i])
-        x, y, z = ax + t * dx, ay + t * dy, az + t * dz
-        if not all((x - rx) * nx + (y - ry) * ny + (z - rz) * nz >= -_OPENING_TOL for rx, ry, rz, nx, ny, nz in rim):
+        t = ax / (ax - bx)
+        y, z = ay + t * dy, az + t * dz
+        # inside the opening: on the left of every rim edge, seen from +x
+        if not all(ey * (z - sz) - ez * (y - sy) >= -_OPENING_TOL for sy, sz, ey, ez in rim):
             continue
-        # (axis parameter, opening plane that pinned it); inside the slab n . p - off <= 0 (outward normals)
+        # (axis parameter, opening plane that pinned it): the entrance x = 0 is plane 0, the exit x = depth plane 1
         lo, hi = (0.0, None), (1.0, None)
-        for plane, ((nx, ny, nz), off) in faces:
-            fa, slope = nx * ax + ny * ay + nz * az - off, nx * dx + ny * dy + nz * dz
-            if abs(slope) < 1e-14:
-                if fa > 0.0:  # parallel to and outside this face: the interval is empty
-                    lo = (math.inf, None)
-                continue
-            t_face = -fa / slope
-            if slope > 0.0 and t_face < hi[0]:  # leaving through this face as t grows
-                hi = (t_face, plane)
-            elif slope < 0.0 and t_face > lo[0]:  # entering through this face as t grows
-                lo = (t_face, plane)
+        if abs(dx) < 1e-14:
+            if not 0.0 <= ax <= depth:  # parallel to the opening faces and outside the slab: the interval is empty
+                lo = (math.inf, None)
+        else:
+            enter, leave = ((-ax / dx, 0), ((depth - ax) / dx, 1))[:: 1 if dx > 0.0 else -1]
+            lo, hi = enter if enter[0] > 0.0 else lo, leave if leave[0] < 1.0 else hi
         if lo[0] > hi[0]:  # the crossing sliver vanished: score the entrance crossing
-            lo = hi = (t, 0)  # plane 0, the entrance
+            lo = hi = (t, 0)
         best = None
         for t_end, clip in (lo, hi):
             p = (ax + t_end * dx, ay + t_end * dy, az + t_end * dz)
-            for row, ((nx, ny, nz), off) in enumerate(walls):
-                clearance = nx * p[0] + ny * p[1] + nz * p[2] - off
+            for row, ((ny, nz), off) in enumerate(walls):
+                clearance = ny * p[1] + nz * p[2] - off
                 if best is None or clearance < best[0]:
                     best = (clearance, t_end, clip, row, p)
         clearance, t_end, clip, row, p = best
-        foot = [pk - clearance * nk for pk, nk in zip(p, walls[row][0])]
-        scores[i] = (clearance, t_end, clip, 2 + row, np.array(p), np.array(foot))  # wall row i is plane 2 + i
+        (ny, nz), _off = walls[row]
+        foot = (p[0], p[1] - clearance * ny, p[2] - clearance * nz)
+        scores[i] = (clearance, t_end, clip, 2 + row, p, foot)  # wall row i is plane 2 + i
     return scores
 
 
@@ -419,8 +392,9 @@ def _closest_fringe(ends: np.ndarray, scene: Scene):
 
 
 def _score_axes(axes: np.ndarray, radii, scene: Scene, capsule_indices) -> tuple[np.ndarray, DistanceWitness]:
-    """Signed clearances (n,) of world-frame axes (n, 2, 3) with radii, and the witness of ``clearances.argmin()``."""
-    ends = np.ascontiguousarray(axes.transpose(2, 1, 0))
+    """Signed clearances (n,) of world-frame axes (n, 2, 3) with radii, scored in the prism frame, and the witness of ``clearances.argmin()``."""
+    R, origin = scene.pose[:3, :3], scene.pose[:3, 3]
+    ends = np.ascontiguousarray(((axes - origin) @ R).transpose(2, 1, 0))
     with np.errstate(divide="ignore", invalid="ignore"):
         tunnel = _tunnel_scores(ends, scene)
         gaps, nearest, s, on_axis, on_fringe = _closest_fringe(ends, scene)
@@ -433,8 +407,9 @@ def _score_axes(axes: np.ndarray, radii, scene: Scene, capsule_indices) -> tuple
         case = CASE_TUNNEL
     else:
         plane = int(nearest[k])
-        t, clip, on_robot, on_obstacle = s[k, plane], None, on_axis[:, k, plane].copy(), on_fringe[:, k, plane].copy()
+        t, clip, on_robot, on_obstacle = s[k, plane], None, on_axis[:, k, plane], on_fringe[:, k, plane]
         case = CASE_FRINGE
+    on_robot, on_obstacle = np.array([on_robot, on_obstacle]) @ R.T + origin
     value = float(clearances[k])
     return clearances, DistanceWitness(value, capsule_indices[k], on_robot, on_obstacle, case, float(t), plane, clip)
 
@@ -514,12 +489,13 @@ def _witness_gradient(
 ) -> np.ndarray:
     J_point = point_jacobian(frames, capsules[witness.capsule_index].link_index, witness.point_on_robot)
 
+    R = scene.pose[:3, :3]
     if witness.case_tag == CASE_FRINGE:
         diff = witness.point_on_robot - witness.point_on_obstacle
         dist = math.sqrt(diff @ diff)
         if dist < 1e-12:
             # Touching witness: any unit direction is a valid sub-gradient choice.
-            axis = scene._rim[3:6, witness.plane_index]
+            axis = R @ scene._rim[3:6, witness.plane_index]
             n = cross(axis, np.array([1.0, 0.0, 0.0]))
             if np.linalg.norm(n) < 1e-9:
                 n = cross(axis, np.array([0.0, 1.0, 0.0]))
@@ -528,13 +504,14 @@ def _witness_gradient(
             n = diff / dist
         return n @ J_point
 
-    n_w = scene._wall_normals[witness.plane_index - 2]  # plane 2 + i is wall row i
+    n_w = R[:, 1:] @ scene._walls[witness.plane_index - 2]  # plane 2 + i is wall row i, a (y, z) normal
     grad = n_w @ J_point
     if witness.clip_plane_index is not None:
-        # Witness point pinned to an opening-plane crossing: t* moves with q.
+        # Witness point pinned to an opening-plane crossing: t* moves with q. Both opening planes are
+        # x = const in the prism frame, and the sign of their normal +-R[:, 0] cancels in dt/dq.
         a, b = segments[witness.capsule_index]
         d = b - a
-        n_c = scene._opening_normals[witness.clip_plane_index]
+        n_c = R[:, 0]
         slope = float(np.dot(n_c, d))
         if abs(slope) > 1e-12:
             dt_dq = -(n_c @ J_point) / slope
@@ -557,12 +534,14 @@ def witness_gradient(q, chain: RobotChain, capsules, scene: Scene, witness: Dist
 
 
 def transform_scene(scene: Scene, T: np.ndarray) -> Scene:
-    """The scene moved by the rigid motion ``T``: its pose becomes ``T @ scene.pose``; only ``T`` is checked."""
+    """The scene moved by the rigid motion ``T``: its pose becomes ``T @ scene.pose``; only ``T`` is checked, and the tables are shared."""
     T = np.asarray(T, dtype=float)
     if not is_rigid(T):
         raise ValueError("scene transform must be a proper rigid transform")
+    pose = T @ scene.pose
+    pose.flags.writeable = False
     moved = object.__new__(Scene)
-    moved._store(scene.section, scene.depth, T @ scene.pose)
+    moved.__dict__.update(vars(scene), pose=pose)
     return moved
 
 
@@ -571,7 +550,7 @@ def point_tunnel_clearance(points, scene: Scene) -> np.ndarray:
 
     Used to check that the weld points sit inside the tunnel.
     """
-    p = np.asarray(points, dtype=float)
-    behind = p @ scene._opening_normals.T - scene._opening_offsets
-    clear = (p @ scene._wall_normals.T - scene._wall_offsets).min(axis=-1)
-    return np.where((behind > 0.0).any(axis=-1), -np.inf, clear)
+    R, origin = scene.pose[:3, :3], scene.pose[:3, 3]
+    local = (np.asarray(points, dtype=float) - origin) @ R
+    clear = (local[..., 1:] @ scene._walls.T - scene._wall_offsets).min(axis=-1)
+    return np.where((local[..., 0] < 0.0) | (local[..., 0] > scene.depth), -np.inf, clear)

@@ -20,23 +20,18 @@ def homogeneous(rotation: np.ndarray | None = None, translation: np.ndarray | No
     return T
 
 
-def apply_transform(T: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Apply a 4x4 rigid transform to a point (3,) or point array (..., 3)."""
-    pts = np.asarray(points, dtype=float)
-    return pts @ T[:3, :3].T + T[:3, 3]
-
-
 def is_rigid(T: np.ndarray, tol: float = 1e-9) -> bool:
-    """True if T is a proper rigid motion (orthonormal rotation, det +1)."""
+    """True if T is a proper rigid motion: orthonormal rotation, det +1 and bottom row (0, 0, 0, 1), each within tol."""
     if T.shape != (4, 4):
         return False
-    R = T[:3, :3]
-    # Each test reads "within tol", so a NaN anywhere fails it.
-    return bool(
-        np.abs(R.T @ R - np.eye(3)).max() <= tol
-        and abs(np.linalg.det(R) - 1.0) <= tol
-        and np.abs(T[3] - (0.0, 0.0, 0.0, 1.0)).max() <= tol
+    (a, b, c, _), (d, e, f, _), (g, h, i, _), (w0, w1, w2, w3) = T.tolist()
+    errors = (
+        a * a + d * d + g * g - 1.0, b * b + e * e + h * h - 1.0, c * c + f * f + i * i - 1.0,  # unit columns
+        a * b + d * e + g * h, a * c + d * f + g * i, b * c + e * f + h * i,  # orthogonal columns
+        a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g) - 1.0,  # det R = r0 . (r1 x r2)
+        w0, w1, w2, w3 - 1.0,  # the bottom row
     )
+    return all(abs(err) <= tol for err in errors)  # a NaN fails its test
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,6 +6,8 @@ from icop.kinematics import JointParams, RobotChain
 from icop.scenario import load_bundled
 from icop.transforms import homogeneous, rot_y
 
+from oracles import prism_faces
+
 
 @pytest.fixture(scope="session")
 def straight_chain() -> RobotChain:
@@ -42,14 +44,16 @@ def rot_z(angle: float) -> np.ndarray:
 
 
 def fringe_segments(scene) -> np.ndarray:
-    """The scene's rim as (m, 2, 3) segments: rim segment i runs from rim vertex i to vertex i + 1."""
-    rim = scene._rim[:3].T
+    """The rim of ``oracles.prism_faces`` as (m, 2, 3) segments: rim segment i runs from rim vertex i to vertex i + 1."""
+    rim = prism_faces(scene).entrance[::-1]
     return np.stack([rim, np.roll(rim, -1, axis=0)], axis=1)
 
 
 def kernel_tunnel_clearance(a, b, scene) -> float:
     """The wall clearance ``geometry._tunnel_scores`` gives the axis [a, b]; a KeyError if it does not cross the opening."""
-    return _tunnel_scores(np.array([a, b], dtype=float).T[:, :, None], scene)[0][0]
+    R, t = scene.pose[:3, :3], scene.pose[:3, 3]
+    local = (np.array([a, b], dtype=float) - t) @ R  # the axis in the prism frame
+    return _tunnel_scores(local.T[:, :, None], scene)[0][0]
 
 
 def random_tunnel(rng: np.random.Generator):

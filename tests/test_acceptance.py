@@ -19,7 +19,7 @@ from icop.geometry import (
 from icop.kinematics import BodyPoint, body_point_jacobian, forward_kinematics
 from icop.qp import STATUS_OPTIMAL, solve
 from icop.scenario import bundled_scenario_path, load_bundled, plan_scenario, resample_path
-from icop.transforms import apply_transform, homogeneous, rot_y
+from icop.transforms import homogeneous, rot_y
 
 from conftest import kernel_tunnel_clearance, random_tunnel, rot_z
 from oracles import (
@@ -183,7 +183,8 @@ def test_criterion_7_geometry_oracles():
         b = a + rng.uniform(-1.5, 1.5, 3)
         w = capsule_distance(a, b, 0.06, scene)
         T = homogeneous(rot_y(rng.uniform(-np.pi, np.pi)) @ rot_z(rng.uniform(-np.pi, np.pi)), rng.uniform(-2, 2, 3))
-        w2 = capsule_distance(apply_transform(T, a), apply_transform(T, b), 0.06, transform_scene(scene, T))
+        Ta, Tb = np.array([a, b]) @ T[:3, :3].T + T[:3, 3]
+        w2 = capsule_distance(Ta, Tb, 0.06, transform_scene(scene, T))
         worst_inv = max(worst_inv, abs(w.value - w2.value))
 
     _report(

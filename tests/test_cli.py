@@ -76,6 +76,13 @@ def test_xi_override_changes_iteration_count(c1_path, tmp_path):
     assert total_iters(tmp_path / "loose") < total_iters(tmp_path / "tight")
 
 
+def test_trajectory_header_names_the_overridden_xi(c1_path, tmp_path):
+    assert main(["--scenario", c1_path, "--out", str(tmp_path), "--xi", "1e-6"]) == EXIT_OK
+    header = (tmp_path / "c1_trajectory.csv").read_text().splitlines()[0]
+    assert header.split()[2] == "xi=1.000000e-06"
+    assert "equality_threshold_m  1.000000e-06" in (tmp_path / "c1_metrics.txt").read_text().splitlines()
+
+
 def test_horizon_override(c1_path, tmp_path):
     assert main(["--scenario", c1_path, "--out", str(tmp_path), "--horizon", "10"]) == EXIT_OK
     lines = (tmp_path / "c1_trajectory.csv").read_text().strip().splitlines()

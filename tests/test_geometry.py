@@ -21,7 +21,7 @@ from icop.geometry import (
     world_state,
 )
 from icop.kinematics import forward_kinematics
-from icop.transforms import apply_transform, homogeneous, rot_y
+from icop.transforms import homogeneous, rot_y
 
 from conftest import fringe_segments, kernel_tunnel_clearance, random_tunnel, rot_z
 from oracles import (
@@ -196,7 +196,8 @@ class TestSceneDistance:
             w = capsule_distance(a, b, 0.07, scene)
             T = homogeneous(rot_y(rng.uniform(-np.pi, np.pi)) @ rot_z(rng.uniform(-np.pi, np.pi)),
                             rng.uniform(-2, 2, 3))
-            w2 = capsule_distance(apply_transform(T, a), apply_transform(T, b), 0.07, transform_scene(scene, T))
+            Ta, Tb = np.array([a, b]) @ T[:3, :3].T + T[:3, 3]
+            w2 = capsule_distance(Ta, Tb, 0.07, transform_scene(scene, T))
             assert abs(w.value - w2.value) < 1e-9
 
     def test_obstacle_translation_is_1_lipschitz_far_field(self, c4):
@@ -205,7 +206,7 @@ class TestSceneDistance:
         scene, _ = mounted_scene_and_path(c4)
         q = np.zeros(6)
         d0 = scene_distance(q, c4.chain, c4.capsules, scene).value
-        n_out = scene.entrance_outward_normal
+        n_out = prism_faces(scene).opening_normals[0]
         for delta in (0.05, 0.2, 0.5):
             moved = transform_scene(scene, homogeneous(translation=delta * n_out))
             d1 = scene_distance(q, c4.chain, c4.capsules, moved).value
@@ -404,17 +405,7 @@ class TestCapsuleSet:
             assert segments.tobytes() == world_capsule_segments(q, c4.chain, c4.capsules).tobytes()
 
 
-_DERIVED = (
-    "_wall_normals",
-    "_wall_offsets",
-    "_opening_normals",
-    "_opening_offsets",
-    "entrance_outward_normal",
-    "entrance_outward_offset",
-    "_rim",
-    "_rim_ok",
-    "_rim_has_point",
-)
+_DERIVED = ("_walls", "_wall_offsets", "_rim", "_rim_ok", "_rim_has_point")
 
 
 def _rebuilt(scene):
@@ -455,6 +446,16 @@ class TestTransformScene:
     def test_rejects_non_rigid_transform(self, square_tunnel, T):
         with pytest.raises(ValueError, match="rigid"):
             transform_scene(square_tunnel, T)
+
+    def test_a_moved_scene_shares_its_tables(self):
+        # the tables come from the section alone, so a move changes only the pose
+        rng = np.random.default_rng(83)
+        scene = random_tunnel(rng)
+        moved = transform_scene(scene, homogeneous(rot_y(0.4) @ rot_z(-1.1), [0.3, -0.2, 1.0]))
+        for name in _DERIVED:
+            assert getattr(moved, name) is getattr(scene, name), name
+        assert moved.section is scene.section and moved.depth == scene.depth
+        assert moved.pose is not scene.pose and not moved.pose.flags.writeable
 
     def test_does_not_run_the_plane_check(self, square_tunnel, monkeypatch):
         # the constructor's check of the section, depth and pose the planes come from
@@ -551,8 +552,8 @@ class TestBatchedKernel:
         tunnels = 0
         for _ in range(60):
             scene = random_tunnel(rng)
-            n_out = scene.entrance_outward_normal
-            center = prism_faces(scene).entrance.mean(axis=0)
+            faces = prism_faces(scene)
+            n_out, center = faces.opening_normals[0], faces.entrance.mean(axis=0)
             axes = [_random_segment(rng, scale=1.5) for _ in range(4)]
             for _ in range(4):  # axes through the opening, most of them TUNNEL
                 jitter = rng.uniform(-0.2, 0.2, 3)

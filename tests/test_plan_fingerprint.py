@@ -15,7 +15,7 @@ import pytest
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "plan_fingerprint.py"
 
 # Includes c3's plan through the tunnel roof (ROADMAP item 1); the change that fixes it updates this.
-PINNED = "a066e2c3ca1109d451f5586f242cc3118d200411f7fe1fe9ccab67170fdb8c3a"
+PINNED = "db0b42de4c259e1fc8397becf2c73916851b7b3c76760df26c924b229168b081"
 
 
 @pytest.fixture(scope="module")

@@ -127,7 +127,7 @@ def test_collision_blocking_straight_line(world, monkeypatch):
     # a target behind the entrance face material forces the planner to give up
     c4, scene, path = world
     monkeypatch.setattr(planner, "_BISECT_DEPTH", 1)
-    outside = path[0] + 2.5 * scene.entrance_outward_normal + np.array([0.0, 1.5, 0.0])
+    outside = path[0] - 2.5 * scene.pose[:3, 0] + np.array([0.0, 1.5, 0.0])  # out of the entrance, along -x of the prism
     params = dataclasses.replace(c4.params, max_inner=8, step_max=20.0)
     try:
         traj = plan(outside[None, :], c4.initial_config, c4.chain, c4.capsules, scene, params)

@@ -27,6 +27,7 @@ from icop.scenario import (
 )
 
 from conftest import fringe_segments
+from oracles import prism_faces
 
 
 class TestLoading:
@@ -211,7 +212,7 @@ class TestLoading:
         with pytest.warns(UserWarning, match="outside the mounted tunnel"):  # the tunnel turned away from the seam
             s = parse_scenario(yaml.safe_dump(data))
         np.testing.assert_array_equal(s.scene.pose[:3, :3], data["scene"]["pose"]["rotation"])
-        np.testing.assert_array_equal(s.scene.entrance_outward_normal, [0.0, 0.0, 1.0])  # -x of the prism, rotated
+        np.testing.assert_array_equal(-s.scene.pose[:3, 0], [0.0, 0.0, 1.0])  # the entrance's outward normal, -x of the prism, rotated
         out = tmp_path / "rotated.scenario"
         serialize_scenario(s, out)
         with pytest.warns(UserWarning, match="outside the mounted tunnel"):
@@ -259,21 +260,22 @@ class TestMounting:
     def test_identity(self, square_tunnel):
         m = transform_scene(square_tunnel, mounting_transform(0.0, 0.0))
         np.testing.assert_allclose(m.pose, square_tunnel.pose, atol=1e-15)
-        np.testing.assert_allclose(m._wall_normals, square_tunnel._wall_normals, atol=1e-15)
+        np.testing.assert_allclose(prism_faces(m).wall_normals, prism_faces(square_tunnel).wall_normals, atol=1e-15)
         np.testing.assert_allclose(fringe_segments(m), fringe_segments(square_tunnel), atol=1e-15)
 
     def test_pure_translation_shifts_x(self, square_tunnel):
         m = transform_scene(square_tunnel, mounting_transform(5.0, 0.0))
-        np.testing.assert_allclose(m._wall_normals, square_tunnel._wall_normals, atol=1e-15)
-        np.testing.assert_allclose(m._opening_normals, square_tunnel._opening_normals, atol=1e-15)
+        moved, faces = prism_faces(m), prism_faces(square_tunnel)
+        np.testing.assert_allclose(moved.wall_normals, faces.wall_normals, atol=1e-15)
+        np.testing.assert_allclose(moved.opening_normals, faces.opening_normals, atol=1e-15)
         shift = fringe_segments(m) - fringe_segments(square_tunnel)
         np.testing.assert_allclose(shift, np.broadcast_to([5.0, 0, 0], shift.shape), atol=1e-12)
-        np.testing.assert_allclose(m._opening_offsets - square_tunnel._opening_offsets, [-5.0, 5.0], atol=1e-12)
+        np.testing.assert_allclose(moved.opening_offsets - faces.opening_offsets, [-5.0, 5.0], atol=1e-12)
 
     def test_quarter_turn_sends_plus_x_normal_to_minus_z(self, square_tunnel):
         # entrance outward normal of the local tunnel is -x; its exit face is +x
         m = transform_scene(square_tunnel, mounting_transform(0.0, np.pi / 2))
-        exit_normal = m._opening_normals[1]
+        exit_normal = prism_faces(m).opening_normals[1]
         np.testing.assert_allclose(exit_normal, [0.0, 0.0, -1.0], atol=1e-15)
 
     def test_mounting_is_isometry(self, square_tunnel):
