@@ -28,21 +28,24 @@ assembled from body-point Jacobians, including the chain-rule term for
 witnesses pinned to the entrance crossing.
 
 All capsules of a configuration are scored into one clearance array, in the
-prism frame: the axes are mapped there once, as ``(axes - t) @ R`` with the
-pose's rotation R and translation t. Only the axes whose ends lie strictly on
-both sides of x = 0 (usually one or none) get a crossing point and the inside
-test against the rim edges; the same pass, on Python floats, clips each axis
-that crosses the opening to the slab 0 <= x <= depth and measures the walls at
-both ends of that interval. One (capsules x fringe segments) closest-point
-pass scores the FRINGE case; its point-case selections run only when a rim
-edge or an axis is short enough to be scored as a point. Both passes read
-component-major arrays (axis endpoints (3, 2, n), the rim table), so each x,
-y and z operand is a contiguous row. Only the worst capsule (the first on a
-tie) gets a witness, whose points go back to the world through the pose.
-``scene_distance``, ``world_state`` and ``capsule_distance`` agree bit for
-bit; their reference is the world-frame scalar ``segment_segment_distance``
-with ``classify_segment`` and ``point_in_polygon`` of ``tests/oracles.py``,
-and the numpy TUNNEL clearance there.
+prism frame: the axes are mapped there once, as ``((axes - t) @ R).tolist()``
+with the pose's rotation R and translation t, and every pass reads those
+Python floats, one capsule at a time. On arrays this small numpy's per-call
+cost outweighs its arithmetic. Only the axes whose ends lie strictly on both
+sides of x = 0 (usually one or none) get a crossing point and the inside test
+against the rim edges; the same pass clips each axis that crosses the opening
+to the slab 0 <= x <= depth and measures the walls at both ends of that
+interval. Every other axis gets the FRINGE pass: the closest-point arithmetic
+of ``segment_segment_distance`` against each rim edge, branching on a
+point-like edge or axis, with the zero x terms of the rim left out. A capsule
+scored alone and in a batch takes the same operations, so it gets the same
+bits. Only the worst capsule (the first on a tie) gets a witness, whose
+points go back to the world through the pose. ``scene_distance``,
+``world_state`` and ``capsule_distance`` agree bit for bit; their reference
+is the world-frame scalar ``segment_segment_distance`` with
+``classify_segment`` and ``point_in_polygon`` of ``tests/oracles.py``, the
+numpy TUNNEL clearance there, and, for the FRINGE pass bit for bit, the
+numpy (capsules x rim edges) grid ``grid_closest_fringe``.
 
 A planner iterate is evaluated once: ``world_state`` builds the frames, the
 world capsule axes, the tool position, the clearances and the witness from
@@ -154,11 +157,11 @@ class Scene:
     ``section`` alone, the prism-frame tables the distance queries read: the
     inward unit wall normals ``_walls`` (k, 2) in (y, z) and their offsets
     ``_wall_offsets`` (k,), so that wall row i's clearance of a point is
-    ``_walls[i] . (y, z) - _wall_offsets[i]``; and the component-major rim
-    table ``_rim`` (7, k): rim segment starts and directions (x, y, z rows
-    each, the x rows zero) and squared lengths. Rim segment i runs along the
-    entrance edge of wall i. ``_rim_ok`` masks the segments that are not
-    points, and ``_rim_has_point`` says whether any segment is one.
+    ``_walls[i] . (y, z) - _wall_offsets[i]``; and the rim ``_rim``, one
+    tuple of Python floats per edge, ``(y, z, ey, ez, length², ok)``: the
+    edge's start and direction in (y, z) (its x is 0), its squared length,
+    and whether it is long enough to be scored as a segment and not a point.
+    Rim edge i runs along the entrance edge of wall i.
     ``transform_scene`` changes only the pose and shares the tables.
     """
 
@@ -195,17 +198,14 @@ class Scene:
         (ey, ez), (y, z) = edges.T, section.T
         length2 = ey * ey + ez * ez
         walls = np.column_stack([-ez, ey]) / np.sqrt(length2)[:, None]  # each edge's left, where the tunnel is
-        zeros = np.zeros(len(section))
-        rim_ok = length2 > _SEGMENT_EPS
+        rim = (y, z, ey, ez, length2, length2 > _SEGMENT_EPS)
         values = {
             "section": section,
             "depth": float(self.depth),
             "pose": pose,
             "_walls": walls,
             "_wall_offsets": walls[:, 0] * y + walls[:, 1] * z,
-            "_rim": np.array([zeros, y, z, zeros, ey, ez, length2]),
-            "_rim_ok": rim_ok,
-            "_rim_has_point": not rim_ok.all(),
+            "_rim": tuple(zip(*(column.tolist() for column in rim))),
         }
         for name, value in values.items():
             if isinstance(value, np.ndarray):
@@ -283,23 +283,8 @@ def segment_segment_distance(a0, a1, b0, b1) -> SegmentClosest:
     return SegmentClosest(float(np.linalg.norm(p1 - p2)), p1, p2, float(s), float(t))
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot product over the first axis of component-major (3, ...) arrays, summed in a fixed order.
-
-    Every entry comes from the same three products and two sums whatever the
-    batch shape, so one capsule scored alone and the same capsule scored in a
-    batch give the same bits.
-    """
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-
-
-def _unit_clip(x: np.ndarray) -> np.ndarray:
-    """``np.clip(x, 0, 1)`` at a fraction of its cost on small arrays; -0.0 comes out as 0.0."""
-    return np.minimum(np.maximum(x, 0.0), 1.0)
-
-
-def _tunnel_scores(ends: np.ndarray, scene: Scene) -> dict[int, tuple]:
-    """TUNNEL score of every prism-frame axis of ``ends`` (3, 2, n) that crosses the entrance opening (the test of ``classify_segment``).
+def _tunnel_scores(axes: list, scene: Scene) -> dict[int, tuple]:
+    """TUNNEL score of every prism-frame axis ((ax, ay, az), (bx, by, bz)) of ``axes`` that crosses the entrance opening (the test of ``classify_segment``).
 
     The entrance is the plane x = 0 and the tunnel the slab 0 <= x <= depth.
     Only an axis whose ends lie strictly on opposite sides of x = 0 gets a
@@ -312,22 +297,19 @@ def _tunnel_scores(ends: np.ndarray, scene: Scene) -> dict[int, tuple]:
     plane or None, wall plane, point on the axis, its foot on the wall plane)},
     the two points in the prism frame.
     """
-    xa, xb = ends[0].tolist()
-    straddle = [i for i, (ea, eb) in enumerate(zip(xa, xb)) if ea * eb < 0.0]
+    straddle = [i for i, ((xa, _, _), (xb, _, _)) in enumerate(axes) if xa * xb < 0.0]
     if not straddle:
         return {}
-    rows = scene._rim.tolist()
-    rim = list(zip(rows[1], rows[2], rows[4], rows[5]))  # per rim edge: its start and its direction in (y, z)
     walls = list(zip(scene._walls.tolist(), scene._wall_offsets.tolist()))
     depth = scene.depth
     scores = {}
     for i in straddle:
-        (ax, ay, az), (bx, by, bz) = ends[:, :, i].T.tolist()
+        (ax, ay, az), (bx, by, bz) = axes[i]
         dx, dy, dz = bx - ax, by - ay, bz - az
         t = ax / (ax - bx)
         y, z = ay + t * dy, az + t * dz
         # inside the opening: on the left of every rim edge, seen from +x
-        if not all(ey * (z - sz) - ez * (y - sy) >= -_OPENING_TOL for sy, sz, ey, ez in rim):
+        if not all(ey * (z - sz) - ez * (y - sy) >= -_OPENING_TOL for sy, sz, ey, ez, _e, _ok in scene._rim):
             continue
         # (axis parameter, opening plane that pinned it): the entrance x = 0 is plane 0, the exit x = depth plane 1
         lo, hi = (0.0, None), (1.0, None)
@@ -353,62 +335,74 @@ def _tunnel_scores(ends: np.ndarray, scene: Scene) -> dict[int, tuple]:
     return scores
 
 
-def _closest_fringe(ends: np.ndarray, scene: Scene):
-    """Closest approach of every axis of ``ends`` (3, 2, n) to its nearest rim segment.
+def _closest_fringe(axis, rim: tuple) -> tuple:
+    """Closest approach of one prism-frame axis ((ax, ay, az), (bx, by, bz)) to its nearest edge of ``rim`` (``Scene._rim``).
 
-    The arithmetic of ``segment_segment_distance`` over the whole
-    (axes x rim segments) grid at once, branches replaced by selections;
-    a distance tie keeps the lowest rim index. Returns, per axis, the
-    distance and the rim index, and over the grid the axis parameter and
-    both closest points (3, n, m). The point-case selections run only when
-    the scene's rim has a point-like segment (``Scene._rim_has_point``) or an
-    axis is point-like; without either they are identities.
+    The arithmetic of ``segment_segment_distance`` on Python floats, edge by
+    edge; the first edge wins a distance tie. Every rim edge lies on x = 0, so
+    the terms its zero x components would add are left out: they could change
+    only the sign of a zero, and each such zero is clipped or squared before
+    it reaches a result. Each division runs behind the test that keeps its
+    divisor away from zero, and a clipped parameter is never -0.0. Returns
+    (distance, rim index, axis parameter, point on the axis, point on the
+    rim), the points in the prism frame.
     """
-    a0 = ends[:, 0, :, None]
-    d1 = ends[:, 1, :, None] - a0
-    b0, d2, e = scene._rim[:3, None], scene._rim[3:6, None], scene._rim[6]
-    r = a0 - b0
-    a = _dot(d1, d1)
-    b = _dot(d1, d2)
-    c = _dot(d1, r)
-    f = _dot(d2, r)
-    axis_ok, fringe_ok = a > _SEGMENT_EPS, scene._rim_ok
-    denom = a * e - b * b
-    s = np.where(denom > _SEGMENT_EPS, _unit_clip((b * f - c * e) / denom), 0.0)
-    t = (b * s + f) / e
-    s_start = _unit_clip(-c / a)  # closest axis point to the rim segment's start
-    s = np.where(t < 0.0, s_start, np.where(t > 1.0, _unit_clip((b - c) / a), s))
-    t = _unit_clip(t)
-    # A zero-length rim segment is a point; a zero-length axis is a point too. Without either, both are identities.
-    if scene._rim_has_point or not axis_ok.all():
-        s = np.where(axis_ok, np.where(fringe_ok, s, s_start), 0.0)
-        t = np.where(fringe_ok, np.where(axis_ok, t, _unit_clip(f / e)), 0.0)
-    on_axis = a0 + s * d1
-    on_fringe = b0 + t * d2
-    gap = on_axis - on_fringe
-    dist = np.sqrt(_dot(gap, gap))
-    nearest = np.argmin(dist, axis=1)
-    return dist[np.arange(len(nearest)), nearest], nearest, s, on_axis, on_fringe
+    (ax, ay, az), (bx, by, bz) = axis
+    dx, dy, dz = bx - ax, by - ay, bz - az
+    a = dx * dx + dy * dy + dz * dz
+    axis_ok = a > _SEGMENT_EPS
+    cx = dx * ax  # the first term of every edge's c
+    best, best_sq = None, math.inf
+    for j, (y, z, ey, ez, e, edge_ok) in enumerate(rim):
+        ry, rz = ay - y, az - z
+        f = ey * ry + ez * rz
+        if not axis_ok:  # the axis is a point
+            s = 0.0
+            t = f / e if edge_ok else 0.0
+            t = 0.0 if t <= 0.0 else t if t < 1.0 else 1.0
+        else:
+            c = cx + dy * ry + dz * rz
+            if not edge_ok:  # the edge is a point: the axis point closest to its start
+                s, t = -c / a, 0.0
+            else:
+                b = dy * ey + dz * ez
+                denom = a * e - b * b
+                s = (b * f - c * e) / denom if denom > _SEGMENT_EPS else 0.0
+                s = 0.0 if s <= 0.0 else s if s < 1.0 else 1.0
+                t = (b * s + f) / e
+                if t < 0.0:
+                    s, t = -c / a, 0.0
+                elif t > 1.0:
+                    s, t = (b - c) / a, 1.0
+                else:
+                    t += 0.0  # -0.0 becomes 0.0
+            s = 0.0 if s <= 0.0 else s if s < 1.0 else 1.0
+        px, py, pz = ax + s * dx, ay + s * dy, az + s * dz
+        qy, qz = y + t * ey, z + t * ez
+        gy, gz = py - qy, pz - qz
+        dist_sq = px * px + gy * gy + gz * gz
+        # the square root is monotone, so only a square no larger than the best one can give a smaller distance
+        if not dist_sq > best_sq:
+            dist = math.sqrt(dist_sq)
+            if best is None or dist < best[0]:
+                best, best_sq = (dist, j, s, (px, py, pz), (0.0, qy, qz)), dist_sq
+    return best
 
 
 def _score_axes(axes: np.ndarray, radii, scene: Scene, capsule_indices) -> tuple[np.ndarray, DistanceWitness]:
     """Signed clearances (n,) of world-frame axes (n, 2, 3) with radii, scored in the prism frame, and the witness of ``clearances.argmin()``."""
     R, origin = scene.pose[:3, :3], scene.pose[:3, 3]
-    ends = np.ascontiguousarray(((axes - origin) @ R).transpose(2, 1, 0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tunnel = _tunnel_scores(ends, scene)
-        gaps, nearest, s, on_axis, on_fringe = _closest_fringe(ends, scene)
-    for i, score in tunnel.items():
-        gaps[i] = score[0]
-    clearances = gaps - np.asarray(radii, dtype=float)
+    local = ((axes - origin) @ R).tolist()
+    tunnel = _tunnel_scores(local, scene)
+    scores = [tunnel.get(i) or _closest_fringe(axis, scene._rim) for i, axis in enumerate(local)]
+    clearances = np.array([score[0] for score in scores]) - np.asarray(radii, dtype=float)
     k = int(np.argmin(clearances))
     if k in tunnel:
         _gap, t, clip, plane, on_robot, on_obstacle = tunnel[k]
         case = CASE_TUNNEL
     else:
-        plane = int(nearest[k])
-        t, clip, on_robot, on_obstacle = s[k, plane], None, on_axis[:, k, plane], on_fringe[:, k, plane]
-        case = CASE_FRINGE
+        _gap, plane, t, on_robot, on_obstacle = scores[k]
+        clip, case = None, CASE_FRINGE
     on_robot, on_obstacle = np.array([on_robot, on_obstacle]) @ R.T + origin
     value = float(clearances[k])
     return clearances, DistanceWitness(value, capsule_indices[k], on_robot, on_obstacle, case, float(t), plane, clip)
@@ -495,7 +489,8 @@ def _witness_gradient(
         dist = math.sqrt(diff @ diff)
         if dist < 1e-12:
             # Touching witness: any unit direction is a valid sub-gradient choice.
-            axis = R @ scene._rim[3:6, witness.plane_index]
+            _y, _z, ey, ez, _length2, _ok = scene._rim[witness.plane_index]
+            axis = R @ np.array([0.0, ey, ez])
             n = cross(axis, np.array([1.0, 0.0, 0.0]))
             if np.linalg.norm(n) < 1e-9:
                 n = cross(axis, np.array([0.0, 1.0, 0.0]))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -21,10 +23,12 @@ def homogeneous(rotation: np.ndarray | None = None, translation: np.ndarray | No
 
 
 def is_rigid(T: np.ndarray, tol: float = 1e-9) -> bool:
-    """True if T is a proper rigid motion: orthonormal rotation, det +1 and bottom row (0, 0, 0, 1), each within tol."""
+    """True if T is a proper rigid motion: orthonormal rotation, det +1 and bottom row (0, 0, 0, 1), each within tol, and a finite translation."""
     if T.shape != (4, 4):
         return False
-    (a, b, c, _), (d, e, f, _), (g, h, i, _), (w0, w1, w2, w3) = T.tolist()
+    (a, b, c, tx), (d, e, f, ty), (g, h, i, tz), (w0, w1, w2, w3) = T.tolist()
+    if not (math.isfinite(tx) and math.isfinite(ty) and math.isfinite(tz)):
+        return False
     errors = (
         a * a + d * d + g * g - 1.0, b * b + e * e + h * h - 1.0, c * c + f * f + i * i - 1.0,  # unit columns
         a * b + d * e + g * h, a * c + d * f + g * i, b * c + e * f + h * i,  # orthogonal columns

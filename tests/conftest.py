@@ -53,7 +53,7 @@ def kernel_tunnel_clearance(a, b, scene) -> float:
     """The wall clearance ``geometry._tunnel_scores`` gives the axis [a, b]; a KeyError if it does not cross the opening."""
     R, t = scene.pose[:3, :3], scene.pose[:3, 3]
     local = (np.array([a, b], dtype=float) - t) @ R  # the axis in the prism frame
-    return _tunnel_scores(local.T[:, :, None], scene)[0][0]
+    return _tunnel_scores([local.tolist()], scene)[0][0]
 
 
 def random_tunnel(rng: np.random.Generator):

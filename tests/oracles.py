@@ -8,7 +8,11 @@ sampling, and QP optima from exhaustive active-set enumeration. The scalar
 ``classify_segment`` (with ``point_in_polygon``) is the per-segment reference
 for the entrance-crossing test of ``geometry._tunnel_scores``, and the numpy
 ``_tunnel_clearance`` (with ``_in_tunnel_interval``) the reference for the
-TUNNEL clearance that pass computes on Python floats. The tunnel oracles read
+TUNNEL clearance that pass computes on Python floats. The numpy
+``grid_closest_fringe`` scores every (axis, rim edge) pair at once as one
+array grid, with selections for branches, and is the bit-for-bit reference
+for ``geometry._closest_fringe``, which scores one axis at a time on Python
+floats. The tunnel oracles read
 a scene's ``section``, ``depth`` and ``pose`` only: ``prism_faces`` builds the
 entrance polygon and the face planes from them, never from the tables the
 kernel derives.
@@ -21,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from icop.geometry import _OPENING_TOL, CASE_FRINGE, CASE_TUNNEL, Scene
+from icop.geometry import _OPENING_TOL, _SEGMENT_EPS, CASE_FRINGE, CASE_TUNNEL, Scene
 from icop.kinematics import BodyPoint, JointParams, RobotChain, body_point_position
 
 
@@ -236,6 +240,61 @@ def _tunnel_clearance(a, b, scene: Scene):
     t_star, clip_star, wall_row, p_star = best
     foot = p_star - best_value * faces.wall_normals[wall_row]
     return best_value, t_star, clip_star, 2 + wall_row, p_star, foot
+
+
+def grid_closest_fringe(ends: np.ndarray, scene: Scene):
+    """Closest approach of every prism-frame axis of ``ends`` (3, 2, n) to its nearest rim segment, as one numpy grid.
+
+    The arithmetic of ``segment_segment_distance`` over the whole
+    (axes x rim segments) grid at once, branches replaced by selections; a
+    distance tie keeps the lowest rim index. This is the reference, bit for
+    bit, for the scalar pass ``geometry._closest_fringe``: it builds its
+    component-major rim table (7, k) from ``scene.section`` (segment starts
+    and directions as x, y, z rows, the x rows zero, then squared lengths)
+    and sums every dot product in x, y, z order, zero x terms included.
+    Returns, per axis, the distance and the rim index, and over the grid the
+    axis parameter (n, m) and both closest points (3, n, m).
+    """
+    section = scene.section
+    edges = np.concatenate([section[1:], section[:1]]) - section
+    (ey, ez), (y, z) = edges.T, section.T
+    length2 = ey * ey + ez * ez
+    zeros = np.zeros(len(section))
+    rim = np.array([zeros, y, z, zeros, ey, ez, length2])
+    fringe_ok = length2 > _SEGMENT_EPS
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    def unit_clip(x):
+        return np.minimum(np.maximum(x, 0.0), 1.0)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a0 = ends[:, 0, :, None]
+        d1 = ends[:, 1, :, None] - a0
+        b0, d2, e = rim[:3, None], rim[3:6, None], rim[6]
+        r = a0 - b0
+        a = dot(d1, d1)
+        b = dot(d1, d2)
+        c = dot(d1, r)
+        f = dot(d2, r)
+        axis_ok = a > _SEGMENT_EPS
+        denom = a * e - b * b
+        s = np.where(denom > _SEGMENT_EPS, unit_clip((b * f - c * e) / denom), 0.0)
+        t = (b * s + f) / e
+        s_start = unit_clip(-c / a)  # closest axis point to the rim segment's start
+        s = np.where(t < 0.0, s_start, np.where(t > 1.0, unit_clip((b - c) / a), s))
+        t = unit_clip(t)
+        # A zero-length rim segment is a point; a zero-length axis is a point too. Without either, both are identities.
+        if not fringe_ok.all() or not axis_ok.all():
+            s = np.where(axis_ok, np.where(fringe_ok, s, s_start), 0.0)
+            t = np.where(fringe_ok, np.where(axis_ok, t, unit_clip(f / e)), 0.0)
+    on_axis = a0 + s * d1
+    on_fringe = b0 + t * d2
+    gap = on_axis - on_fringe
+    dist = np.sqrt(dot(gap, gap))
+    nearest = np.argmin(dist, axis=1)
+    return dist[np.arange(len(nearest)), nearest], nearest, s, on_axis, on_fringe
 
 
 def sampled_entrance_side(a, b, scene: Scene, samples: int = 2_000) -> bool:

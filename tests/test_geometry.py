@@ -11,6 +11,7 @@ from icop.geometry import (
     CapsuleSet,
     DistanceWitness,
     Scene,
+    _closest_fringe,
     _score_axes,
     capsule_distance,
     scene_distance,
@@ -29,6 +30,7 @@ from oracles import (
     _tunnel_clearance,
     classify_segment,
     fd_scene_gradient,
+    grid_closest_fringe,
     grid_segment_distance,
     point_in_polygon,
     prism_faces,
@@ -405,7 +407,7 @@ class TestCapsuleSet:
             assert segments.tobytes() == world_capsule_segments(q, c4.chain, c4.capsules).tobytes()
 
 
-_DERIVED = ("_walls", "_wall_offsets", "_rim", "_rim_ok", "_rim_has_point")
+_DERIVED = ("_walls", "_wall_offsets", "_rim")
 
 
 def _rebuilt(scene):
@@ -505,8 +507,13 @@ def _assert_same_witness(w1, w2):
         np.testing.assert_array_equal(getattr(w1, field.name), getattr(w2, field.name), err_msg=field.name)
 
 
+# The unit square with its (0.5, 0.5) corner doubled 1e-9 away, and 1e-12 out so that the section stays
+# strictly convex: rim edge 0 is point-like.
+_POINT_EDGE_SECTION = [[0.5, 0.5], [0.5 - 1e-9, 0.5 + 1e-12], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]
+
+
 class TestBatchedKernel:
-    """The batched (capsules x fringe segments) kernel against the scalar reference."""
+    """The kernel that scores every capsule of a state against the per-capsule scalar reference."""
 
     def _check(self, axes, radii, scene):
         """Check each capsule alone against the reference and the batch against the alone results.
@@ -573,10 +580,7 @@ class TestBatchedKernel:
         assert all(w.case_tag == CASE_FRINGE for w in alone)
 
     def test_zero_length_fringe_segment(self):
-        # the unit square with its (0.5, 0.5) corner doubled 1e-9 away, and 1e-12 out so that the section
-        # stays strictly convex: rim edge 0 is point-like
-        section = [[0.5, 0.5], [0.5 - 1e-9, 0.5 + 1e-12], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]
-        scene = Scene(section, depth=2.0)
+        scene = Scene(_POINT_EDGE_SECTION, depth=2.0)
         corner, end = fringe_segments(scene)[0]
         assert np.sum((end - corner) ** 2) <= geometry._SEGMENT_EPS
         axes = [
@@ -639,3 +643,87 @@ class TestBatchedKernel:
         clearances, witness, _alone = self._check([far, worst, worst], [0.05] * 3, square_tunnel)
         assert clearances[1] == clearances[2] < clearances[0]
         assert (witness.capsule_index, witness.case_tag) == (1, case)
+
+    def test_scalar_fringe_matches_the_grid_bit_for_bit(self, c4, square_tunnel):
+        # distance, rim index, axis parameter and both points of every axis, scalar pass against the numpy grid
+        from icop.scenario import mounted_scene_and_path
+
+        rng = np.random.default_rng(34)
+        cases = []  # (prism-frame axes (n, 2, 3), scene)
+        mounted, _ = mounted_scene_and_path(c4)
+        for _ in range(100):
+            q = c4.initial_config + rng.uniform(-0.4, 0.4, 6)
+            cases.append((_prism_frame(world_capsule_segments(q, c4.chain, c4.capsules), mounted), mounted))
+        for _ in range(100):
+            scene = random_tunnel(rng)
+            faces = prism_faces(scene)
+            n_out, center = faces.opening_normals[0], faces.entrance.mean(axis=0)
+            axes = [_random_segment(rng, scale=1.5) for _ in range(4)]
+            jitter = rng.uniform(-0.2, 0.2, 3)
+            axes.append((center + 0.4 * n_out + jitter, center - rng.uniform(0.1, 2.5) * n_out + jitter))
+            cases.append((_prism_frame(axes, scene), scene))
+        point_edge = Scene(_POINT_EDGE_SECTION, depth=2.0)
+        corner = np.array([0.0, 0.5, 0.5])  # rim edge 0, a point, in the prism frame
+        cases.append((
+            [
+                (corner + [-0.5, 0.2, 0.3], corner + [-0.2, 0.4, 0.1]),
+                (corner + [-0.3, -0.1, 0.0], corner + [-0.3, 0.1, 0.0]),
+                (corner + [-0.3, 0.0, 0.0], corner + [-0.3, 0.0, 0.0]),  # an exact point
+            ],
+            point_edge,
+        ))
+        near_point = np.array([-0.1, 0.6, 0.6])
+        cases.append((
+            [
+                (near_point, near_point + [5e-10, -5e-10, -5e-10]),  # about 1e-9 long, scored as a point
+                ([-0.3, 0.6, 0.2], [-0.3, 0.6, 0.2]),  # an exact point
+                ([-2.0, 0.0, 0.0], [-1.0, 0.0, 0.0]),  # on the centre line: all four rim edges tie
+                # on a rim vertex or along a rim edge, with signed zeros: the products a zero x term would add
+                ([-0.0, 0.5, -0.5], [-0.0, 0.5, -0.5]),
+                ([0.0, 0.5, -0.5], [0.0, 0.5, 0.5]),
+                ([-0.0, 0.5, -0.5], [-0.5, 0.5, 0.5]),
+                ([-0.0, -0.5, -0.5], [-1.0, -0.5, -0.5]),
+                ([-0.0, -0.3, 0.1], [-0.0, 0.2, 0.1]),
+                ([-0.3, 0.5, 0.5], [-0.3, 0.5, 0.5]),
+                ([-0.0, 0.5, 0.0], [-0.5, 0.3, -0.0]),  # the axis parameter before its clip is -0.0
+            ],
+            square_tunnel,
+        ))
+        # rim edge 0 starts at (y, z) = (-0.0, 0.0) and runs along z = -0.0: the edge parameter before its clip
+        # is -0.0, and its sign would reach the point on the rim
+        signed_zero_rim = Scene([[-0.0, 0.0], [-0.5, -0.0], [-0.5, -1.0], [0.5, -1.0], [0.5, -0.5]], depth=2.0)
+        cases.append(([([-0.1, 0.0, 0.2], [-0.3, 0.1, 0.4])], signed_zero_rim))
+        for axes, scene in cases:
+            local = np.asarray(axes, dtype=float)
+            dist, nearest, s, on_axis, on_fringe = grid_closest_fringe(
+                np.ascontiguousarray(local.transpose(2, 1, 0)), scene
+            )
+            for k, axis in enumerate(local.tolist()):
+                got_dist, got_edge, got_s, got_on_axis, got_on_fringe = _closest_fringe(axis, scene._rim)
+                edge = int(nearest[k])
+                assert got_edge == edge, (k, axis)
+                got = np.array([got_dist, got_s, *got_on_axis, *got_on_fringe])
+                grid = np.array([dist[k], s[k, edge], *on_axis[:, k, edge], *on_fringe[:, k, edge]])
+                assert got.tobytes() == grid.tobytes(), (k, axis, got, grid)
+
+    def test_degenerate_axes_raise_no_floating_point_error(self, square_tunnel):
+        # every division sits behind its own test, so no floating-point state needs to be masked
+        point_edge = Scene(_POINT_EDGE_SECTION, depth=2.0)
+        corner = np.array([0.0, 0.5, 0.5])
+        cases = [
+            (([-0.3, 0.6, 0.2], [-0.3, 0.6, 0.2]), square_tunnel),  # an exact point
+            ((corner + [-0.3, -0.1, 0.0], corner + [-0.3, 0.1, 0.0]), point_edge),  # a point-like rim edge
+            (([-0.3, 0.8, -0.2], [-0.3, 0.8, 0.4]), square_tunnel),  # parallel to the y = 0.5 rim edge
+            (([0.0, -0.3, 0.1], [0.0, 0.2, 0.1]), square_tunnel),  # lying in the entrance plane
+            (([-1e-16, -0.2, 0.1], [1e-16, 0.3, 0.1]), Scene(_UNIT_SQUARE, depth=1.0)),  # a grazing crossing
+        ]
+        with np.errstate(all="raise"):
+            for axis, scene in cases:
+                clearances, witness = _score_axes(np.array([axis], dtype=float), [0.05], scene, [0])
+                assert np.isfinite(clearances).all() and np.isfinite(witness.point_on_obstacle).all()
+
+
+def _prism_frame(axes, scene) -> np.ndarray:
+    """World-frame axes (n, 2, 3) in the scene's prism frame, mapped as the kernel maps them."""
+    R, t = scene.pose[:3, :3], scene.pose[:3, 3]
+    return (np.asarray(axes, dtype=float) - t) @ R

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from icop.geometry import Scene, transform_scene
+from icop.kinematics import JointParams, RobotChain
 from icop.transforms import homogeneous, is_rigid, rot_y
 
 
@@ -34,6 +36,12 @@ class TestIsRigid:
     def test_a_nan_entry_fails(self, entry):
         assert not is_rigid(_with(entry, np.nan, homogeneous(rot_y(0.3), [0.5, 0.0, 1.0])))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
+    @pytest.mark.parametrize("entry", [(0, 3), (1, 3), (2, 3)], ids=str)
+    def test_a_non_finite_translation_fails(self, entry, value):
+        # no tolerance test reads the translation column, so it is checked on its own
+        assert not is_rigid(_with(entry, value, homogeneous(rot_y(0.3), [0.5, 0.0, 1.0])))
+
     @pytest.mark.parametrize("entry, value", [((3, 0), 1e-3), ((3, 2), -1.0), ((3, 3), 2.0)], ids=str)
     def test_rejects_a_bad_bottom_row(self, entry, value):
         assert not is_rigid(_with(entry, value))
@@ -45,3 +53,21 @@ class TestIsRigid:
     )
     def test_rejects_a_shape_other_than_4x4(self, T):
         assert not is_rigid(T)
+
+
+_UNIT_SQUARE = [[0.5, -0.5], [0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5]]
+
+
+class TestConstructorsRejectANonFiniteTranslation:
+    def test_scene_pose(self):
+        with pytest.raises(ValueError, match="pose must be a proper rigid transform"):
+            Scene(_UNIT_SQUARE, 1.0, _with((0, 3), np.nan))
+
+    def test_robot_chain_tool_offset(self):
+        joints = tuple(JointParams(a=1.0, alpha=0.0, d=0.0) for _ in range(6))
+        with pytest.raises(ValueError, match="tool_offset must be a proper 4x4 rigid transform"):
+            RobotChain(joints=joints, tool_offset=_with((2, 3), np.inf))
+
+    def test_transform_scene(self):
+        with pytest.raises(ValueError, match="scene transform must be a proper rigid transform"):
+            transform_scene(Scene(_UNIT_SQUARE, 1.0), _with((0, 3), np.nan))
