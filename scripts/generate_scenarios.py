@@ -20,10 +20,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from icop.geometry import Capsule, CapsuleSet, Scene, transform_scene
 from icop.kinematics import (
-    NUM_JOINTS,
     JointParams,
     RobotChain,
-    _dh_matrices,
     body_point_jacobian,
     body_point_position,
     tool_tip,
@@ -60,11 +58,23 @@ def gp50_like_chain() -> RobotChain:
     return RobotChain(joints=joints, tool_offset=homogeneous(translation=[0.0, 0.0, TOOL_LENGTH]))
 
 
-def gp50_like_capsules(chain: RobotChain) -> CapsuleSet:
-    at_zero = _dh_matrices(np.zeros(NUM_JOINTS), chain)
+def link_matrix_at_zero(joint: JointParams) -> np.ndarray:
+    """The joint's link transform T_i(0) = Rz(theta_offset) @ Tz(d) @ Tx(a) @ Rx(alpha), in closed form (4, 4)."""
+    ct, st = np.cos(joint.theta_offset), np.sin(joint.theta_offset)
+    ca, sa = np.cos(joint.alpha), np.sin(joint.alpha)
+    return np.array(
+        [
+            [ct, -st * ca, st * sa, joint.a * ct],
+            [st, ct * ca, -ct * sa, joint.a * st],
+            [0.0, sa, ca, joint.d],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
+    )
 
+
+def gp50_like_capsules(chain: RobotChain) -> CapsuleSet:
     def prev_origin_local(i: int) -> np.ndarray:
-        A = at_zero[i - 1]
+        A = link_matrix_at_zero(chain.joints[i - 1])
         p = -A[:3, :3].T @ A[:3, 3]
         p[np.abs(p) < 1e-12] = 0.0
         return p

@@ -17,7 +17,8 @@ and compare the other against them:
 ``--compare`` prints, per scenario and parameter set, the largest change in
 any planned joint value and in any recorded ``min_distance``, and whether the
 inner-iteration counts and the non-convergence reports match; it exits 1 if
-the counts or the reports do not.
+the counts or the reports do not, or if any joint value moved by more than
+``MAX_JOINT_CHANGE``.
 
 Run from the repository root:  python3 scripts/plan_fingerprint.py
 """
@@ -38,6 +39,9 @@ from icop.planner import NonConvergedError, Trajectory, plan
 from icop.scenario import load_bundled, mounted_scene_and_path
 
 SCENARIOS = ("c1", "c2", "c3", "c4")
+
+# Largest joint change (rad) by which two checkouts' plans may differ and still count as the same plans.
+MAX_JOINT_CHANGE = 1e-12
 
 PARAM_SETS = (
     ("default", {}),
@@ -149,7 +153,8 @@ def main(argv=None) -> int:
                 f"inner_iterations {'match' if iters_match else 'DIFFER'}, "
                 f"non-converged reports {'match' if reports_match else 'DIFFER'}"
             )
-        return 0 if all(iters and reports for _, _, iters, reports, _ in rows) else 1
+        same = all(iters and reports and (dq or 0.0) <= MAX_JOINT_CHANGE for _, dq, iters, reports, _ in rows)
+        return 0 if same else 1
     return 0
 
 

@@ -27,29 +27,29 @@ points, clipping plane if any) so the configuration-space gradient can be
 assembled from body-point Jacobians, including the chain-rule term for
 witnesses pinned to the entrance crossing.
 
-All capsules of a configuration are scored into one clearance array, in the
-prism frame: the axes are mapped there once, as ``((axes - t) @ R).tolist()``
-with the pose's rotation R and translation t, and every pass reads those
-Python floats, one capsule at a time. On arrays this small numpy's per-call
-cost outweighs its arithmetic. Only the axes whose ends lie strictly on both
-sides of x = 0 (usually one or none) get a crossing point and the inside test
-against the rim edges; the same pass clips each axis that crosses the opening
-to the slab 0 <= x <= depth and measures the walls at both ends of that
-interval. Every other axis gets the FRINGE pass: the closest-point arithmetic
-of ``segment_segment_distance`` against each rim edge, branching on a
-point-like edge or axis, with the zero x terms of the rim left out. A capsule
-scored alone and in a batch takes the same operations, so it gets the same
-bits. Only the worst capsule (the first on a tie) gets a witness, whose
-points go back to the world through the pose. ``scene_distance``,
-``world_state`` and ``capsule_distance`` agree bit for bit; their reference
-is the world-frame scalar ``segment_segment_distance`` with
+All capsules of a configuration are scored in the prism frame, on Python
+floats: each world axis end p is mapped there once, as (p - t) @ R summed
+left to right, with the rotation R and translation t read from the pose on
+every call, and every pass reads those floats, one capsule at a time. On
+arrays this small numpy's per-call cost outweighs its arithmetic. Only the
+axes whose ends lie strictly on both sides of x = 0 (usually one or none) get
+a crossing point and the inside test against the rim edges; the same pass
+clips each axis that crosses the opening to the slab 0 <= x <= depth and
+measures the walls at both ends of that interval. Every other axis gets the
+FRINGE pass: the closest-point arithmetic of ``segment_segment_distance``
+against each rim edge, branching on a point-like edge or axis, with the zero
+x terms of the rim left out. A capsule scored alone and in a batch takes the
+same operations, so it gets the same bits. Only the worst capsule (the first
+on a tie) gets a witness, whose points go back to the world through the pose.
+The references are the world-frame scalar ``segment_segment_distance`` with
 ``classify_segment`` and ``point_in_polygon`` of ``tests/oracles.py``, the
-numpy TUNNEL clearance there, and, for the FRINGE pass bit for bit, the
-numpy (capsules x rim edges) grid ``grid_closest_fringe``.
+numpy TUNNEL clearance there, and, for the FRINGE pass bit for bit, the numpy
+(capsules x rim edges) grid ``grid_closest_fringe``.
 
-A planner iterate is evaluated once: ``world_state`` builds the frames, the
-world capsule axes, the tool position, the clearances and the witness from
-one forward-kinematics pass, and every consumer reads that state.
+A planner iterate is evaluated once: ``world_state`` places the capsule axes
+in the world from the frame rows of one ``kinematics.frames`` pass and scores
+them; the tool position, the tool Jacobian and the gradient read the same
+rows. Every public path here runs the same arithmetic and gets the same bits.
 """
 
 from __future__ import annotations
@@ -61,15 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import (
-    NUM_JOINTS,
-    RobotChain,
-    _frames_with_base,
-    is_link_index,
-    joint_config,
-    point_jacobian,
-    tool_point,
-)
+from .kinematics import NUM_JOINTS, RobotChain, frames, is_link_index, joint_config, point_jacobian, to_world
 from .transforms import cross, is_rigid
 
 CASE_FRINGE = "FRINGE"
@@ -113,9 +105,9 @@ class Capsule:
 
 
 class CapsuleSet(tuple):
-    """A non-empty tuple of ``Capsule``s with their link indices (n,), local axis ends (n, 2, 3, 1) and radii (n,).
+    """A non-empty tuple of ``Capsule``s with, as Python numbers, each one's (link index, local axis ends) and radius.
 
-    The arrays are stacked once, here. ``world_state``, ``world_capsule_segments``
+    The tuples are built once, here. ``world_state``, ``world_capsule_segments``
     and ``witness_gradient`` convert any other sequence of capsules once per call.
     """
 
@@ -123,11 +115,8 @@ class CapsuleSet(tuple):
         self = super().__new__(cls, capsules)
         if not self or not all(isinstance(cap, Capsule) for cap in self):
             raise ValueError("a capsule set needs at least one capsule, and only Capsule members")
-        self._links = np.array([cap.link_index for cap in self])
-        self._ends = np.array([[cap.endpoint_a, cap.endpoint_b] for cap in self])[..., None]
-        self._radii = np.array([cap.radius for cap in self], dtype=float)
-        for array in (self._links, self._ends, self._radii):
-            array.flags.writeable = False  # every evaluation reads the same arrays
+        self._axes = tuple((int(cap.link_index), cap.endpoint_a.tolist(), cap.endpoint_b.tolist()) for cap in self)
+        self._radii = tuple(cap.radius for cap in self)
         return self
 
 
@@ -389,39 +378,45 @@ def _closest_fringe(axis, rim: tuple) -> tuple:
     return best
 
 
-def _score_axes(axes: np.ndarray, radii, scene: Scene, capsule_indices) -> tuple[np.ndarray, DistanceWitness]:
-    """Signed clearances (n,) of world-frame axes (n, 2, 3) with radii, scored in the prism frame, and the witness of ``clearances.argmin()``."""
-    R, origin = scene.pose[:3, :3], scene.pose[:3, 3]
-    local = ((axes - origin) @ R).tolist()
+def _score_axes(axes: list, radii, scene: Scene, capsule_indices) -> tuple[list, DistanceWitness]:
+    """Signed clearances of world-frame axes ((ax, ay, az), (bx, by, bz)) with radii, scored in the prism frame, and the witness of the first smallest."""
+    pose = scene.pose[:3].tolist()
+    (r00, r01, r02, tx), (r10, r11, r12, ty), (r20, r21, r22, tz) = pose
+    local = []
+    for ends in axes:  # (p - t) @ R, each end summed left to right
+        mapped = []
+        for x, y, z in ends:
+            x, y, z = x - tx, y - ty, z - tz
+            mapped.append((x * r00 + y * r10 + z * r20, x * r01 + y * r11 + z * r21, x * r02 + y * r12 + z * r22))
+        local.append(mapped)
     tunnel = _tunnel_scores(local, scene)
     scores = [tunnel.get(i) or _closest_fringe(axis, scene._rim) for i, axis in enumerate(local)]
-    clearances = np.array([score[0] for score in scores]) - np.asarray(radii, dtype=float)
-    k = int(np.argmin(clearances))
+    clearances = [score[0] - radius for score, radius in zip(scores, radii)]
+    k = min(range(len(clearances)), key=clearances.__getitem__)  # the first on a tie
     if k in tunnel:
         _gap, t, clip, plane, on_robot, on_obstacle = tunnel[k]
         case = CASE_TUNNEL
     else:
         _gap, plane, t, on_robot, on_obstacle = scores[k]
         clip, case = None, CASE_FRINGE
-    on_robot, on_obstacle = np.array([on_robot, on_obstacle]) @ R.T + origin
-    value = float(clearances[k])
-    return clearances, DistanceWitness(value, capsule_indices[k], on_robot, on_obstacle, case, float(t), plane, clip)
+    on_robot, on_obstacle = np.array([to_world(pose, on_robot), to_world(pose, on_obstacle)])
+    return clearances, DistanceWitness(clearances[k], capsule_indices[k], on_robot, on_obstacle, case, t, plane, clip)
 
 
 def capsule_distance(world_a, world_b, radius: float, scene: Scene, capsule_index: int = -1) -> DistanceWitness:
     """Signed distance of one capsule (world-frame axis endpoints) to the scene."""
-    axes = np.array([[world_a, world_b]], dtype=float)
-    return _score_axes(axes, (radius,), scene, (capsule_index,))[1]
+    axes = [np.array([world_a, world_b], dtype=float).tolist()]
+    return _score_axes(axes, (float(radius),), scene, (capsule_index,))[1]
 
 
-def _world_segments(frames: np.ndarray, capsules: CapsuleSet) -> np.ndarray:
-    T = frames[capsules._links, None]  # (n, 1, 4, 4)
-    return (T[..., :3, :3] @ capsules._ends)[..., 0] + T[..., :3, 3]
+def _world_axes(rows: list, local_axes) -> list:
+    """World-frame axis ends ((ax, ay, az), (bx, by, bz)) of each (link index, local ends) of ``CapsuleSet._axes``."""
+    return [(to_world(rows[k], a), to_world(rows[k], b)) for k, a, b in local_axes]
 
 
 def world_capsule_segments(q, chain: RobotChain, capsules) -> np.ndarray:
     """World-frame axis endpoints for every capsule: (n, 2, 3)."""
-    return _world_segments(_frames_with_base(joint_config(q), chain), _capsule_set(capsules))
+    return np.array(_world_axes(frames(joint_config(q).tolist(), chain), _capsule_set(capsules)._axes))
 
 
 def scene_distance(q, chain: RobotChain, capsules, scene: Scene) -> DistanceWitness:
@@ -433,15 +428,15 @@ def scene_distance(q, chain: RobotChain, capsules, scene: Scene) -> DistanceWitn
 class WorldState:
     """One configuration placed in the scene, evaluated once for every consumer.
 
-    Holds the joint frames of one forward-kinematics pass, the capsule axes,
-    the tool position and each capsule's signed clearance, with the chain,
-    capsules and scene they were evaluated with. Only the minimizing capsule (the
-    first on a tie, as in ``scene_distance``) has a ``witness``.
+    Holds the frame rows of one forward-kinematics pass and the world capsule
+    axes, as Python floats, the tool position and each capsule's signed
+    clearance, with the chain, capsules and scene they were evaluated with.
+    Only the minimizing capsule (the first on a tie) has a ``witness``.
     """
 
     q: np.ndarray
-    frames: np.ndarray  # (7, 4, 4) base->frame_k, k = 0..6
-    segments: np.ndarray  # (n, 2, 3) world-frame capsule axes
+    frames: list  # base->frame_k, k = 0..6, each three rows of four floats
+    segments: list  # per capsule, its world-frame axis ((ax, ay, az), (bx, by, bz))
     tool_position: np.ndarray  # (3,)
     clearances: np.ndarray  # (n,) signed clearance of each capsule
     witness: DistanceWitness
@@ -451,26 +446,26 @@ class WorldState:
 
     def tool_jacobian(self) -> np.ndarray:
         """3x6 positional Jacobian of the tool tip at this configuration."""
-        return point_jacobian(self.frames, NUM_JOINTS, self.tool_position)
+        return point_jacobian(self.frames, NUM_JOINTS, self.tool_position.tolist())
 
     def gradient(self) -> np.ndarray:
         """Configuration-space gradient (6,) of the minimum distance, from ``witness``."""
-        return _witness_gradient(self.frames, self.segments, self.capsules, self.scene, self.witness)
+        return _witness_gradient(self.frames, self.segments[self.witness.capsule_index], self.capsules, self.scene, self.witness)
 
 
 def world_state(q, chain: RobotChain, capsules, scene: Scene) -> WorldState:
     """Evaluate configuration q once: frames, capsule axes, tool position, clearances, worst witness."""
     qv = joint_config(q)
     capsules = _capsule_set(capsules)
-    frames = _frames_with_base(qv, chain)
-    segments = _world_segments(frames, capsules)
+    rows = frames(qv.tolist(), chain)
+    segments = _world_axes(rows, capsules._axes)
     clearances, witness = _score_axes(segments, capsules._radii, scene, range(len(capsules)))
     return WorldState(
         q=qv,
-        frames=frames,
+        frames=rows,
         segments=segments,
-        tool_position=tool_point(frames, chain),
-        clearances=clearances,
+        tool_position=np.array(to_world(rows[NUM_JOINTS], chain._tool_point)),
+        clearances=np.array(clearances),
         witness=witness,
         chain=chain,
         capsules=capsules,
@@ -478,10 +473,8 @@ def world_state(q, chain: RobotChain, capsules, scene: Scene) -> WorldState:
     )
 
 
-def _witness_gradient(
-    frames: np.ndarray, segments: np.ndarray, capsules: CapsuleSet, scene: Scene, witness: DistanceWitness
-) -> np.ndarray:
-    J_point = point_jacobian(frames, capsules[witness.capsule_index].link_index, witness.point_on_robot)
+def _witness_gradient(rows: list, segment, capsules: CapsuleSet, scene: Scene, witness: DistanceWitness) -> np.ndarray:
+    J_point = point_jacobian(rows, capsules[witness.capsule_index].link_index, witness.point_on_robot.tolist())
 
     R = scene.pose[:3, :3]
     if witness.case_tag == CASE_FRINGE:
@@ -504,8 +497,8 @@ def _witness_gradient(
     if witness.clip_plane_index is not None:
         # Witness point pinned to an opening-plane crossing: t* moves with q. Both opening planes are
         # x = const in the prism frame, and the sign of their normal +-R[:, 0] cancels in dt/dq.
-        a, b = segments[witness.capsule_index]
-        d = b - a
+        a, b = segment
+        d = np.subtract(b, a)
         n_c = R[:, 0]
         slope = float(np.dot(n_c, d))
         if abs(slope) > 1e-12:
@@ -524,8 +517,9 @@ def witness_gradient(q, chain: RobotChain, capsules, scene: Scene, witness: Dist
     capsule moves.
     """
     capsules = _capsule_set(capsules)
-    frames = _frames_with_base(joint_config(q), chain)
-    return _witness_gradient(frames, _world_segments(frames, capsules), capsules, scene, witness)
+    rows = frames(joint_config(q).tolist(), chain)
+    (segment,) = _world_axes(rows, capsules._axes[witness.capsule_index : witness.capsule_index + 1])
+    return _witness_gradient(rows, segment, capsules, scene, witness)
 
 
 def transform_scene(scene: Scene, T: np.ndarray) -> Scene:

@@ -12,19 +12,24 @@ the base). A body point is addressed by the frame it is rigidly attached to
 is just a body point on frame 6, not a special case.
 
 All functions here are pure; ``RobotChain`` is immutable after construction.
-It derives its per-joint constants once (``_dh``: angle offset, ``a``, ``d``,
-cos and sin of ``alpha``), so forward kinematics takes one cos and one sin of q.
+It turns its joint constants (``_dh``: angle offset, ``a``, ``d``, cos and sin
+of ``alpha``) and its tool tip into Python floats once. ``frames``, the one
+forward-kinematics pass, runs on floats, as numpy's per-call cost outweighs
+4x4 arithmetic; every function here and ``geometry.world_state`` read it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import cross, is_rigid
+from .transforms import is_rigid
 
 NUM_JOINTS = 6
+
+_BASE = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))  # frame 0, the base
 
 
 @dataclass(frozen=True)
@@ -62,10 +67,9 @@ class RobotChain:
             raise ValueError("tool_offset must be a proper 4x4 rigid transform")
         tool.flags.writeable = False
         object.__setattr__(self, "tool_offset", tool)
-        offset, a, d, alpha = np.array([(jp.theta_offset, jp.a, jp.d, jp.alpha) for jp in self.joints]).T
-        dh = np.array([offset, a, d, np.cos(alpha), np.sin(alpha)])  # (5, 6)
-        dh.flags.writeable = False
-        object.__setattr__(self, "_dh", dh)
+        dh = [(jp.theta_offset, jp.a, jp.d, math.cos(jp.alpha), math.sin(jp.alpha)) for jp in self.joints]
+        object.__setattr__(self, "_dh", tuple(tuple(map(float, joint)) for joint in dh))
+        object.__setattr__(self, "_tool_point", tuple(tool[:3, 3].tolist()))  # in frame 6
 
 
 def is_link_index(value) -> bool:
@@ -92,33 +96,41 @@ class BodyPoint:
 
 def joint_config(q) -> np.ndarray:
     """Validate and return a joint configuration as a float (6,) array."""
-    arr = np.asarray(q, dtype=float).reshape(-1)
+    arr = np.array(q, dtype=float).reshape(-1)  # a copy
     if arr.shape != (NUM_JOINTS,):
         raise ValueError(f"joint configuration must have {NUM_JOINTS} entries, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("joint configuration must be finite")
-    return arr.copy()
+    return arr
 
 
-def _dh_matrices(q: np.ndarray, chain: RobotChain) -> np.ndarray:
-    """(6, 4, 4): joint i's transform T_i(q_i) for every joint at once."""
-    offset, a, d, ca, sa = chain._dh
-    theta = q + offset
-    ct, st = np.cos(theta), np.sin(theta)
-    A = np.zeros((NUM_JOINTS, 4, 4))
-    A[:, 0, 0], A[:, 0, 1], A[:, 0, 2], A[:, 0, 3] = ct, -st * ca, st * sa, a * ct
-    A[:, 1, 0], A[:, 1, 1], A[:, 1, 2], A[:, 1, 3] = st, ct * ca, -ct * sa, a * st
-    A[:, 2, 1], A[:, 2, 2], A[:, 2, 3], A[:, 3, 3] = sa, ca, d, 1.0
-    return A
+def frames(q, chain: RobotChain) -> list:
+    """Base->frame_k transforms for k = 0..6 from q's Python floats, each as its top three rows of four floats.
+
+    Row r of frame i + 1 is row r of frame i times joint i's link matrix,
+    summed left to right; a link matrix's zero entries add no terms.
+    """
+    rows = _BASE
+    out = [rows]
+    for qi, (offset, a, d, ca, sa) in zip(q, chain._dh):
+        theta = qi + offset
+        ct, st = math.cos(theta), math.sin(theta)
+        m01, m02, m03, m11, m12, m13 = -st * ca, st * sa, a * ct, ct * ca, -ct * sa, a * st
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+        rows = (
+            (a0 * ct + a1 * st, a0 * m01 + a1 * m11 + a2 * sa, a0 * m02 + a1 * m12 + a2 * ca, a0 * m03 + a1 * m13 + a2 * d + a3),
+            (b0 * ct + b1 * st, b0 * m01 + b1 * m11 + b2 * sa, b0 * m02 + b1 * m12 + b2 * ca, b0 * m03 + b1 * m13 + b2 * d + b3),
+            (c0 * ct + c1 * st, c0 * m01 + c1 * m11 + c2 * sa, c0 * m02 + c1 * m12 + c2 * ca, c0 * m03 + c1 * m13 + c2 * d + c3),
+        )
+        out.append(rows)
+    return out
 
 
-def _frames_with_base(q: np.ndarray, chain: RobotChain) -> np.ndarray:
-    """Prefix products: (7, 4, 4) array of base->frame_k transforms for k = 0..6."""
-    frames = np.empty((NUM_JOINTS + 1, 4, 4))
-    frames[0] = np.eye(4)
-    for i, joint in enumerate(_dh_matrices(q, chain)):
-        np.matmul(frames[i], joint, out=frames[i + 1])
-    return frames
+def to_world(frame, local) -> tuple:
+    """The point ``local`` (x, y, z) placed by ``frame`` (three rows of four floats): rotation times point, plus translation."""
+    x, y, z = local
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = frame
+    return (a0 * x + a1 * y + a2 * z + a3, b0 * x + b1 * y + b2 * z + b3, c0 * x + c1 * y + c2 * z + c3)
 
 
 def forward_kinematics(q, chain: RobotChain) -> np.ndarray:
@@ -127,44 +139,37 @@ def forward_kinematics(q, chain: RobotChain) -> np.ndarray:
     Entry ``i`` (0..5) is the frame after joint ``i+1`` and depends only on
     q[0..i]; entry 6 is the tool tip frame.
     """
-    qv = joint_config(q)
-    frames = _frames_with_base(qv, chain)
-    out = np.empty((NUM_JOINTS + 1, 4, 4))
-    out[:NUM_JOINTS] = frames[1:]
-    out[NUM_JOINTS] = frames[NUM_JOINTS] @ chain.tool_offset
-    return out
+    rows = frames(joint_config(q).tolist(), chain)
+    columns = chain.tool_offset.T.tolist()
+    tool = [tuple(r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 for c0, c1, c2, c3 in columns) for r0, r1, r2, r3 in rows[-1]]
+    return np.array([[*frame, (0.0, 0.0, 0.0, 1.0)] for frame in (*rows[1:], tool)])
 
 
 def body_point_position(q, chain: RobotChain, point: BodyPoint) -> np.ndarray:
     """World position (3,) of a body point at configuration q."""
-    return _to_world(_frames_with_base(joint_config(q), chain)[point.link_index], point.local_position)
+    return np.array(to_world(frames(joint_config(q).tolist(), chain)[point.link_index], point.local_position.tolist()))
 
 
 def body_point_jacobian(q, chain: RobotChain, point: BodyPoint) -> np.ndarray:
     """3x6 positional Jacobian of a body point; columns beyond its link are zero."""
-    frames = _frames_with_base(joint_config(q), chain)
+    rows = frames(joint_config(q).tolist(), chain)
     k = point.link_index
-    return point_jacobian(frames, k, _to_world(frames[k], point.local_position))
+    return point_jacobian(rows, k, to_world(rows[k], point.local_position.tolist()))
 
 
-def _to_world(frame: np.ndarray, local: np.ndarray) -> np.ndarray:
-    return frame[:3, :3] @ local + frame[:3, 3]
+def point_jacobian(rows: list, link_index: int, position) -> np.ndarray:
+    """3x6 positional Jacobian of the world point ``position`` (x, y, z) rigidly attached to frame ``link_index``.
 
-
-def tool_point(frames: np.ndarray, chain: RobotChain) -> np.ndarray:
-    """World position (3,) of the tool tip, read from already built frames."""
-    return _to_world(frames[NUM_JOINTS], chain.tool_offset[:3, 3])
-
-
-def point_jacobian(frames: np.ndarray, link_index: int, position: np.ndarray) -> np.ndarray:
-    """3x6 positional Jacobian of the world point ``position`` rigidly attached to frame ``link_index``.
-
-    Reads already built frames; columns beyond the link are zero.
+    Reads the frame rows of ``frames``; columns beyond the link are zero. Joint
+    i + 1 rotates about z of frame i, so column i is the elementwise cross
+    product axis_i x (p - origin_i).
     """
-    J = np.zeros((3, NUM_JOINTS))
-    # joint i+1 rotates about z of frame i: column i is axis_i x (p - origin_i)
-    J[:, :link_index] = cross(frames[:link_index, :3, 2], position - frames[:link_index, :3, 3]).T
-    return J
+    x, y, z = position
+    columns = [(0.0, 0.0, 0.0)] * NUM_JOINTS
+    for i, ((_, _, zx, ox), (_, _, zy, oy), (_, _, zz, oz)) in enumerate(rows[:link_index]):
+        dx, dy, dz = x - ox, y - oy, z - oz
+        columns[i] = (zy * dz - zz * dy, zz * dx - zx * dz, zx * dy - zy * dx)
+    return np.array(list(zip(*columns)))
 
 
 def tool_tip(chain: RobotChain) -> BodyPoint:

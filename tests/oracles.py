@@ -2,7 +2,8 @@
 
 Each oracle takes a deliberately different route from the code under test:
 forward kinematics multiplies explicit elementary transform matrices instead
-of the closed-form link matrix, Jacobians come from central differences,
+of the closed-form link matrix, Jacobians come from central differences (and,
+bit for bit on equal frames, from the numpy cross product of stacked frames),
 segment distances from dense parameter grids, tunnel clearances from point
 sampling, and QP optima from exhaustive active-set enumeration. The scalar
 ``classify_segment`` (with ``point_in_polygon``) is the per-segment reference
@@ -27,6 +28,7 @@ import numpy as np
 
 from icop.geometry import _OPENING_TOL, _SEGMENT_EPS, CASE_FRINGE, CASE_TUNNEL, Scene
 from icop.kinematics import BodyPoint, JointParams, RobotChain, body_point_position
+from icop.transforms import cross
 
 
 def _rz(theta: float) -> np.ndarray:
@@ -82,12 +84,24 @@ def _dh_matrix(jp: JointParams, q: float) -> np.ndarray:
 
 
 def frames_reference(q, chain: RobotChain) -> np.ndarray:
-    """Base->frame_k transforms (7, 4, 4), k = 0..6, one scalar-built link matrix per joint."""
-    frames = np.empty((len(chain.joints) + 1, 4, 4))
-    frames[0] = np.eye(4)
+    """Base->frame_k transforms (7, 4, 4), k = 0..6, one scalar-built link matrix per joint.
+
+    Each product entry is the sum of all four of its terms, left to right on
+    Python floats, as a generic 4x4 matrix product.
+    """
+    frames = [np.eye(4).tolist()]
     for i, jp in enumerate(chain.joints):
-        frames[i + 1] = frames[i] @ _dh_matrix(jp, q[i])
-    return frames
+        F, A = frames[-1], _dh_matrix(jp, q[i]).tolist()
+        frames.append([[F[r][0] * A[0][c] + F[r][1] * A[1][c] + F[r][2] * A[2][c] + F[r][3] * A[3][c]
+                        for c in range(4)] for r in range(4)])
+    return np.array(frames)
+
+
+def point_jacobian_reference(frames: np.ndarray, link_index: int, position) -> np.ndarray:
+    """3x6 positional Jacobian from stacked frames (7, >=3, 4): column i is the numpy cross product z_i x (p - o_i)."""
+    J = np.zeros((3, len(frames) - 1))
+    J[:, :link_index] = cross(frames[:link_index, :3, 2], np.asarray(position) - frames[:link_index, :3, 3]).T
+    return J
 
 
 def fd_jacobian(q, chain: RobotChain, point: BodyPoint, h: float = 1e-6) -> np.ndarray:

@@ -174,6 +174,50 @@ class TestSceneDistance:
         assert w.value == min(alone)
         assert w.capsule_index == alone.index(min(alone))
 
+    def test_seeded_mountings_keep_the_minimum_over_capsules(self):
+        # the benchmark's mounts check, on its ranges: each scenario at its initial configuration, its scene
+        # mounted at l in [0, 1.5] m and alpha in [0, pi/4]
+        import dataclasses
+
+        from icop.scenario import load_bundled, mounted_scene_and_path
+
+        rng = np.random.default_rng(35)
+        bundled = [load_bundled(name) for name in ("c1", "c2", "c3", "c4")]
+        cases = set()
+        for k in range(200):
+            l, alpha = float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 0.25 * np.pi))
+            s = dataclasses.replace(bundled[k % 4], mounting_l=l, mounting_alpha=alpha)
+            scene, _ = mounted_scene_and_path(s)
+            q = s.initial_config
+            segments = world_capsule_segments(q, s.chain, s.capsules)
+            alone = [capsule_distance(a, b, cap.radius, scene, i) for i, ((a, b), cap) in enumerate(zip(segments, s.capsules))]
+            values = [w.value for w in alone]
+            w = scene_distance(q, s.chain, s.capsules, scene)
+            assert w.value == values[w.capsule_index], (l, alpha)
+            assert w.value == min(values) and w.capsule_index == values.index(min(values)), (l, alpha)
+            assert world_state(q, s.chain, s.capsules, scene).clearances.tolist() == values, (l, alpha)
+            cases.update(w.case_tag for w in alone)
+        assert cases == {CASE_FRINGE, CASE_TUNNEL}
+
+    def test_a_moved_scene_scores_like_a_fresh_one(self, c4):
+        # transform_scene copies the scene's fields, so anything derived from the pose and kept on a scene
+        # would reach the moved scene stale; the unmoved scene is scored first so that such a value exists
+        from icop.scenario import mounted_scene_and_path
+
+        base, _ = mounted_scene_and_path(c4)
+        rng = np.random.default_rng(36)
+        cases = set()
+        for q in [c4.initial_config] + [c4.initial_config + rng.uniform(-0.4, 0.4, 6) for _ in range(50)]:
+            world_state(q, c4.chain, c4.capsules, base).gradient()
+            T = homogeneous(rot_y(rng.uniform(-0.2, 0.2)) @ rot_z(rng.uniform(-0.2, 0.2)), rng.uniform(-0.1, 0.1, 3))
+            moved = world_state(q, c4.chain, c4.capsules, transform_scene(base, T))
+            fresh = world_state(q, c4.chain, c4.capsules, Scene(base.section, base.depth, T @ base.pose))
+            assert moved.clearances.tobytes() == fresh.clearances.tobytes()
+            _assert_same_witness(moved.witness, fresh.witness)
+            assert moved.gradient().tobytes() == fresh.gradient().tobytes()
+            cases.add(moved.witness.case_tag)
+        assert cases == {CASE_FRINGE, CASE_TUNNEL}
+
     def test_world_state_builds_one_witness(self, c4, monkeypatch):
         # only the worst capsule gets a witness; the others are scored into the clearance array
         from icop.scenario import mounted_scene_and_path
@@ -397,7 +441,7 @@ class TestCapsuleSet:
             listed = world_state(q, c4.chain, as_list, scene)
             assert isinstance(listed.capsules, CapsuleSet) and list(listed.capsules) == as_list
             for name in ("q", "frames", "segments", "tool_position", "clearances"):
-                assert getattr(listed, name).tobytes() == getattr(state, name).tobytes(), name
+                assert np.asarray(getattr(listed, name)).tobytes() == np.asarray(getattr(state, name)).tobytes(), name
             _assert_same_witness(listed.witness, state.witness)
             _assert_same_witness(scene_distance(q, c4.chain, as_list, scene), state.witness)
             gradient = witness_gradient(q, c4.chain, c4.capsules, scene, state.witness)
@@ -520,7 +564,7 @@ class TestBatchedKernel:
 
         Returns the batch's (clearances, witness) and each capsule's witness scored alone.
         """
-        clearances, witness = _score_axes(np.asarray(axes, dtype=float), radii, scene, range(len(radii)))
+        clearances, witness = _score_axes(np.asarray(axes, dtype=float).tolist(), radii, scene, range(len(radii)))
         alone = [capsule_distance(a, b, radius, scene, i) for i, ((a, b), radius) in enumerate(zip(axes, radii))]
         for i, w in enumerate(alone):
             value, case, plane, clip, ties = _reference_witness(axes[i][0], axes[i][1], radii[i], scene)
@@ -548,9 +592,9 @@ class TestBatchedKernel:
             segs = world_capsule_segments(q, c4.chain, c4.capsules)
             clearances, witness, alone = self._check(segs, radii, scene)
             state = world_state(q, c4.chain, c4.capsules, scene)
-            assert state.clearances.tolist() == clearances.tolist()
+            assert state.clearances.tolist() == clearances
             _assert_same_witness(state.witness, witness)
-            assert scene_distance(q, c4.chain, c4.capsules, scene).value == clearances.min()
+            assert scene_distance(q, c4.chain, c4.capsules, scene).value == min(clearances)
             cases.update(w.case_tag for w in alone)
         assert cases == {CASE_FRINGE, CASE_TUNNEL}
 
@@ -719,11 +763,11 @@ class TestBatchedKernel:
         ]
         with np.errstate(all="raise"):
             for axis, scene in cases:
-                clearances, witness = _score_axes(np.array([axis], dtype=float), [0.05], scene, [0])
+                clearances, witness = _score_axes(np.array([axis], dtype=float).tolist(), [0.05], scene, [0])
                 assert np.isfinite(clearances).all() and np.isfinite(witness.point_on_obstacle).all()
 
 
 def _prism_frame(axes, scene) -> np.ndarray:
-    """World-frame axes (n, 2, 3) in the scene's prism frame, mapped as the kernel maps them."""
+    """World-frame axes (n, 2, 3) in the scene's prism frame."""
     R, t = scene.pose[:3, :3], scene.pose[:3, 3]
     return (np.asarray(axes, dtype=float) - t) @ R

@@ -5,16 +5,16 @@ from icop.kinematics import (
     BodyPoint,
     JointParams,
     RobotChain,
-    _frames_with_base,
     body_point_jacobian,
     body_point_position,
     forward_kinematics,
+    frames,
     joint_config,
     tool_tip,
 )
 from icop.scenario import load_bundled
 
-from oracles import fd_jacobian, fk_oracle, frames_reference
+from oracles import fd_jacobian, fk_oracle, frames_reference, point_jacobian_reference
 
 
 def test_zero_angle_straight_chain_is_cumulative_length(straight_chain):
@@ -40,12 +40,32 @@ def test_fk_matches_matrix_chain_oracle(gp50_chain):
 
 @pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4"])
 def test_batched_frames_match_the_per_joint_product(name):
-    # all six link matrices come from one np.cos and one np.sin over q; the bits must not move
+    # each link matrix takes one cos and one sin of q, and each product entry sums its terms left to right
     chain = load_bundled(name).chain
     rng = np.random.default_rng(10)
     for _ in range(1000):
         q = rng.uniform(-np.pi, np.pi, 6)
-        np.testing.assert_array_equal(_frames_with_base(q, chain), frames_reference(q, chain))
+        np.testing.assert_array_equal(np.array(frames(q.tolist(), chain)), frames_reference(q, chain)[:, :3])
+
+
+def test_jacobians_keep_the_numpy_cross_product_bits(c4):
+    # on equal frames the elementwise cross products of the float rows give the stacked numpy product's bits
+    from icop.geometry import world_state
+    from icop.scenario import mounted_scene_and_path
+
+    scene, _ = mounted_scene_and_path(c4)
+    rng = np.random.default_rng(13)
+    for q in [c4.initial_config] + [c4.initial_config + rng.uniform(-0.4, 0.4, 6) for _ in range(100)]:
+        rows = np.array(frames(q.tolist(), c4.chain))
+        for link in range(7):
+            point = BodyPoint(link, rng.uniform(-0.4, 0.4, 3))
+            position = body_point_position(q, c4.chain, point)
+            expected = point_jacobian_reference(rows, link, position)
+            assert body_point_jacobian(q, c4.chain, point).tobytes() == expected.tobytes()
+        state = world_state(q, c4.chain, c4.capsules, scene)
+        expected = point_jacobian_reference(rows, 6, state.tool_position)
+        assert state.tool_jacobian().tobytes() == expected.tobytes()
+        assert body_point_jacobian(q, c4.chain, tool_tip(c4.chain)).tobytes() == expected.tobytes()
 
 
 def test_fk_rotations_are_proper(gp50_chain):

@@ -15,7 +15,7 @@ import pytest
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "plan_fingerprint.py"
 
 # Includes c3's plan through the tunnel roof (ROADMAP item 1); the change that fixes it updates this.
-PINNED = "db0b42de4c259e1fc8397becf2c73916851b7b3c76760df26c924b229168b081"
+PINNED = "5f7da4385cfea43f148e8fc4dffcc7753332df5d59239e928effce77d23ffce2"
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +59,18 @@ def test_compare_flags_a_changed_iteration_count(script, results, tmp_path):
     np.savez(saved, **arrays)
     mismatched = [row[0] for row in script.compare(saved, results) if not row[2]]
     assert mismatched == [key.rsplit("/", 1)[0]]
+
+
+def test_compare_exits_1_when_a_joint_moves_beyond_the_limit(script, results, tmp_path, monkeypatch, capsys):
+    saved = tmp_path / "plans.npz"
+    script.save(saved, results)
+    monkeypatch.setattr(script, "run_plans", lambda: results)
+    assert script.main(["--compare", str(saved)]) == 0
+    with np.load(saved) as plans:
+        arrays = dict(plans)
+    key = next(name for name in arrays if name.endswith("/states"))
+    arrays[key][3, 2] += 1e-11  # ten times MAX_JOINT_CHANGE
+    np.savez(saved, **arrays)
+    assert script.MAX_JOINT_CHANGE == 1e-12
+    assert script.main(["--compare", str(saved)]) == 1
+    assert "DIFFER" not in capsys.readouterr().out  # counts and reports still match; only the joint change fails
