@@ -50,6 +50,21 @@ A planner iterate is evaluated once: ``world_state`` places the capsule axes
 in the world from the frame rows of one ``kinematics.frames`` pass and scores
 them; the tool position, the tool Jacobian and the gradient read the same
 rows. Every public path here runs the same arithmetic and gets the same bits.
+
+Given the state an iterate came from, ``world_state`` skips the FRINGE pass
+of every capsule that cannot bind (conservative advancement used for
+culling). A FRINGE distance is a distance to the rim, so it falls by at most
+the larger displacement of the axis's two ends. A capsule that was not
+TUNNEL-scored in the previous state keeps a floor from it: its exact
+clearance there, or the floor it carried. That floor minus the displacement
+and ``_CULL_SLACK`` bounds the capsule's clearance now. Every TUNNEL score
+is computed, the previous witness capsule is tried next, and a capsule whose
+bound lies above the smallest clearance found so far is culled; its bound is
+kept as its clearance entry and is its floor at the next state. A TUNNEL
+score is no floor, so the jump between the two cases at the entrance cannot
+break a bound. A culled capsule is strictly above the minimum, so the
+witness has the bits of a full evaluation. Without a previous state of the
+same chain, capsules and scene, every capsule is scored.
 """
 
 from __future__ import annotations
@@ -74,6 +89,9 @@ _SEGMENT_EPS = 1e-14
 # How far outside an entrance edge a crossing point may lie and still count
 # as inside the opening.
 _OPENING_TOL = 1e-9
+
+# What a culled capsule's clearance bound gives up for rounding (m); a bound is kept only above the minimum.
+_CULL_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,8 +396,14 @@ def _closest_fringe(axis, rim: tuple) -> tuple:
     return best
 
 
-def _score_axes(axes: list, radii, scene: Scene, capsule_indices) -> tuple[list, DistanceWitness]:
-    """Signed clearances of world-frame axes ((ax, ay, az), (bx, by, bz)) with radii, scored in the prism frame, and the witness of the first smallest."""
+def _score_axes(axes: list, radii, scene: Scene, capsule_indices, previous: WorldState | None = None) -> tuple:
+    """Signed clearances of world-frame axes ((ax, ay, az), (bx, by, bz)) with radii, scored in the prism frame, and the witness of the first smallest.
+
+    With ``previous`` (a state of the same capsules and scene) the rim pass of
+    a capsule can be skipped (``_culled_fringe``). Returns (clearances,
+    witness, indices of the TUNNEL-scored axes, how many axes were scored
+    exactly).
+    """
     pose = scene.pose[:3].tolist()
     (r00, r01, r02, tx), (r10, r11, r12, ty), (r20, r21, r22, tz) = pose
     local = []
@@ -390,8 +414,12 @@ def _score_axes(axes: list, radii, scene: Scene, capsule_indices) -> tuple[list,
             mapped.append((x * r00 + y * r10 + z * r20, x * r01 + y * r11 + z * r21, x * r02 + y * r12 + z * r22))
         local.append(mapped)
     tunnel = _tunnel_scores(local, scene)
-    scores = [tunnel.get(i) or _closest_fringe(axis, scene._rim) for i, axis in enumerate(local)]
-    clearances = [score[0] - radius for score, radius in zip(scores, radii)]
+    if previous is None:
+        scores = [tunnel.get(i) or _closest_fringe(axis, scene._rim) for i, axis in enumerate(local)]
+        clearances = [score[0] - radius for score, radius in zip(scores, radii)]
+        scored = len(scores)
+    else:
+        scores, clearances, scored = _culled_fringe(axes, local, radii, tunnel, scene._rim, previous)
     k = min(range(len(clearances)), key=clearances.__getitem__)  # the first on a tie
     if k in tunnel:
         _gap, t, clip, plane, on_robot, on_obstacle = tunnel[k]
@@ -400,7 +428,47 @@ def _score_axes(axes: list, radii, scene: Scene, capsule_indices) -> tuple[list,
         _gap, plane, t, on_robot, on_obstacle = scores[k]
         clip, case = None, CASE_FRINGE
     on_robot, on_obstacle = np.array([to_world(pose, on_robot), to_world(pose, on_obstacle)])
-    return clearances, DistanceWitness(clearances[k], capsule_indices[k], on_robot, on_obstacle, case, t, plane, clip)
+    witness = DistanceWitness(clearances[k], capsule_indices[k], on_robot, on_obstacle, case, t, plane, clip)
+    return clearances, witness, tuple(tunnel), scored
+
+
+def _culled_fringe(axes: list, local: list, radii, tunnel: dict, rim: tuple, previous: WorldState) -> tuple:
+    """The scores and clearances of ``_score_axes``, with the rim pass skipped where a floor proves it cannot bind.
+
+    The rule is the module docstring's: the TUNNEL-scored axes come first,
+    then ``previous``'s witness capsule, then the rest in index order, and a
+    capsule with a floor at ``previous`` (its ``clearances`` entry, unless it
+    was TUNNEL-scored there) is culled when that floor, minus the larger world
+    displacement of its axis ends and ``_CULL_SLACK``, lies above the smallest
+    clearance found so far. Returns (scores, None where culled; clearances,
+    the bound where culled; how many axes were scored).
+    """
+    n = len(local)
+    scores, clearances = [None] * n, [None] * n
+    best = math.inf
+    for i, score in tunnel.items():
+        scores[i] = score
+        clearances[i] = score[0] - radii[i]
+        best = min(best, clearances[i])
+    first = previous.witness.capsule_index
+    floors, was_tunnel = previous.clearances.tolist(), previous.tunnel
+    culled = 0
+    for i in (first, *range(first), *range(first + 1, n)):
+        if i in tunnel:
+            continue
+        if i not in was_tunnel:
+            ((pax, pay, paz), (pbx, pby, pbz)), ((ax, ay, az), (bx, by, bz)) = previous.segments[i], axes[i]
+            move_a = (ax - pax) ** 2 + (ay - pay) ** 2 + (az - paz) ** 2
+            move_b = (bx - pbx) ** 2 + (by - pby) ** 2 + (bz - pbz) ** 2
+            bound = floors[i] - math.sqrt(max(move_a, move_b)) - _CULL_SLACK
+            if bound > best:
+                clearances[i] = bound
+                culled += 1
+                continue
+        scores[i] = _closest_fringe(local[i], rim)
+        clearances[i] = scores[i][0] - radii[i]
+        best = min(best, clearances[i])
+    return scores, clearances, n - culled
 
 
 def capsule_distance(world_a, world_b, radius: float, scene: Scene, capsule_index: int = -1) -> DistanceWitness:
@@ -432,17 +500,25 @@ class WorldState:
     axes, as Python floats, the tool position and each capsule's signed
     clearance, with the chain, capsules and scene they were evaluated with.
     Only the minimizing capsule (the first on a tie) has a ``witness``.
+
+    A state evaluated from a ``previous`` one may cull capsules: a culled
+    ``clearances`` entry holds a lower bound of that capsule's clearance,
+    strictly above the witness's value, and not the clearance itself.
+    ``scored`` counts the capsules scored exactly, and ``tunnel`` names the
+    TUNNEL-scored ones, which leave the next state no floor.
     """
 
     q: np.ndarray
     frames: list  # base->frame_k, k = 0..6, each three rows of four floats
     segments: list  # per capsule, its world-frame axis ((ax, ay, az), (bx, by, bz))
     tool_position: np.ndarray  # (3,)
-    clearances: np.ndarray  # (n,) signed clearance of each capsule
+    clearances: np.ndarray  # (n,) signed clearance of each capsule; a culled entry holds a lower bound
     witness: DistanceWitness
     chain: RobotChain
     capsules: CapsuleSet
     scene: Scene
+    scored: int  # capsules scored exactly: all of them unless some were culled
+    tunnel: tuple  # indices of the TUNNEL-scored capsules
 
     def tool_jacobian(self) -> np.ndarray:
         """3x6 positional Jacobian of the tool tip at this configuration."""
@@ -453,14 +529,25 @@ class WorldState:
         return _witness_gradient(self.frames, self.segments[self.witness.capsule_index], self.capsules, self.scene, self.witness)
 
 
-def world_state(q, chain: RobotChain, capsules, scene: Scene) -> WorldState:
-    """Evaluate configuration q once: frames, capsule axes, tool position, clearances, worst witness."""
+def world_state(q, chain: RobotChain, capsules, scene: Scene, previous: WorldState | None = None) -> WorldState:
+    """Evaluate configuration q once: frames, capsule axes, tool position, clearances, worst witness.
+
+    ``previous``, a state that holds these very ``chain``, ``capsules`` and
+    ``scene`` objects, lets the rim pass of a capsule that cannot bind be
+    skipped (``_culled_fringe``): the witness and every exact clearance keep
+    their bits, and a culled clearance is a lower bound. Any other
+    ``previous`` is ignored, and so the evaluation is exact.
+    """
     qv = joint_config(q)
     capsules = _capsule_set(capsules)
     rows = frames(qv.tolist(), chain)
     segments = _world_axes(rows, capsules._axes)
-    clearances, witness = _score_axes(segments, capsules._radii, scene, range(len(capsules)))
-    return WorldState(
+    if previous is not None and not (previous.chain is chain and previous.capsules is capsules and previous.scene is scene):
+        previous = None
+    clearances, witness, tunnel, scored = _score_axes(segments, capsules._radii, scene, range(len(capsules)), previous)
+    # Every field is built here, so the frozen dataclass's __init__, one object.__setattr__ per field, is skipped.
+    state = object.__new__(WorldState)
+    state.__dict__.update(
         q=qv,
         frames=rows,
         segments=segments,
@@ -470,7 +557,10 @@ def world_state(q, chain: RobotChain, capsules, scene: Scene) -> WorldState:
         chain=chain,
         capsules=capsules,
         scene=scene,
+        scored=scored,
+        tunnel=tunnel,
     )
+    return state
 
 
 def _witness_gradient(rows: list, segment, capsules: CapsuleSet, scene: Scene, witness: DistanceWitness) -> np.ndarray:

@@ -20,6 +20,10 @@ iterate it accepts, and the accepted state is the start of the next
 SafeTrack call; SafeTrack reads the chain, capsules and scene from that
 start. The residual, the feasibility test, the collision and contact rows,
 and the clearance that ``plan`` records all read that one evaluation.
+SafeTrack hands ``world_state`` the state each iterate came from, so only
+the capsules that can bind are scored exactly; the others keep a lower bound
+from that state in their ``clearances`` entry. The planner reads no clearance
+but the witness's, which keeps the bits of a full evaluation.
 A plan that returns keeps the state it ended on as the resume point, and the
 next plan starts from it instead of evaluating its initial configuration when
 four keys match: the state's ``chain``, ``capsules`` (a ``CapsuleSet``) and
@@ -137,7 +141,8 @@ def safetrack(start: WorldState, c_next, params: PlannerParams) -> SafeTrackResu
     residual is at or below xi and the scene distance is positive), when a
     QP is not optimal or returns its own reference, or after max_inner QP
     solves. Zero QP solves happen when start already converges; each QP
-    iterate accepted is evaluated once, with start's chain, capsules and scene.
+    iterate accepted is evaluated once, with start's chain, capsules and scene
+    and from the state before it.
     """
     c_next = np.asarray(c_next, dtype=float)
     state, iterations = start, 0
@@ -153,7 +158,7 @@ def safetrack(start: WorldState, c_next, params: PlannerParams) -> SafeTrackResu
         iterations += 1
         if sol.status != STATUS_OPTIMAL or np.abs(sol.x - state.q).max() < 1e-15:
             break  # no solution, or stalled: the QP returned the reference itself
-        state = world_state(sol.x, start.chain, start.capsules, start.scene)
+        state = world_state(sol.x, start.chain, start.capsules, start.scene, state)
     return SafeTrackResult(state, converged, iterations, residual)
 
 

@@ -27,7 +27,10 @@ zero, drops that row and continues, so it never returns to a working set.
 The row is split against the active rows through a QR factorization of
 them, so nearly opposite rows are found dependent and end in INFEASIBLE
 rather than in a singular system. A full KKT check runs before OPTIMAL is
-ever reported.
+ever reported; stationarity and complementarity are held to it relative to
+the multipliers times the rows, so an ill-conditioned but solved problem,
+whose large multipliers leave rounding above an absolute tolerance, is not
+reported MAX_ITER. ``kkt_residual`` is the unscaled residual.
 """
 
 from __future__ import annotations
@@ -173,6 +176,25 @@ def _least_distance(M: np.ndarray, v: np.ndarray, Y: np.ndarray):
     return z, working, mu, _MAX_ITER, STATUS_MAX_ITER
 
 
+def _scaled_kkt(z, lam, active, v, stationarity, gap) -> float:
+    """The KKT residual with stationarity and complementarity relative to the size of their terms.
+
+    Each residual is a difference of terms as large as the multipliers times
+    the rows, so on an ill-conditioned problem with large multipliers its
+    rounding alone can exceed an absolute tolerance. Stationarity component j
+    is divided by the largest of 1, |2 z_j| and the |lam_i a_ij|; row i's
+    complementarity by the larger of 1 and |lam_i| (|a_i| . |z| + |v_i|). A
+    negative multiplier counts unscaled. Never larger than the unscaled
+    residual.
+    """
+    terms = np.abs(lam[:, None] * active).max(axis=0, initial=0.0)
+    scaled = float((np.abs(stationarity) / np.maximum(1.0, np.maximum(np.abs(2.0 * z), terms))).max())
+    if lam.size:
+        magnitude = np.abs(lam) * (np.abs(active) @ np.abs(z) + np.abs(v))
+        scaled = max(scaled, -float(lam.min()), float((np.abs(gap) / np.maximum(1.0, magnitude)).max()))
+    return scaled
+
+
 def solve(problem: QpProblem, x_ref, A=(), b=(), G=(), h=()) -> QpSolution:
     """Minimize sum_i w_i (x_i - x_ref_i)^2 s.t. A x = b, G x >= h and the problem's bounds.
 
@@ -219,10 +241,12 @@ def solve(problem: QpProblem, x_ref, A=(), b=(), G=(), h=()) -> QpSolution:
 
     # KKT verification in the reduced space before reporting OPTIMAL.
     active = M[working]
-    kkt = float(np.abs(2.0 * z - lam @ active).max())
+    stationarity = 2.0 * z - lam @ active
+    kkt = float(np.abs(stationarity).max())
+    gap = lam * (active @ z - v[working])
     if lam.size:
-        kkt = max(kkt, -float(lam.min()), float(np.abs(lam * (active @ z - v[working])).max()))
+        kkt = max(kkt, -float(lam.min()), float(np.abs(gap).max()))
     feas = float((v - M @ z).max())
-    if kkt > _TOL_KKT or feas > _TOL_FEAS:
+    if (kkt > _TOL_KKT and _scaled_kkt(z, lam, active, v[working], stationarity, gap) > _TOL_KKT) or feas > _TOL_FEAS:
         status = STATUS_MAX_ITER
     return finish(x, status, kkt, iters, lam, working)

@@ -21,7 +21,7 @@ from icop.geometry import (
     world_capsule_segments,
     world_state,
 )
-from icop.kinematics import forward_kinematics
+from icop.kinematics import RobotChain, forward_kinematics
 from icop.transforms import homogeneous, rot_y
 
 from conftest import fringe_segments, kernel_tunnel_clearance, random_tunnel, rot_z
@@ -233,6 +233,7 @@ class TestSceneDistance:
         state = world_state(c4.initial_config, c4.chain, c4.capsules, scene)
         assert len(built) == 1 and built[0] is state.witness
         assert state.clearances.shape == (len(c4.capsules),) == (6,)
+        assert list(vars(state)) == [field.name for field in fields(geometry.WorldState)]  # world_state fills every field
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(26)
@@ -451,6 +452,99 @@ class TestCapsuleSet:
             assert segments.tobytes() == world_capsule_segments(q, c4.chain, c4.capsules).tobytes()
 
 
+
+def _assert_culled_like_full(state):
+    """``state`` against a full evaluation of its q: the same witness bits, and every clearance exact or below it."""
+    full = world_state(state.q, state.chain, state.capsules, state.scene)
+    _assert_same_witness(state.witness, full.witness)
+    assert full.scored == len(full.capsules) and state.tunnel == full.tunnel
+    assert (state.clearances <= full.clearances).all()
+    exact = state.clearances == full.clearances
+    assert exact.sum() >= state.scored
+    assert (state.clearances[~exact] > state.witness.value).all()  # a culled capsule is above the minimum
+
+
+class TestCulledEvaluation:
+    """``world_state`` from a previous state skips the rim pass of capsules that cannot bind."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, straight_chain, square_tunnel):
+        """The square tunnel 3 m out along x, and three capsules: B on link 1 near the top rim edge, A on link 1
+        through the middle of the opening, C fixed on the base beside it. Joint 1 turns links 1..6 about z."""
+        scene = transform_scene(square_tunnel, homogeneous(np.eye(3), [3.0, 0.0, 0.0]))
+        capsules = CapsuleSet([
+            Capsule(1, [1.0, 0.0, 0.62], [1.9, 0.0, 0.62], 0.05),
+            Capsule(1, [1.0, 0.0, 0.0], [2.0005, 0.0, 0.0], 0.05),
+            Capsule(0, [2.7, -0.75, -0.3], [2.7, -0.75, 0.3], 0.05),
+        ])
+        states, previous = [], None
+        for turn in (0.0, 0.05, 0.5):
+            previous = world_state([turn, 0, 0, 0, 0, 0], straight_chain, capsules, scene, previous)
+            states.append(previous)
+        return scene, capsules, states
+
+    def test_a_capsule_tunnel_scored_before_is_scored_again(self, setup):
+        _scene, _capsules, (first, second, _third) = setup
+        # A crosses the opening first and has left it after a 0.05 rad turn; a TUNNEL score is no floor,
+        # though it lies far above the minimum
+        assert first.tunnel == (1,) and second.tunnel == ()
+        assert first.clearances[1] - 3.0005 * 0.05 > second.witness.value
+        assert second.witness.capsule_index == 0 and second.scored == 2  # B and A; C is culled
+        full = world_state(second.q, second.chain, second.capsules, second.scene)
+        assert second.clearances[:2].tobytes() == full.clearances[:2].tobytes()
+        assert second.clearances[2] == full.clearances[2] - geometry._CULL_SLACK
+        for state in setup[2]:
+            _assert_culled_like_full(state)
+
+    def test_the_witness_passes_to_a_capsule_culled_one_step_earlier(self, setup):
+        _scene, _capsules, (first, second, third) = setup
+        assert first.scored == 3 and first.witness.capsule_index == 0
+        assert second.clearances[2] < world_state(second.q, second.chain, second.capsules, second.scene).clearances[2]
+        # B turned away from the rim: C, culled at the step before, is scored and is the witness
+        assert third.scored == 3 and third.witness.capsule_index == 2
+        _assert_same_witness(third.witness, world_state(third.q, third.chain, third.capsules, third.scene).witness)
+
+    def test_a_previous_state_of_other_objects_gives_the_full_evaluation(self, setup, straight_chain):
+        scene, capsules, (first, second, _third) = setup
+        q = second.q
+        assert world_state(q, straight_chain, capsules, scene, first).scored == 2
+        full = world_state(q, straight_chain, capsules, scene)
+        other_chain = RobotChain(joints=straight_chain.joints, tool_offset=straight_chain.tool_offset)
+        others = (
+            world_state(first.q, other_chain, capsules, scene),
+            world_state(first.q, straight_chain, CapsuleSet(capsules), scene),
+            world_state(first.q, straight_chain, capsules, transform_scene(scene, np.eye(4))),
+        )
+        for previous in others:
+            state = world_state(q, straight_chain, capsules, scene, previous)
+            assert state.scored == 3
+            assert state.clearances.tobytes() == full.clearances.tobytes()
+            _assert_same_witness(state.witness, full.witness)
+
+    def test_random_joint_walks_keep_the_full_witness(self):
+        # walks from each scenario's start in steps of 0.002-0.08 rad per joint carry axes across the entrance
+        from icop.scenario import load_bundled, mounted_scene_and_path
+
+        rng = np.random.default_rng(37)
+        states = witness_changes = tunnel_changes = culled = 0
+        for name in ("c1", "c2", "c3", "c4"):
+            s = load_bundled(name)
+            scene, _ = mounted_scene_and_path(s)
+            for _walk in range(25):
+                q, previous = s.initial_config, world_state(s.initial_config, s.chain, s.capsules, scene)
+                for _step in range(100):
+                    q = q + rng.uniform(0.002, 0.08, 6) * rng.choice([-1.0, 1.0], 6)
+                    state = world_state(q, s.chain, s.capsules, scene, previous)
+                    _assert_culled_like_full(state)
+                    states += 1
+                    witness_changes += state.witness.capsule_index != previous.witness.capsule_index
+                    tunnel_changes += state.tunnel != previous.tunnel
+                    culled += len(s.capsules) - state.scored
+                    previous = state
+        assert states == 10_000
+        assert witness_changes > 100 and tunnel_changes > 100 and culled > states
+
+
 _DERIVED = ("_walls", "_wall_offsets", "_rim")
 
 
@@ -546,9 +640,16 @@ def _reference_witness(a, b, radius, scene):
     return clearance - radius, CASE_TUNNEL, wall, clip, ties
 
 
+_WITNESS_FIELDS = [field.name for field in fields(DistanceWitness)]
+
+
 def _assert_same_witness(w1, w2):
-    for field in fields(DistanceWitness):
-        np.testing.assert_array_equal(getattr(w1, field.name), getattr(w2, field.name), err_msg=field.name)
+    # every field, the point arrays by their shape and bytes
+    bits = [
+        tuple((v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in map(vars(w).get, _WITNESS_FIELDS))
+        for w in (w1, w2)
+    ]
+    assert bits[0] == bits[1]
 
 
 # The unit square with its (0.5, 0.5) corner doubled 1e-9 away, and 1e-12 out so that the section stays
@@ -564,7 +665,7 @@ class TestBatchedKernel:
 
         Returns the batch's (clearances, witness) and each capsule's witness scored alone.
         """
-        clearances, witness = _score_axes(np.asarray(axes, dtype=float).tolist(), radii, scene, range(len(radii)))
+        clearances, witness, *_ = _score_axes(np.asarray(axes, dtype=float).tolist(), radii, scene, range(len(radii)))
         alone = [capsule_distance(a, b, radius, scene, i) for i, ((a, b), radius) in enumerate(zip(axes, radii))]
         for i, w in enumerate(alone):
             value, case, plane, clip, ties = _reference_witness(axes[i][0], axes[i][1], radii[i], scene)
@@ -763,7 +864,7 @@ class TestBatchedKernel:
         ]
         with np.errstate(all="raise"):
             for axis, scene in cases:
-                clearances, witness = _score_axes(np.array([axis], dtype=float).tolist(), [0.05], scene, [0])
+                clearances, witness, *_ = _score_axes(np.array([axis], dtype=float).tolist(), [0.05], scene, [0])
                 assert np.isfinite(clearances).all() and np.isfinite(witness.point_on_obstacle).all()
 
 

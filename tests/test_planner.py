@@ -489,3 +489,38 @@ def test_a_plan_that_raises_leaves_the_resume_point(monkeypatch):
     step = plan(path[1:2], q1, c1.chain, c1.capsules, scene, c1.params)
     assert len(evaluations) == int(step.inner_iterations[0])  # resumed from q1's state
     assert step.states[0].tobytes() == whole.states[1].tobytes()
+
+
+def test_each_iterate_is_evaluated_from_the_state_it_came_from(monkeypatch):
+    # every SafeTrack iterate of c1..c4 under the fingerprint's four parameter sets: a culled
+    # evaluation keeps the full one's witness bits, and each culled clearance lies below the exact one
+    import importlib.util
+    from pathlib import Path
+
+    from test_geometry import _assert_culled_like_full
+
+    spec = importlib.util.spec_from_file_location(
+        "plan_fingerprint", Path(__file__).resolve().parent.parent / "scripts" / "plan_fingerprint.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    evaluations = _count_evaluations(monkeypatch)
+    script.run_plans()
+    assert len({state.capsules for state in evaluations}) == 4
+    for state in evaluations:
+        _assert_culled_like_full(state)
+    assert sum(state.scored for state in evaluations) < 0.3 * sum(len(state.capsules) for state in evaluations)
+
+
+def test_one_round_scores_237_of_1176_capsules(monkeypatch):
+    # one c1..c4 round at the bundled parameters makes 196 evaluations; 132 capsule scorings are TUNNEL
+    # scores and 105 rim passes, where a full evaluation of every state would run 1044 rim passes
+    evaluations = _count_evaluations(monkeypatch)
+    for name in ("c1", "c2", "c3", "c4"):
+        s = load_bundled(name)
+        scene, path = mounted_scene_and_path(s)
+        plan(path, s.initial_config, s.chain, s.capsules, scene, s.params)
+    assert len(evaluations) == 196
+    assert sum(len(state.capsules) for state in evaluations) == 1176
+    assert sum(len(state.tunnel) for state in evaluations) == 132
+    assert sum(state.scored for state in evaluations) == 237

@@ -250,6 +250,33 @@ def test_nearly_opposite_rows_reproducer_is_infeasible():
     assert qp_enumeration_oracle(p, **call) is None
 
 
+def test_large_multipliers_do_not_fail_the_kkt_check():
+    """Problems 61 and 323 of a degenerate recipe: a row nearly opposite another, with noise 1e-3.
+
+    Their multipliers reach 5e4 and 8e4, and the rounding of the stationarity
+    and complementarity sums leaves KKT residuals of 4.1e-7 and 3.7e-8. Held
+    to the absolute 1e-8 they were reported MAX_ITER, though x is the
+    oracle's optimum.
+    """
+    rng = np.random.default_rng(3)
+    solved = {}
+    for index in range(324):
+        weights, x_ref = 10 ** rng.uniform(-2, 2, 6), rng.uniform(-2, 2, 6)
+        m = int(rng.integers(2, 6))
+        G = rng.normal(size=(m, 6))
+        j = int(rng.integers(0, m))
+        G = np.vstack([G, -G[j] + 1e-3 * rng.normal(size=6)])
+        h = np.concatenate([rng.uniform(-1, 1, m), [0.5 - rng.uniform(-1, 1)]])
+        if index in (61, 323):
+            p, call = QpProblem(weights, np.full(6, -3.0), np.full(6, 3.0)), {"x_ref": x_ref, "G": G, "h": h}
+            solved[index] = (p, call, solve(p, **call))
+    for index, (p, call, s) in solved.items():
+        assert s.status == STATUS_OPTIMAL, index
+        assert s.kkt_residual > 1e-8 and np.abs(s.multipliers).max() > 5e4, index  # the residual is reported unscaled
+        ref = qp_enumeration_oracle(p, **call)
+        assert np.max(np.abs(s.x - ref[1])) <= 1e-8, index
+
+
 def test_planner_problems_match_oracle(monkeypatch):
     """Every QP a c4 plan poses: six joints, the contact rows, one collision row and both joint limits."""
     posed = []
