@@ -1,6 +1,7 @@
 """Command-line entry point: plan a scenario, sweep horizons, sweep the threshold.
 
-Exit codes: 0 success, 2 scenario parse failure, 3 planner non-convergence or
+Exit codes: 0 success, 2 scenario parse failure or usage error (two sweeps,
+or a sweep with the fixed value it varies), 3 planner non-convergence or
 acceptance-invariant violation, 4 I/O failure. Table outputs are byte-stable
 across runs except for the timing columns.
 """
@@ -32,8 +33,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory (default: current)")
     parser.add_argument("--xi", type=float, default=None, help="override the equality threshold (m)")
     parser.add_argument("--horizon", type=int, default=None, help="resample the weld path to this many waypoints")
-    parser.add_argument("--sweep-horizon", default=None, help="comma-separated horizons, e.g. 14,21,43,82,164")
-    parser.add_argument("--sweep-xi", default=None, help="comma-separated thresholds, e.g. 1e-2,1e-3,1e-4")
+    sweeps = parser.add_mutually_exclusive_group()
+    sweeps.add_argument("--sweep-horizon", default=None, help="comma-separated horizons, e.g. 14,21,43,82,164")
+    sweeps.add_argument("--sweep-xi", default=None, help="comma-separated thresholds, e.g. 1e-2,1e-3,1e-4")
     return parser
 
 
@@ -121,7 +123,11 @@ def _sweep(name: str, kind: str, runs: list[tuple], out_dir: Path) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    for fixed, sweep in (("horizon", "sweep_horizon"), ("xi", "sweep_xi")):  # a sweep sets the value per run
+        if getattr(args, fixed) is not None and getattr(args, sweep) is not None:
+            parser.error(f"argument --{fixed}: not allowed with argument --{sweep.replace('_', '-')}")
     try:
         scenario = scn.load_scenario(args.scenario)
     except scn.ScenarioError as err:

@@ -51,20 +51,22 @@ in the world from the frame rows of one ``kinematics.frames`` pass and scores
 them; the tool position, the tool Jacobian and the gradient read the same
 rows. Every public path here runs the same arithmetic and gets the same bits.
 
-Given the state an iterate came from, ``world_state`` skips the FRINGE pass
-of every capsule that cannot bind (conservative advancement used for
+Every evaluation is one scoring pass, one loop over the capsules in which
+both cases fill one score record: every TUNNEL score first, then the previous
+witness capsule, then the rest in index order. The pass may skip the FRINGE
+scoring of a capsule that cannot bind (conservative advancement used for
 culling). A FRINGE distance is a distance to the rim, so it falls by at most
-the larger displacement of the axis's two ends. A capsule that was not
-TUNNEL-scored in the previous state keeps a floor from it: its exact
-clearance there, or the floor it carried. That floor minus the displacement
-and ``_CULL_SLACK`` bounds the capsule's clearance now. Every TUNNEL score
-is computed, the previous witness capsule is tried next, and a capsule whose
-bound lies above the smallest clearance found so far is culled; its bound is
-kept as its clearance entry and is its floor at the next state. A TUNNEL
-score is no floor, so the jump between the two cases at the entrance cannot
-break a bound. A culled capsule is strictly above the minimum, so the
-witness has the bits of a full evaluation. Without a previous state of the
-same chain, capsules and scene, every capsule is scored.
+the larger displacement of the axis's two ends. Given the state an iterate
+came from, a capsule that was not TUNNEL-scored there keeps a floor from it:
+its exact clearance there, or the floor it carried. That floor minus the
+displacement and ``_CULL_SLACK`` bounds the capsule's clearance now, and a
+capsule whose bound lies above the smallest clearance found so far is
+culled; its bound is kept as its clearance entry and is its floor at the
+next state. A TUNNEL score is no floor, so the jump between the two cases at
+the entrance cannot break a bound. A culled capsule is strictly above the
+minimum, so the witness has the bits of an exact evaluation. Without a
+previous state of the same chain, capsules and scene no capsule has a floor,
+and the same pass scores every capsule, starting at capsule 0.
 """
 
 from __future__ import annotations
@@ -351,8 +353,9 @@ def _closest_fringe(axis, rim: tuple) -> tuple:
     only the sign of a zero, and each such zero is clipped or squared before
     it reaches a result. Each division runs behind the test that keeps its
     divisor away from zero, and a clipped parameter is never -0.0. Returns
-    (distance, rim index, axis parameter, point on the axis, point on the
-    rim), the points in the prism frame.
+    the record of ``_tunnel_scores``: (distance, axis parameter, None, rim
+    index, point on the axis, point on the rim), the points in the prism
+    frame.
     """
     (ax, ay, az), (bx, by, bz) = axis
     dx, dy, dz = bx - ax, by - ay, bz - az
@@ -392,17 +395,23 @@ def _closest_fringe(axis, rim: tuple) -> tuple:
         if not dist_sq > best_sq:
             dist = math.sqrt(dist_sq)
             if best is None or dist < best[0]:
-                best, best_sq = (dist, j, s, (px, py, pz), (0.0, qy, qz)), dist_sq
+                best, best_sq = (dist, s, None, j, (px, py, pz), (0.0, qy, qz)), dist_sq
     return best
 
 
 def _score_axes(axes: list, radii, scene: Scene, capsule_indices, previous: WorldState | None = None) -> tuple:
     """Signed clearances of world-frame axes ((ax, ay, az), (bx, by, bz)) with radii, scored in the prism frame, and the witness of the first smallest.
 
-    With ``previous`` (a state of the same capsules and scene) the rim pass of
-    a capsule can be skipped (``_culled_fringe``). Returns (clearances,
-    witness, indices of the TUNNEL-scored axes, how many axes were scored
-    exactly).
+    One loop scores every axis: the TUNNEL-scored ones first, then
+    ``previous``'s witness capsule, then the rest in index order. A capsule
+    that ``_tunnel_scores`` does not claim now and that was not TUNNEL-scored
+    at ``previous`` (a state of the same capsules and scene) has a floor there,
+    its ``clearances`` entry. When that floor, minus the larger world
+    displacement of its axis ends and ``_CULL_SLACK``, lies above the smallest
+    clearance found so far, the rim pass is skipped and the bound is kept as
+    its clearance. Without ``previous`` no capsule has a floor and the loop
+    starts at capsule 0. Returns (clearances, witness, indices of the
+    TUNNEL-scored axes, how many axes were scored exactly).
     """
     pose = scene.pose[:3].tolist()
     (r00, r01, r02, tx), (r10, r11, r12, ty), (r20, r21, r22, tz) = pose
@@ -413,50 +422,17 @@ def _score_axes(axes: list, radii, scene: Scene, capsule_indices, previous: Worl
             x, y, z = x - tx, y - ty, z - tz
             mapped.append((x * r00 + y * r10 + z * r20, x * r01 + y * r11 + z * r21, x * r02 + y * r12 + z * r22))
         local.append(mapped)
-    tunnel = _tunnel_scores(local, scene)
-    if previous is None:
-        scores = [tunnel.get(i) or _closest_fringe(axis, scene._rim) for i, axis in enumerate(local)]
-        clearances = [score[0] - radius for score, radius in zip(scores, radii)]
-        scored = len(scores)
-    else:
-        scores, clearances, scored = _culled_fringe(axes, local, radii, tunnel, scene._rim, previous)
-    k = min(range(len(clearances)), key=clearances.__getitem__)  # the first on a tie
-    if k in tunnel:
-        _gap, t, clip, plane, on_robot, on_obstacle = tunnel[k]
-        case = CASE_TUNNEL
-    else:
-        _gap, plane, t, on_robot, on_obstacle = scores[k]
-        clip, case = None, CASE_FRINGE
-    on_robot, on_obstacle = np.array([to_world(pose, on_robot), to_world(pose, on_obstacle)])
-    witness = DistanceWitness(clearances[k], capsule_indices[k], on_robot, on_obstacle, case, t, plane, clip)
-    return clearances, witness, tuple(tunnel), scored
-
-
-def _culled_fringe(axes: list, local: list, radii, tunnel: dict, rim: tuple, previous: WorldState) -> tuple:
-    """The scores and clearances of ``_score_axes``, with the rim pass skipped where a floor proves it cannot bind.
-
-    The rule is the module docstring's: the TUNNEL-scored axes come first,
-    then ``previous``'s witness capsule, then the rest in index order, and a
-    capsule with a floor at ``previous`` (its ``clearances`` entry, unless it
-    was TUNNEL-scored there) is culled when that floor, minus the larger world
-    displacement of its axis ends and ``_CULL_SLACK``, lies above the smallest
-    clearance found so far. Returns (scores, None where culled; clearances,
-    the bound where culled; how many axes were scored).
-    """
+    tunnel, rim = _tunnel_scores(local, scene), scene._rim
     n = len(local)
-    scores, clearances = [None] * n, [None] * n
-    best = math.inf
-    for i, score in tunnel.items():
-        scores[i] = score
-        clearances[i] = score[0] - radii[i]
-        best = min(best, clearances[i])
-    first = previous.witness.capsule_index
-    floors, was_tunnel = previous.clearances.tolist(), previous.tunnel
-    culled = 0
-    for i in (first, *range(first), *range(first + 1, n)):
-        if i in tunnel:
+    if previous is None:
+        first, floorless = 0, range(n)  # no capsule has a floor
+    else:
+        first, floorless, floors = previous.witness.capsule_index, previous.tunnel, previous.clearances.tolist()
+    scores, clearances, best, culled = [None] * n, [None] * n, math.inf, 0
+    for i in (*tunnel, first, *range(first), *range(first + 1, n)):
+        if scores[i] is not None:  # TUNNEL-scored already
             continue
-        if i not in was_tunnel:
+        if i not in floorless and i not in tunnel:
             ((pax, pay, paz), (pbx, pby, pbz)), ((ax, ay, az), (bx, by, bz)) = previous.segments[i], axes[i]
             move_a = (ax - pax) ** 2 + (ay - pay) ** 2 + (az - paz) ** 2
             move_b = (bx - pbx) ** 2 + (by - pby) ** 2 + (bz - pbz) ** 2
@@ -465,10 +441,16 @@ def _culled_fringe(axes: list, local: list, radii, tunnel: dict, rim: tuple, pre
                 clearances[i] = bound
                 culled += 1
                 continue
-        scores[i] = _closest_fringe(local[i], rim)
-        clearances[i] = scores[i][0] - radii[i]
-        best = min(best, clearances[i])
-    return scores, clearances, n - culled
+        score = scores[i] = tunnel.get(i) or _closest_fringe(local[i], rim)
+        clearance = clearances[i] = score[0] - radii[i]
+        if clearance < best:
+            best = clearance
+    k = min(range(n), key=clearances.__getitem__)  # the first on a tie
+    _gap, t, clip, plane, on_robot, on_obstacle = scores[k]
+    on_robot, on_obstacle = np.array([to_world(pose, on_robot), to_world(pose, on_obstacle)])
+    case = CASE_TUNNEL if k in tunnel else CASE_FRINGE
+    witness = DistanceWitness(clearances[k], capsule_indices[k], on_robot, on_obstacle, case, t, plane, clip)
+    return clearances, witness, tuple(tunnel), n - culled
 
 
 def capsule_distance(world_a, world_b, radius: float, scene: Scene, capsule_index: int = -1) -> DistanceWitness:
@@ -501,11 +483,12 @@ class WorldState:
     clearance, with the chain, capsules and scene they were evaluated with.
     Only the minimizing capsule (the first on a tie) has a ``witness``.
 
-    A state evaluated from a ``previous`` one may cull capsules: a culled
-    ``clearances`` entry holds a lower bound of that capsule's clearance,
-    strictly above the witness's value, and not the clearance itself.
-    ``scored`` counts the capsules scored exactly, and ``tunnel`` names the
-    TUNNEL-scored ones, which leave the next state no floor.
+    The scoring pass may cull a capsule that has a floor at the state it was
+    evaluated from: a culled ``clearances`` entry holds a lower bound of that
+    capsule's clearance, strictly above the witness's value, and not the
+    clearance itself. ``scored`` counts the capsules scored exactly (all of
+    them when there was no floor), and ``tunnel`` names the TUNNEL-scored
+    ones, which leave the next state no floor.
     """
 
     q: np.ndarray
@@ -533,10 +516,11 @@ def world_state(q, chain: RobotChain, capsules, scene: Scene, previous: WorldSta
     """Evaluate configuration q once: frames, capsule axes, tool position, clearances, worst witness.
 
     ``previous``, a state that holds these very ``chain``, ``capsules`` and
-    ``scene`` objects, lets the rim pass of a capsule that cannot bind be
-    skipped (``_culled_fringe``): the witness and every exact clearance keep
-    their bits, and a culled clearance is a lower bound. Any other
-    ``previous`` is ignored, and so the evaluation is exact.
+    ``scene`` objects, gives the scoring pass of ``_score_axes`` its floors,
+    so the rim pass of a capsule that cannot bind is skipped: the witness and
+    every exact clearance keep their bits, and a culled clearance is a lower
+    bound. Any other ``previous`` is ignored, and the same pass then scores
+    every capsule.
     """
     qv = joint_config(q)
     capsules = _capsule_set(capsules)

@@ -13,7 +13,10 @@ TUNNEL clearance that pass computes on Python floats. The numpy
 ``grid_closest_fringe`` scores every (axis, rim edge) pair at once as one
 array grid, with selections for branches, and is the bit-for-bit reference
 for ``geometry._closest_fringe``, which scores one axis at a time on Python
-floats. The tunnel oracles read
+floats. ``sampled_material_clearance`` measures a capsule against the
+tunnel's material, its wall quads, by sampling the axis, and flags an axis
+that passes through a wall; it is the independent check of what
+"collision-free" means, not of the kernel's model. The tunnel oracles read
 a scene's ``section``, ``depth`` and ``pose`` only: ``prism_faces`` builds the
 entrance polygon and the face planes from them, never from the tables the
 kernel derives.
@@ -166,6 +169,49 @@ def sampled_tunnel_clearance(a, b, scene: Scene, samples: int = 10_000) -> float
         return np.inf
     clear = pts[inside] @ faces.wall_normals.T - faces.wall_offsets
     return float(clear.min())
+
+
+class MaterialClearance(NamedTuple):
+    """One capsule against the tunnel's material, its k wall quads."""
+
+    clearance: float  # the smallest distance from a sampled axis point to a wall quad, minus the radius
+    crosses_wall: bool  # the axis passes through a wall quad
+
+
+def sampled_material_clearance(a, b, radius: float, scene: Scene, samples: int = 400) -> MaterialClearance:
+    """Clearance of the capsule with axis [a, b] and ``radius`` from the tunnel's material, from ``prism_faces`` alone.
+
+    Wall quad i is section edge i -> i + 1 swept along the prism's x over
+    [0, depth]; the entrance and the exit are open. The edge is perpendicular
+    to the sweep, so a quad is a rectangle, and the closest point of quad i
+    to a point p clamps p's two rectangle coordinates. ``samples`` evenly
+    spaced axis points, both ends included, are measured exactly against
+    every quad. The axis crosses a wall quad when its ends lie strictly on
+    opposite sides of the quad's plane and the crossing point lies in the quad.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    faces = prism_faces(scene)
+    corners = faces.entrance[::-1]  # section vertex i on the entrance plane
+    edges = np.roll(corners, -1, axis=0) - corners
+    sweep = -faces.opening_normals[0]  # the prism's +x, into the tunnel
+    length2 = np.einsum("ij,ij->i", edges, edges)
+
+    def quad_coordinates(points):  # (m, 3) -> the (m, k) edge parameters and depths, unclamped
+        rel = points[:, None] - corners
+        return np.einsum("mkj,kj->mk", rel, edges) / length2, rel @ sweep
+
+    points = a + np.linspace(0.0, 1.0, samples)[:, None] * (b - a)
+    u, v = quad_coordinates(points)
+    u, v = np.clip(u, 0.0, 1.0), np.clip(v, 0.0, scene.depth)
+    feet = corners + u[..., None] * edges + v[..., None] * sweep
+    distance = np.linalg.norm(points[:, None] - feet, axis=-1).min()
+    side_a, side_b = (faces.wall_normals @ end - faces.wall_offsets for end in (a, b))
+    crosses = False
+    for i in np.flatnonzero(side_a * side_b < 0.0):
+        (u,), (v,) = quad_coordinates((a + side_a[i] / (side_a[i] - side_b[i]) * (b - a))[None])
+        crosses |= bool(0.0 <= u[i] <= 1.0 and 0.0 <= v[i] <= scene.depth)
+    return MaterialClearance(float(distance) - radius, crosses)
 
 
 def point_in_polygon(point, vertices, normal, tol: float = 1e-12) -> bool:

@@ -153,6 +153,21 @@ def test_removed_per_capsule_rows_flag_is_a_usage_error(c1_path, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("options, message", [
+    # one run writes one table: --sweep-xi was once ignored beside --sweep-horizon
+    (["--sweep-horizon", "5", "--sweep-xi", "1e-2,1e-3"], "argument --sweep-xi: not allowed with argument --sweep-horizon"),
+    # a sweep sets the value it varies: it once resampled the resampled path, and overwrote --xi
+    (["--horizon", "2", "--sweep-horizon", "5,43"], "argument --horizon: not allowed with argument --sweep-horizon"),
+    (["--xi", "1e-5", "--sweep-xi", "1e-2,1e-3"], "argument --xi: not allowed with argument --sweep-xi"),
+])
+def test_contradictory_options_are_a_usage_error(c1_path, tmp_path, capsys, options, message):
+    with pytest.raises(SystemExit) as err:
+        main(["--scenario", c1_path, "--out", str(tmp_path), *options])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_name_with_a_path_separator_exits_parse_code_without_outputs(c1_path, tmp_path):
     data = scenario_to_dict(load_scenario(c1_path))
     data["name"] = "../escaped"

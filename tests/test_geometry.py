@@ -34,6 +34,7 @@ from oracles import (
     grid_segment_distance,
     point_in_polygon,
     prism_faces,
+    sampled_material_clearance,
     sampled_tunnel_clearance,
 )
 
@@ -464,6 +465,25 @@ def _assert_culled_like_full(state):
     assert (state.clearances[~exact] > state.witness.value).all()  # a culled capsule is above the minimum
 
 
+def _floor_breaking_exits(previous, state) -> int:
+    """How many capsules a rule that took a TUNNEL score as a floor would cull wrongly in ``state``.
+
+    Each left the opening since ``previous``, and its TUNNEL score there, less
+    its motion and the slack, lies above its clearance now and above the
+    smallest clearance scored before it (TUNNEL scores, then the previous
+    witness capsule, then the rest in index order).
+    """
+    full = world_state(state.q, state.chain, state.capsules, state.scene)
+    best, exits = np.inf, 0
+    for i in dict.fromkeys((*state.tunnel, previous.witness.capsule_index, *range(len(state.capsules)))):
+        motion = max(np.linalg.norm(np.subtract(now, then)) for now, then in zip(state.segments[i], previous.segments[i]))
+        bound = previous.clearances[i] - motion - geometry._CULL_SLACK
+        exits += i in previous.tunnel and i not in state.tunnel and bound > max(best, full.clearances[i])
+        if state.clearances[i] == full.clearances[i]:  # scored exactly
+            best = min(best, state.clearances[i])
+    return exits
+
+
 class TestCulledEvaluation:
     """``world_state`` from a previous state skips the rim pass of capsules that cannot bind."""
 
@@ -521,6 +541,34 @@ class TestCulledEvaluation:
             assert state.clearances.tobytes() == full.clearances.tobytes()
             _assert_same_witness(state.witness, full.witness)
 
+    def test_seeded_entrance_exits_keep_the_full_witness(self, setup, straight_chain):
+        # A crosses the opening near its centre on a shallow line whose outside part passes just beyond a rim
+        # edge, so its TUNNEL score lies far above the FRINGE clearance it takes once a small turn pulls it out
+        scene = setup[0]
+        rng = np.random.default_rng(41)
+        link_1 = np.array([1.0, 0.0, 0.0])  # link 1's frame origin at zero turn
+        exit_draws = 0
+        for _ in range(1000):
+            crossing = np.array([3.0, *rng.uniform(-0.2, 0.2, 2)])
+            angle = rng.uniform(0.0, 2 * np.pi)
+            u = np.array([0.0, np.cos(angle), np.sin(angle)])
+            to_rim = min((np.copysign(0.5, u_j) - c_j) / u_j for c_j, u_j in zip(crossing[1:], u[1:]) if u_j)
+            outside = crossing + (to_rim + rng.uniform(0.01, 0.1)) * u - [rng.uniform(0.002, 0.03), 0.0, 0.0]
+            inside = crossing - rng.uniform(0.1, 0.6) * (outside - crossing)
+            b_end, c_end = (np.array([rng.uniform(2.0, 2.95), *rng.uniform(-0.8, 0.8, 2)]) for _ in range(2))
+            capsules = CapsuleSet([
+                Capsule(1, b_end + rng.uniform(-0.6, 0.6, 3) - link_1, b_end - link_1, 0.05),
+                Capsule(1, outside - link_1, inside - link_1, 0.05),
+                Capsule(0, c_end + rng.uniform(-0.6, 0.6, 3), c_end, 0.05),
+            ])
+            turn = rng.uniform(-0.02, 0.02)
+            previous = world_state([turn, 0, 0, 0, 0, 0], straight_chain, capsules, scene)
+            turn += rng.choice([-1.0, 1.0]) * rng.uniform(0.002, 0.05)
+            state = world_state([turn, 0, 0, 0, 0, 0], straight_chain, capsules, scene, previous)
+            _assert_culled_like_full(state)
+            exit_draws += _floor_breaking_exits(previous, state) > 0
+        assert exit_draws >= 40  # 46 of the 1000 draws
+
     def test_random_joint_walks_keep_the_full_witness(self):
         # walks from each scenario's start in steps of 0.002-0.08 rad per joint carry axes across the entrance
         from icop.scenario import load_bundled, mounted_scene_and_path
@@ -543,6 +591,81 @@ class TestCulledEvaluation:
                     previous = state
         assert states == 10_000
         assert witness_changes > 100 and tunnel_changes > 100 and culled > states
+
+
+class TestMaterialOracle:
+    """``sampled_material_clearance``: a capsule against the wall quads, (section edge i -> i + 1) x [0, depth]."""
+
+    SAMPLES = 400
+
+    def _spacing(self, a, b, samples=SAMPLES):
+        """The most a sampled axis minimum can exceed the true one: half the sample spacing."""
+        return np.linalg.norm(np.subtract(b, a)) / (2 * (samples - 1))
+
+    def test_through_a_wall(self, square_tunnel):
+        a, b = [1.0, 0.0, 0.0], [1.0, 0.8, 0.0]  # leaves through the y = 0.5 wall
+        got = sampled_material_clearance(a, b, 0.05, square_tunnel, self.SAMPLES)
+        assert got.crosses_wall
+        assert -0.05 <= got.clearance <= -0.05 + self._spacing(a, b)
+
+    def test_wholly_inside(self, square_tunnel):
+        # the nearest wall is y = 0.5, 0.3 from the end (1.5, 0.2, 0.1)
+        got = sampled_material_clearance([0.5, -0.2, 0.1], [1.5, 0.2, 0.1], 0.05, square_tunnel, self.SAMPLES)
+        assert not got.crosses_wall
+        assert got.clearance == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("y", [0.45, 0.55])
+    def test_grazing_a_face(self, square_tunnel, y):
+        # parallel to the y = 0.5 wall at one radius from it, on the inner face and on the outer one
+        got = sampled_material_clearance([0.5, y, 0.0], [1.5, y, 0.0], 0.05, square_tunnel, self.SAMPLES)
+        assert not got.crosses_wall
+        assert got.clearance == pytest.approx(0.0, abs=1e-12)
+
+    def test_in_front_of_the_rim(self, square_tunnel):
+        # in front of the entrance the nearest material is the rim, the quads' entrance edges
+        a, b = [-0.5, 0.0, 0.0], [-0.1, 0.3, 0.0]
+        exact = min(segment_segment_distance(a, b, *edge).distance for edge in fringe_segments(square_tunnel)) - 0.05
+        got = sampled_material_clearance(a, b, 0.05, square_tunnel, self.SAMPLES)
+        assert not got.crosses_wall
+        assert exact <= got.clearance <= exact + self._spacing(a, b)
+
+    def test_random_tunnels_against_denser_sampling(self):
+        # every coarse sample is a dense one, so the dense minimum is no larger and lies within the coarse spacing
+        rng = np.random.default_rng(42)
+        dense_samples = 10 * (self.SAMPLES - 1) + 1
+        crossing = 0
+        for _ in range(12):
+            scene = random_tunnel(rng)
+            to_world = scene.pose[:3, :3], scene.pose[:3, 3]
+            for _ in range(8):
+                ends = rng.uniform([-0.5, -1.0, -1.0], [scene.depth + 0.5, 1.0, 1.0], (2, 3))  # prism frame
+                a, b = ends @ to_world[0].T + to_world[1]
+                coarse = sampled_material_clearance(a, b, 0.05, scene, self.SAMPLES)
+                dense = sampled_material_clearance(a, b, 0.05, scene, dense_samples)
+                assert dense.crosses_wall == coarse.crosses_wall
+                assert dense.clearance <= coarse.clearance <= dense.clearance + self._spacing(a, b)
+                if coarse.crosses_wall:
+                    assert dense.clearance <= -0.05 + self._spacing(a, b, dense_samples)
+                    crossing += 1
+        assert crossing > 20
+
+    def test_a_point_against_a_grid_on_the_quads(self):
+        # the distance to each quad against a 101 x 101 grid of its points, placed from section, depth and pose
+        rng = np.random.default_rng(43)
+        u = np.linspace(0.0, 1.0, 101)
+        for _ in range(10):
+            scene = random_tunnel(rng)
+            section, R, t = scene.section, scene.pose[:3, :3], scene.pose[:3, 3]
+            edges = np.roll(section, -1, axis=0) - section
+            x, along = (g.ravel() for g in np.meshgrid(u * scene.depth, u))
+            quads = [np.column_stack([x, start + along[:, None] * edge]) for start, edge in zip(section, edges)]
+            grid = np.concatenate(quads) @ R.T + t
+            cell = np.hypot(scene.depth, np.linalg.norm(edges, axis=1).max()) / 100  # a grid cell's diagonal
+            for _ in range(5):
+                point = np.array([rng.uniform(-0.5, scene.depth + 0.5), *rng.uniform(-1.0, 1.0, 2)]) @ R.T + t
+                got = sampled_material_clearance(point, point, 0.0, scene, 2).clearance
+                nearest = np.linalg.norm(grid - point, axis=1).min()
+                assert got - 1e-12 <= nearest <= got + cell
 
 
 _DERIVED = ("_walls", "_wall_offsets", "_rim")
@@ -844,7 +967,7 @@ class TestBatchedKernel:
                 np.ascontiguousarray(local.transpose(2, 1, 0)), scene
             )
             for k, axis in enumerate(local.tolist()):
-                got_dist, got_edge, got_s, got_on_axis, got_on_fringe = _closest_fringe(axis, scene._rim)
+                got_dist, got_s, _clip, got_edge, got_on_axis, got_on_fringe = _closest_fringe(axis, scene._rim)
                 edge = int(nearest[k])
                 assert got_edge == edge, (k, axis)
                 got = np.array([got_dist, got_s, *got_on_axis, *got_on_fringe])
