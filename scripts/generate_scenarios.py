@@ -217,7 +217,14 @@ def solve_initial_config(chain, capsules, scene_mounted, approach, axis):
 
 
 def build_scenario(name: str) -> Scenario:
-    l, alpha = MOUNTINGS[name]
+    return mounted_scenario(name, *MOUNTINGS[name])
+
+
+def mounted_scenario(name: str, l: float, alpha: float) -> Scenario:
+    """The workpiece mounted at (l, alpha), with the best initial configuration the IK seeds find.
+
+    Raises RuntimeError when no seed gives a collision-free one.
+    """
     chain = gp50_like_chain()
     capsules = gp50_like_capsules(chain)
     scene = workpiece_scene()

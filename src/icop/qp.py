@@ -17,8 +17,21 @@ the problem is a least-distance problem. The equality rows are eliminated
 through an SVD of A / sqrt(w) (rank-deficient rows are projected onto their
 consistent part and flagged), leaving min ||z||^2 s.t. M z >= v over the
 null-space coordinates z. Its unconstrained minimum z = 0 is the weighted
-projection of x_ref onto the equality rows; when that point meets every
-inequality and bound it is returned as it is. Otherwise the dual active-set
+projection x0 of x_ref onto the equality rows; when that point meets every
+inequality and bound it is returned as it is.
+
+Three equality rows, the contact rows every planner QP has, are projected
+first on Python floats, with no SVD: x0 = x_ref + W^-1 A^T y, where y solves
+K y = b - A x_ref with K = A W^-1 A^T, through an unrolled LDL^T. That
+needs every pivot d_k above ``_PIVOT_RTOL`` K_kk, so the rows are far from
+dependent and the Gram solve stays at rounding error, and the shortest row
+long enough that the SVD's rank test would find the rows independent. When
+that x0 also meets every inequality and bound it is returned at once; most
+planner QPs end there. Otherwise the SVD runs: after the float projection it
+supplies only the null space and x0 is kept, and rows that failed the pivot
+test, or come in other numbers, take the SVD's x0 and its rank test.
+
+When x0 leaves a row or bound violated, the dual active-set
 method of Goldfarb and Idnani (Math. Programming 27, 1983) starts from z = 0
 and repeatedly adds the most violated row, ties breaking on the lowest
 constraint index so results are deterministic. Where the step towards that
@@ -36,6 +49,7 @@ reported MAX_ITER. ``kkt_residual`` is the unscaled residual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul, sub
 
 import numpy as np
 
@@ -44,6 +58,18 @@ STATUS_INFEASIBLE = "INFEASIBLE"
 STATUS_MAX_ITER = "MAX_ITER"
 
 _SVD_RANK_RTOL = 1e-12
+# ``_project_three`` takes rows only when every LDL^T pivot d_k of K = A W^-1 A^T exceeds this
+# share of K_kk; d_k / K_kk is the squared sine of the angle between scaled row k and the rows
+# before it. Scaled to a unit diagonal, K then has det > _PIVOT_RTOL^2 and trace 3, so its
+# condition number is below 27 / _PIVOT_RTOL^2 = 2.7e3, and the Gram solve, whose error grows
+# with it, keeps to rounding error: on the seeded rows of test_qp.py's fast-exit test its x0 meets
+# the SVD's to 1e-14 relative. At 1e-6 seeded rows near the threshold erred by up to 1e-3. The
+# rows of the bundled plans clear it by far: their smallest ratio is 0.56.
+_PIVOT_RTOL = 0.1
+# With those pivots, s_min^2 >= _PIVOT_RTOL^2 / 9 * min_k K_kk and s_max^2 <= trace K, so rows whose
+# shortest K_kk is above this share of the trace have s_min > 2 _SVD_RANK_RTOL s_max: the SVD's
+# rank test would find them independent, and the fast exit never takes rows the SVD would project.
+_SHORTEST_ROW = (6.0 * _SVD_RANK_RTOL / _PIVOT_RTOL) ** 2
 _TOL_FEAS = 1e-9
 _TOL_KKT = 1e-8
 _MAX_ITER = 200
@@ -54,7 +80,8 @@ class QpProblem:
     """The weights and the bounds (+-inf disables a side) shared by a family of QPs.
 
     Checked once and frozen, with what ``solve`` derives from them alone:
-    ``scale`` = 1 / sqrt(w) and ``box``, the bound rows in the scaled variable.
+    ``scale`` = 1 / sqrt(w) and ``box``, the bound rows in the scaled variable,
+    and for the three-row fast exit 1 / w and the bounds as tuples of floats.
     """
 
     weights: np.ndarray
@@ -62,6 +89,9 @@ class QpProblem:
     upper: np.ndarray
     scale: np.ndarray = field(init=False, repr=False)
     box: np.ndarray = field(init=False, repr=False)
+    inverse_weights: tuple[float, ...] = field(init=False, repr=False)
+    lower_floats: tuple[float, ...] = field(init=False, repr=False)
+    upper_floats: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         weights = np.array(self.weights, dtype=float).reshape(-1)
@@ -82,6 +112,8 @@ class QpProblem:
         for name, arr in frozen.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        for name, arr in (("inverse_weights", 1.0 / weights), ("lower_floats", lower), ("upper_floats", upper)):
+            object.__setattr__(self, name, tuple(arr.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,17 +141,53 @@ def _rows(M, v, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     return M, v
 
 
-def _eliminate_equalities(x_ref: np.ndarray, A: np.ndarray, b: np.ndarray, scale: np.ndarray):
+def _project_three(inverse_weights, x_ref, A, b):
+    """The weighted projection x_ref + W^-1 A^T y of x_ref onto three rows A x = b, on floats.
+
+    y solves K y = b - A x_ref with K = A W^-1 A^T, through an unrolled
+    LDL^T. Returns None, so the caller takes the SVD, when a pivot d_k is
+    not above ``_PIVOT_RTOL`` K_kk or the shortest row not above
+    ``_SHORTEST_ROW`` of the trace: the rows are then near-dependent, or
+    could be rank-deficient in the SVD's test.
+    """
+    a0, a1, a2 = A
+    w0, w1, w2 = (list(map(mul, a, inverse_weights)) for a in A)
+    k00, k01, k02 = sum(map(mul, w0, a0)), sum(map(mul, w0, a1)), sum(map(mul, w0, a2))
+    k11, k12, k22 = sum(map(mul, w1, a1)), sum(map(mul, w1, a2)), sum(map(mul, w2, a2))
+    if not min(k00, k11, k22) > _SHORTEST_ROW * (k00 + k11 + k22):
+        return None
+    l10, l20 = k01 / k00, k02 / k00
+    d1 = k11 - l10 * k01
+    if not d1 > _PIVOT_RTOL * k11:
+        return None
+    e21 = k12 - l20 * k01
+    l21 = e21 / d1
+    d2 = k22 - l20 * k02 - l21 * e21
+    if not d2 > _PIVOT_RTOL * k22:
+        return None
+    r0, r1, r2 = (bi - sum(map(mul, a, x_ref)) for a, bi in zip(A, b))
+    r1 -= l10 * r0
+    r2 -= l20 * r0 + l21 * r1
+    y2 = r2 / d2
+    y1 = r1 / d1 - l21 * y2
+    y0 = r0 / k00 - l10 * y1 - l20 * y2
+    return [x + u * y0 + v * y1 + t * y2 for x, u, v, t in zip(x_ref, w0, w1, w2)]
+
+
+def _eliminate_equalities(x_ref: np.ndarray, A: np.ndarray, b: np.ndarray, scale: np.ndarray, x0=None):
     """Parameterize x = x0 + scale * (null.T @ z) on the (projected) equality manifold.
 
     ``scale`` is 1 / sqrt(w). x0 is the weighted projection of x_ref onto the
     manifold, and the rows of ``null`` are an orthonormal basis of the null
     space in the scaled variable, so the objective is its value at x0 plus
-    ||z||^2.
+    ||z||^2. A given ``x0`` is ``_project_three``'s, whose rows the SVD's
+    rank test finds independent, and only ``null`` is read from the SVD.
     """
     if A.shape[0] == 0:
         return x_ref.copy(), np.eye(scale.shape[0]), False
     U, s, Vt = np.linalg.svd(A * scale, full_matrices=True)
+    if x0 is not None:
+        return x0, Vt[A.shape[0]:], False
     rank = np.count_nonzero(s > (s[0] * _SVD_RANK_RTOL if s[0] > 0 else np.inf))
     y_p = ((b - A @ x_ref) @ U[:, :rank] / s[:rank]) @ Vt[:rank]
     return x_ref + scale * y_p, Vt[rank:], rank < A.shape[0]
@@ -200,7 +268,10 @@ def solve(problem: QpProblem, x_ref, A=(), b=(), G=(), h=()) -> QpSolution:
 
     An empty sequence means no rows of that kind. Only the arguments of this
     call are checked: their shapes against ``problem`` and their finiteness.
-    Deterministic for fixed inputs.
+    Deterministic for fixed inputs. Three equality rows whose LDL^T pivots
+    clear ``_PIVOT_RTOL`` are projected on floats, and when their projection
+    meets every row and bound it is returned with no SVD; every other call
+    reaches the SVD (module docstring).
     """
     n = problem.weights.shape[0]
     x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
@@ -213,7 +284,20 @@ def solve(problem: QpProblem, x_ref, A=(), b=(), G=(), h=()) -> QpSolution:
         named = {"x_ref": x_ref, "A": A, "b": b, "G": G, "h": h}
         raise ValueError(f"{', '.join(k for k, arr in named.items() if not np.isfinite(arr).all())} must be finite")
     scale = problem.scale
-    x0, null, projected = _eliminate_equalities(x_ref, A, b, scale)
+    x0 = None
+    if A.shape[0] == 3:
+        rows, rhs = A.tolist(), b.tolist()
+        x0 = _project_three(problem.inverse_weights, x_ref.tolist(), rows, rhs)
+    if x0 is not None:
+        # The fast exit: where x0 meets every row and bound it is the optimum, and no SVD runs.
+        # Three variables leave no null space, and then no pass is counted, as below.
+        worst = min(min(map(sub, x0, problem.lower_floats)), min(map(sub, problem.upper_floats, x0)),
+                    *(sum(map(mul, g, x0)) - hi for g, hi in zip(G.tolist(), h.tolist())))
+        if worst >= -_TOL_FEAS * 0.1:
+            eq_res = max(abs(sum(map(mul, a, x0)) - bi) for a, bi in zip(rows, rhs))
+            return QpSolution(np.array(x0), STATUS_OPTIMAL, 0.0, eq_res, 1 if n > 3 else 0, False, np.zeros(0), ())
+        x0 = np.array(x0)
+    x0, null, projected = _eliminate_equalities(x_ref, A, b, scale, x0)
 
     def finish(x, status, kkt, iters, lam, active):
         eq_res = float(np.abs(A @ x - b).max(initial=0.0))

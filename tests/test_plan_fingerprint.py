@@ -15,7 +15,7 @@ import pytest
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "plan_fingerprint.py"
 
 # Includes c3's plan through the tunnel roof (ROADMAP item 1); the change that fixes it updates this.
-PINNED = "5f7da4385cfea43f148e8fc4dffcc7753332df5d59239e928effce77d23ffce2"
+PINNED = "6ffc4628d5a436be7134f1179b2095294235e4ad42eaa082ae71b50a4a71541c"
 
 
 @pytest.fixture(scope="module")

@@ -3,12 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from icop import planner
+from icop import planner, qp
 from icop.planner import plan
 from icop.qp import (
+    _PIVOT_RTOL,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     QpProblem,
+    _eliminate_equalities,
+    _project_three,
     solve,
 )
 from icop.scenario import load_bundled, mounted_scene_and_path
@@ -298,3 +301,125 @@ def test_planner_problems_match_oracle(monkeypatch):
         assert sol.iterations == 1 + len(sol.active_set)  # one pass per row added, none dropped
         ref = qp_enumeration_oracle(p, **call)
         assert np.max(np.abs(sol.x - ref[1])) <= 1e-9
+
+
+def _three_row_problem(rng, ratio: float, kind: str):
+    """Three equality rows in n = 3..6 variables, the third at LDL^T pivot ratio ``ratio`` to the first two.
+
+    In the scaled variable a row is a_k / sqrt(w), and the third pivot d_2 / K_22
+    of K = A W^-1 A^T is the squared sine of its angle to the span of the
+    first two; ratio 0 puts it in that span. ``kind`` places the rows' weighted
+    projection x0 of x_ref: strictly inside every row and bound ("inside"),
+    exactly on a G row or a bound ("on"), or outside a G row or a bound
+    ("outside"). Bounds are finite or infinite at random.
+    """
+    n = int(rng.integers(3, 7))
+    weights = rng.uniform(0.1, 10.0, n)
+    first = rng.normal(size=(2, n))
+    span = np.linalg.qr(first.T)[0]
+    along = span @ rng.normal(size=2)
+    across = rng.normal(size=n)
+    across -= span @ (span.T @ across)
+    third = np.sqrt(1.0 - ratio) * along / np.linalg.norm(along) + np.sqrt(ratio) * across / np.linalg.norm(across)
+    A = np.vstack([first, rng.uniform(0.5, 2.0) * third]) * np.sqrt(weights)
+    x_ref = rng.uniform(-2.0, 2.0, n)
+    b = A @ rng.uniform(-1.0, 1.0, n)
+    x0 = _eliminate_equalities(x_ref, A, b, weights**-0.5)[0]
+    G = rng.normal(size=(int(rng.integers(0, 3)), n))
+    h = G @ x0 - rng.uniform(0.1, 1.0, G.shape[0])
+    lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
+    if rng.random() < 0.5:
+        lower, upper = x0 - rng.uniform(0.5, 2.0, n), x0 + rng.uniform(0.5, 2.0, n)
+    i = int(rng.integers(n))
+    if kind != "inside" and (G.shape[0] == 0 or rng.random() < 0.5):
+        if kind == "on":
+            lower[i] = x0[i]
+        else:
+            upper[i] = x0[i] - rng.uniform(0.01, 0.3)
+            lower[i] = min(lower[i], upper[i])
+    elif kind != "inside":
+        h[0] = G[0] @ x0 + (0.0 if kind == "on" else rng.uniform(0.01, 0.3))
+    return QpProblem(weights, lower, upper), {"x_ref": x_ref, "A": A, "b": b, "G": G, "h": h}
+
+
+def _pivot_ratios(problem: QpProblem, A: np.ndarray) -> np.ndarray:
+    """The LDL^T pivots of K = A W^-1 A^T over its diagonal, from the leading principal minors."""
+    K = (A / problem.weights) @ A.T
+    minors = [1.0] + [np.linalg.det(K[:k, :k]) for k in (1, 2, 3)]
+    return np.array([minors[k + 1] / minors[k] / K[k, k] for k in range(3)])
+
+
+def test_three_row_fast_exit_matches_the_svd_and_the_oracle():
+    """Three contact rows: the float projection where every pivot clears, the SVD where one does not.
+
+    Whichever path ``solve`` takes, it meets the enumeration oracle and the
+    SVD elimination's x0 to 1e-12 relative, and flags exactly the rows the
+    SVD's rank test finds dependent.
+    """
+    rng = np.random.default_rng(28)
+    seen = {"fast": 0, "svd": 0, "on": 0, "active": 0, "projected": 0}
+    for index in range(400):
+        ratio = 0.0 if index % 10 == 0 else min(1.0, _PIVOT_RTOL * 10 ** rng.uniform(-1.0, 1.0))
+        kind = ("inside", "on", "outside")[index % 3]
+        p, call = _three_row_problem(rng, ratio, kind)
+        A, b, x_ref = call["A"], call["b"], call["x_ref"]
+        x0, _, projected = _eliminate_equalities(x_ref, A, b, p.scale)
+        fast = _project_three(p.inverse_weights, x_ref.tolist(), A.tolist(), b.tolist())
+        least = _pivot_ratios(p, A).min()
+        if abs(least - _PIVOT_RTOL) > 1e-9:
+            assert (fast is not None) == (least > _PIVOT_RTOL), (index, least)
+        seen["fast" if fast is not None else "svd"] += 1
+        close = 1e-12 * max(1.0, np.abs(x0).max())
+        if fast is not None:
+            assert np.abs(np.array(fast) - x0).max() <= close, index
+
+        s = solve(p, **call)
+        assert s.eq_projected == projected, index
+        seen["projected"] += projected
+        if not s.active_set:
+            assert np.abs(s.x - x0).max() <= close, index
+        if kind == "on" and fast is not None:
+            assert s.status == STATUS_OPTIMAL and s.active_set == () and s.iterations == (1 if x0.size > 3 else 0)
+            seen["on"] += 1
+        ref = qp_enumeration_oracle(p, **call)
+        if ref is None:
+            assert s.status == STATUS_INFEASIBLE, index
+            continue
+        assert s.status == STATUS_OPTIMAL, index
+        # with rows active, the oracle's own KKT solve carries their conditioning (multipliers reach 7e2)
+        rtol = 1e-10 if s.active_set else 1e-12
+        assert np.abs(s.x - ref[1]).max() <= rtol * max(1.0, np.abs(ref[1]).max()), index
+        seen["active"] += bool(s.active_set) and fast is not None
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_row_too_short_for_the_svd_rank_test_takes_the_svd():
+    # every pivot ratio is 1, but s_min / s_max = 1e-13 is under the SVD's rank tolerance: projected, not solved
+    A = np.diag([1.0, 1.0, 1e-13, 0.0])[:3]
+    p = QpProblem(np.ones(4), np.full(4, -np.inf), np.full(4, np.inf))
+    assert _project_three(p.inverse_weights, [0.0] * 4, A.tolist(), [0.0, 0.0, 1.0]) is None
+    s = solve(p, np.zeros(4), A=A, b=[0.0, 0.0, 1.0])
+    assert s.eq_projected and s.eq_residual == 1.0
+
+
+def test_one_round_takes_the_svd_in_30_of_192_qps(monkeypatch):
+    # one c1..c4 round at the bundled parameters poses 192 QPs; 162 end at the float projection, and the
+    # 30 whose projection leaves a row or bound violated reach the SVD for its null space
+    posed, eliminated = [], []
+
+    def recording_solve(problem, x_ref, **rows):
+        posed.append(rows["A"].shape)
+        return solve(problem, x_ref, **rows)
+
+    def counting_elimination(*args):
+        eliminated.append(args[-1] is not None)  # the float x0 is reused
+        return _eliminate_equalities(*args)
+
+    monkeypatch.setattr(planner, "solve", recording_solve)
+    monkeypatch.setattr(qp, "_eliminate_equalities", counting_elimination)
+    for name in ("c1", "c2", "c3", "c4"):
+        s = load_bundled(name)
+        scene, path = mounted_scene_and_path(s)
+        plan(path, s.initial_config, s.chain, s.capsules, scene, s.params)
+    assert len(posed) == 192 and set(posed) == {(3, 6)}
+    assert len(eliminated) == 30 and all(eliminated)
