@@ -6,7 +6,11 @@ interior weld seam along the tunnel floor line. The chain uses publicly
 documented Motoman GP50 dimensions; the four mounting placements (l, alpha)
 are the scenario family labels with l interpreted in centimeters.
 
-Run from the repository root:  python3 scripts/generate_scenarios.py
+Run from the repository root, under the OpenBLAS kernel the bundled assets
+were written under (the IK rounds in the kernel, and c3's two mirror-image
+postures tie to 1e-15 m):
+
+    OPENBLAS_CORETYPE=Haswell python3 scripts/generate_scenarios.py
 """
 
 from __future__ import annotations

@@ -20,6 +20,10 @@ inner-iteration counts and the non-convergence reports match; it exits 1 if
 the counts or the reports do not, or if any joint value moved by more than
 ``MAX_JOINT_CHANGE``.
 
+The QP's SVD rounds its last bits in the BLAS kernel, so two checkouts are
+compared under one kernel; the pinned hash in the tests is computed under
+``OPENBLAS_CORETYPE=Haswell``.
+
 Run from the repository root:  python3 scripts/plan_fingerprint.py
 """
 

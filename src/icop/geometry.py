@@ -50,6 +50,10 @@ A planner iterate is evaluated once: ``world_state`` places the capsule axes
 in the world from the frame rows of one ``kinematics.frames`` pass and scores
 them; the tool position, the tool Jacobian and the gradient read the same
 rows. Every public path here runs the same arithmetic and gets the same bits.
+``world_state`` is also the one place that decides what an evaluation
+reuses: a previous state of the same chain, capsules and scene whose ``q``
+has q's bits is handed back itself, with no forward pass, and any other
+previous state of those objects lends the scoring pass its floors (below).
 
 Every evaluation is one scoring pass, one loop over the capsules in which
 both cases fill one score record: every TUNNEL score first, then the previous
@@ -79,7 +83,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kinematics import NUM_JOINTS, RobotChain, frames, is_link_index, joint_config, point_jacobian, to_world
-from .transforms import cross, is_rigid
+from .transforms import is_rigid
 
 CASE_FRINGE = "FRINGE"
 CASE_TUNNEL = "TUNNEL"
@@ -515,19 +519,25 @@ class WorldState:
 def world_state(q, chain: RobotChain, capsules, scene: Scene, previous: WorldState | None = None) -> WorldState:
     """Evaluate configuration q once: frames, capsule axes, tool position, clearances, worst witness.
 
-    ``previous``, a state that holds these very ``chain``, ``capsules`` and
-    ``scene`` objects, gives the scoring pass of ``_score_axes`` its floors,
+    This is the one rule for what an evaluation reuses. ``previous``, a state
+    that holds these very ``chain``, ``capsules`` and ``scene`` objects, is
+    handed back itself when q has the bits of its ``q``: the state is a pure
+    function of those four, so it is the one a fresh evaluation would give.
+    At any other q it gives the scoring pass of ``_score_axes`` its floors,
     so the rim pass of a capsule that cannot bind is skipped: the witness and
     every exact clearance keep their bits, and a culled clearance is a lower
     bound. Any other ``previous`` is ignored, and the same pass then scores
-    every capsule.
+    every capsule. Capsules given as a tuple or list are converted here into
+    a new ``CapsuleSet``, so they never match ``previous``.
     """
     qv = joint_config(q)
     capsules = _capsule_set(capsules)
-    rows = frames(qv.tolist(), chain)
-    segments = _world_axes(rows, capsules._axes)
     if previous is not None and not (previous.chain is chain and previous.capsules is capsules and previous.scene is scene):
         previous = None
+    elif previous is not None and qv.tobytes() == previous.q.tobytes():
+        return previous
+    rows = frames(qv.tolist(), chain)
+    segments = _world_axes(rows, capsules._axes)
     clearances, witness, tunnel, scored = _score_axes(segments, capsules._radii, scene, range(len(capsules)), previous)
     # Every field is built here, so the frozen dataclass's __init__, one object.__setattr__ per field, is skipped.
     state = object.__new__(WorldState)
@@ -558,9 +568,9 @@ def _witness_gradient(rows: list, segment, capsules: CapsuleSet, scene: Scene, w
             # Touching witness: any unit direction is a valid sub-gradient choice.
             _y, _z, ey, ez, _length2, _ok = scene._rim[witness.plane_index]
             axis = R @ np.array([0.0, ey, ez])
-            n = cross(axis, np.array([1.0, 0.0, 0.0]))
+            n = np.cross(axis, np.array([1.0, 0.0, 0.0]))
             if np.linalg.norm(n) < 1e-9:
-                n = cross(axis, np.array([0.0, 1.0, 0.0]))
+                n = np.cross(axis, np.array([0.0, 1.0, 0.0]))
             n = n / np.linalg.norm(n)
         else:
             n = diff / dist

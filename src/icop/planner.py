@@ -23,18 +23,16 @@ and the clearance that ``plan`` records all read that one evaluation.
 SafeTrack hands ``world_state`` the state each iterate came from, so only
 the capsules that can bind are scored exactly; the others keep a lower bound
 from that state in their ``clearances`` entry. The planner reads no clearance
-but the witness's, which keeps the bits of a full evaluation.
-A plan that returns keeps the state it ended on as the resume point, and the
-next plan starts from it instead of evaluating its initial configuration when
-four keys match: the state's ``chain``, ``capsules`` (a ``CapsuleSet``) and
-``scene`` are the objects the plan is given, and the initial configuration
-has the bits of the state's ``q``. A plan that raises leaves the resume
-point as it was. So a plan streamed one waypoint per call evaluates each
-accepted state once in all.
+but the witness's, which keeps the bits of a full evaluation. ``plan`` hands
+``world_state`` the state the last plan that returned ended on, and
+``world_state``'s one reuse rule decides whether that state is the start; so
+a plan streamed one waypoint per call evaluates each accepted state once in
+all.
 
 A waypoint farther than ``step_max`` from the accepted tool position is split
 once into ``ceil(gap / step_max)`` evenly spaced pieces, measured from that
-position; a piece is never split again. A piece whose SafeTrack call fails is
+position; a piece is never split again. The pieces seed one stack of
+targets, the first piece on top. A target whose SafeTrack call fails is
 bisected: the midpoint between the current tool position and the target is
 tracked first, then the target, each one level deeper, down to
 ``_BISECT_DEPTH`` levels, after which the planner raises
@@ -53,14 +51,14 @@ import numpy as np
 from .cfs import collision_rows
 from .equality import task_rows
 from .geometry import Scene, WorldState, world_state
-from .kinematics import NUM_JOINTS, RobotChain, joint_config
+from .kinematics import NUM_JOINTS, RobotChain
 from .qp import STATUS_OPTIMAL, QpProblem, solve
 
 # How many times a step whose inner loop fails to converge is halved before the planner gives up.
 _BISECT_DEPTH = 3
 
-# The state the last plan that returned ended on. It is read and replaced whole, so a plan in
-# another thread either matches all four keys or evaluates its start.
+# The state the last plan that returned ended on, which the next plan hands ``world_state`` as its
+# previous state. It is read and replaced whole, so a plan in another thread sees one state or the other.
 _resume: WorldState | None = None
 
 
@@ -167,15 +165,11 @@ def plan(weld_path, q_init, chain: RobotChain, capsules, scene: Scene, params: P
 
     States chain from waypoint to waypoint; every emitted state satisfies the
     tracking threshold, a positive scene distance and the joint limits. The
-    initial configuration is evaluated once here, unless it resumes the last
-    plan that returned: when ``chain``, ``capsules`` and ``scene`` are the
-    objects its end state holds and ``q_init`` has the bits of its ``q``,
-    that state is the start. ``world_state`` is a pure function of those
-    four, so the start is the one a fresh evaluation would give. Capsules
-    given as a tuple or list, not the ``CapsuleSet`` a state holds, are
-    converted once and never resume. Each waypoint starts from the state
-    the previous one accepted. The recorded TCP error and clearance are
-    read from the evaluation of the state that SafeTrack accepted.
+    initial configuration is evaluated once here, unless ``world_state``
+    hands back the state the last plan that returned ended on. Each waypoint
+    starts from the state the previous one accepted. The recorded TCP error
+    and clearance are read from the evaluation of the state that SafeTrack
+    accepted.
     """
     global _resume
     path = np.asarray(weld_path, dtype=float)
@@ -183,8 +177,8 @@ def plan(weld_path, q_init, chain: RobotChain, capsules, scene: Scene, params: P
         raise ValueError("weld_path must be a non-empty (T, 3) array")
     if not np.isfinite(path).all():
         raise ValueError("weld_path must be finite")
-    q0 = joint_config(q_init)
-    if np.any(q0 < params.joint_lower - 1e-12) or np.any(q0 > params.joint_upper + 1e-12):
+    state = world_state(q_init, chain, capsules, scene, _resume)
+    if np.any(state.q < params.joint_lower - 1e-12) or np.any(state.q > params.joint_upper + 1e-12):
         raise ValueError("q_init violates the joint limits")
 
     T = path.shape[0]
@@ -193,35 +187,25 @@ def plan(weld_path, q_init, chain: RobotChain, capsules, scene: Scene, params: P
     min_distance = np.zeros(T)
     inner_iterations = np.zeros(T, dtype=int)
 
-    state = _resume
-    if not (
-        state is not None
-        and state.chain is chain
-        and state.capsules is capsules
-        and state.scene is scene
-        and state.q.tobytes() == q0.tobytes()
-    ):
-        state = world_state(q0, chain, capsules, scene)
     for t in range(T):
         c_from = state.tool_position
         step = path[t] - c_from
         gap = math.sqrt(step @ step)
-        split = gap > params.step_max
-        pieces = math.ceil(gap / params.step_max) if split else 1
+        stack = [(path[t], 0)]
+        if gap > params.step_max:
+            pieces = math.ceil(gap / params.step_max)
+            stack = [(c_from + (i / pieces) * step, 0) for i in range(pieces, 0, -1)]
         iters = 0
-        for i in range(1, pieces + 1):
-            piece = c_from + (i / pieces) * step if split else path[t]
-            stack = [(piece, 0)]
-            while stack:
-                target, depth = stack.pop()
-                result = safetrack(state, target, params)
-                iters += result.inner_iterations
-                if result.converged:
-                    state = result.state
-                elif depth < _BISECT_DEPTH:
-                    stack += [(target, depth + 1), (0.5 * (state.tool_position + target), depth + 1)]
-                else:
-                    raise NonConvergedError(t, result.tcp_error, result.state.witness.value)
+        while stack:
+            target, depth = stack.pop()
+            result = safetrack(state, target, params)
+            iters += result.inner_iterations
+            if result.converged:
+                state = result.state
+            elif depth < _BISECT_DEPTH:
+                stack += [(target, depth + 1), (0.5 * (state.tool_position + target), depth + 1)]
+            else:
+                raise NonConvergedError(t, result.tcp_error, result.state.witness.value)
         states[t] = state.q
         miss = path[t] - state.tool_position
         tcp_error[t] = math.sqrt(miss @ miss)

@@ -44,6 +44,12 @@ ever reported; stationarity and complementarity are held to it relative to
 the multipliers times the rows, so an ill-conditioned but solved problem,
 whose large multipliers leave rounding above an absolute tolerance, is not
 reported MAX_ITER. ``kkt_residual`` is the unscaled residual.
+
+An OPTIMAL point may lie up to the feasibility tolerance outside a row or
+bound, so its ``x`` is clipped onto the box before it is returned: the
+caller's bounds then hold exactly, as a joint-limit check with a tighter
+tolerance than the solver's expects. A point that is not OPTIMAL is returned
+as the solver left it.
 """
 
 from __future__ import annotations
@@ -271,7 +277,7 @@ def solve(problem: QpProblem, x_ref, A=(), b=(), G=(), h=()) -> QpSolution:
     Deterministic for fixed inputs. Three equality rows whose LDL^T pivots
     clear ``_PIVOT_RTOL`` are projected on floats, and when their projection
     meets every row and bound it is returned with no SVD; every other call
-    reaches the SVD (module docstring).
+    reaches the SVD (module docstring). An OPTIMAL ``x`` lies in the box.
     """
     n = problem.weights.shape[0]
     x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
@@ -294,12 +300,16 @@ def solve(problem: QpProblem, x_ref, A=(), b=(), G=(), h=()) -> QpSolution:
         worst = min(min(map(sub, x0, problem.lower_floats)), min(map(sub, problem.upper_floats, x0)),
                     *(sum(map(mul, g, x0)) - hi for g, hi in zip(G.tolist(), h.tolist())))
         if worst >= -_TOL_FEAS * 0.1:
+            if worst < 0.0:  # within the tolerance outside a row or bound: onto the box, as below
+                x0 = list(map(min, map(max, x0, problem.lower_floats), problem.upper_floats))
             eq_res = max(abs(sum(map(mul, a, x0)) - bi) for a, bi in zip(rows, rhs))
             return QpSolution(np.array(x0), STATUS_OPTIMAL, 0.0, eq_res, 1 if n > 3 else 0, False, np.zeros(0), ())
         x0 = np.array(x0)
     x0, null, projected = _eliminate_equalities(x_ref, A, b, scale, x0)
 
     def finish(x, status, kkt, iters, lam, active):
+        if status == STATUS_OPTIMAL:
+            x = np.clip(x, problem.lower, problem.upper)
         eq_res = float(np.abs(A @ x - b).max(initial=0.0))
         return QpSolution(x, status, kkt, eq_res, iters, projected, lam, tuple(active))
 

@@ -37,18 +37,3 @@ def is_rigid(T: np.ndarray, tol: float = 1e-9) -> bool:
     )
     return all(abs(err) <= tol for err in errors)  # a NaN fails its test
 
-
-def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of (..., 3) arrays.
-
-    Same arithmetic as ``np.cross`` without its per-call set-up, which costs
-    more than the product itself on 3-vectors.
-    """
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    first = a1 * b2 - a2 * b1
-    out = np.empty(first.shape + (3,))
-    out[..., 0] = first
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out

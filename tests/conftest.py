@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,20 @@ from icop.scenario import load_bundled
 from icop.transforms import homogeneous, rot_y
 
 from oracles import prism_faces
+
+
+# The OpenBLAS kernel that the pinned plan fingerprint and the bundled scenarios were computed under. Other
+# kernels round the SVD behind the QP's null space, and the IK behind each initial configuration, in other last
+# bits; every x86-64 host with AVX2 runs this one, whatever kernel it would pick itself.
+PINNED_KERNEL = "Haswell"
+
+
+def run_under_pinned_kernel(*args: str) -> str:
+    """The stdout of ``python *args`` run under ``PINNED_KERNEL``; the calling test fails on a non-zero exit."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=PINNED_KERNEL)
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 @pytest.fixture(scope="session")

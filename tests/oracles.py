@@ -31,7 +31,6 @@ import numpy as np
 
 from icop.geometry import _OPENING_TOL, _SEGMENT_EPS, CASE_FRINGE, CASE_TUNNEL, Scene
 from icop.kinematics import BodyPoint, JointParams, RobotChain, body_point_position
-from icop.transforms import cross
 
 
 def _rz(theta: float) -> np.ndarray:
@@ -103,7 +102,7 @@ def frames_reference(q, chain: RobotChain) -> np.ndarray:
 def point_jacobian_reference(frames: np.ndarray, link_index: int, position) -> np.ndarray:
     """3x6 positional Jacobian from stacked frames (7, >=3, 4): column i is the numpy cross product z_i x (p - o_i)."""
     J = np.zeros((3, len(frames) - 1))
-    J[:, :link_index] = cross(frames[:link_index, :3, 2], np.asarray(position) - frames[:link_index, :3, 3]).T
+    J[:, :link_index] = np.cross(frames[:link_index, :3, 2], np.asarray(position) - frames[:link_index, :3, 3]).T
     return J
 
 

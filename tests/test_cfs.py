@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from icop.cfs import convexify_collision
-from icop.geometry import scene_distance
+from icop.cfs import collision_rows, convexify_collision
+from icop.geometry import Capsule, CapsuleSet, scene_distance, world_state
 from icop.scenario import mounted_scene_and_path
 
 
@@ -61,3 +61,12 @@ def test_first_order_validity_ball(c4, mounted):
             d = scene_distance(q, c4.chain, c4.capsules, mounted).value
             assert d >= -5e-4
             kept += 1
+
+
+def test_a_locally_flat_distance_gives_no_row(c4, mounted):
+    # a capsule on the base link does not move with q, so its witness has a zero gradient
+    base = CapsuleSet([Capsule(0, np.array([0.0, 0.0, 0.2]), np.array([0.0, 0.0, 0.6]), 0.1)])
+    state = world_state(c4.initial_config, c4.chain, base, mounted)
+    assert not state.gradient().any()
+    G, h = collision_rows(state)
+    assert G.shape == (0, 6) and h.shape == (0,)

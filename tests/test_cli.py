@@ -5,8 +5,8 @@ import sys
 import pytest
 import yaml
 
-from icop import planner
-from icop.cli import EXIT_NON_CONVERGED, EXIT_OK, EXIT_PARSE, main
+from icop import planner, scenario as scn
+from icop.cli import EXIT_IO, EXIT_NON_CONVERGED, EXIT_OK, EXIT_PARSE, main
 from icop.geometry import world_state
 from icop.qp import STATUS_INFEASIBLE, QpSolution
 from icop.scenario import bundled_scenario_path, load_bundled, load_scenario, mounted_scene_and_path, scenario_to_dict
@@ -41,6 +41,59 @@ def test_non_convergence_exits_three_with_one_json_line(c1_path, tmp_path, capsy
     c1 = load_bundled("c1")
     scene, _ = mounted_scene_and_path(c1)
     assert report["min_distance"] == world_state(c1.initial_config, c1.chain, c1.capsules, scene).witness.value
+
+
+@pytest.mark.parametrize("blocked", ["c1_trajectory.csv", "c1_metrics.txt"])
+def test_an_output_file_that_cannot_be_written_exits_four(c1_path, tmp_path, capsys, blocked):
+    (tmp_path / blocked).mkdir()  # a directory where the file goes
+    code = main(["--scenario", c1_path, "--out", str(tmp_path), "--horizon", "5"])
+    assert code == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("I/O failure:")
+
+
+def test_a_sweep_table_that_cannot_be_written_exits_four(c1_path, tmp_path, capsys):
+    (tmp_path / "c1_horizon_sweep.txt").mkdir()
+    code = main(["--scenario", c1_path, "--out", str(tmp_path), "--sweep-horizon", "3,5"])
+    assert code == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("I/O failure:")
+
+
+def test_an_out_directory_that_cannot_be_made_exits_four_before_planning(c1_path, tmp_path, capsys, monkeypatch):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(planner, "plan", lambda *args: pytest.fail("planned without an output directory"))
+    code = main(["--scenario", c1_path, "--out", str(tmp_path / "file" / "out")])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith("I/O failure:")
+
+
+def test_an_invariant_violation_exits_three_with_one_json_line(c1_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(planner, "verify_trajectory", lambda traj, params: ["step 2: joint limits violated"])
+    code = main(["--scenario", c1_path, "--out", str(tmp_path), "--horizon", "5"])
+    assert code == EXIT_NON_CONVERGED
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert report == {"status": "invariant_violated", "scenario": "c1", "violations": ["step 2: joint limits violated"]}
+    assert (tmp_path / "c1_trajectory.csv").exists()  # the outputs are written before the check
+
+
+def test_a_sweep_row_that_does_not_converge_exits_three(c1_path, tmp_path, monkeypatch):
+    plan_scenario = scn.plan_scenario
+
+    def fails_at_five_waypoints(s, params):
+        if len(s.weld_path) == 5:
+            raise planner.NonConvergedError(3, 1e-3, 0.05)
+        return plan_scenario(s, params)
+
+    monkeypatch.setattr(scn, "plan_scenario", fails_at_five_waypoints)
+    code = main(["--scenario", c1_path, "--out", str(tmp_path), "--sweep-horizon", "3,5,7"])
+    assert code == EXIT_NON_CONVERGED
+    rows = [row.split() for row in (tmp_path / "c1_horizon_sweep.txt").read_text().splitlines()[2:]]
+    assert [row[0] for row in rows] == ["3", "5", "7"]
+    assert [row[3] for row in rows] == ["ok", "non_converged@3", "ok"]
+    assert rows[0][2].isdigit() and rows[1][2] == "-" and rows[2][2].isdigit()
 
 
 def test_missing_file_exits_parse_code_without_outputs(tmp_path):

@@ -1,7 +1,10 @@
 """Tests of scripts/generate_scenarios.py, which regenerates the bundled assets.
 
 Loading the script catches a symbol it imports from ``icop`` going away; its
-``__main__`` guard keeps the import from regenerating the assets.
+``__main__`` guard keeps the import from regenerating the assets. The assets
+were written under ``conftest.PINNED_KERNEL``, whose rounding decides the
+last bits of each initial configuration, and c3's choice between its two
+mirror-image postures, whose clearances tie to 1e-15 m.
 """
 
 import importlib.util
@@ -9,9 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from icop.scenario import load_bundled
+from icop.scenario import bundled_scenario_path, load_bundled
 
-from conftest import fringe_segments
+from conftest import fringe_segments, run_under_pinned_kernel
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "generate_scenarios.py"
 
@@ -42,3 +45,17 @@ def test_script_rebuilds_the_bundled_scenes_bit_for_bit():
                 field,
             )
         assert fringe_segments(built).tobytes() == fringe_segments(bundled).tobytes(), name
+
+
+def test_build_scenario_rebuilds_the_bundled_assets_bit_for_bit(tmp_path):
+    # serialized floats round-trip exactly, so equal files mean equal bits, initial_config included
+    src = str(SCRIPT.parent.parent / "src")
+    run_under_pinned_kernel(
+        "-c",
+        f"import sys; sys.path[:0] = [{src!r}, {str(SCRIPT.parent)!r}]\n"
+        "from generate_scenarios import MOUNTINGS, build_scenario\n"
+        "from icop.scenario import serialize_scenario\n"
+        f"for name in MOUNTINGS: serialize_scenario(build_scenario(name), {str(tmp_path)!r} + f'/{{name}}.scenario')",
+    )
+    for name in ("c1", "c2", "c3", "c4"):
+        assert (tmp_path / f"{name}.scenario").read_bytes() == bundled_scenario_path(name).read_bytes(), name

@@ -21,7 +21,7 @@ from icop.geometry import (
     world_capsule_segments,
     world_state,
 )
-from icop.kinematics import RobotChain, forward_kinematics
+from icop.kinematics import RobotChain, forward_kinematics, point_jacobian
 from icop.transforms import homogeneous, rot_y
 
 from conftest import fringe_segments, kernel_tunnel_clearance, random_tunnel, rot_z
@@ -306,6 +306,36 @@ class TestDistanceGradient:
         # joint 1 moves the point along +-y, orthogonal to the witness direction
         if abs(n[1]) < 1e-9 and abs(w.point_on_robot[1]) < 1e-9:
             assert abs(g[0]) < 1e-9
+
+    @pytest.mark.parametrize("k", range(2, 6))  # links 3..6: the first two move a point in a plane only
+    def test_an_axis_touching_a_rim_edge_gets_a_direction_across_the_edge(self, c4, k):
+        # c4's capsule k at its initial configuration, with a unit-square rim edge through the end of its
+        # axis: the witness points coincide, so the direction comes from the edge, not from their difference
+        q = c4.initial_config
+        capsule = CapsuleSet([c4.capsules[k]])
+        ((a, b),) = world_capsule_segments(q, c4.chain, capsule)
+        x = (b - a) / np.linalg.norm(b - a)
+        z = np.cross(x, [0.3, 0.5, 0.8])
+        z /= np.linalg.norm(z)
+        R = np.column_stack([x, np.cross(z, x), z])
+        # prism frame: the axis ends 1e-13 m in front of (0, 0.5, 0), the midpoint of rim edge 0 along z, so
+        # rounding cannot move the end across the entrance
+        scene = Scene(np.array(_UNIT_SQUARE), 2.0, homogeneous(R, b - R @ [-1e-13, 0.5, 0.0]))
+        state = world_state(q, c4.chain, capsule, scene)
+        w = state.witness
+        assert w.case_tag == CASE_FRINGE and w.plane_index == 0
+        assert np.linalg.norm(w.point_on_robot - w.point_on_obstacle) < 1e-12
+        g = state.gradient()
+        assert np.isfinite(g).all() and g.any()
+        assert g.tobytes() == witness_gradient(q, c4.chain, capsule, scene, w).tobytes()
+        # g = n @ J for the witness point's Jacobian J, whose three rows are independent: n is a unit
+        # vector across the edge
+        J = point_jacobian(state.frames, c4.capsules[k].link_index, w.point_on_robot.tolist())
+        n, *_ = np.linalg.lstsq(J.T, g, rcond=None)
+        assert np.linalg.matrix_rank(J) == 3
+        assert np.abs(n @ J - g).max() < 1e-6
+        assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-6)
+        assert abs(n @ z) < 1e-6
 
 
 def _near_witness_switch(q, scenario, scene, h: float = 2e-6) -> bool:

@@ -100,6 +100,23 @@ def test_plan_determinism_bit_for_bit(world):
     assert np.array_equal(t1.inner_iterations, t2.inner_iterations)
 
 
+@pytest.mark.parametrize("joint, side", [(1, "upper"), (2, "upper"), (4, "lower")])
+@pytest.mark.parametrize("inset", [2e-11, 5e-11, 8e-11])
+def test_a_limit_just_inside_the_plan_keeps_every_state_in_the_box(world, joint, side, inset):
+    # the QP accepts a point up to 1e-10 outside a bound; the plan it returns must still pass the 1e-12 check
+    c4, scene, path = world
+    free = plan(path, c4.initial_config, c4.chain, c4.capsules, scene, c4.params).states[:, joint]
+    lower, upper = c4.params.joint_lower.copy(), c4.params.joint_upper.copy()
+    if side == "upper":
+        upper[joint] = free.max() - inset
+    else:
+        lower[joint] = free.min() + inset
+    params = dataclasses.replace(c4.params, joint_lower=lower, joint_upper=upper)
+    traj = plan(path, c4.initial_config, c4.chain, c4.capsules, scene, params)
+    assert verify_trajectory(traj, params) == []
+    assert (traj.states >= lower).all() and (traj.states <= upper).all()
+
+
 def test_long_step_interpolation_is_transparent(world):
     c4, scene, path = world
     # a single waypoint 0.3 m away still lands within xi
@@ -381,12 +398,16 @@ def test_safetrack_calls_per_waypoint_reach_the_bound(world, monkeypatch):
 
 
 def _count_evaluations(monkeypatch):
-    """Record every state that ``plan`` and SafeTrack evaluate; returns the list they are appended to."""
+    """Record every state that ``plan`` and SafeTrack evaluate; returns the list they are appended to.
+
+    A state that ``world_state`` hands back as it was given is no evaluation.
+    """
     evaluate, evaluations = planner.world_state, []
 
-    def counted(*args):
-        state = evaluate(*args)
-        evaluations.append(state)
+    def counted(q, chain, capsules, scene, previous=None):
+        state = evaluate(q, chain, capsules, scene, previous)
+        if state is not previous:
+            evaluations.append(state)
         return state
 
     monkeypatch.setattr(planner, "world_state", counted)

@@ -118,6 +118,17 @@ def test_infeasible_equality_vs_box():
     assert s.status == STATUS_INFEASIBLE
 
 
+@pytest.mark.parametrize("rows", [0, 3], ids=["general path", "three-row fast exit"])
+def test_an_optimum_within_the_tolerance_outside_a_bound_is_returned_on_it(rows):
+    # x_ref is 5e-11 above upper[3], inside the feasibility tolerance; rows of e_0..e_2 leave x_3 free
+    problem = QpProblem(np.ones(6), -np.ones(6), np.ones(6))
+    x_ref = np.array([0.2, -0.1, 0.3, 1.0 + 5e-11, 0.0, 0.5])
+    sol = solve(problem, x_ref, A=np.eye(6)[:rows], b=np.zeros(rows))
+    assert sol.status == STATUS_OPTIMAL
+    assert sol.x[3] == 1.0
+    assert sol.x[4:].tolist() == x_ref[4:].tolist()
+
+
 def test_rank_deficient_equalities_are_projected():
     A = np.vstack([np.eye(6)[0], np.eye(6)[0]])  # duplicated row
     s = solve(QpProblem(np.ones(6), *UNBOUNDED), np.zeros(6), A=A, b=[0.5, 0.7])  # rank 1, inconsistent rhs
