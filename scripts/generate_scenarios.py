@@ -6,9 +6,10 @@ interior weld seam along the tunnel floor line. The chain uses publicly
 documented Motoman GP50 dimensions; the four mounting placements (l, alpha)
 are the scenario family labels with l interpreted in centimeters.
 
-Run from the repository root, under the OpenBLAS kernel the bundled assets
-were written under (the IK rounds in the kernel, and c3's two mirror-image
-postures tie to 1e-15 m):
+Each initial configuration is the one, among the IK seeds on both wrist
+branches, with the largest clearance. Run from the repository root, under
+the OpenBLAS kernel the bundled assets were written under (the IK rounds its
+last bits in the kernel):
 
     OPENBLAS_CORETYPE=Haswell python3 scripts/generate_scenarios.py
 """
@@ -193,11 +194,12 @@ IK_SEEDS = (
     np.array([0.0, -0.4, 0.8, 0.0, -1.5, 0.0]),
     np.array([0.0, 1.0, -0.8, 0.0, -0.5, 0.0]),
 )
+IK_SEEDS += tuple(seed * [1.0, 1.0, 1.0, 1.0, -1.0, 1.0] for seed in IK_SEEDS)  # the other wrist branch: joint 5 negated
 
 
 def solve_initial_config(chain, capsules, scene_mounted, approach, axis):
     """Best collision-free initial configuration across the seed postures."""
-    from icop.geometry import scene_distance
+    from icop.geometry import world_state
 
     tool = tool_tip(chain)
     candidates = []
@@ -211,7 +213,7 @@ def solve_initial_config(chain, capsules, scene_mounted, approach, axis):
             continue
         if np.any(q < JOINT_LOWER) or np.any(q > JOINT_UPPER):
             continue
-        d = scene_distance(q, chain, capsules, scene_mounted).value
+        d = world_state(q, chain, capsules, scene_mounted).witness.value
         if d <= 0.01:
             continue
         candidates.append((d, q))

@@ -13,37 +13,42 @@ line in (y, z). ``transform_scene`` composes a rigid motion into the pose,
 which keeps every invariant, so it checks nothing again and shares the
 tables: the pose is the only world-frame fact a scene holds.
 
-A capsule whose axis does not cross the entrance opening keeps its distance
-to the fringe segments (FRINGE case). A capsule whose axis crosses the
-opening is a working segment (TUNNEL case): its score is the worst signed
-half-space clearance of the in-tunnel portion of the axis against the wall
-planes. Both cases subtract the capsule radius, so a positive value always
-means surface clearance. Wall clearance is affine along the axis and the
-minimum of affine functions is concave, so the in-tunnel minimum is attained
-at an interval endpoint; the evaluation is exact, no sampling.
+The tunnel's material is its k wall quads, section edge i -> i + 1 swept
+over 0 <= x <= depth. The distance from a point to the quads separates along
+x: in front of the entrance the nearest quad point lies on the rim, beyond
+the exit on the exit ring (the rim at x = depth), and inside the slab only
+(y, z) matters. So each capsule axis is scored piece by piece, exactly:
 
-The minimum distance carries a witness (capsule, axis parameter, closest
-points, clipping plane if any) so the configuration-space gradient can be
-assembled from body-point Jacobians, including the chain-rule term for
-witnesses pinned to the entrance crossing.
+- an axis with a part in front of the entrance, as a whole against the rim:
+  a rim point is never nearer than the quads, and in front they agree;
+- an axis with a part beyond the exit, as a whole against the exit ring;
+- its piece clipped to the slab. When the piece's (y, z) projection meets
+  the section, the score is the worst wall half-space clearance at the
+  piece's two ends (TUNNEL case): it is affine along the piece, so inside
+  the section the minimum lies at an end. An end outside the section makes
+  it negative: the axis pierces a wall quad, and the score is a depth.
+  Otherwise it is the rim pass on the projection, whose edges are then the
+  section edges (FRINGE, as the rim and the exit ring).
 
-All capsules of a configuration are scored in the prism frame, on Python
-floats: each world axis end p is mapped there once, as (p - t) @ R summed
-left to right, with the rotation R and translation t read from the pose on
-every call, and every pass reads those floats, one capsule at a time. On
-arrays this small numpy's per-call cost outweighs its arithmetic. Only the
-axes whose ends lie strictly on both sides of x = 0 (usually one or none) get
-a crossing point and the inside test against the rim edges; the same pass
-clips each axis that crosses the opening to the slab 0 <= x <= depth and
-measures the walls at both ends of that interval. Every other axis gets the
-FRINGE pass: the closest-point arithmetic of ``segment_segment_distance``
-against each rim edge, branching on a point-like edge or axis, with the zero
-x terms of the rim left out. A capsule scored alone and in a batch takes the
-same operations, so it gets the same bits. Only the worst capsule (the first
-on a tie) gets a witness, whose points go back to the world through the pose.
-The references are the world-frame scalar ``segment_segment_distance`` with
-``classify_segment`` and ``point_in_polygon`` of ``tests/oracles.py``, the
-numpy TUNNEL clearance there, and, for the FRINGE pass bit for bit, the numpy
+Every score is a distance minus the capsule radius, so a positive value
+means surface clearance. Unsigned, it is the exact distance from the axis to
+the quads, which moves no faster than the axis ends do; only an axis that
+meets a wall quad has a negative one. The minimum carries a witness (capsule, axis parameter, closest
+points, cut plane if any) so the configuration-space gradient can be
+assembled from body-point Jacobians, with the chain-rule term for a witness
+pinned where the axis crosses x = 0 or x = depth.
+
+Each capsule is scored in the prism frame, on Python floats: its world axis
+ends p are mapped there when it is scored, as (p - t) @ R summed left to
+right, with R and t read from the pose on every call; on arrays this small
+numpy's per-call cost outweighs its arithmetic. The rim pass is the
+closest-point arithmetic of ``segment_segment_distance`` against each edge,
+branching on a point-like edge or axis, with the zero x terms of the rim
+left out. A capsule scored alone and in a batch gets the same bits. Only the
+worst capsule (the first on a tie) gets a witness, whose points go back to
+the world through the pose. The references in ``tests/oracles.py`` are
+``quad_distance``, exact quad by quad in the world frame, the sampled
+``sampled_material_clearance``, and, for the rim pass bit for bit, the numpy
 (capsules x rim edges) grid ``grid_closest_fringe``.
 
 A planner iterate is evaluated once: ``world_state`` places the capsule axes
@@ -55,22 +60,21 @@ reuses: a previous state of the same chain, capsules and scene whose ``q``
 has q's bits is handed back itself, with no forward pass, and any other
 previous state of those objects lends the scoring pass its floors (below).
 
-Every evaluation is one scoring pass, one loop over the capsules in which
-both cases fill one score record: every TUNNEL score first, then the previous
-witness capsule, then the rest in index order. The pass may skip the FRINGE
-scoring of a capsule that cannot bind (conservative advancement used for
-culling). A FRINGE distance is a distance to the rim, so it falls by at most
-the larger displacement of the axis's two ends. Given the state an iterate
-came from, a capsule that was not TUNNEL-scored there keeps a floor from it:
-its exact clearance there, or the floor it carried. That floor minus the
-displacement and ``_CULL_SLACK`` bounds the capsule's clearance now, and a
-capsule whose bound lies above the smallest clearance found so far is
-culled; its bound is kept as its clearance entry and is its floor at the
-next state. A TUNNEL score is no floor, so the jump between the two cases at
-the entrance cannot break a bound. A culled capsule is strictly above the
-minimum, so the witness has the bits of an exact evaluation. Without a
-previous state of the same chain, capsules and scene no capsule has a floor,
-and the same pass scores every capsule, starting at capsule 0.
+Every evaluation is one scoring pass, one loop over the capsules that fills
+one score record each: the previous witness capsule first, then the rest in
+index order. The pass may skip the scoring of a capsule that cannot bind
+(conservative advancement used for culling). Given the state an iterate came
+from, every capsule keeps a floor from it: its exact clearance there, or the
+bound it carried. That floor minus the larger displacement of the axis's two
+ends and ``_CULL_SLACK`` bounds the capsule's clearance now as long as the
+bound stays above minus its radius: the axis then cannot have reached a wall
+quad, and the unsigned distance moves no faster than the axis. A capsule
+whose bound lies above that and above the smallest clearance found so far is
+culled; its bound is kept as its clearance entry and is its floor at the next
+state. A culled capsule is strictly above the minimum, so the witness has the
+bits of an exact evaluation. Without a previous state of the same chain,
+capsules and scene no capsule has a floor, and the same pass scores every
+capsule, starting at capsule 0.
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -91,10 +96,6 @@ CASE_TUNNEL = "TUNNEL"
 # Squared segment length below which segment_segment_distance treats a
 # segment as a point.
 _SEGMENT_EPS = 1e-14
-
-# How far outside an entrance edge a crossing point may lie and still count
-# as inside the opening.
-_OPENING_TOL = 1e-9
 
 # What a culled capsule's clearance bound gives up for rounding (m); a bound is kept only above the minimum.
 _CULL_SLACK = 1e-9
@@ -230,11 +231,16 @@ class Scene:
 class DistanceWitness:
     """Where the minimum distance is attained and how it was measured.
 
-    ``value`` is the signed clearance (axis distance minus radius for FRINGE,
-    worst in-tunnel wall clearance minus radius for TUNNEL). ``axis_param``
-    locates the witness point on the capsule axis; ``clip_plane_index`` is set
-    when that point is pinned to an opening-plane crossing instead of a
-    material endpoint, which the gradient has to account for.
+    ``value`` is the signed clearance minus the radius: the axis's distance
+    to an edge (FRINGE), or the worst wall half-space clearance at an end of
+    its piece in the slab (TUNNEL), negative where the axis pierces a wall.
+    ``axis_param`` locates the witness point on the whole capsule axis;
+    ``clip_plane_index`` is set when that point is pinned where the axis
+    crosses the entrance (0) or exit (1) plane instead of a material
+    endpoint, which the gradient has to account for. ``plane_index`` is the
+    wall plane 2 + i (TUNNEL), or the edge (FRINGE): rim edge j is j, the
+    exit ring's edge j is k + j, and section edge j seen from the slab is
+    2k + j. The three name one smooth piece of the distance.
     """
 
     value: float
@@ -243,7 +249,7 @@ class DistanceWitness:
     point_on_obstacle: np.ndarray
     case_tag: str
     axis_param: float
-    plane_index: int  # wall plane index (TUNNEL) or fringe segment index (FRINGE)
+    plane_index: int  # wall plane 2 + i (TUNNEL), or an edge of the rim, exit ring or slab (FRINGE)
     clip_plane_index: int | None = None
 
 
@@ -296,58 +302,6 @@ def segment_segment_distance(a0, a1, b0, b1) -> SegmentClosest:
     return SegmentClosest(float(np.linalg.norm(p1 - p2)), p1, p2, float(s), float(t))
 
 
-def _tunnel_scores(axes: list, scene: Scene) -> dict[int, tuple]:
-    """TUNNEL score of every prism-frame axis ((ax, ay, az), (bx, by, bz)) of ``axes`` that crosses the entrance opening (the test of ``classify_segment``).
-
-    The entrance is the plane x = 0 and the tunnel the slab 0 <= x <= depth.
-    Only an axis whose ends lie strictly on opposite sides of x = 0 gets a
-    crossing point and the inside test against each rim edge, the edge cross
-    product of ``point_in_polygon``. A crossing axis is clipped to the slab
-    and scored at both ends of that interval against every wall; the lower
-    end, then the lower wall row, wins a tie. When the interval is empty the
-    crossing itself is scored, pinned to the entrance at both ends. All of it
-    runs on Python floats. Returns {axis: (clearance, axis parameter, clip
-    plane or None, wall plane, point on the axis, its foot on the wall plane)},
-    the two points in the prism frame.
-    """
-    straddle = [i for i, ((xa, _, _), (xb, _, _)) in enumerate(axes) if xa * xb < 0.0]
-    if not straddle:
-        return {}
-    walls = list(zip(scene._walls.tolist(), scene._wall_offsets.tolist()))
-    depth = scene.depth
-    scores = {}
-    for i in straddle:
-        (ax, ay, az), (bx, by, bz) = axes[i]
-        dx, dy, dz = bx - ax, by - ay, bz - az
-        t = ax / (ax - bx)
-        y, z = ay + t * dy, az + t * dz
-        # inside the opening: on the left of every rim edge, seen from +x
-        if not all(ey * (z - sz) - ez * (y - sy) >= -_OPENING_TOL for sy, sz, ey, ez, _e, _ok in scene._rim):
-            continue
-        # (axis parameter, opening plane that pinned it): the entrance x = 0 is plane 0, the exit x = depth plane 1
-        lo, hi = (0.0, None), (1.0, None)
-        if abs(dx) < 1e-14:
-            if not 0.0 <= ax <= depth:  # parallel to the opening faces and outside the slab: the interval is empty
-                lo = (math.inf, None)
-        else:
-            enter, leave = ((-ax / dx, 0), ((depth - ax) / dx, 1))[:: 1 if dx > 0.0 else -1]
-            lo, hi = enter if enter[0] > 0.0 else lo, leave if leave[0] < 1.0 else hi
-        if lo[0] > hi[0]:  # the crossing sliver vanished: score the entrance crossing
-            lo = hi = (t, 0)
-        best = None
-        for t_end, clip in (lo, hi):
-            p = (ax + t_end * dx, ay + t_end * dy, az + t_end * dz)
-            for row, ((ny, nz), off) in enumerate(walls):
-                clearance = ny * p[1] + nz * p[2] - off
-                if best is None or clearance < best[0]:
-                    best = (clearance, t_end, clip, row, p)
-        clearance, t_end, clip, row, p = best
-        (ny, nz), _off = walls[row]
-        foot = (p[0], p[1] - clearance * ny, p[2] - clearance * nz)
-        scores[i] = (clearance, t_end, clip, 2 + row, p, foot)  # wall row i is plane 2 + i
-    return scores
-
-
 def _closest_fringe(axis, rim: tuple) -> tuple:
     """Closest approach of one prism-frame axis ((ax, ay, az), (bx, by, bz)) to its nearest edge of ``rim`` (``Scene._rim``).
 
@@ -357,9 +311,8 @@ def _closest_fringe(axis, rim: tuple) -> tuple:
     only the sign of a zero, and each such zero is clipped or squared before
     it reaches a result. Each division runs behind the test that keeps its
     divisor away from zero, and a clipped parameter is never -0.0. Returns
-    the record of ``_tunnel_scores``: (distance, axis parameter, None, rim
-    index, point on the axis, point on the rim), the points in the prism
-    frame.
+    (distance, axis parameter, None, rim index, point on the axis, point on
+    the rim), the points in the prism frame.
     """
     (ax, ay, az), (bx, by, bz) = axis
     dx, dy, dz = bx - ax, by - ay, bz - az
@@ -403,58 +356,108 @@ def _closest_fringe(axis, rim: tuple) -> tuple:
     return best
 
 
+def _slab_score(axis, scene: Scene) -> tuple | None:
+    """Score record of the piece of a prism-frame axis in the slab 0 <= x <= depth, or None when it has none.
+
+    The piece's ends are pinned where the axis crosses x = 0 (plane 0) or
+    x = depth (plane 1), or are its material ends. When the piece's (y, z)
+    projection meets the section (clipped against each wall's half-plane,
+    Cyrus-Beck), both ends are scored against every wall and the lower end,
+    then the lower wall row, wins a tie. Otherwise the projection goes
+    through ``_closest_fringe``, whose rim edges are the section edges.
+    """
+    (ax, ay, az), (bx, by, bz) = axis
+    dx, dy, dz = bx - ax, by - ay, bz - az
+    lo, hi = (0.0, None), (1.0, None)  # (axis parameter, cut plane that pins it)
+    if dx != 0.0:
+        enter, leave = ((-ax / dx, 0), ((scene.depth - ax) / dx, 1))[:: 1 if dx > 0.0 else -1]
+        lo, hi = enter if enter[0] > 0.0 else lo, leave if leave[0] < 1.0 else hi
+        if lo[0] > hi[0]:
+            return None
+    elif not 0.0 <= ax <= scene.depth:
+        return None
+    walls = list(zip(scene._walls.tolist(), scene._wall_offsets.tolist()))
+    ends = []
+    for t, clip in (lo, hi):
+        y, z = ay + t * dy, az + t * dz
+        ends.append((t, clip, y, z, [ny * y + nz * z - off for (ny, nz), off in walls]))
+    # the projection meets the section where it is inside every wall's half-plane: from the last point where
+    # a clearance turns positive to the first where one turns negative (none when a wall has both ends outside)
+    pairs = list(zip(ends[0][4], ends[1][4]))
+    inside_from = max([0.0] + [ca / (ca - cb) if cb >= 0.0 else math.inf for ca, cb in pairs if ca < 0.0])
+    if inside_from <= min([1.0] + [ca / (ca - cb) for ca, cb in pairs if ca >= 0.0 > cb]):
+        scored = ((c, t, clip, row, y, z) for t, clip, y, z, clearances in ends for row, c in enumerate(clearances))
+        clearance, t, clip, row, y, z = min(scored, key=itemgetter(0))
+        (ny, nz), _off = walls[row]
+        x = ax + t * dx
+        return (clearance, t, clip, CASE_TUNNEL, 2 + row, (x, y, z), (x, y - clearance * ny, z - clearance * nz))
+    (t0, clip0, y0, z0, _), (t1, clip1, y1, z1, _) = ends
+    dist, s, _clip, j, (_, py, pz), (_, qy, qz) = _closest_fringe(((0.0, y0, z0), (0.0, y1, z1)), scene._rim)
+    t = t0 + s * (t1 - t0)
+    x = ax + t * dx
+    clip = clip0 if s == 0.0 else clip1 if s == 1.0 else None
+    return (dist, t, clip, CASE_FRINGE, 2 * len(walls) + j, (x, py, pz), (x, qy, qz))
+
+
+def _score_axis(axis, scene: Scene) -> tuple:
+    """Score record of one prism-frame axis: its rim pass, its slab piece and its exit-ring pass, the first smallest.
+
+    Returns (distance, axis parameter, cut plane or None, case, plane index,
+    point on the axis, point on the obstacle), the points in the prism frame.
+    """
+    (ax, ay, az), (bx, by, bz) = axis
+    rim, depth = scene._rim, scene.depth
+    scores = []
+    if ax < 0.0 or bx < 0.0:
+        dist, s, _clip, j, on_axis, on_rim = _closest_fringe(axis, rim)
+        scores.append((dist, s, None, CASE_FRINGE, j, on_axis, on_rim))
+    scores.append(_slab_score(axis, scene))
+    if ax > depth or bx > depth:
+        dist, s, _clip, j, (px, py, pz), (_, qy, qz) = _closest_fringe(((ax - depth, ay, az), (bx - depth, by, bz)), rim)
+        scores.append((dist, s, None, CASE_FRINGE, len(rim) + j, (px + depth, py, pz), (depth, qy, qz)))
+    return min(filter(None, scores), key=itemgetter(0))
+
+
 def _score_axes(axes: list, radii, scene: Scene, capsule_indices, previous: WorldState | None = None) -> tuple:
     """Signed clearances of world-frame axes ((ax, ay, az), (bx, by, bz)) with radii, scored in the prism frame, and the witness of the first smallest.
 
-    One loop scores every axis: the TUNNEL-scored ones first, then
-    ``previous``'s witness capsule, then the rest in index order. A capsule
-    that ``_tunnel_scores`` does not claim now and that was not TUNNEL-scored
-    at ``previous`` (a state of the same capsules and scene) has a floor there,
-    its ``clearances`` entry. When that floor, minus the larger world
-    displacement of its axis ends and ``_CULL_SLACK``, lies above the smallest
-    clearance found so far, the rim pass is skipped and the bound is kept as
-    its clearance. Without ``previous`` no capsule has a floor and the loop
-    starts at capsule 0. Returns (clearances, witness, indices of the
-    TUNNEL-scored axes, how many axes were scored exactly).
+    One loop scores every axis: ``previous``'s witness capsule first, then
+    the rest in index order. Each capsule has a floor at ``previous`` (a
+    state of the same capsules and scene), its ``clearances`` entry. When
+    that floor, minus the larger world displacement of its axis ends and
+    ``_CULL_SLACK``, lies above minus its radius and above the smallest
+    clearance found so far, the capsule is not scored and the bound is kept
+    as its clearance. Without ``previous`` no capsule has a floor and the
+    loop starts at capsule 0. Returns (clearances, witness, how many axes
+    were scored exactly).
     """
-    pose = scene.pose[:3].tolist()
-    (r00, r01, r02, tx), (r10, r11, r12, ty), (r20, r21, r22, tz) = pose
-    local = []
-    for ends in axes:  # (p - t) @ R, each end summed left to right
-        mapped = []
-        for x, y, z in ends:
-            x, y, z = x - tx, y - ty, z - tz
-            mapped.append((x * r00 + y * r10 + z * r20, x * r01 + y * r11 + z * r21, x * r02 + y * r12 + z * r22))
-        local.append(mapped)
-    tunnel, rim = _tunnel_scores(local, scene), scene._rim
-    n = len(local)
-    if previous is None:
-        first, floorless = 0, range(n)  # no capsule has a floor
-    else:
-        first, floorless, floors = previous.witness.capsule_index, previous.tunnel, previous.clearances.tolist()
+    (r00, r01, r02, tx), (r10, r11, r12, ty), (r20, r21, r22, tz) = pose = scene.pose[:3].tolist()
+    n = len(axes)
+    first, floors = (0, None) if previous is None else (previous.witness.capsule_index, previous.clearances.tolist())
     scores, clearances, best, culled = [None] * n, [None] * n, math.inf, 0
-    for i in (*tunnel, first, *range(first), *range(first + 1, n)):
-        if scores[i] is not None:  # TUNNEL-scored already
-            continue
-        if i not in floorless and i not in tunnel:
+    for i in (first, *range(first), *range(first + 1, n)):
+        if floors is not None:
             ((pax, pay, paz), (pbx, pby, pbz)), ((ax, ay, az), (bx, by, bz)) = previous.segments[i], axes[i]
             move_a = (ax - pax) ** 2 + (ay - pay) ** 2 + (az - paz) ** 2
             move_b = (bx - pbx) ** 2 + (by - pby) ** 2 + (bz - pbz) ** 2
             bound = floors[i] - math.sqrt(max(move_a, move_b)) - _CULL_SLACK
-            if bound > best:
+            if bound > best and bound > -radii[i]:
                 clearances[i] = bound
                 culled += 1
                 continue
-        score = scores[i] = tunnel.get(i) or _closest_fringe(local[i], rim)
+        local = []
+        for x, y, z in axes[i]:  # (p - t) @ R, each end summed left to right
+            x, y, z = x - tx, y - ty, z - tz
+            local.append((x * r00 + y * r10 + z * r20, x * r01 + y * r11 + z * r21, x * r02 + y * r12 + z * r22))
+        score = scores[i] = _score_axis(local, scene)
         clearance = clearances[i] = score[0] - radii[i]
         if clearance < best:
             best = clearance
     k = min(range(n), key=clearances.__getitem__)  # the first on a tie
-    _gap, t, clip, plane, on_robot, on_obstacle = scores[k]
+    _gap, t, clip, case, plane, on_robot, on_obstacle = scores[k]
     on_robot, on_obstacle = np.array([to_world(pose, on_robot), to_world(pose, on_obstacle)])
-    case = CASE_TUNNEL if k in tunnel else CASE_FRINGE
     witness = DistanceWitness(clearances[k], capsule_indices[k], on_robot, on_obstacle, case, t, plane, clip)
-    return clearances, witness, tuple(tunnel), n - culled
+    return clearances, witness, n - culled
 
 
 def capsule_distance(world_a, world_b, radius: float, scene: Scene, capsule_index: int = -1) -> DistanceWitness:
@@ -491,8 +494,7 @@ class WorldState:
     evaluated from: a culled ``clearances`` entry holds a lower bound of that
     capsule's clearance, strictly above the witness's value, and not the
     clearance itself. ``scored`` counts the capsules scored exactly (all of
-    them when there was no floor), and ``tunnel`` names the TUNNEL-scored
-    ones, which leave the next state no floor.
+    them when there was no floor).
     """
 
     q: np.ndarray
@@ -505,7 +507,6 @@ class WorldState:
     capsules: CapsuleSet
     scene: Scene
     scored: int  # capsules scored exactly: all of them unless some were culled
-    tunnel: tuple  # indices of the TUNNEL-scored capsules
 
     def tool_jacobian(self) -> np.ndarray:
         """3x6 positional Jacobian of the tool tip at this configuration."""
@@ -524,7 +525,7 @@ def world_state(q, chain: RobotChain, capsules, scene: Scene, previous: WorldSta
     handed back itself when q has the bits of its ``q``: the state is a pure
     function of those four, so it is the one a fresh evaluation would give.
     At any other q it gives the scoring pass of ``_score_axes`` its floors,
-    so the rim pass of a capsule that cannot bind is skipped: the witness and
+    so a capsule that cannot bind is not scored: the witness and
     every exact clearance keep their bits, and a culled clearance is a lower
     bound. Any other ``previous`` is ignored, and the same pass then scores
     every capsule. Capsules given as a tuple or list are converted here into
@@ -538,7 +539,7 @@ def world_state(q, chain: RobotChain, capsules, scene: Scene, previous: WorldSta
         return previous
     rows = frames(qv.tolist(), chain)
     segments = _world_axes(rows, capsules._axes)
-    clearances, witness, tunnel, scored = _score_axes(segments, capsules._radii, scene, range(len(capsules)), previous)
+    clearances, witness, scored = _score_axes(segments, capsules._radii, scene, range(len(capsules)), previous)
     # Every field is built here, so the frozen dataclass's __init__, one object.__setattr__ per field, is skipped.
     state = object.__new__(WorldState)
     state.__dict__.update(
@@ -552,34 +553,25 @@ def world_state(q, chain: RobotChain, capsules, scene: Scene, previous: WorldSta
         capsules=capsules,
         scene=scene,
         scored=scored,
-        tunnel=tunnel,
     )
     return state
 
 
 def _witness_gradient(rows: list, segment, capsules: CapsuleSet, scene: Scene, witness: DistanceWitness) -> np.ndarray:
     J_point = point_jacobian(rows, capsules[witness.capsule_index].link_index, witness.point_on_robot.tolist())
-
     R = scene.pose[:3, :3]
-    if witness.case_tag == CASE_FRINGE:
-        diff = witness.point_on_robot - witness.point_on_obstacle
-        dist = math.sqrt(diff @ diff)
-        if dist < 1e-12:
-            # Touching witness: any unit direction is a valid sub-gradient choice.
-            _y, _z, ey, ez, _length2, _ok = scene._rim[witness.plane_index]
-            axis = R @ np.array([0.0, ey, ez])
-            n = np.cross(axis, np.array([1.0, 0.0, 0.0]))
-            if np.linalg.norm(n) < 1e-9:
-                n = np.cross(axis, np.array([0.0, 1.0, 0.0]))
-            n = n / np.linalg.norm(n)
-        else:
-            n = diff / dist
-        return n @ J_point
-
-    n_w = R[:, 1:] @ scene._walls[witness.plane_index - 2]  # plane 2 + i is wall row i, a (y, z) normal
-    grad = n_w @ J_point
+    diff = witness.point_on_robot - witness.point_on_obstacle
+    dist = math.sqrt(diff @ diff)
+    if witness.case_tag == CASE_TUNNEL or dist < 1e-12:
+        # The wall's normal: the half-space clearance's gradient, or for a touching witness a unit direction
+        # across the touched edge, a valid sub-gradient choice. Plane 2 + i is wall row i, edge j of ring r is j + rk.
+        edge = witness.plane_index - 2 if witness.case_tag == CASE_TUNNEL else witness.plane_index % len(scene._rim)
+        n = R[:, 1:] @ scene._walls[edge]
+    else:
+        n = diff / dist
+    grad = n @ J_point
     if witness.clip_plane_index is not None:
-        # Witness point pinned to an opening-plane crossing: t* moves with q. Both opening planes are
+        # Witness point pinned where the axis crosses x = 0 or x = depth: t* moves with q. Both planes are
         # x = const in the prism frame, and the sign of their normal +-R[:, 0] cancels in dt/dq.
         a, b = segment
         d = np.subtract(b, a)
@@ -587,17 +579,18 @@ def _witness_gradient(rows: list, segment, capsules: CapsuleSet, scene: Scene, w
         slope = float(np.dot(n_c, d))
         if abs(slope) > 1e-12:
             dt_dq = -(n_c @ J_point) / slope
-            grad = grad + float(np.dot(n_w, d)) * dt_dq
+            grad = grad + float(np.dot(n, d)) * dt_dq
     return grad
 
 
 def witness_gradient(q, chain: RobotChain, capsules, scene: Scene, witness: DistanceWitness) -> np.ndarray:
     """Configuration-space gradient (6,) of one capsule's signed distance.
 
-    FRINGE: the witness axis point is a material point (minimizing parameters
-    are stationary or clamped), so the gradient is the witness direction dotted
-    with that point's Jacobian. TUNNEL: same, plus a chain-rule correction when
-    the witness sits on an opening-plane crossing, whose location shifts as the
+    The unit direction of the witness, the wall normal (TUNNEL) or the line
+    from the obstacle point to the axis point (FRINGE), dotted with the axis
+    point's Jacobian: the minimizing parameters are stationary or clamped at
+    a material end. A witness pinned where the axis crosses x = 0 or
+    x = depth adds the chain-rule term of that crossing, which shifts as the
     capsule moves.
     """
     capsules = _capsule_set(capsules)

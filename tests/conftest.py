@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from icop.geometry import Scene, _tunnel_scores
+from icop.geometry import Scene
 from icop.kinematics import JointParams, RobotChain
 from icop.scenario import load_bundled
 from icop.transforms import homogeneous, rot_y
@@ -65,13 +65,6 @@ def fringe_segments(scene) -> np.ndarray:
     """The rim of ``oracles.prism_faces`` as (m, 2, 3) segments: rim segment i runs from rim vertex i to vertex i + 1."""
     rim = prism_faces(scene).entrance[::-1]
     return np.stack([rim, np.roll(rim, -1, axis=0)], axis=1)
-
-
-def kernel_tunnel_clearance(a, b, scene) -> float:
-    """The wall clearance ``geometry._tunnel_scores`` gives the axis [a, b]; a KeyError if it does not cross the opening."""
-    R, t = scene.pose[:3, :3], scene.pose[:3, 3]
-    local = (np.array([a, b], dtype=float) - t) @ R  # the axis in the prism frame
-    return _tunnel_scores([local.tolist()], scene)[0][0]
 
 
 def random_tunnel(rng: np.random.Generator):

@@ -5,19 +5,19 @@ forward kinematics multiplies explicit elementary transform matrices instead
 of the closed-form link matrix, Jacobians come from central differences (and,
 bit for bit on equal frames, from the numpy cross product of stacked frames),
 segment distances from dense parameter grids, tunnel clearances from point
-sampling, and QP optima from exhaustive active-set enumeration. The scalar
-``classify_segment`` (with ``point_in_polygon``) is the per-segment reference
-for the entrance-crossing test of ``geometry._tunnel_scores``, and the numpy
-``_tunnel_clearance`` (with ``_in_tunnel_interval``) the reference for the
-TUNNEL clearance that pass computes on Python floats. The numpy
-``grid_closest_fringe`` scores every (axis, rim edge) pair at once as one
-array grid, with selections for branches, and is the bit-for-bit reference
-for ``geometry._closest_fringe``, which scores one axis at a time on Python
-floats. ``sampled_material_clearance`` measures a capsule against the
-tunnel's material, its wall quads, by sampling the axis, and flags an axis
-that passes through a wall; it is the independent check of what
-"collision-free" means, not of the kernel's model. The tunnel oracles read
-a scene's ``section``, ``depth`` and ``pose`` only: ``prism_faces`` builds the
+sampling, and QP optima from exhaustive active-set enumeration.
+``sampled_tunnel_clearance`` samples the worst wall half-space clearance of
+the part of an axis in the slab, the kernel's TUNNEL score. The tunnel's
+material is its wall quads. ``quad_distance`` measures a segment against
+them exactly, quad by quad in the world frame, where the kernel splits the
+axis along the prism's x; ``sampled_material_clearance`` measures a capsule
+against them by sampling the axis and flags an axis that passes through a
+wall. They are the independent check of what "collision-free" means, not of
+the kernel's model. The numpy ``grid_closest_fringe`` scores every (axis,
+rim edge) pair at once as one array grid, with selections for branches, and
+is the bit-for-bit reference for ``geometry._closest_fringe``, which scores
+one axis at a time on Python floats. The tunnel oracles read a scene's
+``section``, ``depth`` and ``pose`` only: ``prism_faces`` builds the
 entrance polygon and the face planes from them, never from the tables the
 kernel derives.
 """
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from icop.geometry import _OPENING_TOL, _SEGMENT_EPS, CASE_FRINGE, CASE_TUNNEL, Scene
+from icop.geometry import _SEGMENT_EPS, Scene, segment_segment_distance
 from icop.kinematics import BodyPoint, JointParams, RobotChain, body_point_position
 
 
@@ -213,92 +213,38 @@ def sampled_material_clearance(a, b, radius: float, scene: Scene, samples: int =
     return MaterialClearance(float(distance) - radius, crosses)
 
 
-def point_in_polygon(point, vertices, normal, tol: float = 1e-12) -> bool:
-    """Membership test for a point on the plane of a convex polygon, vertices (k, 3) CCW about normal."""
-    p = np.asarray(point, dtype=float)
-    k = vertices.shape[0]
-    for i in range(k):
-        edge = vertices[(i + 1) % k] - vertices[i]
-        if np.dot(np.cross(edge, p - vertices[i]), normal) < -tol:
-            return False
-    return True
+def quad_distance(a, b, scene: Scene) -> float:
+    """Exact distance from the segment [a, b] to the tunnel's wall quads, from ``prism_faces`` alone; 0 where it meets one.
 
-
-def classify_segment(a, b, scene: Scene) -> str:
-    """FRINGE or TUNNEL: does segment [a, b] cross the entrance opening?"""
-    faces = prism_faces(scene)
-    n, off = faces.opening_normals[0], faces.opening_offsets[0]
-    sa = float(np.dot(n, a) - off)
-    sb = float(np.dot(n, b) - off)
-    if sa * sb >= 0.0:
-        return CASE_FRINGE
-    t = sa / (sa - sb)
-    crossing = np.asarray(a, dtype=float) + t * (np.asarray(b, dtype=float) - np.asarray(a, dtype=float))
-    if point_in_polygon(crossing, faces.entrance, n, _OPENING_TOL):
-        return CASE_TUNNEL
-    return CASE_FRINGE
-
-
-def _in_tunnel_interval(a, b, scene: Scene):
-    """Clip segment parameters [0, 1] to the region behind every opening face.
-
-    Returns (t_lo, t_hi, clip_lo, clip_hi) where the clip entries name the
-    opening plane that pinned that end, or None for a material endpoint.
+    Wall quad i is the rectangle corner_i + u edge_i + v sweep, u in [0, 1],
+    v in [0, depth], in the world frame. A segment that does not meet a
+    rectangle has its closest points at a segment end and that end's foot
+    inside the rectangle, or on the segment and one of the rectangle's four
+    sides (Ericson, Real-Time Collision Detection, 5.1).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    d = b - a
-    t_lo, t_hi = 0.0, 1.0
-    clip_lo: int | None = None
-    clip_hi: int | None = None
     faces = prism_faces(scene)
-    for plane_idx, (n, off) in enumerate(zip(faces.opening_normals, faces.opening_offsets)):
-        # inside the tunnel slab: n . p - off <= 0 (outward-oriented normals)
-        fa = float(np.dot(n, a) - off)
-        slope = float(np.dot(n, d))
-        if abs(slope) < 1e-14:
-            if fa > 0.0:
-                return None  # segment parallel to and outside this opening face
-            continue
-        t_cross = -fa / slope
-        if slope > 0.0:  # leaving through this face as t grows
-            if t_cross < t_hi:
-                t_hi, clip_hi = t_cross, plane_idx
-        else:  # entering through this face as t grows
-            if t_cross > t_lo:
-                t_lo, clip_lo = t_cross, plane_idx
-    if t_lo > t_hi:
-        return None
-    return t_lo, t_hi, clip_lo, clip_hi
+    corners = faces.entrance[::-1]  # section vertex i on the entrance plane
+    edges = np.roll(corners, -1, axis=0) - corners
+    sweep = -faces.opening_normals[0] * scene.depth  # the prism's +x over the depth
 
+    best = np.inf
+    for corner, edge, normal, offset in zip(corners, edges, faces.wall_normals, faces.wall_offsets):
 
-def _tunnel_clearance(a, b, scene: Scene):
-    """Worst wall clearance over the in-tunnel interval, with witness bookkeeping."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    faces = prism_faces(scene)
-    interval = _in_tunnel_interval(a, b, scene)
-    if interval is None:
-        # Degenerate: the crossing sliver vanished; fall back to the entrance crossing point.
-        n, off = faces.opening_normals[0], faces.opening_offsets[0]
-        sa = float(np.dot(n, a) - off)
-        sb = float(np.dot(n, b) - off)
-        t_c = sa / (sa - sb)
-        interval = (t_c, t_c, 0, 0)
-    t_lo, t_hi, clip_lo, clip_hi = interval
-    ends = ((t_lo, clip_lo), (t_hi, clip_hi))
-    best_value = np.inf
-    best = None
-    for t, clip in ends:
-        p = a + t * (b - a)
-        clear = faces.wall_normals @ p - faces.wall_offsets
-        w = int(np.argmin(clear))
-        if clear[w] < best_value:
-            best_value = float(clear[w])
-            best = (t, clip, w, p)
-    t_star, clip_star, wall_row, p_star = best
-    foot = p_star - best_value * faces.wall_normals[wall_row]
-    return best_value, t_star, clip_star, 2 + wall_row, p_star, foot
+        def on_quad(p):
+            u, v = (p - corner) @ edge / (edge @ edge), (p - corner) @ sweep / (sweep @ sweep)
+            return 0.0 <= u <= 1.0 and 0.0 <= v <= 1.0
+
+        side_a, side_b = float(normal @ a - offset), float(normal @ b - offset)
+        if side_a * side_b <= 0.0 and side_a != side_b and on_quad(a + side_a / (side_a - side_b) * (b - a)):
+            return 0.0
+        for end, side in ((a, side_a), (b, side_b)):
+            if on_quad(end - side * normal):
+                best = min(best, abs(side))
+        for start, along in ((corner, edge), (corner, sweep), (corner + edge, sweep), (corner + sweep, edge)):
+            best = min(best, segment_segment_distance(a, b, start, start + along).distance)
+    return float(best)
 
 
 def grid_closest_fringe(ends: np.ndarray, scene: Scene):
@@ -354,17 +300,6 @@ def grid_closest_fringe(ends: np.ndarray, scene: Scene):
     dist = np.sqrt(dot(gap, gap))
     nearest = np.argmin(dist, axis=1)
     return dist[np.arange(len(nearest)), nearest], nearest, s, on_axis, on_fringe
-
-
-def sampled_entrance_side(a, b, scene: Scene, samples: int = 2_000) -> bool:
-    """True if sampling finds points on both sides of the entrance plane."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    t = np.linspace(0.0, 1.0, samples)
-    pts = a + t[:, None] * (b - a)
-    faces = prism_faces(scene)
-    side = pts @ faces.opening_normals[0] - faces.opening_offsets[0]
-    return bool(side.min() < 0.0 < side.max())
 
 
 def fd_scene_gradient(q, chain, capsules, scene, h: float = 1e-6) -> np.ndarray:

@@ -15,20 +15,21 @@ from icop.geometry import (
     capsule_distance,
     segment_segment_distance,
     transform_scene,
+    world_capsule_segments,
 )
 from icop.kinematics import BodyPoint, body_point_jacobian, forward_kinematics
 from icop.qp import STATUS_OPTIMAL, solve
-from icop.scenario import bundled_scenario_path, load_bundled, plan_scenario, resample_path
+from icop.scenario import bundled_scenario_path, load_bundled, mounted_scene_and_path, plan_scenario, resample_path
 from icop.transforms import homogeneous, rot_y
 
-from conftest import kernel_tunnel_clearance, random_tunnel, rot_z
+from conftest import random_tunnel, rot_z
 from oracles import (
-    classify_segment,
     fd_jacobian,
     fk_oracle,
     grid_segment_distance,
     qp_enumeration_oracle,
     qp_objective,
+    sampled_material_clearance,
     sampled_tunnel_clearance,
 )
 
@@ -170,10 +171,10 @@ def test_criterion_7_geometry_oracles():
         scene = random_tunnel(rng)
         a = rng.uniform(-1.5, 1.5, 3)
         b = a + rng.uniform(-1.5, 1.5, 3)
-        if classify_segment(a, b, scene) != CASE_TUNNEL:
+        witness = capsule_distance(a, b, 0.0, scene)
+        if witness.case_tag != CASE_TUNNEL:  # the worst wall clearance of the axis's part in the slab
             continue
-        exact = kernel_tunnel_clearance(a, b, scene)
-        worst_plane = max(worst_plane, abs(exact - sampled_tunnel_clearance(a, b, scene)))
+        worst_plane = max(worst_plane, abs(witness.value - sampled_tunnel_clearance(a, b, scene)))
         checked += 1
 
     worst_inv = 0.0
@@ -220,3 +221,23 @@ def test_criterion_9_determinism(tmp_path):
     assert cli_main(["--scenario", c1, "--out", str(b)]) == EXIT_OK
     same = (a / "c1_trajectory.csv").read_bytes() == (b / "c1_trajectory.csv").read_bytes()
     _report("criterion 9 (determinism)", same, "two plan runs produced byte-identical trajectory files")
+
+
+def test_criterion_10_material_clearance(planned):
+    # the start and every planned state of c1..c4 against the wall quads, measured by sampling each capsule
+    # axis (400 points): every capsule clears the material and no axis crosses a wall quad; and each plan's
+    # recorded minimum is the material's over its planned states, to within the sampling error
+    details, ok = [], True
+    for name, (s, traj, _metrics) in planned.items():
+        scene, _path = mounted_scene_and_path(s)
+        least, crossing, spacing = [], 0, 0.0
+        for q in [s.initial_config, *traj.states]:
+            axes = world_capsule_segments(q, s.chain, s.capsules)
+            measured = [sampled_material_clearance(a, b, cap.radius, scene) for (a, b), cap in zip(axes, s.capsules)]
+            least.append(min(m.clearance for m in measured))
+            crossing += any(m.crosses_wall for m in measured)
+            spacing = max(spacing, *(np.linalg.norm(b - a) / (2 * 399) for a, b in axes))  # half the sample spacing
+        model, material = float(np.min(traj.min_distance)), min(least[1:])
+        ok &= min(least) > 0.0 and crossing == 0 and model <= material + 1e-12 and material - model <= spacing
+        details.append(f"{name}: material min={material:.5f} m, model min={model:.5f} m, crossing states={crossing}")
+    _report("criterion 10 (material clearance C1-C4)", ok, "; ".join(details))

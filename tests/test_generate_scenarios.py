@@ -3,8 +3,7 @@
 Loading the script catches a symbol it imports from ``icop`` going away; its
 ``__main__`` guard keeps the import from regenerating the assets. The assets
 were written under ``conftest.PINNED_KERNEL``, whose rounding decides the
-last bits of each initial configuration, and c3's choice between its two
-mirror-image postures, whose clearances tie to 1e-15 m.
+last bits of each initial configuration.
 """
 
 import importlib.util

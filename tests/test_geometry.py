@@ -24,16 +24,13 @@ from icop.geometry import (
 from icop.kinematics import RobotChain, forward_kinematics, point_jacobian
 from icop.transforms import homogeneous, rot_y
 
-from conftest import fringe_segments, kernel_tunnel_clearance, random_tunnel, rot_z
+from conftest import fringe_segments, random_tunnel, rot_z
 from oracles import (
-    _in_tunnel_interval,
-    _tunnel_clearance,
-    classify_segment,
     fd_scene_gradient,
     grid_closest_fringe,
     grid_segment_distance,
-    point_in_polygon,
     prism_faces,
+    quad_distance,
     sampled_material_clearance,
     sampled_tunnel_clearance,
 )
@@ -86,61 +83,78 @@ class TestSegmentSegment:
             assert np.allclose(r.point_on_1, a0 + r.param_1 * (np.asarray(a1) - a0), atol=1e-12)
 
 
+def _gap(a, b, scene):
+    """The kernel's signed distance from the axis [a, b] to the wall quads: a capsule of radius 0."""
+    return capsule_distance(a, b, 0.0, scene).value
+
+
+def _prism_x(points, scene):
+    """The prism-frame x of world-frame points (..., 3): 0 on the entrance plane, ``depth`` on the exit plane."""
+    return (np.asarray(points, dtype=float) - scene.pose[:3, 3]) @ scene.pose[:3, 0]
+
+
 class TestClassification:
+    """The case tag names the piece that measured the witness: an edge (FRINGE) or the walls in the slab (TUNNEL)."""
+
     def test_segment_outside_is_fringe(self, square_tunnel):
-        assert classify_segment([-1, 0, 0], [-0.2, 0, 0], square_tunnel) == CASE_FRINGE
+        assert capsule_distance([-1, 0, 0], [-0.2, 0, 0], 0.05, square_tunnel).case_tag == CASE_FRINGE
 
     def test_straddling_through_opening_is_tunnel(self, square_tunnel):
-        assert classify_segment([-0.5, 0, 0], [0.5, 0, 0], square_tunnel) == CASE_TUNNEL
+        # through the opening toward the y = 0.5 wall: the end inside is nearer a wall than any rim point
+        w = capsule_distance([-0.2, 0, 0], [0.5, 0.3, 0], 0.05, square_tunnel)
+        assert (w.case_tag, w.plane_index, w.axis_param) == (CASE_TUNNEL, 2, 1.0)
 
     def test_straddling_outside_opening_is_fringe(self, square_tunnel):
-        assert classify_segment([-0.5, 2.0, 0], [0.5, 2.0, 0], square_tunnel) == CASE_FRINGE
+        assert capsule_distance([-0.5, 2.0, 0], [0.5, 2.0, 0], 0.05, square_tunnel).case_tag == CASE_FRINGE
 
     def test_random_segments_match_plane_side_sampling(self, square_tunnel):
-        from oracles import sampled_entrance_side
-
+        # a TUNNEL witness lies in the slab; a FRINGE one on the rim (plane j), the exit ring (k + j) or a wall
+        # quad seen from the slab (2k + j), and sampling finds axis points on that side of the face planes
         rng = np.random.default_rng(24)
+        k, depth = len(square_tunnel.section), square_tunnel.depth
+        pieces = set()
         for _ in range(200):
             a, b = _random_segment(rng)
-            crosses = sampled_entrance_side(a, b, square_tunnel)
-            got = classify_segment(a, b, square_tunnel)
-            if got == CASE_TUNNEL:
-                assert crosses
-            elif crosses:
-                # crossing the plane but not through the opening polygon
-                faces = prism_faces(square_tunnel)
-                n, off = faces.opening_normals[0], faces.opening_offsets[0]
-                sa = float(n @ a - off)
-                sb = float(n @ b - off)
-                t = sa / (sa - sb)
-                p = a + t * (b - a)
-                assert not point_in_polygon(p, faces.entrance, n, tol=-1e-9)
+            w = capsule_distance(a, b, 0.05, square_tunnel)
+            x = _prism_x(a + np.linspace(0.0, 1.0, 2_000)[:, None] * (b - a), square_tunnel)
+            witness_x = _prism_x(w.point_on_robot, square_tunnel)
+            ring = 3 if w.case_tag == CASE_TUNNEL else w.plane_index // k
+            assert ring in (0, 1, 2, 3) and (ring == 3) == (w.case_tag == CASE_TUNNEL)
+            if ring == 0:
+                assert x.min() < 0.0
+            elif ring == 1:
+                assert x.max() > depth
+            else:
+                assert -1e-12 <= witness_x <= depth + 1e-12 and ((x >= 0.0) & (x <= depth)).any()
+            pieces.add(ring)
+        assert pieces == {0, 1, 2, 3}
 
 
 class TestTunnelClearance:
     def test_axis_segment_of_unit_square_prism(self, square_tunnel):
-        val = kernel_tunnel_clearance([-0.5, 0, 0], [1.0, 0, 0], square_tunnel)
+        val = _gap([-0.5, 0, 0], [1.0, 0, 0], square_tunnel)
         assert val == pytest.approx(0.5, abs=1e-12)
 
     def test_segment_on_wall_plane(self, square_tunnel):
-        val = kernel_tunnel_clearance([-0.5, 0.5, 0], [1.0, 0.5, 0], square_tunnel)
+        val = _gap([-0.5, 0.5, 0], [1.0, 0.5, 0], square_tunnel)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_penetrating_segment_is_negative(self, square_tunnel):
-        val = kernel_tunnel_clearance([-0.5, 0, 0], [1.0, 1.2, 0], square_tunnel)
+        val = _gap([-0.5, 0, 0], [1.0, 1.2, 0], square_tunnel)
         assert val < 0.0
 
     def test_matches_sampling_oracle(self):
+        # a TUNNEL witness is the worst wall clearance of the axis's part in the slab, which the oracle samples
         rng = np.random.default_rng(25)
         checked = 0
         while checked < 60:
             scene = random_tunnel(rng)
             a, b = _random_segment(rng, scale=1.5)
-            if classify_segment(a, b, scene) != CASE_TUNNEL:
+            w = capsule_distance(a, b, 0.0, scene)
+            if w.case_tag != CASE_TUNNEL:
                 continue
-            exact = kernel_tunnel_clearance(a, b, scene)
             approx = sampled_tunnel_clearance(a, b, scene)
-            assert abs(exact - approx) < 1e-3
+            assert abs(w.value - approx) < 1e-3
             checked += 1
 
 
@@ -488,30 +502,16 @@ def _assert_culled_like_full(state):
     """``state`` against a full evaluation of its q: the same witness bits, and every clearance exact or below it."""
     full = world_state(state.q, state.chain, state.capsules, state.scene)
     _assert_same_witness(state.witness, full.witness)
-    assert full.scored == len(full.capsules) and state.tunnel == full.tunnel
+    assert full.scored == len(full.capsules)
     assert (state.clearances <= full.clearances).all()
     exact = state.clearances == full.clearances
     assert exact.sum() >= state.scored
     assert (state.clearances[~exact] > state.witness.value).all()  # a culled capsule is above the minimum
 
 
-def _floor_breaking_exits(previous, state) -> int:
-    """How many capsules a rule that took a TUNNEL score as a floor would cull wrongly in ``state``.
-
-    Each left the opening since ``previous``, and its TUNNEL score there, less
-    its motion and the slack, lies above its clearance now and above the
-    smallest clearance scored before it (TUNNEL scores, then the previous
-    witness capsule, then the rest in index order).
-    """
-    full = world_state(state.q, state.chain, state.capsules, state.scene)
-    best, exits = np.inf, 0
-    for i in dict.fromkeys((*state.tunnel, previous.witness.capsule_index, *range(len(state.capsules)))):
-        motion = max(np.linalg.norm(np.subtract(now, then)) for now, then in zip(state.segments[i], previous.segments[i]))
-        bound = previous.clearances[i] - motion - geometry._CULL_SLACK
-        exits += i in previous.tunnel and i not in state.tunnel and bound > max(best, full.clearances[i])
-        if state.clearances[i] == full.clearances[i]:  # scored exactly
-            best = min(best, state.clearances[i])
-    return exits
+def _straddling(state) -> tuple:
+    """The capsules whose axis has ends strictly on both sides of the entrance plane in ``state``."""
+    return tuple(i for i, ends in enumerate(state.segments) if np.prod(np.sign(_prism_x(ends, state.scene))) < 0)
 
 
 class TestCulledEvaluation:
@@ -533,15 +533,17 @@ class TestCulledEvaluation:
             states.append(previous)
         return scene, capsules, states
 
-    def test_a_capsule_tunnel_scored_before_is_scored_again(self, setup):
+    def test_an_axis_that_left_the_opening_keeps_its_floor(self, setup):
         _scene, _capsules, (first, second, _third) = setup
-        # A crosses the opening first and has left it after a 0.05 rad turn; a TUNNEL score is no floor,
-        # though it lies far above the minimum
-        assert first.tunnel == (1,) and second.tunnel == ()
-        assert first.clearances[1] - 3.0005 * 0.05 > second.witness.value
-        assert second.witness.capsule_index == 0 and second.scored == 2  # B and A; C is culled
+        # A crosses the opening first and has left it after a 0.05 rad turn: its exact clearance there, less
+        # its axis's motion, bounds its clearance now, so it is culled, and so is C
+        assert _straddling(first) == (1,) and _straddling(second) == ()
+        assert second.witness.capsule_index == 0 and second.scored == 1
         full = world_state(second.q, second.chain, second.capsules, second.scene)
-        assert second.clearances[:2].tobytes() == full.clearances[:2].tobytes()
+        assert second.clearances[0] == full.clearances[0]
+        motion = max(np.linalg.norm(np.subtract(now, then)) for now, then in zip(second.segments[1], first.segments[1]))
+        assert second.clearances[1] == pytest.approx(first.clearances[1] - motion - geometry._CULL_SLACK, abs=1e-15)
+        assert second.witness.value < second.clearances[1] < full.clearances[1]
         assert second.clearances[2] == full.clearances[2] - geometry._CULL_SLACK
         for state in setup[2]:
             _assert_culled_like_full(state)
@@ -557,7 +559,7 @@ class TestCulledEvaluation:
     def test_a_previous_state_of_other_objects_gives_the_full_evaluation(self, setup, straight_chain):
         scene, capsules, (first, second, _third) = setup
         q = second.q
-        assert world_state(q, straight_chain, capsules, scene, first).scored == 2
+        assert world_state(q, straight_chain, capsules, scene, first).scored == 1
         full = world_state(q, straight_chain, capsules, scene)
         other_chain = RobotChain(joints=straight_chain.joints, tool_offset=straight_chain.tool_offset)
         others = (
@@ -573,11 +575,12 @@ class TestCulledEvaluation:
 
     def test_seeded_entrance_exits_keep_the_full_witness(self, setup, straight_chain):
         # A crosses the opening near its centre on a shallow line whose outside part passes just beyond a rim
-        # edge, so its TUNNEL score lies far above the FRINGE clearance it takes once a small turn pulls it out
+        # edge, so a small turn can carry the crossing past the edge: the axis then pierces the wall, and its
+        # clearance falls below minus its radius, which no floor minus the motion may bound from above
         scene = setup[0]
         rng = np.random.default_rng(41)
         link_1 = np.array([1.0, 0.0, 0.0])  # link 1's frame origin at zero turn
-        exit_draws = 0
+        exits = culled_exits = 0
         for _ in range(1000):
             crossing = np.array([3.0, *rng.uniform(-0.2, 0.2, 2)])
             angle = rng.uniform(0.0, 2 * np.pi)
@@ -596,15 +599,19 @@ class TestCulledEvaluation:
             turn += rng.choice([-1.0, 1.0]) * rng.uniform(0.002, 0.05)
             state = world_state([turn, 0, 0, 0, 0, 0], straight_chain, capsules, scene, previous)
             _assert_culled_like_full(state)
-            exit_draws += _floor_breaking_exits(previous, state) > 0
-        assert exit_draws >= 40  # 46 of the 1000 draws
+            full = world_state(state.q, state.chain, state.capsules, state.scene)
+            if not previous.clearances[1] > -0.05 > full.clearances[1]:
+                continue
+            exits += 1  # A's axis went from clear of the walls to piercing one
+            culled_exits += state.clearances[1] != full.clearances[1]
+        assert exits >= 40 and culled_exits == 0  # 49 of the 1000 draws
 
     def test_random_joint_walks_keep_the_full_witness(self):
         # walks from each scenario's start in steps of 0.002-0.08 rad per joint carry axes across the entrance
         from icop.scenario import load_bundled, mounted_scene_and_path
 
         rng = np.random.default_rng(37)
-        states = witness_changes = tunnel_changes = culled = 0
+        states = witness_changes = straddle_changes = piercing = culled = 0
         for name in ("c1", "c2", "c3", "c4"):
             s = load_bundled(name)
             scene, _ = mounted_scene_and_path(s)
@@ -616,11 +623,12 @@ class TestCulledEvaluation:
                     _assert_culled_like_full(state)
                     states += 1
                     witness_changes += state.witness.capsule_index != previous.witness.capsule_index
-                    tunnel_changes += state.tunnel != previous.tunnel
+                    straddle_changes += _straddling(state) != _straddling(previous)
+                    piercing += state.witness.value < -s.capsules[state.witness.capsule_index].radius
                     culled += len(s.capsules) - state.scored
                     previous = state
         assert states == 10_000
-        assert witness_changes > 100 and tunnel_changes > 100 and culled > states
+        assert witness_changes > 100 and straddle_changes > 100 and piercing > 100 and culled > states
 
 
 class TestMaterialOracle:
@@ -698,6 +706,111 @@ class TestMaterialOracle:
                 assert got - 1e-12 <= nearest <= got + cell
 
 
+class TestKernelAgainstTheMaterial:
+    """The kernel's distance on seeded ``random_tunnel`` axes against the wall quads, measured independently."""
+
+    SAMPLES = 2_000
+
+    @pytest.fixture(scope="class")
+    def measured(self):
+        """(kernel gap, sampled material clearance, exact quad distance, axis length) of 1000 seeded axes."""
+        rng = np.random.default_rng(44)
+        rows = []
+        for _ in range(100):
+            scene = random_tunnel(rng)
+            R, t = scene.pose[:3, :3], scene.pose[:3, 3]
+            for _ in range(10):
+                ends = rng.uniform([-0.5, -1.0, -1.0], [scene.depth + 0.5, 1.0, 1.0], (2, 3))  # prism frame
+                a, b = ends @ R.T + t
+                oracle = sampled_material_clearance(a, b, 0.0, scene, self.SAMPLES)
+                rows.append((_gap(a, b, scene), oracle, quad_distance(a, b, scene), np.linalg.norm(b - a)))
+        return rows
+
+    def test_the_kernel_never_exceeds_the_sampled_material_clearance(self, measured):
+        # sampling can only over-estimate a minimum, so an exact kernel lies at or below the oracle
+        assert max(gap - oracle.clearance for gap, oracle, _exact, _length in measured) <= 1e-12
+
+    def test_the_kernel_agrees_with_the_material_within_the_sampling_error(self, measured):
+        clear = [(gap, oracle, exact, length) for gap, oracle, exact, length in measured if not oracle.crosses_wall]
+        assert len(clear) > 500
+        for gap, oracle, exact, length in clear:
+            assert oracle.clearance - gap <= length / (2 * (self.SAMPLES - 1))  # half the sample spacing
+            assert abs(gap - exact) <= 1e-12
+
+    def test_every_piercing_axis_scores_negative(self, measured):
+        piercing = [(gap, exact) for gap, oracle, exact, _length in measured if oracle.crosses_wall]
+        assert len(piercing) > 300
+        assert all(gap < 0.0 and exact == 0.0 for gap, exact in piercing)
+        assert all(oracle.crosses_wall for gap, oracle, _exact, _length in measured if gap < 0.0)
+
+    def test_axes_on_faces_edges_and_corners_never_score_above_the_exact_distance(self, square_tunnel):
+        # ends drawn from coordinates on and one rounding step off the entrance, exit and wall planes, so axes
+        # lie in faces, run along edges and touch corners: a score is never above the exact distance to the
+        # quads and equals it unless negative. An axis that only touches a quad's boundary may score a depth.
+        rng = np.random.default_rng(45)
+        xs = [-0.5, -1e-16, 0.0, 1e-16, 1.0, 2.0, 2.0 + 1e-16, 2.5]
+        yzs = [-0.7, -0.5, -0.2, 0.0, 0.5, 0.5 + 1e-15, 0.7]
+        negative = 0
+        for _ in range(2000):
+            a = np.array([rng.choice(xs), rng.choice(yzs), rng.choice(yzs)])
+            b = a.copy() if rng.random() < 0.15 else np.array([rng.choice(xs), rng.choice(yzs), rng.choice(yzs)])
+            gap, exact = _gap(a, b, square_tunnel), quad_distance(a, b, square_tunnel)
+            assert gap <= exact + 1e-12 and (gap < 0.0 or abs(gap - exact) <= 1e-12), (a, b, gap, exact)
+            negative += gap < 0.0
+        assert negative > 300
+
+
+def _placed_scene(q, chain, capsules, start, direction, depth=2.0):
+    """A unit-square prism posed so that the one capsule's axis at q runs from prism-frame ``start`` along ``direction``."""
+    ((a, b),) = world_capsule_segments(q, chain, capsules)
+
+    def frame(x):  # a rotation whose first column is the unit vector along x
+        x = np.asarray(x, dtype=float) / np.linalg.norm(x)
+        z = np.cross(x, [0.3, 0.5, 0.8])
+        z /= np.linalg.norm(z)
+        return np.column_stack([x, np.cross(z, x), z])
+
+    R = frame(b - a) @ frame(direction).T
+    return Scene(np.array(_UNIT_SQUARE), depth, homogeneous(R, a - R @ np.asarray(start, dtype=float)))
+
+
+class TestPieceGradients:
+    """Central differences of each record kind's distance against ``gradient``, within one smooth piece.
+
+    One 0.5 m capsule on link 6 of c4's chain, placed in a unit-square prism
+    of depth 2. The rim and exit-ring passes measure the whole axis, so their
+    witnesses are never pinned. A clear witness pinned at a cut plane ties
+    the ring pass through the same point, so the pinned cases are piercing
+    ones, whose chain-rule term a sign error would flip.
+    """
+
+    CAPSULE = CapsuleSet([Capsule(6, [0.0, 0.0, 0.0], [0.0, 0.0, 0.5], 0.04)])
+
+    @pytest.mark.parametrize("start, direction, piece, piercing", [
+        ((-0.6, 0.1, 0.1), (1.0, 0.4, 0.5), (CASE_FRINGE, 1, None), False),  # in front: the rim
+        ((2.6, 0.1, 0.1), (-1.0, 0.4, 0.5), (CASE_FRINGE, 5, None), False),  # beyond the exit: the exit ring
+        ((0.5, 0.0, 0.0), (1.0, 0.5, 0.2), (CASE_TUNNEL, 2, None), False),  # in the section: a wall
+        ((0.5, 0.7, 0.1), (1.0, 0.3, 0.2), (CASE_FRINGE, 8, None), False),  # beside the section: a wall quad
+        ((0.5, 0.2, 0.0), (0.3, 1.0, 0.1), (CASE_TUNNEL, 2, None), True),  # through a wall, both ends in the slab
+        ((-0.1, 0.8, 0.1), (1.0, -1.2, 0.2), (CASE_TUNNEL, 2, 0), True),  # its end outside on the entrance plane
+        ((1.8, 0.3, 0.1), (1.0, 1.5, 0.2), (CASE_TUNNEL, 2, 1), True),  # its end outside on the exit plane
+    ], ids=["rim", "exit-ring", "wall", "slab-edge", "piercing", "piercing-entrance", "piercing-exit"])
+    def test_gradient_matches_central_differences(self, c4, start, direction, piece, piercing, h=1e-6):
+        q = c4.initial_config
+        scene = _placed_scene(q, c4.chain, self.CAPSULE, start, direction)
+        state = world_state(q, c4.chain, self.CAPSULE, scene)
+        w = state.witness
+        assert (w.case_tag, w.plane_index, w.clip_plane_index) == piece
+        assert (w.value < -self.CAPSULE[0].radius) == piercing
+        grad = state.gradient()
+        for j in range(6):
+            step = np.zeros(6)
+            step[j] = h
+            up, down = (world_state(q + sign * step, c4.chain, self.CAPSULE, scene).witness for sign in (1.0, -1.0))
+            assert {(o.case_tag, o.plane_index, o.clip_plane_index) for o in (up, down)} == {piece}
+            assert (up.value - down.value) / (2 * h) == pytest.approx(grad[j], abs=1e-6), j
+
+
 _DERIVED = ("_walls", "_wall_offsets", "_rim")
 
 
@@ -763,34 +876,44 @@ class TestTransformScene:
             _rebuilt(moved)
 
 
-def _reference_witness(a, b, radius, scene):
-    """Scalar per-capsule reference: classification, then fringe loop or tunnel clearance.
+def _check_witness(w, a, b, radius, scene):
+    """Check one capsule's witness against the exact quad distance, and against the face its record names.
 
-    Returns (value, case, plane index, clip plane index, the (clip plane
-    index, plane index) pairs whose distance ties the minimum to 1e-12).
+    An axis that does not cross a wall quad scores its ``quad_distance``
+    minus the radius, to 1e-12. One that crosses (the material oracle's exact
+    flag) scores below minus the radius: the worst wall clearance on its part
+    in the slab, which ``sampled_tunnel_clearance`` samples. The witness
+    points realize the value, the axis point lies at ``axis_param``, and the
+    obstacle point lies on the face the record names: rim edge j (FRINGE
+    plane j) at x = 0, exit-ring edge j (k + j) at x = depth, section edge j
+    seen from the slab (2k + j) or wall plane i (TUNNEL 2 + i) within
+    0 <= x <= depth.
     """
-    if classify_segment(a, b, scene) == CASE_FRINGE:
-        closest = [segment_segment_distance(a, b, s0, s1) for s0, s1 in fringe_segments(scene)]
-        best = 0
-        for i, cand in enumerate(closest):
-            if cand.distance < closest[best].distance:  # strict: the first index wins a tie
-                best = i
-        ties = {(None, i) for i, cand in enumerate(closest) if cand.distance - closest[best].distance <= 1e-12}
-        return closest[best].distance - radius, CASE_FRINGE, best, None, ties
-    clearance, t, clip, wall, _p, _foot = _tunnel_clearance(a, b, scene)
-    faces = prism_faces(scene)
-    interval = _in_tunnel_interval(a, b, scene)
-    if interval is None:  # the crossing sliver vanished: both ends are the entrance crossing
-        ends = [(t, clip)]
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if sampled_material_clearance(a, b, radius, scene).crosses_wall:
+        assert w.case_tag == CASE_TUNNEL and w.value < -radius
+        assert abs(w.value + radius - sampled_tunnel_clearance(a, b, scene)) < 1e-3
     else:
-        t_lo, t_hi, clip_lo, clip_hi = interval
-        ends = [(t_lo, clip_lo), (t_hi, clip_hi)]
-    ties = set()
-    for t_end, end_clip in ends:
-        p = np.asarray(a, dtype=float) + t_end * (np.asarray(b, dtype=float) - a)
-        close = faces.wall_normals @ p - faces.wall_offsets - clearance <= 1e-12
-        ties |= {(end_clip, 2 + row) for row in np.flatnonzero(close).tolist()}
-    return clearance - radius, CASE_TUNNEL, wall, clip, ties
+        assert abs(w.value + radius - quad_distance(a, b, scene)) <= 1e-12
+    assert np.linalg.norm(a + w.axis_param * (b - a) - w.point_on_robot) <= 1e-12
+    assert abs(np.linalg.norm(w.point_on_robot - w.point_on_obstacle) - abs(w.value + radius)) <= 1e-12
+    x, y, z = (w.point_on_obstacle - scene.pose[:3, 3]) @ scene.pose[:3, :3]
+    section = scene.section
+    k = len(section)
+    if w.case_tag == CASE_TUNNEL:
+        edge, ring = w.plane_index - 2, 2
+    else:
+        edge, ring = w.plane_index % k, w.plane_index // k
+    start, end = section[edge], section[(edge + 1) % k]
+    along = end - start
+    u = (np.array([y, z]) - start) @ along / (along @ along)
+    off_line = abs(along[0] * (z - start[1]) - along[1] * (y - start[0])) / np.linalg.norm(along)
+    assert off_line <= 1e-12
+    if w.case_tag == CASE_FRINGE:
+        assert -1e-12 <= u <= 1 + 1e-12
+    assert ring in (0, 1, 2)
+    lo, hi = ((0.0, 0.0), (scene.depth, scene.depth), (0.0, scene.depth))[ring]
+    assert lo - 1e-12 <= x <= hi + 1e-12
 
 
 _WITNESS_FIELDS = [field.name for field in fields(DistanceWitness)]
@@ -811,7 +934,7 @@ _POINT_EDGE_SECTION = [[0.5, 0.5], [0.5 - 1e-9, 0.5 + 1e-12], [-0.5, 0.5], [-0.5
 
 
 class TestBatchedKernel:
-    """The kernel that scores every capsule of a state against the per-capsule scalar reference."""
+    """The kernel that scores every capsule of a state against the per-capsule references."""
 
     def _check(self, axes, radii, scene):
         """Check each capsule alone against the reference and the batch against the alone results.
@@ -821,13 +944,7 @@ class TestBatchedKernel:
         clearances, witness, *_ = _score_axes(np.asarray(axes, dtype=float).tolist(), radii, scene, range(len(radii)))
         alone = [capsule_distance(a, b, radius, scene, i) for i, ((a, b), radius) in enumerate(zip(axes, radii))]
         for i, w in enumerate(alone):
-            value, case, plane, clip, ties = _reference_witness(axes[i][0], axes[i][1], radii[i], scene)
-            assert abs(w.value - value) <= 1e-12
-            assert w.case_tag == case
-            # Two rim edges meeting at the closest corner tie up to rounding, and so do both
-            # ends of a tunnel interval parallel to a wall; the reference's sums and the
-            # kernel's may break such a tie differently.
-            assert (w.clip_plane_index, w.plane_index) in ties | {(clip, plane)}
+            _check_witness(w, axes[i][0], axes[i][1], radii[i], scene)
             # one capsule scored alone takes the same arithmetic as in the batch
             assert clearances[i] == w.value
         assert witness.capsule_index == int(np.argmin(clearances))
@@ -901,28 +1018,37 @@ class TestBatchedKernel:
         assert alone[1].axis_param == 0.0
 
     def test_axes_where_the_straddle_test_decides(self, square_tunnel):
-        # the unit-square entrance is x = 0, |y|, |z| <= 0.5; only an axis with ends strictly on both sides crosses
-        over = 0.5 + 0.5 * geometry._OPENING_TOL
+        # the unit-square entrance is x = 0, |y|, |z| <= 0.5: an end strictly in front of it runs the rim pass,
+        # and the part with 0 <= x <= depth is scored in the slab
         axes = [
             ([0.0, 0.1, 0.1], [0.7, 0.1, 0.1]),  # an endpoint on the entrance plane, inside the opening
-            ([-0.4, 0.1, 0.2], [0.0, 0.1, 0.2]),  # the same from outside
+            ([-0.4, 0.1, 0.2], [0.0, 0.1, 0.2]),  # the same from outside: the rim pass ties the slab's point
             ([0.0, -0.3, 0.1], [0.0, 0.2, 0.1]),  # lying in the entrance plane
-            ([-0.5, over, 0.1], [0.5, over, 0.1]),  # crossing within _OPENING_TOL outside the y = 0.5 rim edge
-            ([-0.5, 0.5 + 4 * geometry._OPENING_TOL, 0.1], [0.5, 0.5 + 4 * geometry._OPENING_TOL, 0.1]),  # beyond it
-            ([-0.5, 0.0, 0.0], [0.5, 1.0, 1.0]),  # through the (0.5, 0.5) rim vertex
+            ([-0.5, 0.5 - 1e-6, 0.1], [0.5, 0.5 - 1e-6, 0.1]),  # through the opening 1e-6 inside the y = 0.5 edge
+            ([-0.5, 0.5 + 1e-6, 0.1], [0.5, 0.5 + 1e-6, 0.1]),  # beside the y = 0.5 wall, 1e-6 outside it
+            ([-0.5, 0.0, 0.0], [0.5, 1.0, 1.0]),  # through the (0.5, 0.5) rim vertex into the walls' corner
         ]
         _clearances, _witness, alone = self._check(axes, [0.05] * len(axes), square_tunnel)
-        cases = [CASE_FRINGE, CASE_FRINGE, CASE_FRINGE, CASE_TUNNEL, CASE_FRINGE, CASE_TUNNEL]
-        assert [w.case_tag for w in alone] == cases
-        assert [classify_segment(a, b, square_tunnel) for a, b in axes] == cases
+        pieces = [(w.case_tag, w.plane_index, w.clip_plane_index) for w in alone]
+        assert pieces == [
+            (CASE_TUNNEL, 2, None),
+            (CASE_FRINGE, 1, None),
+            (CASE_TUNNEL, 4, None),
+            (CASE_FRINGE, 0, None),
+            (CASE_FRINGE, 0, None),
+            (CASE_TUNNEL, 2, None),
+        ]
+        assert [w.value for w in alone[3:5]] == pytest.approx([1e-6 - 0.05] * 2, abs=1e-15)
+        assert alone[5].value == pytest.approx(-0.55, abs=1e-15)  # pierces: its far end is 0.5 beyond two walls
 
-    def test_grazing_crossing_scores_the_entrance_crossing(self):
-        # the axis crosses x = 0 within 1e-16 of parallel to it, so the in-tunnel interval is empty
+    def test_a_grazing_crossing_is_scored_by_the_rim_pass(self):
+        # the axis crosses x = 0 within 1e-16 of parallel to it: the rim pass measures the whole axis, and its
+        # part in the slab, from the crossing on, ties it at the far end
         scene = Scene(_UNIT_SQUARE, depth=1.0)
         axes = [([-1e-16, -0.2, 0.1], [1e-16, 0.3, 0.1])]
         _clearances, _witness, (w,) = self._check(axes, [0.05], scene)
-        assert (w.case_tag, w.axis_param, w.clip_plane_index, w.plane_index) == (CASE_TUNNEL, 0.5, 0, 3)
-        assert w.value == pytest.approx(0.35, abs=1e-15)
+        assert (w.case_tag, w.axis_param, w.clip_plane_index, w.plane_index) == (CASE_FRINGE, 1.0, None, 0)
+        assert w.value == pytest.approx(0.15, abs=1e-15)
 
     def test_equal_distance_tie_keeps_first_index(self, square_tunnel):
         # on the tunnel's centre line the four rim edges are equally far away
@@ -930,7 +1056,7 @@ class TestBatchedKernel:
         distances = [segment_segment_distance(*axes[0], s0, s1).distance for s0, s1 in fringe_segments(square_tunnel)]
         assert len(set(distances)) == 1
         _clearances, _witness, alone = self._check(axes, [0.05], square_tunnel)
-        assert alone[0].plane_index == 0 == _reference_witness(*axes[0], 0.05, square_tunnel)[2]
+        assert alone[0].plane_index == 0
 
     @pytest.mark.parametrize("worst, case", [
         (([-0.3, 0.8, -0.2], [-0.3, 0.8, 0.4]), CASE_FRINGE),  # parallel to the y = 0.5 rim edge

@@ -18,8 +18,9 @@ from conftest import run_under_pinned_kernel
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "plan_fingerprint.py"
 
-# Includes c3's plan through the tunnel roof (ROADMAP item 1); the change that fixes it updates this.
-PINNED = "78a15047752e7037a5fe1f5003c116664b368adcfa60cb0cb6c7d638a0b85f1a"
+# Scored by the piecewise exact distance to the wall quads; c3 plans from the start that kernel picks, clear of
+# the walls at every state (acceptance criterion 10).
+PINNED = "dc194c184a75e01b709c8d75976d59e3d3c28d85102b791a41456d3b912090b7"
 
 
 @pytest.fixture(scope="module")

@@ -533,15 +533,14 @@ def test_each_iterate_is_evaluated_from_the_state_it_came_from(monkeypatch):
     assert sum(state.scored for state in evaluations) < 0.3 * sum(len(state.capsules) for state in evaluations)
 
 
-def test_one_round_scores_237_of_1176_capsules(monkeypatch):
-    # one c1..c4 round at the bundled parameters makes 196 evaluations; 132 capsule scorings are TUNNEL
-    # scores and 105 rim passes, where a full evaluation of every state would run 1044 rim passes
+def test_one_round_scores_215_of_1164_capsules(monkeypatch):
+    # one c1..c4 round at the bundled parameters makes 194 evaluations; each scores its witness capsule, the
+    # tool, and its first scores every capsule: every other capsule is culled from the floor it left there
     evaluations = _count_evaluations(monkeypatch)
     for name in ("c1", "c2", "c3", "c4"):
         s = load_bundled(name)
         scene, path = mounted_scene_and_path(s)
         plan(path, s.initial_config, s.chain, s.capsules, scene, s.params)
-    assert len(evaluations) == 196
-    assert sum(len(state.capsules) for state in evaluations) == 1176
-    assert sum(len(state.tunnel) for state in evaluations) == 132
-    assert sum(state.scored for state in evaluations) == 237
+    assert len(evaluations) == 194
+    assert sum(len(state.capsules) for state in evaluations) == 1164
+    assert sum(state.scored for state in evaluations) == 215
