@@ -20,9 +20,12 @@ inner-iteration counts and the non-convergence reports match; it exits 1 if
 the counts or the reports do not, or if any joint value moved by more than
 ``MAX_JOINT_CHANGE``.
 
-The QP's SVD rounds its last bits in the BLAS kernel, so two checkouts are
-compared under one kernel; the pinned hash in the tests is computed under
-``OPENBLAS_CORETYPE=Haswell``.
+The hash does not depend on the BLAS kernel: every product that reaches a
+plan is summed in a fixed order, on Python floats or numpy's elementwise
+operations, and every QP of these plans ends at the float projection. The
+QP's active-set path (SVD and QR), which none of them reaches, still rounds
+its last bits in the kernel; a plan that reaches it is compared under one
+``OPENBLAS_CORETYPE``.
 
 Run from the repository root:  python3 scripts/plan_fingerprint.py
 """

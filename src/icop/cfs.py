@@ -15,6 +15,8 @@ points; the planner re-verifies the true distance on every accepted iterate.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .geometry import CapsuleSet, Scene, WorldState, world_state
@@ -38,4 +40,4 @@ def collision_rows(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
     g = state.gradient()
     if np.abs(g).max() < _ZERO_GRADIENT_TOL:
         return np.empty((0, state.q.shape[0])), np.empty(0)  # locally flat distance: no usable half-space
-    return g[None, :], np.array([g @ state.q - state.witness.value])
+    return g[None, :], np.array([math.fsum((g * state.q).tolist()) - state.witness.value])

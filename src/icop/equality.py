@@ -15,27 +15,24 @@ the tracking loop's residual test remains the arbiter.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .kinematics import BodyPoint, RobotChain, body_point_jacobian
 
 
-def linearize_task(
-    q_ref, c_ref, c_next, chain: RobotChain, tool: BodyPoint
-) -> tuple[np.ndarray, np.ndarray]:
+def linearize_task(q_ref, c_ref, c_next, chain: RobotChain, tool: BodyPoint) -> tuple[np.ndarray, np.ndarray]:
     """Linearized contact rows (A, b) at q_ref for one constrained body point.
 
     The caller maintains c_ref as the body point's current position, so the
     rows are exact at the reference: A . q_ref - b = c_ref - c_next.
     """
-    q_ref = np.asarray(q_ref, dtype=float)
     return task_rows(body_point_jacobian(q_ref, chain, tool), q_ref, c_ref, c_next)
 
 
 def task_rows(A: np.ndarray, q_ref, c_ref, c_next) -> tuple[np.ndarray, np.ndarray]:
     """Linearized contact rows from the body point's Jacobian A already taken at q_ref."""
-    q_ref = np.asarray(q_ref, dtype=float)
-    c_ref = np.asarray(c_ref, dtype=float)
-    c_next = np.asarray(c_next, dtype=float)
-    return A, A @ q_ref + (c_next - c_ref)
+    b = np.array([math.fsum(row) for row in (A * np.asarray(q_ref, dtype=float)).tolist()])  # A @ q_ref, rounded once per row
+    return A, b + (np.asarray(c_next, dtype=float) - np.asarray(c_ref, dtype=float))
 

@@ -46,7 +46,8 @@ closest-point arithmetic of ``segment_segment_distance`` against each edge,
 branching on a point-like edge or axis, with the zero x terms of the rim
 left out. A capsule scored alone and in a batch gets the same bits. Only the
 worst capsule (the first on a tie) gets a witness, whose points go back to
-the world through the pose. The references in ``tests/oracles.py`` are
+the world through the pose. The gradient and ``transform_scene`` also sum
+in a fixed order, so no BLAS kernel decides a bit here. The references in ``tests/oracles.py`` are
 ``quad_distance``, exact quad by quad in the world frame, the sampled
 ``sampled_material_clearance``, and, for the rim pass bit for bit, the numpy
 (capsules x rim edges) grid ``grid_closest_fringe``.
@@ -87,7 +88,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import NUM_JOINTS, RobotChain, frames, is_link_index, joint_config, point_jacobian, to_world
+from .kinematics import NUM_JOINTS, RobotChain, frames, is_link_index, joint_config, point_jacobian, point_jacobian_columns, to_world
 from .transforms import is_rigid
 
 CASE_FRINGE = "FRINGE"
@@ -168,14 +169,14 @@ class Scene:
     ``clip_plane_index`` count the same way.
 
     The constructor checks the three fields once and derives, from
-    ``section`` alone, the prism-frame tables the distance queries read: the
-    inward unit wall normals ``_walls`` (k, 2) in (y, z) and their offsets
-    ``_wall_offsets`` (k,), so that wall row i's clearance of a point is
-    ``_walls[i] . (y, z) - _wall_offsets[i]``; and the rim ``_rim``, one
-    tuple of Python floats per edge, ``(y, z, ey, ez, length², ok)``: the
-    edge's start and direction in (y, z) (its x is 0), its squared length,
-    and whether it is long enough to be scored as a segment and not a point.
-    Rim edge i runs along the entrance edge of wall i.
+    ``section`` alone, the prism-frame tables the distance queries read, each
+    one tuple of Python floats per section edge: the walls ``_walls``,
+    ``(ny, nz, offset)``, the inward unit normal in (y, z) and its offset, so
+    that wall row i's clearance of a point is ``ny * y + nz * z - offset``;
+    and the rim ``_rim``, ``(y, z, ey, ez, length², ok)``: the edge's start
+    and direction in (y, z) (its x is 0), its squared length, and whether it
+    is long enough to be scored as a segment and not a point. Rim edge i runs
+    along the entrance edge of wall i.
     ``transform_scene`` changes only the pose and shares the tables.
     """
 
@@ -211,14 +212,13 @@ class Scene:
             raise ValueError("; ".join(failures))
         (ey, ez), (y, z) = edges.T, section.T
         length2 = ey * ey + ez * ez
-        walls = np.column_stack([-ez, ey]) / np.sqrt(length2)[:, None]  # each edge's left, where the tunnel is
-        rim = (y, z, ey, ez, length2, length2 > _SEGMENT_EPS)
+        ny, nz = -ez / np.sqrt(length2), ey / np.sqrt(length2)  # each edge's left, where the tunnel is
+        walls, rim = (ny, nz, ny * y + nz * z), (y, z, ey, ez, length2, length2 > _SEGMENT_EPS)
         values = {
             "section": section,
             "depth": float(self.depth),
             "pose": pose,
-            "_walls": walls,
-            "_wall_offsets": walls[:, 0] * y + walls[:, 1] * z,
+            "_walls": tuple(zip(*(column.tolist() for column in walls))),
             "_rim": tuple(zip(*(column.tolist() for column in rim))),
         }
         for name, value in values.items():
@@ -311,8 +311,8 @@ def _closest_fringe(axis, rim: tuple) -> tuple:
     only the sign of a zero, and each such zero is clipped or squared before
     it reaches a result. Each division runs behind the test that keeps its
     divisor away from zero, and a clipped parameter is never -0.0. Returns
-    (distance, axis parameter, None, rim index, point on the axis, point on
-    the rim), the points in the prism frame.
+    (distance, axis parameter, rim index, point on the axis, point on the
+    rim), the points in the prism frame.
     """
     (ax, ay, az), (bx, by, bz) = axis
     dx, dy, dz = bx - ax, by - ay, bz - az
@@ -352,7 +352,7 @@ def _closest_fringe(axis, rim: tuple) -> tuple:
         if not dist_sq > best_sq:
             dist = math.sqrt(dist_sq)
             if best is None or dist < best[0]:
-                best, best_sq = (dist, s, None, j, (px, py, pz), (0.0, qy, qz)), dist_sq
+                best, best_sq = (dist, s, j, (px, py, pz), (0.0, qy, qz)), dist_sq
     return best
 
 
@@ -360,43 +360,45 @@ def _slab_score(axis, scene: Scene) -> tuple | None:
     """Score record of the piece of a prism-frame axis in the slab 0 <= x <= depth, or None when it has none.
 
     The piece's ends are pinned where the axis crosses x = 0 (plane 0) or
-    x = depth (plane 1), or are its material ends. When the piece's (y, z)
-    projection meets the section (clipped against each wall's half-plane,
-    Cyrus-Beck), both ends are scored against every wall and the lower end,
-    then the lower wall row, wins a tie. Otherwise the projection goes
+    x = depth (plane 1), or are its material ends. One pass over the walls
+    scores both ends and clips the piece's (y, z) projection against each
+    wall's half-plane (Cyrus-Beck). Where it meets the section the lower end,
+    then the lower wall row, wins a tie; otherwise the projection goes
     through ``_closest_fringe``, whose rim edges are the section edges.
     """
     (ax, ay, az), (bx, by, bz) = axis
     dx, dy, dz = bx - ax, by - ay, bz - az
-    lo, hi = (0.0, None), (1.0, None)  # (axis parameter, cut plane that pins it)
+    (t0, clip0), (t1, clip1) = lo, hi = (0.0, None), (1.0, None)  # (axis parameter, cut plane that pins it)
     if dx != 0.0:
         enter, leave = ((-ax / dx, 0), ((scene.depth - ax) / dx, 1))[:: 1 if dx > 0.0 else -1]
-        lo, hi = enter if enter[0] > 0.0 else lo, leave if leave[0] < 1.0 else hi
-        if lo[0] > hi[0]:
+        (t0, clip0), (t1, clip1) = enter if enter[0] > 0.0 else lo, leave if leave[0] < 1.0 else hi
+        if t0 > t1:
             return None
     elif not 0.0 <= ax <= scene.depth:
         return None
-    walls = list(zip(scene._walls.tolist(), scene._wall_offsets.tolist()))
-    ends = []
-    for t, clip in (lo, hi):
-        y, z = ay + t * dy, az + t * dz
-        ends.append((t, clip, y, z, [ny * y + nz * z - off for (ny, nz), off in walls]))
-    # the projection meets the section where it is inside every wall's half-plane: from the last point where
-    # a clearance turns positive to the first where one turns negative (none when a wall has both ends outside)
-    pairs = list(zip(ends[0][4], ends[1][4]))
-    inside_from = max([0.0] + [ca / (ca - cb) if cb >= 0.0 else math.inf for ca, cb in pairs if ca < 0.0])
-    if inside_from <= min([1.0] + [ca / (ca - cb) for ca, cb in pairs if ca >= 0.0 > cb]):
-        scored = ((c, t, clip, row, y, z) for t, clip, y, z, clearances in ends for row, c in enumerate(clearances))
-        clearance, t, clip, row, y, z = min(scored, key=itemgetter(0))
-        (ny, nz), _off = walls[row]
+    y0, z0, y1, z1 = ay + t0 * dy, az + t0 * dz, ay + t1 * dy, az + t1 * dz
+    # the projection is inside every wall's half-plane from inside_from to inside_to; nowhere if a wall has both ends out
+    inside_from, inside_to, c0, c1, row0, row1 = 0.0, 1.0, math.inf, math.inf, 0, 0
+    for row, (ny, nz, off) in enumerate(scene._walls):
+        ca, cb = ny * y0 + nz * z0 - off, ny * y1 + nz * z1 - off
+        if ca < c0:
+            c0, row0 = ca, row
+        if cb < c1:
+            c1, row1 = cb, row
+        if ca < 0.0:
+            inside_from = max(inside_from, ca / (ca - cb)) if cb >= 0.0 else math.inf
+        elif cb < 0.0:
+            inside_to = min(inside_to, ca / (ca - cb))
+    if inside_from <= inside_to:
+        clearance, row, t, clip, y, z = (c1, row1, t1, clip1, y1, z1) if c1 < c0 else (c0, row0, t0, clip0, y0, z0)
+        ny, nz, _off = scene._walls[row]
         x = ax + t * dx
         return (clearance, t, clip, CASE_TUNNEL, 2 + row, (x, y, z), (x, y - clearance * ny, z - clearance * nz))
-    (t0, clip0, y0, z0, _), (t1, clip1, y1, z1, _) = ends
-    dist, s, _clip, j, (_, py, pz), (_, qy, qz) = _closest_fringe(((0.0, y0, z0), (0.0, y1, z1)), scene._rim)
+    dist, s, j, (_, py, pz), (_, qy, qz) = _closest_fringe(((0.0, y0, z0), (0.0, y1, z1)), scene._rim)
     t = t0 + s * (t1 - t0)
     x = ax + t * dx
     clip = clip0 if s == 0.0 else clip1 if s == 1.0 else None
-    return (dist, t, clip, CASE_FRINGE, 2 * len(walls) + j, (x, py, pz), (x, qy, qz))
+    return (dist, t, clip, CASE_FRINGE, 2 * len(scene._walls) + j, (x, py, pz), (x, qy, qz))
 
 
 def _score_axis(axis, scene: Scene) -> tuple:
@@ -409,11 +411,11 @@ def _score_axis(axis, scene: Scene) -> tuple:
     rim, depth = scene._rim, scene.depth
     scores = []
     if ax < 0.0 or bx < 0.0:
-        dist, s, _clip, j, on_axis, on_rim = _closest_fringe(axis, rim)
+        dist, s, j, on_axis, on_rim = _closest_fringe(axis, rim)
         scores.append((dist, s, None, CASE_FRINGE, j, on_axis, on_rim))
     scores.append(_slab_score(axis, scene))
     if ax > depth or bx > depth:
-        dist, s, _clip, j, (px, py, pz), (_, qy, qz) = _closest_fringe(((ax - depth, ay, az), (bx - depth, by, bz)), rim)
+        dist, s, j, (px, py, pz), (_, qy, qz) = _closest_fringe(((ax - depth, ay, az), (bx - depth, by, bz)), rim)
         scores.append((dist, s, None, CASE_FRINGE, len(rim) + j, (px + depth, py, pz), (depth, qy, qz)))
     return min(filter(None, scores), key=itemgetter(0))
 
@@ -558,29 +560,28 @@ def world_state(q, chain: RobotChain, capsules, scene: Scene, previous: WorldSta
 
 
 def _witness_gradient(rows: list, segment, capsules: CapsuleSet, scene: Scene, witness: DistanceWitness) -> np.ndarray:
-    J_point = point_jacobian(rows, capsules[witness.capsule_index].link_index, witness.point_on_robot.tolist())
-    R = scene.pose[:3, :3]
-    diff = witness.point_on_robot - witness.point_on_obstacle
-    dist = math.sqrt(diff @ diff)
+    on_robot, on_obstacle = witness.point_on_robot.tolist(), witness.point_on_obstacle.tolist()
+    columns = point_jacobian_columns(rows, capsules[witness.capsule_index].link_index, on_robot)
+    (r00, r01, r02, _), (r10, r11, r12, _), (r20, r21, r22, _) = scene.pose[:3].tolist()
+    dist = math.dist(on_robot, on_obstacle)
     if witness.case_tag == CASE_TUNNEL or dist < 1e-12:
         # The wall's normal: the half-space clearance's gradient, or for a touching witness a unit direction
         # across the touched edge, a valid sub-gradient choice. Plane 2 + i is wall row i, edge j of ring r is j + rk.
         edge = witness.plane_index - 2 if witness.case_tag == CASE_TUNNEL else witness.plane_index % len(scene._rim)
-        n = R[:, 1:] @ scene._walls[edge]
+        wy, wz, _off = scene._walls[edge]
+        nx, ny, nz = r01 * wy + r02 * wz, r11 * wy + r12 * wz, r21 * wy + r22 * wz
     else:
-        n = diff / dist
-    grad = n @ J_point
+        nx, ny, nz = ((p - o) / dist for p, o in zip(on_robot, on_obstacle))
     if witness.clip_plane_index is not None:
-        # Witness point pinned where the axis crosses x = 0 or x = depth: t* moves with q. Both planes are
-        # x = const in the prism frame, and the sign of their normal +-R[:, 0] cancels in dt/dq.
-        a, b = segment
-        d = np.subtract(b, a)
-        n_c = R[:, 0]
-        slope = float(np.dot(n_c, d))
+        # Witness point pinned where the axis crosses x = 0 or x = depth: t* moves with q, dt/dq = -(n_c . J) / (n_c . d)
+        # for the plane normal n_c = +-R[:, 0], whose sign cancels. The term (n . d) dt/dq folds into n as n - k n_c.
+        (ax, ay, az), (bx, by, bz) = segment
+        dx, dy, dz = bx - ax, by - ay, bz - az
+        slope = r00 * dx + r10 * dy + r20 * dz
         if abs(slope) > 1e-12:
-            dt_dq = -(n_c @ J_point) / slope
-            grad = grad + float(np.dot(n, d)) * dt_dq
-    return grad
+            k = (nx * dx + ny * dy + nz * dz) / slope
+            nx, ny, nz = nx - k * r00, ny - k * r10, nz - k * r20
+    return np.array([nx * jx + ny * jy + nz * jz for jx, jy, jz in columns])
 
 
 def witness_gradient(q, chain: RobotChain, capsules, scene: Scene, witness: DistanceWitness) -> np.ndarray:
@@ -604,7 +605,8 @@ def transform_scene(scene: Scene, T: np.ndarray) -> Scene:
     T = np.asarray(T, dtype=float)
     if not is_rigid(T):
         raise ValueError("scene transform must be a proper rigid transform")
-    pose = T @ scene.pose
+    products = T[:, :, None] * scene.pose  # [i, k, j] = T[i, k] * pose[k, j], summed over k left to right
+    pose = products[:, 0] + products[:, 1] + products[:, 2] + products[:, 3]
     pose.flags.writeable = False
     moved = object.__new__(Scene)
     moved.__dict__.update(vars(scene), pose=pose)
@@ -616,7 +618,8 @@ def point_tunnel_clearance(points, scene: Scene) -> np.ndarray:
 
     Used to check that the weld points sit inside the tunnel.
     """
-    R, origin = scene.pose[:3, :3], scene.pose[:3, 3]
-    local = (np.asarray(points, dtype=float) - origin) @ R
-    clear = (local[..., 1:] @ scene._walls.T - scene._wall_offsets).min(axis=-1)
+    R, d = scene.pose[:3, :3], np.asarray(points, dtype=float) - scene.pose[:3, 3]
+    local = d[..., :1] * R[0] + d[..., 1:2] * R[1] + d[..., 2:3] * R[2]  # (p - t) @ R, summed left to right
+    ny, nz, offset = np.array(scene._walls).T
+    clear = (local[..., 1, None] * ny + local[..., 2, None] * nz - offset).min(axis=-1)
     return np.where((local[..., 0] < 0.0) | (local[..., 0] > scene.depth), -np.inf, clear)

@@ -158,7 +158,12 @@ def body_point_jacobian(q, chain: RobotChain, point: BodyPoint) -> np.ndarray:
 
 
 def point_jacobian(rows: list, link_index: int, position) -> np.ndarray:
-    """3x6 positional Jacobian of the world point ``position`` (x, y, z) rigidly attached to frame ``link_index``.
+    """3x6 positional Jacobian of the world point ``position`` (x, y, z) rigidly attached to frame ``link_index``."""
+    return np.array(list(zip(*point_jacobian_columns(rows, link_index, position))))
+
+
+def point_jacobian_columns(rows: list, link_index: int, position) -> list:
+    """The six columns of ``point_jacobian``, each (x, y, z) in Python floats.
 
     Reads the frame rows of ``frames``; columns beyond the link are zero. Joint
     i + 1 rotates about z of frame i, so column i is the elementwise cross
@@ -169,7 +174,7 @@ def point_jacobian(rows: list, link_index: int, position) -> np.ndarray:
     for i, ((_, _, zx, ox), (_, _, zy, oy), (_, _, zz, oz)) in enumerate(rows[:link_index]):
         dx, dy, dz = x - ox, y - oy, z - oz
         columns[i] = (zy * dz - zz * dy, zz * dx - zx * dz, zx * dy - zy * dx)
-    return np.array(list(zip(*columns)))
+    return columns
 
 
 def tool_tip(chain: RobotChain) -> BodyPoint:

@@ -142,16 +142,14 @@ def safetrack(start: WorldState, c_next, params: PlannerParams) -> SafeTrackResu
     iterate accepted is evaluated once, with start's chain, capsules and scene
     and from the state before it.
     """
-    c_next = np.asarray(c_next, dtype=float)
-    state, iterations = start, 0
+    target, state, iterations = np.asarray(c_next, dtype=float).tolist(), start, 0
     while True:
-        miss = c_next - state.tool_position
-        residual = math.sqrt(miss @ miss)
+        residual = math.dist(target, state.tool_position.tolist())
         converged = residual <= params.xi and state.witness.value > 0.0
         if converged or iterations >= params.max_inner:
             break
         G, h = collision_rows(state)
-        A, b = task_rows(state.tool_jacobian(), state.q, state.tool_position, c_next)
+        A, b = task_rows(state.tool_jacobian(), state.q, state.tool_position, target)
         sol = solve(params.qp, state.q, A=A, b=b, G=G, h=h)
         iterations += 1
         if sol.status != STATUS_OPTIMAL or np.abs(sol.x - state.q).max() < 1e-15:
@@ -189,11 +187,10 @@ def plan(weld_path, q_init, chain: RobotChain, capsules, scene: Scene, params: P
 
     for t in range(T):
         c_from = state.tool_position
-        step = path[t] - c_from
-        gap = math.sqrt(step @ step)
+        gap = math.dist(path[t].tolist(), c_from.tolist())
         stack = [(path[t], 0)]
         if gap > params.step_max:
-            pieces = math.ceil(gap / params.step_max)
+            pieces, step = math.ceil(gap / params.step_max), path[t] - c_from
             stack = [(c_from + (i / pieces) * step, 0) for i in range(pieces, 0, -1)]
         iters = 0
         while stack:
@@ -207,8 +204,7 @@ def plan(weld_path, q_init, chain: RobotChain, capsules, scene: Scene, params: P
             else:
                 raise NonConvergedError(t, result.tcp_error, result.state.witness.value)
         states[t] = state.q
-        miss = path[t] - state.tool_position
-        tcp_error[t] = math.sqrt(miss @ miss)
+        tcp_error[t] = math.dist(path[t].tolist(), state.tool_position.tolist())
         min_distance[t] = state.witness.value
         inner_iterations[t] = iters
 

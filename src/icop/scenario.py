@@ -11,6 +11,7 @@ failing fields at once; load -> serialize -> load is the identity.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -24,7 +25,7 @@ import yaml
 from . import geometry, planner
 from .geometry import Capsule, CapsuleSet, Scene
 from .kinematics import NUM_JOINTS, JointParams, RobotChain, forward_kinematics
-from .transforms import homogeneous, rot_y
+from .transforms import homogeneous
 
 FORMAT_VERSION = 3
 
@@ -58,10 +59,6 @@ class Scenario:
     initial_config: np.ndarray
     description: str = ""
 
-    @property
-    def horizon(self) -> int:
-        return self.weld_path.shape[0]
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -79,16 +76,16 @@ class MetricsReport:
 
 def mounting_transform(l: float, alpha: float) -> np.ndarray:
     """Rotation ``alpha`` about world y, then translation ``l`` along world x."""
-    T = homogeneous(rotation=rot_y(alpha))
-    T[0, 3] = l
-    return T
+    c, s = math.cos(alpha), math.sin(alpha)
+    return np.array([[c, 0.0, s, l], [0.0, 1.0, 0.0, 0.0], [-s, 0.0, c, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
 
 def mounted_scene_and_path(scenario: Scenario) -> tuple[Scene, np.ndarray]:
     """The scene and weld path in the world frame the planner operates in."""
     T = mounting_transform(scenario.mounting_l, scenario.mounting_alpha)
     scene = geometry.transform_scene(scenario.scene, T)
-    path = scenario.weld_path @ T[:3, :3].T + T[:3, 3]
+    products = scenario.weld_path[:, None, :] * T[:3, :3]  # [t, i, j] = R[i, j] * p_t[j], summed over j left to right
+    path = products[..., 0] + products[..., 1] + products[..., 2] + T[:3, 3]
     return scene, path
 
 

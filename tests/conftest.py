@@ -13,15 +13,15 @@ from icop.transforms import homogeneous, rot_y
 from oracles import prism_faces
 
 
-# The OpenBLAS kernel that the pinned plan fingerprint and the bundled scenarios were computed under. Other
-# kernels round the SVD behind the QP's null space, and the IK behind each initial configuration, in other last
-# bits; every x86-64 host with AVX2 runs this one, whatever kernel it would pick itself.
+# The OpenBLAS kernel that the bundled scenarios' initial configurations were computed under: their IK runs
+# ``np.linalg.solve`` and ``pinv``, which other kernels round in other last bits. Every x86-64 host with AVX2 runs
+# this one, whatever kernel it would pick itself. The plans themselves do not depend on the kernel.
 PINNED_KERNEL = "Haswell"
 
 
-def run_under_pinned_kernel(*args: str) -> str:
-    """The stdout of ``python *args`` run under ``PINNED_KERNEL``; the calling test fails on a non-zero exit."""
-    env = dict(os.environ, OPENBLAS_CORETYPE=PINNED_KERNEL)
+def run_under_pinned_kernel(*args: str, kernel: str = PINNED_KERNEL) -> str:
+    """The stdout of ``python *args`` run under the OpenBLAS ``kernel``; the calling test fails on a non-zero exit."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
     done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     return done.stdout

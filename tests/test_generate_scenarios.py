@@ -38,7 +38,7 @@ def test_script_rebuilds_the_bundled_scenes_bit_for_bit():
     built = _load_script().workpiece_scene()
     for name in ("c1", "c2", "c3", "c4"):
         bundled = load_bundled(name).scene
-        for field in ("section", "depth", "pose", "_walls", "_wall_offsets", "_rim"):
+        for field in ("section", "depth", "pose", "_walls", "_rim"):
             assert np.asarray(getattr(built, field)).tobytes() == np.asarray(getattr(bundled, field)).tobytes(), (
                 name,
                 field,

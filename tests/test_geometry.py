@@ -157,6 +157,21 @@ class TestTunnelClearance:
             assert abs(w.value - approx) < 1e-3
             checked += 1
 
+    def test_a_point_inside_gets_the_scorers_clearance(self):
+        # the weld-point check maps points into the prism frame and reads the wall table as the capsule scorer
+        # does, summed left to right, so it has the scorer's bits whatever BLAS kernel the host picks
+        rng = np.random.default_rng(26)
+        checked = 0
+        while checked < 200:
+            scene = random_tunnel(rng)
+            local = [rng.uniform(0.0, scene.depth), *rng.uniform(-0.3, 0.3, 2)]
+            p = scene.pose[:3, :3] @ local + scene.pose[:3, 3]
+            w = capsule_distance(p, p, 0.0, scene)
+            if w.case_tag != CASE_TUNNEL or not w.value > 0.0:
+                continue
+            assert geometry.point_tunnel_clearance(p, scene) == w.value
+            checked += 1
+
 
 class TestSceneDistance:
     def test_far_field_positive_clearance(self, c4):
@@ -225,8 +240,9 @@ class TestSceneDistance:
         for q in [c4.initial_config] + [c4.initial_config + rng.uniform(-0.4, 0.4, 6) for _ in range(50)]:
             world_state(q, c4.chain, c4.capsules, base).gradient()
             T = homogeneous(rot_y(rng.uniform(-0.2, 0.2)) @ rot_z(rng.uniform(-0.2, 0.2)), rng.uniform(-0.1, 0.1, 3))
-            moved = world_state(q, c4.chain, c4.capsules, transform_scene(base, T))
-            fresh = world_state(q, c4.chain, c4.capsules, Scene(base.section, base.depth, T @ base.pose))
+            moved_scene = transform_scene(base, T)
+            moved = world_state(q, c4.chain, c4.capsules, moved_scene)
+            fresh = world_state(q, c4.chain, c4.capsules, Scene(base.section, base.depth, moved_scene.pose))
             assert moved.clearances.tobytes() == fresh.clearances.tobytes()
             _assert_same_witness(moved.witness, fresh.witness)
             assert moved.gradient().tobytes() == fresh.gradient().tobytes()
@@ -811,12 +827,18 @@ class TestPieceGradients:
             assert (up.value - down.value) / (2 * h) == pytest.approx(grad[j], abs=1e-6), j
 
 
-_DERIVED = ("_walls", "_wall_offsets", "_rim")
+_DERIVED = ("_walls", "_rim")
 
 
 def _rebuilt(scene):
     """The same scene through the validating constructor."""
     return Scene(scene.section, scene.depth, scene.pose)
+
+
+def _composed(T, P):
+    """T @ P on Python floats, each entry summed left to right as ``transform_scene`` sums it."""
+    columns = list(zip(*P.tolist()))
+    return np.array([[a * p + b * q + c * r + d * s for p, q, r, s in columns] for a, b, c, d in T.tolist()])
 
 
 def _assert_same_scene(s1, s2):
@@ -836,7 +858,7 @@ class TestTransformScene:
             _assert_same_scene(_rebuilt(moved), moved)
 
     def test_two_moves_compose_into_one(self):
-        # from the identity pose, T @ I is T to the bit, so moving by A then B stores B @ A
+        # from the identity pose, T @ I is T to the bit, so moving by A then B stores B @ A, summed in a fixed order
         rng = np.random.default_rng(82)
         for _ in range(200):
             scene = Scene(random_tunnel(rng).section, float(rng.uniform(0.5, 2.0)))
@@ -844,7 +866,7 @@ class TestTransformScene:
                 homogeneous(rot_y(rng.uniform(-np.pi, np.pi)) @ rot_z(rng.uniform(-np.pi, np.pi)), rng.uniform(-2, 2, 3))
                 for _ in range(2)
             )
-            _assert_same_scene(transform_scene(transform_scene(scene, A), B), transform_scene(scene, B @ A))
+            _assert_same_scene(transform_scene(transform_scene(scene, A), B), transform_scene(scene, _composed(B, A)))
 
     @pytest.mark.parametrize(
         "T", [np.diag([2.0, 2.0, 2.0, 1.0]), np.diag([1.0, 1.0, -1.0, 1.0])], ids=["scaling", "reflection"]
@@ -1123,7 +1145,7 @@ class TestBatchedKernel:
                 np.ascontiguousarray(local.transpose(2, 1, 0)), scene
             )
             for k, axis in enumerate(local.tolist()):
-                got_dist, got_s, _clip, got_edge, got_on_axis, got_on_fringe = _closest_fringe(axis, scene._rim)
+                got_dist, got_s, got_edge, got_on_axis, got_on_fringe = _closest_fringe(axis, scene._rim)
                 edge = int(nearest[k])
                 assert got_edge == edge, (k, axis)
                 got = np.array([got_dist, got_s, *got_on_axis, *got_on_fringe])

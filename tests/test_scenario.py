@@ -35,7 +35,7 @@ class TestLoading:
         assert c4.name == "c4"
         assert c4.mounting_l == pytest.approx(0.18)  # family label quotes 18 cm
         assert c4.mounting_alpha == pytest.approx(0.125 * np.pi)
-        assert c4.horizon == 43
+        assert len(c4.weld_path) == 43
         assert c4.scene.section.shape == (6, 2) and c4.scene.depth == 0.5
         assert len(c4.capsules) == 6
 
@@ -43,7 +43,7 @@ class TestLoading:
     def test_all_bundled_scenarios_load(self):
         for name in ("c1", "c2", "c3", "c4"):
             s = load_bundled(name)
-            assert s.horizon == 43
+            assert len(s.weld_path) == 43
             assert s.params.xi == pytest.approx(1e-4)
 
     def test_zero_radius_capsule_error_names_index(self, c4):
