@@ -40,8 +40,8 @@ pinned where the axis crosses x = 0 or x = depth.
 
 Each capsule is scored in the prism frame, on Python floats: its world axis
 ends p are mapped there when it is scored, as (p - t) @ R summed left to
-right, with R and t read from the pose on every call; on arrays this small
-numpy's per-call cost outweighs its arithmetic. The rim pass is the
+right, with R and t read from the pose's float rows, which the scene keeps;
+on arrays this small numpy's per-call cost outweighs its arithmetic. The rim pass is the
 closest-point arithmetic of ``segment_segment_distance`` against each edge,
 branching on a point-like edge or axis, with the zero x terms of the rim
 left out. A capsule scored alone and in a batch gets the same bits. Only the
@@ -55,7 +55,8 @@ in a fixed order, so no BLAS kernel decides a bit here. The references in ``test
 A planner iterate is evaluated once: ``world_state`` places the capsule axes
 in the world from the frame rows of one ``kinematics.frames`` pass and scores
 them; the tool position, the tool Jacobian and the gradient read the same
-rows. Every public path here runs the same arithmetic and gets the same bits.
+rows, as Python floats; the public functions return arrays. Every public path
+here runs the same arithmetic and gets the same bits.
 ``world_state`` is also the one place that decides what an evaluation
 reuses: a previous state of the same chain, capsules and scene whose ``q``
 has q's bits is handed back itself, with no forward pass, and any other
@@ -88,7 +89,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import NUM_JOINTS, RobotChain, frames, is_link_index, joint_config, point_jacobian, point_jacobian_columns, to_world
+from .kinematics import NUM_JOINTS, RobotChain, frames, is_link_index, joint_config, point_jacobian_columns, to_world
 from .transforms import is_rigid
 
 CASE_FRINGE = "FRINGE"
@@ -176,8 +177,8 @@ class Scene:
     and the rim ``_rim``, ``(y, z, ey, ez, length², ok)``: the edge's start
     and direction in (y, z) (its x is 0), its squared length, and whether it
     is long enough to be scored as a segment and not a point. Rim edge i runs
-    along the entrance edge of wall i.
-    ``transform_scene`` changes only the pose and shares the tables.
+    along the entrance edge of wall i. ``_pose_rows`` is the pose's top three
+    rows as floats; ``transform_scene`` replaces only it and the pose.
     """
 
     section: np.ndarray  # (k, 2), k >= 3
@@ -218,6 +219,7 @@ class Scene:
             "section": section,
             "depth": float(self.depth),
             "pose": pose,
+            "_pose_rows": tuple(map(tuple, pose[:3].tolist())),
             "_walls": tuple(zip(*(column.tolist() for column in walls))),
             "_rim": tuple(zip(*(column.tolist() for column in rim))),
         }
@@ -433,9 +435,9 @@ def _score_axes(axes: list, radii, scene: Scene, capsule_indices, previous: Worl
     loop starts at capsule 0. Returns (clearances, witness, how many axes
     were scored exactly).
     """
-    (r00, r01, r02, tx), (r10, r11, r12, ty), (r20, r21, r22, tz) = pose = scene.pose[:3].tolist()
+    (r00, r01, r02, tx), (r10, r11, r12, ty), (r20, r21, r22, tz) = pose = scene._pose_rows
     n = len(axes)
-    first, floors = (0, None) if previous is None else (previous.witness.capsule_index, previous.clearances.tolist())
+    first, floors = (0, None) if previous is None else (previous.witness.capsule_index, previous.clearance_floats)
     scores, clearances, best, culled = [None] * n, [None] * n, math.inf, 0
     for i in (first, *range(first), *range(first + 1, n)):
         if floors is not None:
@@ -487,10 +489,10 @@ def scene_distance(q, chain: RobotChain, capsules, scene: Scene) -> DistanceWitn
 class WorldState:
     """One configuration placed in the scene, evaluated once for every consumer.
 
-    Holds the frame rows of one forward-kinematics pass and the world capsule
-    axes, as Python floats, the tool position and each capsule's signed
-    clearance, with the chain, capsules and scene they were evaluated with.
-    Only the minimizing capsule (the first on a tie) has a ``witness``.
+    Holds the frame rows of one forward-kinematics pass, the world capsule
+    axes and the tool position as Python floats, q and each capsule's signed
+    clearance as arrays and as floats, and the chain, capsules and scene they
+    were evaluated with. Only the minimizing capsule (the first on a tie) has a ``witness``.
 
     The scoring pass may cull a capsule that has a floor at the state it was
     evaluated from: a culled ``clearances`` entry holds a lower bound of that
@@ -500,22 +502,24 @@ class WorldState:
     """
 
     q: np.ndarray
+    q_floats: list  # q's six floats
     frames: list  # base->frame_k, k = 0..6, each three rows of four floats
     segments: list  # per capsule, its world-frame axis ((ax, ay, az), (bx, by, bz))
-    tool_position: np.ndarray  # (3,)
+    tool_position: tuple  # (x, y, z)
     clearances: np.ndarray  # (n,) signed clearance of each capsule; a culled entry holds a lower bound
+    clearance_floats: list  # the clearances' floats
     witness: DistanceWitness
     chain: RobotChain
     capsules: CapsuleSet
     scene: Scene
     scored: int  # capsules scored exactly: all of them unless some were culled
 
-    def tool_jacobian(self) -> np.ndarray:
-        """3x6 positional Jacobian of the tool tip at this configuration."""
-        return point_jacobian(self.frames, NUM_JOINTS, self.tool_position.tolist())
+    def tool_jacobian(self) -> list:
+        """Positional Jacobian of the tool tip at this configuration: three rows of six floats."""
+        return list(zip(*point_jacobian_columns(self.frames, NUM_JOINTS, self.tool_position)))
 
-    def gradient(self) -> np.ndarray:
-        """Configuration-space gradient (6,) of the minimum distance, from ``witness``."""
+    def gradient(self) -> list:
+        """Configuration-space gradient of the minimum distance, from ``witness``: six floats."""
         return _witness_gradient(self.frames, self.segments[self.witness.capsule_index], self.capsules, self.scene, self.witness)
 
 
@@ -533,23 +537,27 @@ def world_state(q, chain: RobotChain, capsules, scene: Scene, previous: WorldSta
     every capsule. Capsules given as a tuple or list are converted here into
     a new ``CapsuleSet``, so they never match ``previous``.
     """
-    qv = joint_config(q)
+    qv = np.array(q, dtype=float).reshape(-1)  # a copy
+    if len(qf := qv.tolist()) != NUM_JOINTS or not math.isfinite(sum(qf)):  # a finite sum has only finite terms
+        qv = joint_config(q)  # names what is wrong
     capsules = _capsule_set(capsules)
     if previous is not None and not (previous.chain is chain and previous.capsules is capsules and previous.scene is scene):
         previous = None
-    elif previous is not None and qv.tobytes() == previous.q.tobytes():
+    elif previous is not None and qf == previous.q_floats and qv.tobytes() == previous.q.tobytes():  # bits: 0.0 == -0.0
         return previous
-    rows = frames(qv.tolist(), chain)
+    rows = frames(qf, chain)
     segments = _world_axes(rows, capsules._axes)
     clearances, witness, scored = _score_axes(segments, capsules._radii, scene, range(len(capsules)), previous)
     # Every field is built here, so the frozen dataclass's __init__, one object.__setattr__ per field, is skipped.
     state = object.__new__(WorldState)
     state.__dict__.update(
         q=qv,
+        q_floats=qf,
         frames=rows,
         segments=segments,
-        tool_position=np.array(to_world(rows[NUM_JOINTS], chain._tool_point)),
+        tool_position=to_world(rows[NUM_JOINTS], chain._tool_point),
         clearances=np.array(clearances),
+        clearance_floats=clearances,
         witness=witness,
         chain=chain,
         capsules=capsules,
@@ -559,10 +567,10 @@ def world_state(q, chain: RobotChain, capsules, scene: Scene, previous: WorldSta
     return state
 
 
-def _witness_gradient(rows: list, segment, capsules: CapsuleSet, scene: Scene, witness: DistanceWitness) -> np.ndarray:
+def _witness_gradient(rows: list, segment, capsules: CapsuleSet, scene: Scene, witness: DistanceWitness) -> list:
     on_robot, on_obstacle = witness.point_on_robot.tolist(), witness.point_on_obstacle.tolist()
     columns = point_jacobian_columns(rows, capsules[witness.capsule_index].link_index, on_robot)
-    (r00, r01, r02, _), (r10, r11, r12, _), (r20, r21, r22, _) = scene.pose[:3].tolist()
+    (r00, r01, r02, _), (r10, r11, r12, _), (r20, r21, r22, _) = scene._pose_rows
     dist = math.dist(on_robot, on_obstacle)
     if witness.case_tag == CASE_TUNNEL or dist < 1e-12:
         # The wall's normal: the half-space clearance's gradient, or for a touching witness a unit direction
@@ -581,11 +589,11 @@ def _witness_gradient(rows: list, segment, capsules: CapsuleSet, scene: Scene, w
         if abs(slope) > 1e-12:
             k = (nx * dx + ny * dy + nz * dz) / slope
             nx, ny, nz = nx - k * r00, ny - k * r10, nz - k * r20
-    return np.array([nx * jx + ny * jy + nz * jz for jx, jy, jz in columns])
+    return [nx * jx + ny * jy + nz * jz for jx, jy, jz in columns]
 
 
 def witness_gradient(q, chain: RobotChain, capsules, scene: Scene, witness: DistanceWitness) -> np.ndarray:
-    """Configuration-space gradient (6,) of one capsule's signed distance.
+    """Configuration-space gradient (6,) of one capsule's signed distance, as an array.
 
     The unit direction of the witness, the wall normal (TUNNEL) or the line
     from the obstacle point to the axis point (FRINGE), dotted with the axis
@@ -597,7 +605,7 @@ def witness_gradient(q, chain: RobotChain, capsules, scene: Scene, witness: Dist
     capsules = _capsule_set(capsules)
     rows = frames(joint_config(q).tolist(), chain)
     (segment,) = _world_axes(rows, capsules._axes[witness.capsule_index : witness.capsule_index + 1])
-    return _witness_gradient(rows, segment, capsules, scene, witness)
+    return np.array(_witness_gradient(rows, segment, capsules, scene, witness))
 
 
 def transform_scene(scene: Scene, T: np.ndarray) -> Scene:
@@ -609,7 +617,7 @@ def transform_scene(scene: Scene, T: np.ndarray) -> Scene:
     pose = products[:, 0] + products[:, 1] + products[:, 2] + products[:, 3]
     pose.flags.writeable = False
     moved = object.__new__(Scene)
-    moved.__dict__.update(vars(scene), pose=pose)
+    moved.__dict__.update(vars(scene), pose=pose, _pose_rows=tuple(map(tuple, pose[:3].tolist())))
     return moved
 
 

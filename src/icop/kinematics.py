@@ -154,16 +154,12 @@ def body_point_jacobian(q, chain: RobotChain, point: BodyPoint) -> np.ndarray:
     """3x6 positional Jacobian of a body point; columns beyond its link are zero."""
     rows = frames(joint_config(q).tolist(), chain)
     k = point.link_index
-    return point_jacobian(rows, k, to_world(rows[k], point.local_position.tolist()))
-
-
-def point_jacobian(rows: list, link_index: int, position) -> np.ndarray:
-    """3x6 positional Jacobian of the world point ``position`` (x, y, z) rigidly attached to frame ``link_index``."""
-    return np.array(list(zip(*point_jacobian_columns(rows, link_index, position))))
+    return np.array(list(zip(*point_jacobian_columns(rows, k, to_world(rows[k], point.local_position.tolist())))))
 
 
 def point_jacobian_columns(rows: list, link_index: int, position) -> list:
-    """The six columns of ``point_jacobian``, each (x, y, z) in Python floats.
+    """The six columns of the positional Jacobian of the world point ``position`` (x, y, z) rigidly attached to
+    frame ``link_index``, each (x, y, z) in Python floats.
 
     Reads the frame rows of ``frames``; columns beyond the link are zero. Joint
     i + 1 rotates about z of frame i, so column i is the elementwise cross

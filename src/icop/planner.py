@@ -13,6 +13,7 @@ previous waypoint; anchoring at the previous waypoint can pin the iterate
 against the constraint set and stall the loop. The weights and the joint box
 are the same for every QP, so ``PlannerParams`` checks them once into its
 ``QpProblem``; an iterate hands ``qp.solve`` only its reference and its rows.
+The rows, the residual and the stall test read the state's Python floats.
 
 Each configuration is evaluated once per plan (``geometry.world_state``):
 ``plan`` evaluates the initial configuration, SafeTrack evaluates each QP
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import sub
 
 import numpy as np
 
@@ -144,15 +146,15 @@ def safetrack(start: WorldState, c_next, params: PlannerParams) -> SafeTrackResu
     """
     target, state, iterations = np.asarray(c_next, dtype=float).tolist(), start, 0
     while True:
-        residual = math.dist(target, state.tool_position.tolist())
+        residual = math.dist(target, state.tool_position)
         converged = residual <= params.xi and state.witness.value > 0.0
         if converged or iterations >= params.max_inner:
             break
         G, h = collision_rows(state)
-        A, b = task_rows(state.tool_jacobian(), state.q, state.tool_position, target)
+        A, b = task_rows(state.tool_jacobian(), state.q_floats, state.tool_position, target)
         sol = solve(params.qp, state.q, A=A, b=b, G=G, h=h)
         iterations += 1
-        if sol.status != STATUS_OPTIMAL or np.abs(sol.x - state.q).max() < 1e-15:
+        if sol.status != STATUS_OPTIMAL or max(map(abs, map(sub, sol.x.tolist(), state.q_floats))) < 1e-15:
             break  # no solution, or stalled: the QP returned the reference itself
         state = world_state(sol.x, start.chain, start.capsules, start.scene, state)
     return SafeTrackResult(state, converged, iterations, residual)
@@ -186,8 +188,8 @@ def plan(weld_path, q_init, chain: RobotChain, capsules, scene: Scene, params: P
     inner_iterations = np.zeros(T, dtype=int)
 
     for t in range(T):
-        c_from = state.tool_position
-        gap = math.dist(path[t].tolist(), c_from.tolist())
+        c_from = np.array(state.tool_position)
+        gap = math.dist(path[t].tolist(), state.tool_position)
         stack = [(path[t], 0)]
         if gap > params.step_max:
             pieces, step = math.ceil(gap / params.step_max), path[t] - c_from
@@ -200,11 +202,11 @@ def plan(weld_path, q_init, chain: RobotChain, capsules, scene: Scene, params: P
             if result.converged:
                 state = result.state
             elif depth < _BISECT_DEPTH:
-                stack += [(target, depth + 1), (0.5 * (state.tool_position + target), depth + 1)]
+                stack += [(target, depth + 1), (0.5 * (target + state.tool_position), depth + 1)]
             else:
                 raise NonConvergedError(t, result.tcp_error, result.state.witness.value)
         states[t] = state.q
-        tcp_error[t] = math.dist(path[t].tolist(), state.tool_position.tolist())
+        tcp_error[t] = math.dist(path[t].tolist(), state.tool_position)
         min_distance[t] = state.witness.value
         inner_iterations[t] = iters
 

@@ -8,9 +8,9 @@ weighted norm:
 with every weight w_i > 0. The weights and the bounds stay fixed across a
 caller's QPs, so a ``QpProblem`` holds only them: it checks and freezes them
 once. Each ``solve`` call passes x_ref and the rows, and checks only those.
-The rows are plain arrays, and this module owns their format: the collision
-and contact layers hand over ``(G, h)`` and ``(A, b)`` and nothing here
-imports from the layers above.
+The rows are sequences of floats or arrays, and this module owns their
+format: the collision and contact layers hand over ``(G, h)`` and ``(A, b)``
+on floats and nothing here imports from the layers above.
 
 In the scaled variable y = sqrt(w) (x - x_ref) the objective is ||y||^2, so
 the problem is a least-distance problem. The equality rows are eliminated
@@ -20,14 +20,14 @@ null-space coordinates z. Its unconstrained minimum z = 0 is the weighted
 projection x0 of x_ref onto the equality rows; when that point meets every
 inequality and bound it is returned as it is.
 
-Three equality rows, the contact rows every planner QP has, are projected
-first on Python floats, with no SVD: x0 = x_ref + W^-1 A^T y, where y solves
+Three equality rows, the contact rows every planner QP has, are checked and
+projected first on Python floats, with no SVD: x0 = x_ref + W^-1 A^T y, where y solves
 K y = b - A x_ref with K = A W^-1 A^T, through an unrolled LDL^T. That
 needs every pivot d_k above ``_PIVOT_RTOL`` K_kk, so the rows are far from
 dependent and the Gram solve stays at rounding error, and the shortest row
 long enough that the SVD's rank test would find the rows independent. When
-that x0 also meets every inequality and bound it is returned at once; most
-planner QPs end there. Otherwise the SVD runs: after the float projection it
+that x0 also meets every inequality and bound it is returned at once, and
+only x is an array; most planner QPs end there. Otherwise the SVD runs: after the float projection it
 supplies only the null space and x0 is kept, and rows that failed the pivot
 test, or come in other numbers, take the SVD's x0 and its rank test.
 
@@ -54,6 +54,7 @@ as the solver left it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import mul, sub
 
@@ -132,6 +133,19 @@ class QpSolution:
     eq_projected: bool = False
     multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))
     active_set: tuple[int, ...] = ()
+
+
+def _three_rows(n: int, x_ref, A, b, G, h):
+    """x_ref, A, b, G and h, arrays as lists, when x_ref has n entries, A three rows of n, b three, each row of G n
+    and h one per row, and every entry is a finite number (a finite sum has only finite terms); else None."""
+    try:
+        x_ref, A, b, G, h = [v.tolist() if isinstance(v, np.ndarray) else v for v in (x_ref, A, b, G, h)]
+        if len(x_ref) == n and len(A) == len(b) == 3 and len(G) == len(h) and all(len(r) == n for r in (*A, *G)):
+            if math.isfinite(sum(x_ref) + sum(b) + sum(h) + sum(map(sum, A)) + sum(map(sum, G))):
+                return x_ref, A, b, G, h
+    except (TypeError, OverflowError):  # an entry that is no number, or a row that is no sequence
+        pass
+    return None
 
 
 def _rows(M, v, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -274,12 +288,27 @@ def solve(problem: QpProblem, x_ref, A=(), b=(), G=(), h=()) -> QpSolution:
 
     An empty sequence means no rows of that kind. Only the arguments of this
     call are checked: their shapes against ``problem`` and their finiteness.
-    Deterministic for fixed inputs. Three equality rows whose LDL^T pivots
-    clear ``_PIVOT_RTOL`` are projected on floats, and when their projection
-    meets every row and bound it is returned with no SVD; every other call
-    reaches the SVD (module docstring). An OPTIMAL ``x`` lies in the box.
+    Deterministic for fixed inputs, floats or arrays alike. Three finite rows
+    of n in A whose LDL^T pivots clear ``_PIVOT_RTOL`` are projected on floats,
+    and when their projection meets every row and bound it is returned with no
+    SVD; every other call reaches the SVD (module docstring). An OPTIMAL ``x``
+    lies in the box.
     """
-    n = problem.weights.shape[0]
+    n = len(problem.inverse_weights)
+    floats = _three_rows(n, x_ref, A, b, G, h)
+    x0 = None if floats is None else _project_three(problem.inverse_weights, *floats[:3])
+    if x0 is not None:
+        # The fast exit: where x0 meets every row and bound it is the optimum, and no SVD runs.
+        # Three variables leave no null space, and then no pass is counted, as below.
+        _, rows, rhs, g_rows, g_rhs = floats
+        worst = min(min(map(sub, x0, problem.lower_floats)), min(map(sub, problem.upper_floats, x0)),
+                    *(sum(map(mul, g, x0)) - hi for g, hi in zip(g_rows, g_rhs)))
+        if worst >= -_TOL_FEAS * 0.1:
+            if worst < 0.0:  # within the tolerance outside a row or bound: onto the box, as below
+                x0 = list(map(min, map(max, x0, problem.lower_floats), problem.upper_floats))
+            eq_res = max(abs(sum(map(mul, a, x0)) - bi) for a, bi in zip(rows, rhs))
+            return QpSolution(np.array(x0), STATUS_OPTIMAL, 0.0, eq_res, 1 if n > 3 else 0, False, np.zeros(0), ())
+        x0 = np.array(x0)
     x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
     if x_ref.shape != (n,):
         raise ValueError(f"x_ref must be ({n},), got {x_ref.shape}")
@@ -290,21 +319,6 @@ def solve(problem: QpProblem, x_ref, A=(), b=(), G=(), h=()) -> QpSolution:
         named = {"x_ref": x_ref, "A": A, "b": b, "G": G, "h": h}
         raise ValueError(f"{', '.join(k for k, arr in named.items() if not np.isfinite(arr).all())} must be finite")
     scale = problem.scale
-    x0 = None
-    if A.shape[0] == 3:
-        rows, rhs = A.tolist(), b.tolist()
-        x0 = _project_three(problem.inverse_weights, x_ref.tolist(), rows, rhs)
-    if x0 is not None:
-        # The fast exit: where x0 meets every row and bound it is the optimum, and no SVD runs.
-        # Three variables leave no null space, and then no pass is counted, as below.
-        worst = min(min(map(sub, x0, problem.lower_floats)), min(map(sub, problem.upper_floats, x0)),
-                    *(sum(map(mul, g, x0)) - hi for g, hi in zip(G.tolist(), h.tolist())))
-        if worst >= -_TOL_FEAS * 0.1:
-            if worst < 0.0:  # within the tolerance outside a row or bound: onto the box, as below
-                x0 = list(map(min, map(max, x0, problem.lower_floats), problem.upper_floats))
-            eq_res = max(abs(sum(map(mul, a, x0)) - bi) for a, bi in zip(rows, rhs))
-            return QpSolution(np.array(x0), STATUS_OPTIMAL, 0.0, eq_res, 1 if n > 3 else 0, False, np.zeros(0), ())
-        x0 = np.array(x0)
     x0, null, projected = _eliminate_equalities(x_ref, A, b, scale, x0)
 
     def finish(x, status, kkt, iters, lam, active):

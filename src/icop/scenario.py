@@ -6,7 +6,9 @@ scene in its construction frame, the weld path, the mounting placement
 (translation ``l`` along world x after rotation ``alpha`` about world y),
 planner parameters and the initial joint configuration. Lengths are meters,
 angles radians. Loading validates every domain-type invariant and reports all
-failing fields at once; load -> serialize -> load is the identity.
+failing fields at once, then checks that the start is within the joint
+limits and clear of the mounted scene; load -> serialize -> load is the
+identity.
 """
 
 from __future__ import annotations
@@ -324,6 +326,11 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         raise ScenarioError(source, reader.failures)
     if np.any(initial < params.joint_lower) or np.any(initial > params.joint_upper):
         raise ScenarioError(source, ["initial_config: violates the joint limits"])
+    # the robot is not mounted, so the start's clearance is measured in the mounted scene
+    mounted = geometry.transform_scene(scene, mounting_transform(mount_l, mount_alpha))
+    clearance = geometry.world_state(initial, chain, capsules, mounted).witness.value
+    if not clearance > 0.0:
+        raise ScenarioError(source, [f"initial_config: clearance {clearance:.3e} m in the mounted scene is not positive"])
 
     scenario = Scenario(
         name=name,

@@ -4,10 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 
-from icop.geometry import Scene
+from icop.geometry import Scene, world_state
 from icop.kinematics import JointParams, RobotChain
-from icop.scenario import load_bundled
+from icop.scenario import load_bundled, mounted_scene_and_path, scenario_to_dict
 from icop.transforms import homogeneous, rot_y
 
 from oracles import prism_faces
@@ -37,6 +38,24 @@ def straight_chain() -> RobotChain:
 @pytest.fixture(scope="session")
 def c4():
     return load_bundled("c4")
+
+
+@pytest.fixture(scope="session")
+def pierced_start_path(c4, tmp_path_factory):
+    """A scenario file that is c4 but for a start within the joint limits whose capsules reach 5 mm or more into a wall."""
+    scene, _ = mounted_scene_and_path(c4)
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        q = np.clip(c4.initial_config + rng.uniform(-0.5, 0.5, 6), c4.params.joint_lower, c4.params.joint_upper)
+        if world_state(q, c4.chain, c4.capsules, scene).witness.value < -0.005:
+            break
+    else:
+        pytest.fail("never sampled a start inside a wall")
+    data = scenario_to_dict(c4)
+    data["initial_config"] = q.tolist()
+    path = tmp_path_factory.mktemp("pierced") / "pierced.scenario"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from icop.cfs import collision_rows, convexify_collision
-from icop.geometry import Capsule, CapsuleSet, scene_distance, world_state
+from icop.geometry import Capsule, CapsuleSet, scene_distance, witness_gradient, world_state
 from icop.scenario import mounted_scene_and_path
 
 
@@ -67,6 +69,22 @@ def test_a_locally_flat_distance_gives_no_row(c4, mounted):
     # a capsule on the base link does not move with q, so its witness has a zero gradient
     base = CapsuleSet([Capsule(0, np.array([0.0, 0.0, 0.2]), np.array([0.0, 0.0, 0.6]), 0.1)])
     state = world_state(c4.initial_config, c4.chain, base, mounted)
-    assert not state.gradient().any()
-    G, h = collision_rows(state)
+    assert not any(state.gradient())
+    assert collision_rows(state) == ((), ())
+    G, h = convexify_collision(c4.initial_config, c4.chain, base, mounted)
     assert G.shape == (0, 6) and h.shape == (0,)
+
+
+def test_the_float_row_keeps_its_bits(c4, mounted):
+    # the planner's row on floats: g is the witness gradient, h = fsum(g * q) - d; the public wrapper holds the same bits
+    rng = np.random.default_rng(35)
+    for _ in range(30):
+        q = c4.initial_config + rng.uniform(-0.2, 0.2, 6)
+        state = world_state(q, c4.chain, c4.capsules, mounted)
+        (g,), (h,) = collision_rows(state)
+        assert len(g) == 6 and all(type(v) is float for v in (*g, h))
+        assert np.array(g).tobytes() == witness_gradient(q, c4.chain, c4.capsules, mounted, state.witness).tobytes()
+        assert np.float64(h).tobytes() == np.float64(math.fsum((np.array(g) * q).tolist()) - state.witness.value).tobytes()
+        G, H = convexify_collision(q, c4.chain, c4.capsules, mounted)
+        assert G.shape == (1, 6) and H.shape == (1,)
+        assert G.tobytes() == np.array([g]).tobytes() and H.tobytes() == np.array([h]).tobytes()

@@ -102,6 +102,13 @@ def test_missing_file_exits_parse_code_without_outputs(tmp_path):
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
 
+def test_a_start_inside_a_wall_exits_parse_code_without_outputs(pierced_start_path, tmp_path, capsys):
+    code = main(["--scenario", str(pierced_start_path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_PARSE
+    assert "initial_config: clearance -" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_non_utf8_file_exits_parse_code_without_outputs(tmp_path, capsys):
     bad = tmp_path / "bad.scenario"
     bad.write_bytes(b"name: \xff\n")

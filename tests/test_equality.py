@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from icop.equality import linearize_task
-from icop.kinematics import body_point_position, tool_tip
+from icop.equality import linearize_task, task_rows
+from icop.geometry import world_state
+from icop.kinematics import body_point_jacobian, body_point_position, tool_tip
 from icop.qp import QpProblem, solve
 
 
@@ -105,3 +108,27 @@ def test_singularity_flag(straight_chain, gp50_chain):
         assert (np.linalg.matrix_rank(A) < 3) == singular
         problem = QpProblem(np.ones(6), np.full(6, -np.inf), np.full(6, np.inf))
         assert solve(problem, q, A=A, b=b).eq_projected == singular
+
+
+def test_the_float_rows_keep_their_bits(c4):
+    # the planner's rows on floats from an evaluated state: A is the tool Jacobian, b = fsum(A_r * q) + c_next - c_ref;
+    # the public wrapper returns the same bits as arrays
+    from icop.scenario import mounted_scene_and_path
+
+    scene, _ = mounted_scene_and_path(c4)
+    tool = tool_tip(c4.chain)
+    rng = np.random.default_rng(47)
+    for _ in range(30):
+        q = c4.initial_config + rng.uniform(-0.4, 0.4, 6)
+        state = world_state(q, c4.chain, c4.capsules, scene)
+        c_ref = body_point_position(q, c4.chain, tool)
+        c_next = c_ref + rng.uniform(-0.01, 0.01, 3)
+        J = body_point_jacobian(q, c4.chain, tool)
+        expected = np.array([math.fsum((J[r] * q).tolist()) + (c_next[r] - c_ref[r]) for r in range(3)])
+        A, b = task_rows(state.tool_jacobian(), state.q_floats, state.tool_position, c_next.tolist())
+        assert len(A) == len(b) == 3 and all(type(v) is float for v in (*b, *(v for row in A for v in row)))
+        assert np.array(state.tool_position).tobytes() == c_ref.tobytes()
+        assert np.array(A).tobytes() == J.tobytes() and np.array(b).tobytes() == expected.tobytes()
+        A, b = linearize_task(q, c_ref, c_next, c4.chain, tool)
+        assert A.shape == (3, 6) and b.shape == (3,)
+        assert A.tobytes() == J.tobytes() and b.tobytes() == expected.tobytes()

@@ -21,7 +21,7 @@ from icop.geometry import (
     world_capsule_segments,
     world_state,
 )
-from icop.kinematics import RobotChain, forward_kinematics, point_jacobian
+from icop.kinematics import RobotChain, forward_kinematics, point_jacobian_columns
 from icop.transforms import homogeneous, rot_y
 
 from conftest import fringe_segments, random_tunnel, rot_z
@@ -245,7 +245,7 @@ class TestSceneDistance:
             fresh = world_state(q, c4.chain, c4.capsules, Scene(base.section, base.depth, moved_scene.pose))
             assert moved.clearances.tobytes() == fresh.clearances.tobytes()
             _assert_same_witness(moved.witness, fresh.witness)
-            assert moved.gradient().tobytes() == fresh.gradient().tobytes()
+            assert np.array(moved.gradient()).tobytes() == np.array(fresh.gradient()).tobytes()
             cases.add(moved.witness.case_tag)
         assert cases == {CASE_FRINGE, CASE_TUNNEL}
 
@@ -355,12 +355,12 @@ class TestDistanceGradient:
         w = state.witness
         assert w.case_tag == CASE_FRINGE and w.plane_index == 0
         assert np.linalg.norm(w.point_on_robot - w.point_on_obstacle) < 1e-12
-        g = state.gradient()
+        g = np.array(state.gradient())
         assert np.isfinite(g).all() and g.any()
         assert g.tobytes() == witness_gradient(q, c4.chain, capsule, scene, w).tobytes()
         # g = n @ J for the witness point's Jacobian J, whose three rows are independent: n is a unit
         # vector across the edge
-        J = point_jacobian(state.frames, c4.capsules[k].link_index, w.point_on_robot.tolist())
+        J = np.array(point_jacobian_columns(state.frames, c4.capsules[k].link_index, w.point_on_robot.tolist())).T
         n, *_ = np.linalg.lstsq(J.T, g, rcond=None)
         assert np.linalg.matrix_rank(J) == 3
         assert np.abs(n @ J - g).max() < 1e-6
@@ -508,7 +508,7 @@ class TestCapsuleSet:
             _assert_same_witness(scene_distance(q, c4.chain, as_list, scene), state.witness)
             gradient = witness_gradient(q, c4.chain, c4.capsules, scene, state.witness)
             assert witness_gradient(q, c4.chain, as_list, scene, state.witness).tobytes() == gradient.tobytes()
-            assert state.gradient().tobytes() == gradient.tobytes()
+            assert np.array(state.gradient()).tobytes() == gradient.tobytes()
             segments = world_capsule_segments(q, c4.chain, as_list)
             assert segments.tobytes() == world_capsule_segments(q, c4.chain, c4.capsules).tobytes()
 
@@ -842,7 +842,7 @@ def _composed(T, P):
 
 
 def _assert_same_scene(s1, s2):
-    for name in ("section", "depth", "pose", *_DERIVED):
+    for name in ("section", "depth", "pose", "_pose_rows", *_DERIVED):
         assert np.asarray(getattr(s1, name)).tobytes() == np.asarray(getattr(s2, name)).tobytes(), name
 
 

@@ -306,7 +306,7 @@ def test_planner_problems_match_oracle(monkeypatch):
     assert posed
     for p, call, sol in posed:
         assert p is s.params.qp
-        assert call["A"].shape == (3, 6) and call["G"].shape == (1, 6)
+        assert np.shape(call["A"]) == (3, 6) and np.shape(call["G"]) == (1, 6)
         assert np.isfinite(p.lower).all() and np.isfinite(p.upper).all()
         assert sol.status == STATUS_OPTIMAL
         assert sol.iterations == 1 + len(sol.active_set)  # one pass per row added, none dropped
@@ -360,6 +360,15 @@ def _pivot_ratios(problem: QpProblem, A: np.ndarray) -> np.ndarray:
     return np.array([minors[k + 1] / minors[k] / K[k, k] for k in range(3)])
 
 
+def _seeded_three_row_problems():
+    """400 seeded (index, kind, problem, call) of ``_three_row_problem``; every tenth third row lies in the span of the first two."""
+    rng = np.random.default_rng(28)
+    for index in range(400):
+        ratio = 0.0 if index % 10 == 0 else min(1.0, _PIVOT_RTOL * 10 ** rng.uniform(-1.0, 1.0))
+        kind = ("inside", "on", "outside")[index % 3]
+        yield (index, kind, *_three_row_problem(rng, ratio, kind))
+
+
 def test_three_row_fast_exit_matches_the_svd_and_the_oracle():
     """Three contact rows: the float projection where every pivot clears, the SVD where one does not.
 
@@ -367,12 +376,8 @@ def test_three_row_fast_exit_matches_the_svd_and_the_oracle():
     SVD elimination's x0 to 1e-12 relative, and flags exactly the rows the
     SVD's rank test finds dependent.
     """
-    rng = np.random.default_rng(28)
     seen = {"fast": 0, "svd": 0, "on": 0, "active": 0, "projected": 0}
-    for index in range(400):
-        ratio = 0.0 if index % 10 == 0 else min(1.0, _PIVOT_RTOL * 10 ** rng.uniform(-1.0, 1.0))
-        kind = ("inside", "on", "outside")[index % 3]
-        p, call = _three_row_problem(rng, ratio, kind)
+    for index, kind, p, call in _seeded_three_row_problems():
         A, b, x_ref = call["A"], call["b"], call["x_ref"]
         x0, _, projected = _eliminate_equalities(x_ref, A, b, p.scale)
         fast = _project_three(p.inverse_weights, x_ref.tolist(), A.tolist(), b.tolist())
@@ -404,6 +409,54 @@ def test_three_row_fast_exit_matches_the_svd_and_the_oracle():
     assert min(seen.values()) >= 20, seen
 
 
+def test_float_rows_and_array_rows_give_the_same_bits(monkeypatch):
+    """The planner hands ``solve`` tuples and lists of floats; on the seeded three-row problems they give the arrays' bits."""
+    eliminations = []
+
+    def counting_elimination(*args):
+        eliminations.append(args)
+        return _eliminate_equalities(*args)
+
+    monkeypatch.setattr(qp, "_eliminate_equalities", counting_elimination)
+    reached = {"fast exit": 0, "svd": 0}
+    for index, _kind, p, call in _seeded_three_row_problems():
+        floats = {name: value.tolist() for name, value in call.items()}
+        floats["A"] = [tuple(row) for row in floats["A"]]
+        before = len(eliminations)
+        arrays = solve(p, **call)
+        svd = len(eliminations) - before
+        listed = solve(p, **floats)
+        assert len(eliminations) - before == 2 * svd, index  # the floats take the arrays' path
+        reached["svd" if svd else "fast exit"] += 1
+        assert listed.x.tobytes() == arrays.x.tobytes(), index
+        assert (listed.status, listed.eq_residual, listed.iterations) == (arrays.status, arrays.eq_residual, arrays.iterations)
+        assert (listed.eq_projected, listed.active_set) == (arrays.eq_projected, arrays.active_set), index
+    assert min(reached.values()) >= 50, reached
+
+
+def test_float_rows_are_checked_like_arrays():
+    # a list with a non-finite entry or of the wrong length raises the ValueError that names it
+    box = QpProblem(np.ones(6), -np.ones(6), np.ones(6))
+    rows = [tuple(row) for row in np.eye(6)[:3].tolist()]
+    good = {"x_ref": [0.0] * 6, "A": rows, "b": [0.0] * 3, "G": [(1.0,) + (0.0,) * 5], "h": [-1.0]}
+    assert solve(box, **good).status == STATUS_OPTIMAL
+    bad = [
+        ("x_ref", [0.0, 0.0, np.nan, 0.0, 0.0, 0.0], "x_ref must be finite"),
+        ("A", [*rows[:2], (0.0, np.inf, 0.0, 0.0, 0.0, 0.0)], "A must be finite"),
+        ("b", [0.0, 0.0, np.nan], "b must be finite"),
+        ("G", [(np.nan,) + (0.0,) * 5], "G must be finite"),
+        ("h", [-np.inf], "h must be finite"),
+        ("x_ref", [0.0] * 5, r"x_ref must be \(6,\)"),
+        ("A", [row[:5] for row in rows], r"equality rows must be \(k, 6\)"),
+        ("b", [0.0] * 2, "equality rows .* and right-hand side .* disagree"),
+        ("G", [(1.0,) * 5], r"inequality rows must be \(k, 6\)"),
+        ("h", [-1.0, -1.0], "inequality rows .* and right-hand side .* disagree"),
+    ]
+    for name, value, message in bad:
+        with pytest.raises(ValueError, match=message):
+            solve(box, **{**good, name: value})
+
+
 def test_a_row_too_short_for_the_svd_rank_test_takes_the_svd():
     # every pivot ratio is 1, but s_min / s_max = 1e-13 is under the SVD's rank tolerance: projected, not solved
     A = np.diag([1.0, 1.0, 1e-13, 0.0])[:3]
@@ -419,7 +472,7 @@ def test_one_round_takes_the_svd_in_0_of_190_qps(monkeypatch):
     posed, eliminated = [], []
 
     def recording_solve(problem, x_ref, **rows):
-        posed.append(rows["A"].shape)
+        posed.append(np.shape(rows["A"]))
         return solve(problem, x_ref, **rows)
 
     def counting_elimination(*args):

@@ -126,7 +126,7 @@ class TestLoading:
             f"weld point {t} lies outside the mounted tunnel region" for t in (0, 5)
         ]
 
-    def test_load_mounts_no_scene_and_a_plan_mounts_one(self, monkeypatch):
+    def test_load_mounts_one_scene_for_the_start_and_a_plan_one_more(self, monkeypatch):
         transform, mounted = geometry.transform_scene, []
 
         def counted(*args):
@@ -135,9 +135,21 @@ class TestLoading:
 
         monkeypatch.setattr(geometry, "transform_scene", counted)
         c4 = load_bundled("c4")
-        assert len(mounted) == 0  # the weld points are checked in the construction frame
+        assert len(mounted) == 1  # the start's clearance; the weld points are checked in the construction frame
         plan_scenario(c4)
-        assert len(mounted) == 1
+        assert len(mounted) == 2
+
+    def test_a_start_that_pierces_a_wall_is_rejected(self, pierced_start_path):
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(pierced_start_path)
+        (failure,) = err.value.failures
+        assert failure.startswith("initial_config: clearance -") and failure.endswith("is not positive")
+
+    def test_bundled_starts_clear_the_mounted_scene(self):
+        for name in ("c1", "c2", "c3", "c4"):
+            s = load_bundled(name)
+            scene, _ = mounted_scene_and_path(s)
+            assert geometry.world_state(s.initial_config, s.chain, s.capsules, scene).witness.value > 0.1
 
     def test_unknown_params_key_warns(self, c4):
         data = scenario_to_dict(c4)
@@ -209,6 +221,7 @@ class TestLoading:
     def test_a_rotated_scene_pose_round_trips(self, c4, tmp_path):
         data = scenario_to_dict(c4)
         data["scene"]["pose"]["rotation"] = [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]
+        data["scene"]["pose"]["translation"] = [0.1, 0.0, 3.28]  # 2 m higher, so the turned tunnel clears the start
         with pytest.warns(UserWarning, match="outside the mounted tunnel"):  # the tunnel turned away from the seam
             s = parse_scenario(yaml.safe_dump(data))
         np.testing.assert_array_equal(s.scene.pose[:3, :3], data["scene"]["pose"]["rotation"])
