@@ -32,8 +32,8 @@ the exit on the exit ring (the rim at x = depth), and inside the slab only
 
 Every score is a distance minus the capsule radius, so a positive value
 means surface clearance. Unsigned, it is the exact distance from the axis to
-the quads, which moves no faster than the axis ends do; only an axis that
-meets a wall quad has a negative one. The minimum carries a witness (capsule, axis parameter, closest
+the quads; only an axis that meets a wall quad has a negative one. The
+minimum carries a witness (capsule, axis parameter, closest
 points, cut plane if any) so the configuration-space gradient can be
 assembled from body-point Jacobians, with the chain-rule term for a witness
 pinned where the axis crosses x = 0 or x = depth.
@@ -59,24 +59,21 @@ rows, as Python floats; the public functions return arrays. Every public path
 here runs the same arithmetic and gets the same bits.
 ``world_state`` is also the one place that decides what an evaluation
 reuses: a previous state of the same chain, capsules and scene whose ``q``
-has q's bits is handed back itself, with no forward pass, and any other
-previous state of those objects lends the scoring pass its floors (below).
+has q's bits is handed back itself, with no forward pass.
 
 Every evaluation is one scoring pass, one loop over the capsules that fills
-one score record each: the previous witness capsule first, then the rest in
-index order. The pass may skip the scoring of a capsule that cannot bind
-(conservative advancement used for culling). Given the state an iterate came
-from, every capsule keeps a floor from it: its exact clearance there, or the
-bound it carried. That floor minus the larger displacement of the axis's two
-ends and ``_CULL_SLACK`` bounds the capsule's clearance now as long as the
-bound stays above minus its radius: the axis then cannot have reached a wall
-quad, and the unsigned distance moves no faster than the axis. A capsule
-whose bound lies above that and above the smallest clearance found so far is
-culled; its bound is kept as its clearance entry and is its floor at the next
-state. A culled capsule is strictly above the minimum, so the witness has the
-bits of an exact evaluation. Without a previous state of the same chain,
-capsules and scene no capsule has a floor, and the same pass scores every
-capsule, starting at capsule 0.
+one score record each, and it may skip the scoring of a capsule that cannot
+bind (a bounding-volume broad phase). The scene derives from its section and
+depth alone a ball that holds every wall quad, centred at (depth / 2, 0, 0)
+in the prism frame. Each capsule's axis distance to that centre, less the
+ball's radius, the capsule's and ``_CULL_SLACK``, bounds its clearance from
+below when the axis misses the ball: it then meets no wall quad, and its
+unsigned distance to the quads is at least its distance to the ball. The
+pass takes the capsules in ascending bound and culls one whose bound lies
+above minus its radius and above the smallest clearance found so far; its
+bound is kept as its clearance entry. A culled capsule is strictly above the
+minimum, so the witness has the bits of an exact evaluation. The bound needs
+no earlier state, so a fresh evaluation culls as much as any other.
 """
 
 from __future__ import annotations
@@ -157,6 +154,12 @@ def _next_rows(rows: np.ndarray) -> np.ndarray:
     return np.concatenate([rows[1:], rows[:1]])
 
 
+def _placed(pose: np.ndarray, half_depth: float) -> dict:
+    """The scene fields that follow ``pose``: it, its top three rows as floats, and the ball's centre placed by them."""
+    rows = tuple(map(tuple, pose[:3].tolist()))
+    return {"pose": pose, "_pose_rows": rows, "_ball_centre": to_world(rows, (half_depth, 0.0, 0.0))}
+
+
 @dataclass(frozen=True, eq=False)
 class Scene:
     """The workpiece tunnel: a convex prism given by its section, its depth and its pose.
@@ -177,8 +180,12 @@ class Scene:
     and the rim ``_rim``, ``(y, z, ey, ez, length², ok)``: the edge's start
     and direction in (y, z) (its x is 0), its squared length, and whether it
     is long enough to be scored as a segment and not a point. Rim edge i runs
-    along the entrance edge of wall i. ``_pose_rows`` is the pose's top three
-    rows as floats; ``transform_scene`` replaces only it and the pose.
+    along the entrance edge of wall i. ``_ball_radius`` is the radius of the
+    ball about (depth / 2, 0, 0) that holds every wall quad,
+    sqrt((depth / 2)² + the largest vertex y² + z²). ``_pose_rows`` is the
+    pose's top three rows as floats and ``_ball_centre`` that centre in the
+    world, placed by them; ``transform_scene`` replaces only these two and
+    the pose.
     """
 
     section: np.ndarray  # (k, 2), k >= 3
@@ -215,13 +222,14 @@ class Scene:
         length2 = ey * ey + ez * ez
         ny, nz = -ez / np.sqrt(length2), ey / np.sqrt(length2)  # each edge's left, where the tunnel is
         walls, rim = (ny, nz, ny * y + nz * z), (y, z, ey, ez, length2, length2 > _SEGMENT_EPS)
+        half = 0.5 * float(self.depth)
         values = {
             "section": section,
             "depth": float(self.depth),
-            "pose": pose,
-            "_pose_rows": tuple(map(tuple, pose[:3].tolist())),
+            **_placed(pose, half),
             "_walls": tuple(zip(*(column.tolist() for column in walls))),
             "_rim": tuple(zip(*(column.tolist() for column in rim))),
+            "_ball_radius": math.sqrt(half * half + max(y * y + z * z for y, z in section.tolist())),
         }
         for name, value in values.items():
             if isinstance(value, np.ndarray):
@@ -422,33 +430,35 @@ def _score_axis(axis, scene: Scene) -> tuple:
     return min(filter(None, scores), key=itemgetter(0))
 
 
-def _score_axes(axes: list, radii, scene: Scene, capsule_indices, previous: WorldState | None = None) -> tuple:
+def _score_axes(axes: list, radii, scene: Scene, capsule_indices) -> tuple:
     """Signed clearances of world-frame axes ((ax, ay, az), (bx, by, bz)) with radii, scored in the prism frame, and the witness of the first smallest.
 
-    One loop scores every axis: ``previous``'s witness capsule first, then
-    the rest in index order. Each capsule has a floor at ``previous`` (a
-    state of the same capsules and scene), its ``clearances`` entry. When
-    that floor, minus the larger world displacement of its axis ends and
-    ``_CULL_SLACK``, lies above minus its radius and above the smallest
-    clearance found so far, the capsule is not scored and the bound is kept
-    as its clearance. Without ``previous`` no capsule has a floor and the
-    loop starts at capsule 0. Returns (clearances, witness, how many axes
-    were scored exactly).
+    Each capsule gets the bound dist(axis, ball centre) - ball radius - its
+    radius - ``_CULL_SLACK`` from the scene's ball, and the loop takes the
+    capsules in ascending bound. One whose bound lies above minus its radius
+    and above the smallest clearance found so far is not scored: its axis
+    misses the ball, so it meets no wall quad, and the bound, kept as its
+    clearance, lies below its exact clearance and above the minimum. Returns
+    (clearances, witness, how many axes were scored exactly).
     """
     (r00, r01, r02, tx), (r10, r11, r12, ty), (r20, r21, r22, tz) = pose = scene._pose_rows
+    (cx, cy, cz), reach = scene._ball_centre, scene._ball_radius + _CULL_SLACK
+    bounds = []
+    for ((ax, ay, az), (bx, by, bz)), radius in zip(axes, radii):  # the axis point closest to the centre
+        dx, dy, dz, ex, ey, ez = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
+        a = dx * dx + dy * dy + dz * dz
+        s = (dx * ex + dy * ey + dz * ez) / a if a > _SEGMENT_EPS else 0.0
+        s = 0.0 if s <= 0.0 else s if s < 1.0 else 1.0
+        ex, ey, ez = ex - s * dx, ey - s * dy, ez - s * dz
+        bounds.append(math.sqrt(ex * ex + ey * ey + ez * ez) - reach - radius)
     n = len(axes)
-    first, floors = (0, None) if previous is None else (previous.witness.capsule_index, previous.clearance_floats)
     scores, clearances, best, culled = [None] * n, [None] * n, math.inf, 0
-    for i in (first, *range(first), *range(first + 1, n)):
-        if floors is not None:
-            ((pax, pay, paz), (pbx, pby, pbz)), ((ax, ay, az), (bx, by, bz)) = previous.segments[i], axes[i]
-            move_a = (ax - pax) ** 2 + (ay - pay) ** 2 + (az - paz) ** 2
-            move_b = (bx - pbx) ** 2 + (by - pby) ** 2 + (bz - pbz) ** 2
-            bound = floors[i] - math.sqrt(max(move_a, move_b)) - _CULL_SLACK
-            if bound > best and bound > -radii[i]:
-                clearances[i] = bound
-                culled += 1
-                continue
+    for i in sorted(range(n), key=bounds.__getitem__):
+        bound = bounds[i]
+        if bound > best and bound > -radii[i]:
+            clearances[i] = bound
+            culled += 1
+            continue
         local = []
         for x, y, z in axes[i]:  # (p - t) @ R, each end summed left to right
             x, y, z = x - tx, y - ty, z - tz
@@ -490,15 +500,15 @@ class WorldState:
     """One configuration placed in the scene, evaluated once for every consumer.
 
     Holds the frame rows of one forward-kinematics pass, the world capsule
-    axes and the tool position as Python floats, q and each capsule's signed
-    clearance as arrays and as floats, and the chain, capsules and scene they
-    were evaluated with. Only the minimizing capsule (the first on a tie) has a ``witness``.
+    axes and the tool position as Python floats, q as an array and as floats,
+    each capsule's signed clearance as an array, and the chain, capsules and
+    scene they were evaluated with. Only the minimizing capsule (the first on
+    a tie) has a ``witness``.
 
-    The scoring pass may cull a capsule that has a floor at the state it was
-    evaluated from: a culled ``clearances`` entry holds a lower bound of that
-    capsule's clearance, strictly above the witness's value, and not the
-    clearance itself. ``scored`` counts the capsules scored exactly (all of
-    them when there was no floor).
+    The scoring pass may cull a capsule whose axis misses the scene's ball: a
+    culled ``clearances`` entry holds a lower bound of that capsule's
+    clearance, strictly above the witness's value, and not the clearance
+    itself. ``scored`` counts the capsules scored exactly.
     """
 
     q: np.ndarray
@@ -507,7 +517,6 @@ class WorldState:
     segments: list  # per capsule, its world-frame axis ((ax, ay, az), (bx, by, bz))
     tool_position: tuple  # (x, y, z)
     clearances: np.ndarray  # (n,) signed clearance of each capsule; a culled entry holds a lower bound
-    clearance_floats: list  # the clearances' floats
     witness: DistanceWitness
     chain: RobotChain
     capsules: CapsuleSet
@@ -530,24 +539,22 @@ def world_state(q, chain: RobotChain, capsules, scene: Scene, previous: WorldSta
     that holds these very ``chain``, ``capsules`` and ``scene`` objects, is
     handed back itself when q has the bits of its ``q``: the state is a pure
     function of those four, so it is the one a fresh evaluation would give.
-    At any other q it gives the scoring pass of ``_score_axes`` its floors,
-    so a capsule that cannot bind is not scored: the witness and
-    every exact clearance keep their bits, and a culled clearance is a lower
-    bound. Any other ``previous`` is ignored, and the same pass then scores
-    every capsule. Capsules given as a tuple or list are converted here into
-    a new ``CapsuleSet``, so they never match ``previous``.
+    Any other ``previous`` is ignored. Capsules given as a tuple or list are
+    converted here into a new ``CapsuleSet``, so they never match
+    ``previous``. The scoring pass of ``_score_axes`` culls each capsule that
+    the scene's ball shows cannot bind: the witness and every exact clearance
+    keep their bits, and a culled clearance is a lower bound.
     """
     qv = np.array(q, dtype=float).reshape(-1)  # a copy
     if len(qf := qv.tolist()) != NUM_JOINTS or not math.isfinite(sum(qf)):  # a finite sum has only finite terms
         qv = joint_config(q)  # names what is wrong
     capsules = _capsule_set(capsules)
-    if previous is not None and not (previous.chain is chain and previous.capsules is capsules and previous.scene is scene):
-        previous = None
-    elif previous is not None and qf == previous.q_floats and qv.tobytes() == previous.q.tobytes():  # bits: 0.0 == -0.0
-        return previous
+    if previous is not None and previous.chain is chain and previous.capsules is capsules and previous.scene is scene:
+        if qf == previous.q_floats and qv.tobytes() == previous.q.tobytes():  # bits: 0.0 == -0.0
+            return previous
     rows = frames(qf, chain)
     segments = _world_axes(rows, capsules._axes)
-    clearances, witness, scored = _score_axes(segments, capsules._radii, scene, range(len(capsules)), previous)
+    clearances, witness, scored = _score_axes(segments, capsules._radii, scene, range(len(capsules)))
     # Every field is built here, so the frozen dataclass's __init__, one object.__setattr__ per field, is skipped.
     state = object.__new__(WorldState)
     state.__dict__.update(
@@ -557,7 +564,6 @@ def world_state(q, chain: RobotChain, capsules, scene: Scene, previous: WorldSta
         segments=segments,
         tool_position=to_world(rows[NUM_JOINTS], chain._tool_point),
         clearances=np.array(clearances),
-        clearance_floats=clearances,
         witness=witness,
         chain=chain,
         capsules=capsules,
@@ -617,7 +623,7 @@ def transform_scene(scene: Scene, T: np.ndarray) -> Scene:
     pose = products[:, 0] + products[:, 1] + products[:, 2] + products[:, 3]
     pose.flags.writeable = False
     moved = object.__new__(Scene)
-    moved.__dict__.update(vars(scene), pose=pose, _pose_rows=tuple(map(tuple, pose[:3].tolist())))
+    moved.__dict__.update(vars(scene), **_placed(pose, 0.5 * scene.depth))
     return moved
 
 

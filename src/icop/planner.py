@@ -21,14 +21,14 @@ iterate it accepts, and the accepted state is the start of the next
 SafeTrack call; SafeTrack reads the chain, capsules and scene from that
 start. The residual, the feasibility test, the collision and contact rows,
 and the clearance that ``plan`` records all read that one evaluation.
-SafeTrack hands ``world_state`` the state each iterate came from, so only
-the capsules that can bind are scored exactly; the others keep a lower bound
-from that state in their ``clearances`` entry. The planner reads no clearance
-but the witness's, which keeps the bits of a full evaluation. ``plan`` hands
-``world_state`` the state the last plan that returned ended on, and
-``world_state``'s one reuse rule decides whether that state is the start; so
-a plan streamed one waypoint per call evaluates each accepted state once in
-all.
+``world_state`` scores exactly only the capsules that the scene's bounding
+ball cannot rule out; the others keep a lower bound in their ``clearances``
+entry. The planner reads no clearance but the witness's, which keeps the
+bits of a full evaluation. ``plan`` hands ``world_state`` the state the last
+plan that returned ended on, and ``world_state``'s one reuse rule decides
+whether that state is the start; so a plan streamed one waypoint per call
+evaluates each accepted state once in all. SafeTrack hands it no previous
+state: an iterate it evaluates has moved q, or the stall test stopped it.
 
 A waypoint farther than ``step_max`` from the accepted tool position is split
 once into ``ceil(gap / step_max)`` evenly spaced pieces, measured from that
@@ -141,8 +141,8 @@ def safetrack(start: WorldState, c_next, params: PlannerParams) -> SafeTrackResu
     residual is at or below xi and the scene distance is positive), when a
     QP is not optimal or returns its own reference, or after max_inner QP
     solves. Zero QP solves happen when start already converges; each QP
-    iterate accepted is evaluated once, with start's chain, capsules and scene
-    and from the state before it.
+    iterate accepted is evaluated once, with start's chain, capsules and
+    scene.
     """
     target, state, iterations = np.asarray(c_next, dtype=float).tolist(), start, 0
     while True:
@@ -156,7 +156,7 @@ def safetrack(start: WorldState, c_next, params: PlannerParams) -> SafeTrackResu
         iterations += 1
         if sol.status != STATUS_OPTIMAL or max(map(abs, map(sub, sol.x.tolist(), state.q_floats))) < 1e-15:
             break  # no solution, or stalled: the QP returned the reference itself
-        state = world_state(sol.x, start.chain, start.capsules, start.scene, state)
+        state = world_state(sol.x, start.chain, start.capsules, start.scene)
     return SafeTrackResult(state, converged, iterations, residual)
 
 

@@ -161,6 +161,18 @@ def _rows(M, v, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     return M, v
 
 
+def _dot(u, v) -> float:
+    """u . v added left to right from 0.0, unrolled for six entries; the builtin sum compensates since Python 3.12."""
+    if len(u) == 6:
+        u0, u1, u2, u3, u4, u5 = u
+        v0, v1, v2, v3, v4, v5 = v
+        return 0.0 + u0 * v0 + u1 * v1 + u2 * v2 + u3 * v3 + u4 * v4 + u5 * v5
+    total = 0.0
+    for p in map(mul, u, v):
+        total += p
+    return total
+
+
 def _project_three(inverse_weights, x_ref, A, b):
     """The weighted projection x_ref + W^-1 A^T y of x_ref onto three rows A x = b, on floats.
 
@@ -172,8 +184,8 @@ def _project_three(inverse_weights, x_ref, A, b):
     """
     a0, a1, a2 = A
     w0, w1, w2 = (list(map(mul, a, inverse_weights)) for a in A)
-    k00, k01, k02 = sum(map(mul, w0, a0)), sum(map(mul, w0, a1)), sum(map(mul, w0, a2))
-    k11, k12, k22 = sum(map(mul, w1, a1)), sum(map(mul, w1, a2)), sum(map(mul, w2, a2))
+    k00, k01, k02 = _dot(w0, a0), _dot(w0, a1), _dot(w0, a2)
+    k11, k12, k22 = _dot(w1, a1), _dot(w1, a2), _dot(w2, a2)
     if not min(k00, k11, k22) > _SHORTEST_ROW * (k00 + k11 + k22):
         return None
     l10, l20 = k01 / k00, k02 / k00
@@ -185,7 +197,7 @@ def _project_three(inverse_weights, x_ref, A, b):
     d2 = k22 - l20 * k02 - l21 * e21
     if not d2 > _PIVOT_RTOL * k22:
         return None
-    r0, r1, r2 = (bi - sum(map(mul, a, x_ref)) for a, bi in zip(A, b))
+    r0, r1, r2 = (bi - _dot(a, x_ref) for a, bi in zip(A, b))
     r1 -= l10 * r0
     r2 -= l20 * r0 + l21 * r1
     y2 = r2 / d2
@@ -302,11 +314,11 @@ def solve(problem: QpProblem, x_ref, A=(), b=(), G=(), h=()) -> QpSolution:
         # Three variables leave no null space, and then no pass is counted, as below.
         _, rows, rhs, g_rows, g_rhs = floats
         worst = min(min(map(sub, x0, problem.lower_floats)), min(map(sub, problem.upper_floats, x0)),
-                    *(sum(map(mul, g, x0)) - hi for g, hi in zip(g_rows, g_rhs)))
+                    *(_dot(g, x0) - hi for g, hi in zip(g_rows, g_rhs)))
         if worst >= -_TOL_FEAS * 0.1:
             if worst < 0.0:  # within the tolerance outside a row or bound: onto the box, as below
                 x0 = list(map(min, map(max, x0, problem.lower_floats), problem.upper_floats))
-            eq_res = max(abs(sum(map(mul, a, x0)) - bi) for a, bi in zip(rows, rhs))
+            eq_res = max(abs(_dot(a, x0) - bi) for a, bi in zip(rows, rhs))
             return QpSolution(np.array(x0), STATUS_OPTIMAL, 0.0, eq_res, 1 if n > 3 else 0, False, np.zeros(0), ())
         x0 = np.array(x0)
     x_ref = np.asarray(x_ref, dtype=float).reshape(-1)

@@ -197,12 +197,12 @@ class TestSceneDistance:
         scene, _ = mounted_scene_and_path(c4)
         q = c4.initial_config
         state = world_state(q, c4.chain, c4.capsules, scene)
-        alone = [capsule_distance(a, b, cap.radius, scene, i).value
-                 for i, ((a, b), cap) in enumerate(zip(state.segments, c4.capsules))]
-        assert state.clearances.tolist() == alone
+        alone = _alone(state)
+        _assert_culled_like_alone(state.clearances, state.scored, state.witness, alone)
+        values = [w.value for w in alone]
         w = scene_distance(q, c4.chain, c4.capsules, scene)
-        assert w.value == min(alone)
-        assert w.capsule_index == alone.index(min(alone))
+        assert w.value == min(values)
+        assert w.capsule_index == values.index(min(values))
 
     def test_seeded_mountings_keep_the_minimum_over_capsules(self):
         # the benchmark's mounts check, on its ranges: each scenario at its initial configuration, its scene
@@ -213,7 +213,7 @@ class TestSceneDistance:
 
         rng = np.random.default_rng(35)
         bundled = [load_bundled(name) for name in ("c1", "c2", "c3", "c4")]
-        cases = set()
+        cases, scored = set(), 0
         for k in range(200):
             l, alpha = float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 0.25 * np.pi))
             s = dataclasses.replace(bundled[k % 4], mounting_l=l, mounting_alpha=alpha)
@@ -225,9 +225,12 @@ class TestSceneDistance:
             w = scene_distance(q, s.chain, s.capsules, scene)
             assert w.value == values[w.capsule_index], (l, alpha)
             assert w.value == min(values) and w.capsule_index == values.index(min(values)), (l, alpha)
-            assert world_state(q, s.chain, s.capsules, scene).clearances.tolist() == values, (l, alpha)
+            state = world_state(q, s.chain, s.capsules, scene)
+            _assert_culled_like_alone(state.clearances, state.scored, state.witness, alone)
+            scored += state.scored
             cases.update(w.case_tag for w in alone)
         assert cases == {CASE_FRINGE, CASE_TUNNEL}
+        assert scored == 322  # of 1200 capsules, 1.61 a mounting: each evaluation is fresh, and the ball culls the rest
 
     def test_a_moved_scene_scores_like_a_fresh_one(self, c4):
         # transform_scene copies the scene's fields, so anything derived from the pose and kept on a scene
@@ -514,15 +517,35 @@ class TestCapsuleSet:
 
 
 
+def _alone(state) -> list:
+    """Each capsule of ``state`` scored alone by ``capsule_distance``, which scores its one capsule exactly."""
+    return [capsule_distance(a, b, cap.radius, state.scene, i) for i, ((a, b), cap) in enumerate(zip(state.segments, state.capsules))]
+
+
+def _assert_culled_like_alone(clearances, scored: int, witness, alone) -> None:
+    """A culled evaluation against each capsule scored alone: the witness of the first smallest to the bit, at least
+    ``scored`` entries equal to their exact value, and every other entry below it and above the witness's value."""
+    exact = np.array([w.value for w in alone])
+    _assert_same_witness(witness, alone[int(np.argmin(exact))])
+    clearances = np.asarray(clearances)
+    assert (clearances <= exact).all()
+    same = clearances == exact
+    assert same.sum() >= scored
+    assert (clearances[~same] > witness.value).all()  # a culled capsule is above the minimum
+
+
 def _assert_culled_like_full(state):
-    """``state`` against a full evaluation of its q: the same witness bits, and every clearance exact or below it."""
-    full = world_state(state.q, state.chain, state.capsules, state.scene)
-    _assert_same_witness(state.witness, full.witness)
-    assert full.scored == len(full.capsules)
-    assert (state.clearances <= full.clearances).all()
-    exact = state.clearances == full.clearances
-    assert exact.sum() >= state.scored
-    assert (state.clearances[~exact] > state.witness.value).all()  # a culled capsule is above the minimum
+    """``state`` against each of its capsules scored alone."""
+    _assert_culled_like_alone(state.clearances, state.scored, state.witness, _alone(state))
+
+
+def _ball_distance(a, b, scene) -> float:
+    """The distance from the segment [a, b] to the scene's ball, negative inside it, on numpy from the section."""
+    centre = scene.pose[:3, 0] * (0.5 * scene.depth) + scene.pose[:3, 3]
+    radius = np.sqrt((0.5 * scene.depth) ** 2 + (scene.section**2).sum(axis=1).max())
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    s = np.clip((centre - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
+    return float(np.linalg.norm(a + s * (b - a) - centre) - radius)
 
 
 def _straddling(state) -> tuple:
@@ -531,7 +554,7 @@ def _straddling(state) -> tuple:
 
 
 class TestCulledEvaluation:
-    """``world_state`` from a previous state skips the rim pass of capsules that cannot bind."""
+    """``world_state`` skips the scoring of capsules whose axis misses the scene's ball above the minimum."""
 
     @pytest.fixture(scope="class")
     def setup(self, straight_chain, square_tunnel):
@@ -543,56 +566,132 @@ class TestCulledEvaluation:
             Capsule(1, [1.0, 0.0, 0.0], [2.0005, 0.0, 0.0], 0.05),
             Capsule(0, [2.7, -0.75, -0.3], [2.7, -0.75, 0.3], 0.05),
         ])
-        states, previous = [], None
-        for turn in (0.0, 0.05, 0.5):
-            previous = world_state([turn, 0, 0, 0, 0, 0], straight_chain, capsules, scene, previous)
-            states.append(previous)
+        states = [world_state([turn, 0, 0, 0, 0, 0], straight_chain, capsules, scene) for turn in (0.0, 0.05, 0.5)]
         return scene, capsules, states
 
-    def test_an_axis_that_left_the_opening_keeps_its_floor(self, setup):
-        _scene, _capsules, (first, second, _third) = setup
-        # A crosses the opening first and has left it after a 0.05 rad turn: its exact clearance there, less
-        # its axis's motion, bounds its clearance now, so it is culled, and so is C
-        assert _straddling(first) == (1,) and _straddling(second) == ()
-        assert second.witness.capsule_index == 0 and second.scored == 1
-        full = world_state(second.q, second.chain, second.capsules, second.scene)
-        assert second.clearances[0] == full.clearances[0]
-        motion = max(np.linalg.norm(np.subtract(now, then)) for now, then in zip(second.segments[1], first.segments[1]))
-        assert second.clearances[1] == pytest.approx(first.clearances[1] - motion - geometry._CULL_SLACK, abs=1e-15)
-        assert second.witness.value < second.clearances[1] < full.clearances[1]
-        assert second.clearances[2] == full.clearances[2] - geometry._CULL_SLACK
-        for state in setup[2]:
+    def test_an_axis_outside_the_ball_above_the_minimum_is_culled(self, setup):
+        scene, _capsules, (first, second, third) = setup
+        # the ball holds the tunnel x in [3, 5] about (4, 0, 0), radius sqrt(1 + 0.5); A's axis (1) enters it, B's (0)
+        # and C's (2) miss it. A is scored first, then B, the witness; C's bound lies above B's clearance: C is culled
+        assert _straddling(first) == (1,)
+        assert [_ball_distance(*ends, scene) > 0.0 for ends in first.segments] == [True, False, True]
+        assert first.witness.capsule_index == 0 and first.scored == 2
+        exact = [w.value for w in _alone(first)]
+        bound = _ball_distance(*first.segments[2], scene) - 0.05 - geometry._CULL_SLACK
+        assert first.clearances[2] == pytest.approx(bound, abs=1e-15)
+        assert first.witness.value < first.clearances[2] < exact[2]
+        assert first.clearances[:2].tolist() == exact[:2]
+        # B turned away from the rim: C is the witness, and the only capsule culled is the one above it
+        assert third.witness.capsule_index == 2
+        for state in (first, second, third):
             _assert_culled_like_full(state)
 
-    def test_the_witness_passes_to_a_capsule_culled_one_step_earlier(self, setup):
-        _scene, _capsules, (first, second, third) = setup
-        assert first.scored == 3 and first.witness.capsule_index == 0
-        assert second.clearances[2] < world_state(second.q, second.chain, second.capsules, second.scene).clearances[2]
-        # B turned away from the rim: C, culled at the step before, is scored and is the witness
-        assert third.scored == 3 and third.witness.capsule_index == 2
-        _assert_same_witness(third.witness, world_state(third.q, third.chain, third.capsules, third.scene).witness)
+    def test_a_capsule_whose_axis_enters_the_ball_is_scored(self, square_tunnel):
+        # P pierces a wall 0.3 deep; A lies inside the tunnel, 0.4 clear of every wall and so far above P, but its
+        # axis enters the ball, where the bound says nothing: it is scored. Moved out of the ball, A is culled
+        piercing = ([1.0, 0.0, 0.0], [1.0, 0.8, 0.0])
+        inside = ([0.5, -0.05, 0.0], [1.5, 0.05, 0.0])
+        outside = ([-2.5, 0.0, 0.0], [-2.0, 0.0, 0.0])
+        radii = [0.05, 0.05]
+        for axes, scored in (([piercing, inside], 2), ([piercing, outside], 1)):
+            clearances, witness, count = _score_axes(axes, radii, square_tunnel, range(2))
+            alone = [capsule_distance(a, b, 0.05, square_tunnel, i) for i, (a, b) in enumerate(axes)]
+            assert count == scored and witness.capsule_index == 0 and witness.value == pytest.approx(-0.35, abs=1e-15)
+            assert (clearances[1] == alone[1].value) == (scored == 2)
+            _assert_culled_like_alone(clearances, count, witness, alone)
+        assert _ball_distance(*inside, square_tunnel) < 0.0 < _ball_distance(*outside, square_tunnel)
+
+    def test_a_capsule_that_pierces_a_wall_is_never_culled(self):
+        # in seeded tunnels: a deep axis from the ball's centre out through a wall, a shallow one out through a wall
+        # beside the section's farthest vertex, just behind the entrance, and a far one. The deep one is scored first. The
+        # shallow one's bound often lies above the deep one's clearance and even above its own piercing score,
+        # which is no distance; only its bound's lying at or below minus its radius keeps it scored
+        rng = np.random.default_rng(42)
+        above_best = above_own = 0
+        for _ in range(200):
+            scene = random_tunnel(rng)
+            R, t = scene.pose[:3, :3], scene.pose[:3, 3]
+            section, depth, k = scene.section, scene.depth, len(scene.section)
+            edge = int(rng.integers(k))
+            on_wall = section[edge] + rng.uniform(0.1, 0.9) * (section[(edge + 1) % k] - section[edge])
+            far = int(np.argmax((section**2).sum(axis=1)))
+            corner = section[far] + rng.uniform(0.01, 0.05) * (section[(far + 1) % k] - section[far])  # on a wall
+            x = rng.uniform(0.001, 0.02) * depth
+            local = [
+                [[depth / 2, 0.0, 0.0], [depth / 2, *(rng.uniform(1.2, 1.5) * on_wall)]],
+                [[x, *(rng.uniform(0.9, 0.97) * corner)], [x, *(rng.uniform(1.02, 1.08) * corner)]],
+                [[-3.0, 0.0, 0.0], [-2.5, 0.0, 0.0]],
+            ]
+            axes = (np.array(local) @ R.T + t).tolist()
+            radius = float(rng.uniform(0.01, 0.1))
+            clearances, witness, count = _score_axes(axes, [radius] * 3, scene, range(3))
+            alone = [capsule_distance(a, b, radius, scene, i) for i, (a, b) in enumerate(axes)]
+            _assert_culled_like_alone(clearances, count, witness, alone)
+            assert alone[0].value < -radius and alone[1].value < -radius  # both pierce
+            assert count == 2 and clearances[:2] == [alone[0].value, alone[1].value]
+            bound = _ball_distance(*axes[1], scene) - radius - geometry._CULL_SLACK
+            assert bound <= -radius
+            above_best += bound > alone[0].value
+            above_own += bound > alone[1].value
+        assert above_best > 150 and above_own > 20
+
+    def test_the_ball_bound_never_exceeds_the_quad_distance(self):
+        # axes far outside, straddling the entrance or the exit, inside the section and through a wall, drawn in
+        # the prism frame of seeded tunnels: each is at least as far from the quads as from the ball, and the axes
+        # that meet the material lie in the ball
+        rng = np.random.default_rng(43)
+        outside = dict.fromkeys(("far", "entrance", "exit", "inside", "wall"), 0)
+        for _ in range(60):
+            scene = random_tunnel(rng)
+            R, t = scene.pose[:3, :3], scene.pose[:3, 3]
+            reach, depth = np.abs(scene.section).max(), scene.depth
+            for _draw in range(5):
+                direction = rng.normal(size=3)
+                far = (depth / 2, 0.0, 0.0) + rng.uniform(2.0, 4.0) * direction / np.linalg.norm(direction)
+                yz = [rng.uniform(-1.5, 1.5, 2) * reach for _ in range(2)]
+                axes = {
+                    "far": (far, far + rng.uniform(-1.0, 1.0, 3)),
+                    "entrance": ((-rng.uniform(0.01, 0.5), *yz[0]), (rng.uniform(0.01, 0.5), *yz[0] + rng.uniform(-0.2, 0.2, 2))),
+                    "exit": ((depth - rng.uniform(0.01, 0.5), *yz[1]), (depth + rng.uniform(0.01, 0.5), *yz[1] + rng.uniform(-0.2, 0.2, 2))),
+                    "inside": tuple((rng.uniform(0, depth), *rng.uniform(-0.3, 0.3, 2) * reach) for _ in range(2)),
+                    "wall": ((rng.uniform(0, depth), *rng.uniform(-0.3, 0.3, 2) * reach),
+                             (rng.uniform(0, depth), *rng.uniform(1.2, 2.0, 2) * rng.choice([-1, 1], 2) * reach)),
+                }
+                for kind, ends in axes.items():
+                    a, b = np.array(ends, dtype=float) @ R.T + t
+                    ball, quads = _ball_distance(a, b, scene), quad_distance(a, b, scene)
+                    assert quads >= ball, kind
+                    outside[kind] += ball > 0.0
+                    if quads == 0.0:
+                        assert ball < 0.0, kind
+            # the scene's own ball, its centre placed by the pose and its radius, agrees with the numpy derivation
+            assert np.allclose(scene._ball_centre, scene.pose[:3, 0] * (0.5 * depth) + t, rtol=0, atol=1e-15)
+            assert scene._ball_radius == pytest.approx(np.sqrt((0.5 * depth) ** 2 + (scene.section**2).sum(axis=1).max()), abs=1e-15)
+        assert outside["far"] == 300 and outside["entrance"] > 100 and outside["exit"] > 100
+        assert outside["inside"] == outside["wall"] == 0
 
     def test_a_previous_state_of_other_objects_gives_the_full_evaluation(self, setup, straight_chain):
-        scene, capsules, (first, second, _third) = setup
-        q = second.q
-        assert world_state(q, straight_chain, capsules, scene, first).scored == 1
-        full = world_state(q, straight_chain, capsules, scene)
+        # world_state hands back a previous state only when it holds these very chain, capsules and scene objects
+        scene, capsules, (first, _second, _third) = setup
+        q = first.q
+        assert world_state(q, straight_chain, capsules, scene, first) is first
         other_chain = RobotChain(joints=straight_chain.joints, tool_offset=straight_chain.tool_offset)
         others = (
-            world_state(first.q, other_chain, capsules, scene),
-            world_state(first.q, straight_chain, CapsuleSet(capsules), scene),
-            world_state(first.q, straight_chain, capsules, transform_scene(scene, np.eye(4))),
+            world_state(q, other_chain, capsules, scene),
+            world_state(q, straight_chain, CapsuleSet(capsules), scene),
+            world_state(q, straight_chain, capsules, transform_scene(scene, np.eye(4))),
         )
         for previous in others:
             state = world_state(q, straight_chain, capsules, scene, previous)
-            assert state.scored == 3
-            assert state.clearances.tobytes() == full.clearances.tobytes()
-            _assert_same_witness(state.witness, full.witness)
+            assert state is not previous and state is not first
+            assert state.scored == first.scored
+            assert state.clearances.tobytes() == first.clearances.tobytes()
+            _assert_same_witness(state.witness, first.witness)
 
     def test_seeded_entrance_exits_keep_the_full_witness(self, setup, straight_chain):
         # A crosses the opening near its centre on a shallow line whose outside part passes just beyond a rim
         # edge, so a small turn can carry the crossing past the edge: the axis then pierces the wall, and its
-        # clearance falls below minus its radius, which no floor minus the motion may bound from above
+        # clearance falls below minus its radius, which no ball bound may bound from above
         scene = setup[0]
         rng = np.random.default_rng(41)
         link_1 = np.array([1.0, 0.0, 0.0])  # link 1's frame origin at zero turn
@@ -615,11 +714,11 @@ class TestCulledEvaluation:
             turn += rng.choice([-1.0, 1.0]) * rng.uniform(0.002, 0.05)
             state = world_state([turn, 0, 0, 0, 0, 0], straight_chain, capsules, scene, previous)
             _assert_culled_like_full(state)
-            full = world_state(state.q, state.chain, state.capsules, state.scene)
-            if not previous.clearances[1] > -0.05 > full.clearances[1]:
+            before, after = _alone(previous)[1].value, _alone(state)[1].value
+            if not before > -0.05 > after:
                 continue
             exits += 1  # A's axis went from clear of the walls to piercing one
-            culled_exits += state.clearances[1] != full.clearances[1]
+            culled_exits += state.clearances[1] != after
         assert exits >= 40 and culled_exits == 0  # 49 of the 1000 draws
 
     def test_random_joint_walks_keep_the_full_witness(self):
@@ -827,7 +926,7 @@ class TestPieceGradients:
             assert (up.value - down.value) / (2 * h) == pytest.approx(grad[j], abs=1e-6), j
 
 
-_DERIVED = ("_walls", "_rim")
+_DERIVED = ("_walls", "_rim", "_ball_radius")  # from the section and depth alone, shared by a moved scene
 
 
 def _rebuilt(scene):
@@ -842,7 +941,7 @@ def _composed(T, P):
 
 
 def _assert_same_scene(s1, s2):
-    for name in ("section", "depth", "pose", "_pose_rows", *_DERIVED):
+    for name in ("section", "depth", "pose", "_pose_rows", "_ball_centre", *_DERIVED):
         assert np.asarray(getattr(s1, name)).tobytes() == np.asarray(getattr(s2, name)).tobytes(), name
 
 
@@ -963,14 +1062,13 @@ class TestBatchedKernel:
 
         Returns the batch's (clearances, witness) and each capsule's witness scored alone.
         """
-        clearances, witness, *_ = _score_axes(np.asarray(axes, dtype=float).tolist(), radii, scene, range(len(radii)))
+        clearances, witness, scored = _score_axes(np.asarray(axes, dtype=float).tolist(), radii, scene, range(len(radii)))
         alone = [capsule_distance(a, b, radius, scene, i) for i, ((a, b), radius) in enumerate(zip(axes, radii))]
         for i, w in enumerate(alone):
             _check_witness(w, axes[i][0], axes[i][1], radii[i], scene)
-            # one capsule scored alone takes the same arithmetic as in the batch
-            assert clearances[i] == w.value
+        # a capsule scored in the batch takes the same arithmetic as alone; a culled one keeps a bound
+        _assert_culled_like_alone(clearances, scored, witness, alone)
         assert witness.capsule_index == int(np.argmin(clearances))
-        _assert_same_witness(witness, alone[witness.capsule_index])
         return clearances, witness, alone
 
     def test_random_c4_configurations(self, c4):
@@ -985,7 +1083,7 @@ class TestBatchedKernel:
             segs = world_capsule_segments(q, c4.chain, c4.capsules)
             clearances, witness, alone = self._check(segs, radii, scene)
             state = world_state(q, c4.chain, c4.capsules, scene)
-            assert state.clearances.tolist() == clearances
+            assert state.clearances.tolist() == clearances  # one pass, one set of bits
             _assert_same_witness(state.witness, witness)
             assert scene_distance(q, c4.chain, c4.capsules, scene).value == min(clearances)
             cases.update(w.case_tag for w in alone)

@@ -10,6 +10,7 @@ from icop.qp import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     QpProblem,
+    _dot,
     _eliminate_equalities,
     _project_three,
     solve,
@@ -455,6 +456,20 @@ def test_float_rows_are_checked_like_arrays():
     for name, value, message in bad:
         with pytest.raises(ValueError, match=message):
             solve(box, **{**good, name: value})
+
+
+def test_the_float_dot_adds_left_to_right_from_zero():
+    # a compensated sum, the builtin sum since Python 3.12, reads 1.0 here; left to right, 1e16 + 1.0 rounds to 1e16
+    assert _dot((1e16, 1.0, -1e16), (1.0, 1.0, 1.0)) == 0.0
+    assert _dot((1e16, 1.0, -1e16, 0.0, 0.0, 0.0), (1.0,) * 6) == 0.0  # the six-entry form
+    assert str(_dot((-0.0,) * 6, (1.0,) * 6)) == str(_dot((-0.0,) * 3, (1.0,) * 3)) == "0.0"  # as sum gives it
+    rng = np.random.default_rng(44)
+    for _ in range(1000):
+        u, v = rng.normal(size=(2, 6)) * 10.0 ** rng.integers(-8, 9, size=(2, 6))
+        total = 0.0
+        for p in (u * v).tolist():
+            total += p
+        assert _dot(u.tolist(), v.tolist()) == total == _dot([*u.tolist(), 0.0], [*v.tolist(), 1.0])
 
 
 def test_a_row_too_short_for_the_svd_rank_test_takes_the_svd():
