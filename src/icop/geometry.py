@@ -470,8 +470,16 @@ def _score_axes(axes: list, radii, scene: Scene, capsule_indices) -> tuple:
     k = min(range(n), key=clearances.__getitem__)  # the first on a tie
     _gap, t, clip, case, plane, on_robot, on_obstacle = scores[k]
     on_robot, on_obstacle = np.array([to_world(pose, on_robot), to_world(pose, on_obstacle)])
-    witness = DistanceWitness(clearances[k], capsule_indices[k], on_robot, on_obstacle, case, t, plane, clip)
+    witness = _built(DistanceWitness, value=clearances[k], capsule_index=capsule_indices[k], point_on_robot=on_robot,
+                     point_on_obstacle=on_obstacle, case_tag=case, axis_param=t, plane_index=plane, clip_plane_index=clip)
     return clearances, witness, n - culled
+
+
+def _built(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` whose ``fields`` name every field, built without one __setattr__ each."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
 
 
 def capsule_distance(world_a, world_b, radius: float, scene: Scene, capsule_index: int = -1) -> DistanceWitness:
@@ -545,9 +553,9 @@ def world_state(q, chain: RobotChain, capsules, scene: Scene, previous: WorldSta
     the scene's ball shows cannot bind: the witness and every exact clearance
     keep their bits, and a culled clearance is a lower bound.
     """
-    qv = np.array(q, dtype=float).reshape(-1)  # a copy
-    if len(qf := qv.tolist()) != NUM_JOINTS or not math.isfinite(sum(qf)):  # a finite sum has only finite terms
-        qv = joint_config(q)  # names what is wrong
+    qv = np.array(q, dtype=float)  # a copy
+    if qv.shape != (NUM_JOINTS,) or not math.isfinite(sum(qf := qv.tolist())):  # a finite sum has only finite terms
+        qf = (qv := joint_config(q)).tolist()  # reshapes, or names what is wrong
     capsules = _capsule_set(capsules)
     if previous is not None and previous.chain is chain and previous.capsules is capsules and previous.scene is scene:
         if qf == previous.q_floats and qv.tobytes() == previous.q.tobytes():  # bits: 0.0 == -0.0
@@ -555,9 +563,8 @@ def world_state(q, chain: RobotChain, capsules, scene: Scene, previous: WorldSta
     rows = frames(qf, chain)
     segments = _world_axes(rows, capsules._axes)
     clearances, witness, scored = _score_axes(segments, capsules._radii, scene, range(len(capsules)))
-    # Every field is built here, so the frozen dataclass's __init__, one object.__setattr__ per field, is skipped.
-    state = object.__new__(WorldState)
-    state.__dict__.update(
+    return _built(
+        WorldState,
         q=qv,
         q_floats=qf,
         frames=rows,
@@ -570,7 +577,6 @@ def world_state(q, chain: RobotChain, capsules, scene: Scene, previous: WorldSta
         scene=scene,
         scored=scored,
     )
-    return state
 
 
 def _witness_gradient(rows: list, segment, capsules: CapsuleSet, scene: Scene, witness: DistanceWitness) -> list:

@@ -13,7 +13,10 @@ previous waypoint; anchoring at the previous waypoint can pin the iterate
 against the constraint set and stall the loop. The weights and the joint box
 are the same for every QP, so ``PlannerParams`` checks them once into its
 ``QpProblem``; an iterate hands ``qp.solve`` only its reference and its rows.
-The rows, the residual and the stall test read the state's Python floats.
+The whole loop runs on Python floats, from the path, converted once after its
+checks, to the QP's answer, which SafeTrack hands the next evaluation; the
+split pieces and the bisection midpoints round as numpy's elementwise
+operations did. Arrays are built only for the ``Trajectory`` ``plan`` returns.
 
 Each configuration is evaluated once per plan (``geometry.world_state``):
 ``plan`` evaluates the initial configuration, SafeTrack evaluates each QP
@@ -144,7 +147,7 @@ def safetrack(start: WorldState, c_next, params: PlannerParams) -> SafeTrackResu
     iterate accepted is evaluated once, with start's chain, capsules and
     scene.
     """
-    target, state, iterations = np.asarray(c_next, dtype=float).tolist(), start, 0
+    target, state, iterations = list(map(float, c_next)), start, 0
     while True:
         residual = math.dist(target, state.tool_position)
         converged = residual <= params.xi and state.witness.value > 0.0
@@ -152,11 +155,11 @@ def safetrack(start: WorldState, c_next, params: PlannerParams) -> SafeTrackResu
             break
         G, h = collision_rows(state)
         A, b = task_rows(state.tool_jacobian(), state.q_floats, state.tool_position, target)
-        sol = solve(params.qp, state.q, A=A, b=b, G=G, h=h)
+        sol = solve(params.qp, state.q_floats, A=A, b=b, G=G, h=h)
         iterations += 1
-        if sol.status != STATUS_OPTIMAL or max(map(abs, map(sub, sol.x.tolist(), state.q_floats))) < 1e-15:
+        if sol.status != STATUS_OPTIMAL or max(map(abs, map(sub, sol.x_floats, state.q_floats))) < 1e-15:
             break  # no solution, or stalled: the QP returned the reference itself
-        state = world_state(sol.x, start.chain, start.capsules, start.scene)
+        state = world_state(sol.x_floats, start.chain, start.capsules, start.scene)
     return SafeTrackResult(state, converged, iterations, residual)
 
 
@@ -175,25 +178,23 @@ def plan(weld_path, q_init, chain: RobotChain, capsules, scene: Scene, params: P
     path = np.asarray(weld_path, dtype=float)
     if path.ndim != 2 or path.shape[1] != 3 or path.shape[0] == 0:
         raise ValueError("weld_path must be a non-empty (T, 3) array")
-    if not np.isfinite(path).all():
+    waypoints = path.tolist()
+    if not math.isfinite(sum(map(sum, waypoints))) and not np.isfinite(path).all():  # a finite sum has finite terms
         raise ValueError("weld_path must be finite")
     state = world_state(q_init, chain, capsules, scene, _resume)
-    if np.any(state.q < params.joint_lower - 1e-12) or np.any(state.q > params.joint_upper + 1e-12):
+    box = zip(state.q_floats, params.qp.lower_floats, params.qp.upper_floats)
+    if any(q < lower - 1e-12 or q > upper + 1e-12 for q, lower, upper in box):
         raise ValueError("q_init violates the joint limits")
 
-    T = path.shape[0]
-    states = np.zeros((T, NUM_JOINTS))
-    tcp_error = np.zeros(T)
-    min_distance = np.zeros(T)
-    inner_iterations = np.zeros(T, dtype=int)
-
-    for t in range(T):
-        c_from = np.array(state.tool_position)
-        gap = math.dist(path[t].tolist(), state.tool_position)
-        stack = [(path[t], 0)]
+    states, tcp_error, min_distance, inner_iterations = [], [], [], []
+    for t, waypoint in enumerate(waypoints):
+        c_from = state.tool_position
+        gap = math.dist(waypoint, c_from)
+        stack = [(waypoint, 0)]
         if gap > params.step_max:
-            pieces, step = math.ceil(gap / params.step_max), path[t] - c_from
-            stack = [(c_from + (i / pieces) * step, 0) for i in range(pieces, 0, -1)]
+            # c_from + (i / pieces) * (waypoint - c_from), coordinate by coordinate
+            pieces, step = math.ceil(gap / params.step_max), list(map(sub, waypoint, c_from))
+            stack = [([c + (i / pieces) * d for c, d in zip(c_from, step)], 0) for i in range(pieces, 0, -1)]
         iters = 0
         while stack:
             target, depth = stack.pop()
@@ -202,21 +203,16 @@ def plan(weld_path, q_init, chain: RobotChain, capsules, scene: Scene, params: P
             if result.converged:
                 state = result.state
             elif depth < _BISECT_DEPTH:
-                stack += [(target, depth + 1), (0.5 * (target + state.tool_position), depth + 1)]
+                stack += [(target, depth + 1), ([0.5 * (c + p) for c, p in zip(target, state.tool_position)], depth + 1)]
             else:
                 raise NonConvergedError(t, result.tcp_error, result.state.witness.value)
-        states[t] = state.q
-        tcp_error[t] = math.dist(path[t].tolist(), state.tool_position)
-        min_distance[t] = state.witness.value
-        inner_iterations[t] = iters
+        states.append(state.q_floats)
+        tcp_error.append(math.dist(waypoint, state.tool_position))
+        min_distance.append(state.witness.value)
+        inner_iterations.append(iters)
 
     _resume = state
-    return Trajectory(
-        states=states,
-        tcp_error=tcp_error,
-        min_distance=min_distance,
-        inner_iterations=inner_iterations,
-    )
+    return Trajectory(np.array(states), np.array(tcp_error), np.array(min_distance), np.array(inner_iterations, dtype=int))
 
 
 def verify_trajectory(traj: Trajectory, params: PlannerParams) -> list[str]:

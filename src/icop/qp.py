@@ -20,14 +20,17 @@ null-space coordinates z. Its unconstrained minimum z = 0 is the weighted
 projection x0 of x_ref onto the equality rows; when that point meets every
 inequality and bound it is returned as it is.
 
-Three equality rows, the contact rows every planner QP has, are checked and
-projected first on Python floats, with no SVD: x0 = x_ref + W^-1 A^T y, where y solves
+Three equality rows, the contact rows every planner QP has, are checked for
+shape and projected first on Python floats, with no SVD: x0 = x_ref + W^-1 A^T y, where y solves
 K y = b - A x_ref with K = A W^-1 A^T, through an unrolled LDL^T. That
 needs every pivot d_k above ``_PIVOT_RTOL`` K_kk, so the rows are far from
 dependent and the Gram solve stays at rounding error, and the shortest row
-long enough that the SVD's rank test would find the rows independent. When
-that x0 also meets every inequality and bound it is returned at once, and
-only x is an array; most planner QPs end there. Otherwise the SVD runs: after the float projection it
+long enough that the SVD's rank test would find the rows independent. A NaN
+or inf in x_ref or b reaches every entry of x0, in A it fails the pivot
+test, and in G or h it reaches its row's slack at x0, so the fast exit
+checks only x0 and those slacks for finiteness and leaves any other call to
+the checked path, which names the argument. When x0 also meets every
+inequality and bound it is returned at once, with its floats; most planner QPs end there. Otherwise the SVD runs: after the float projection it
 supplies only the null space and x0 is kept, and rows that failed the pivot
 test, or come in other numbers, take the SVD's x0 and its rank test.
 
@@ -80,6 +83,8 @@ _SHORTEST_ROW = (6.0 * _SVD_RANK_RTOL / _PIVOT_RTOL) ** 2
 _TOL_FEAS = 1e-9
 _TOL_KKT = 1e-8
 _MAX_ITER = 200
+_NO_MULTIPLIERS = np.zeros(0)  # the multipliers of a solution with no active row, shared and read-only
+_NO_MULTIPLIERS.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,21 +136,12 @@ class QpSolution:
     eq_residual: float
     iterations: int = 0
     eq_projected: bool = False
-    multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    multipliers: np.ndarray = field(default_factory=lambda: _NO_MULTIPLIERS)
     active_set: tuple[int, ...] = ()
+    x_floats: list = field(init=False, repr=False)  # x's floats
 
-
-def _three_rows(n: int, x_ref, A, b, G, h):
-    """x_ref, A, b, G and h, arrays as lists, when x_ref has n entries, A three rows of n, b three, each row of G n
-    and h one per row, and every entry is a finite number (a finite sum has only finite terms); else None."""
-    try:
-        x_ref, A, b, G, h = [v.tolist() if isinstance(v, np.ndarray) else v for v in (x_ref, A, b, G, h)]
-        if len(x_ref) == n and len(A) == len(b) == 3 and len(G) == len(h) and all(len(r) == n for r in (*A, *G)):
-            if math.isfinite(sum(x_ref) + sum(b) + sum(h) + sum(map(sum, A)) + sum(map(sum, G))):
-                return x_ref, A, b, G, h
-    except (TypeError, OverflowError):  # an entry that is no number, or a row that is no sequence
-        pass
-    return None
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "x_floats", np.asarray(self.x, dtype=float).reshape(-1).tolist())
 
 
 def _rows(M, v, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -299,27 +295,39 @@ def solve(problem: QpProblem, x_ref, A=(), b=(), G=(), h=()) -> QpSolution:
     """Minimize sum_i w_i (x_i - x_ref_i)^2 s.t. A x = b, G x >= h and the problem's bounds.
 
     An empty sequence means no rows of that kind. Only the arguments of this
-    call are checked: their shapes against ``problem`` and their finiteness.
-    Deterministic for fixed inputs, floats or arrays alike. Three finite rows
+    call are checked: their shapes against ``problem`` and their finiteness,
+    the fast exit's on its projection and row slacks (module docstring).
+    Deterministic for fixed inputs, floats or arrays alike. Three rows
     of n in A whose LDL^T pivots clear ``_PIVOT_RTOL`` are projected on floats,
     and when their projection meets every row and bound it is returned with no
     SVD; every other call reaches the SVD (module docstring). An OPTIMAL ``x``
     lies in the box.
     """
-    n = len(problem.inverse_weights)
-    floats = _three_rows(n, x_ref, A, b, G, h)
-    x0 = None if floats is None else _project_three(problem.inverse_weights, *floats[:3])
+    n, lower, upper = len(problem.inverse_weights), problem.lower_floats, problem.upper_floats
+    x0 = None
+    try:  # an entry that is no number, or a row that is no sequence, leaves the call to the checks below
+        xf, Af, bf, Gf, hf = [v.tolist() if isinstance(v, np.ndarray) else v for v in (x_ref, A, b, G, h)]
+        if len(xf) == n and len(Af) == len(bf) == 3 and len(Gf) == len(hf) and all(len(r) == n for r in (*Af, *Gf)):
+            x0 = _project_three(problem.inverse_weights, xf, Af, bf)
+        if x0 is not None:
+            slacks = [_dot(g, x0) - hi for g, hi in zip(Gf, hf)]
+            if not math.isfinite(sum(x0) + sum(slacks)):  # a non-finite input (module docstring): checked below
+                x0 = None
+    except (TypeError, OverflowError):
+        x0 = None
     if x0 is not None:
         # The fast exit: where x0 meets every row and bound it is the optimum, and no SVD runs.
         # Three variables leave no null space, and then no pass is counted, as below.
-        _, rows, rhs, g_rows, g_rhs = floats
-        worst = min(min(map(sub, x0, problem.lower_floats)), min(map(sub, problem.upper_floats, x0)),
-                    *(_dot(g, x0) - hi for g, hi in zip(g_rows, g_rhs)))
+        worst = min(min(map(sub, x0, lower)), min(map(sub, upper, x0)), *slacks)
         if worst >= -_TOL_FEAS * 0.1:
             if worst < 0.0:  # within the tolerance outside a row or bound: onto the box, as below
-                x0 = list(map(min, map(max, x0, problem.lower_floats), problem.upper_floats))
-            eq_res = max(abs(_dot(a, x0) - bi) for a, bi in zip(rows, rhs))
-            return QpSolution(np.array(x0), STATUS_OPTIMAL, 0.0, eq_res, 1 if n > 3 else 0, False, np.zeros(0), ())
+                x0 = list(map(min, map(max, x0, lower), upper))
+            eq_res = max(abs(_dot(a, x0) - bi) for a, bi in zip(Af, bf))
+            sol = object.__new__(QpSolution)  # every field given, so no frozen __init__ with its per-field __setattr__
+            sol.__dict__.update(x=np.array(x0), status=STATUS_OPTIMAL, kkt_residual=0.0, eq_residual=eq_res,
+                                iterations=1 if n > 3 else 0, eq_projected=False, multipliers=_NO_MULTIPLIERS,
+                                active_set=(), x_floats=x0)
+            return sol
         x0 = np.array(x0)
     x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
     if x_ref.shape != (n,):
@@ -344,9 +352,9 @@ def solve(problem: QpProblem, x_ref, A=(), b=(), G=(), h=()) -> QpSolution:
     slack = np.concatenate((G @ x0 - h, x0 - problem.lower, problem.upper - x0))
     worst = float(slack.min())
     if null.shape[0] == 0:
-        return finish(x0, STATUS_OPTIMAL if worst >= -_TOL_FEAS else STATUS_INFEASIBLE, 0.0, 0, np.zeros(0), ())
+        return finish(x0, STATUS_OPTIMAL if worst >= -_TOL_FEAS else STATUS_INFEASIBLE, 0.0, 0, _NO_MULTIPLIERS, ())
     if worst >= -_TOL_FEAS * 0.1:
-        return finish(x0, STATUS_OPTIMAL, 0.0, 1, np.zeros(0), ())
+        return finish(x0, STATUS_OPTIMAL, 0.0, 1, _NO_MULTIPLIERS, ())
 
     # The same rows in the scaled variable (Y) and over z (M); infinite bounds are left out.
     finite = np.isfinite(slack)

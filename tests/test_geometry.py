@@ -257,15 +257,16 @@ class TestSceneDistance:
         from icop.scenario import mounted_scene_and_path
 
         scene, _ = mounted_scene_and_path(c4)
-        built = []
+        build, built = geometry._built, []
 
-        def counted(*args, **kwargs):
-            built.append(DistanceWitness(*args, **kwargs))
+        def counted(cls, **fields):
+            built.append(build(cls, **fields))
             return built[-1]
 
-        monkeypatch.setattr(geometry, "DistanceWitness", counted)
+        monkeypatch.setattr(geometry, "_built", counted)
         state = world_state(c4.initial_config, c4.chain, c4.capsules, scene)
-        assert len(built) == 1 and built[0] is state.witness
+        assert [type(x) for x in built] == [DistanceWitness, geometry.WorldState] and built == [state.witness, state]
+        assert list(vars(state.witness)) == _WITNESS_FIELDS  # _built fills every field
         assert state.clearances.shape == (len(c4.capsules),) == (6,)
         assert list(vars(state)) == [field.name for field in fields(geometry.WorldState)]  # world_state fills every field
 

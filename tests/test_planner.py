@@ -226,7 +226,7 @@ def _safetrack_with_solve(world, monkeypatch, solution):
 
 def test_non_optimal_qp_stops_safetrack_at_the_start(world, monkeypatch):
     def infeasible(x_ref):
-        return QpSolution(x_ref + 0.1, STATUS_INFEASIBLE, kkt_residual=0.0, eq_residual=0.0)
+        return QpSolution(np.add(x_ref, 0.1), STATUS_INFEASIBLE, kkt_residual=0.0, eq_residual=0.0)
 
     start, res, calls = _safetrack_with_solve(world, monkeypatch, infeasible)
     assert len(calls) == 1 and res.inner_iterations == 1
@@ -253,7 +253,7 @@ def test_safetrack_returns_the_iterate_it_stopped_on(world, monkeypatch):
         if len(calls) == 1:
             return real_solve(problem, x_ref, **rows)
         if len(calls) == 2:
-            return QpSolution(x_ref + 0.01, STATUS_OPTIMAL, kkt_residual=0.0, eq_residual=0.0)
+            return QpSolution(np.add(x_ref, 0.01), STATUS_OPTIMAL, kkt_residual=0.0, eq_residual=0.0)
         return QpSolution(x_ref, STATUS_INFEASIBLE, kkt_residual=0.0, eq_residual=0.0)
 
     monkeypatch.setattr(planner, "solve", approach_retreat_fail)
@@ -263,7 +263,7 @@ def test_safetrack_returns_the_iterate_it_stopped_on(world, monkeypatch):
     first = world_state(calls[1], c4.chain, c4.capsules, scene)
     first_error = float(np.linalg.norm(path[0] - first.tool_position))
     assert first_error < float(np.linalg.norm(path[0] - start.tool_position))
-    assert res.state.q.tobytes() == calls[2].tobytes()
+    assert res.state.q.tobytes() == np.array(calls[2]).tobytes()
     assert res.state.witness.value > 0.0
     assert res.tcp_error == float(np.linalg.norm(path[0] - res.state.tool_position)) > first_error
 
@@ -382,7 +382,7 @@ def test_safetrack_calls_per_waypoint_reach_the_bound(world, monkeypatch):
 
     def short_steps_only(start, target, *args):
         calls.append(target)
-        gap = float(np.linalg.norm(target - start.tool_position))
+        gap = float(np.linalg.norm(np.subtract(target, start.tool_position)))
         if gap > 0.006:
             return SafeTrackResult(start, False, 0, gap)
         return real_track(start, target, *args)
@@ -458,6 +458,28 @@ def test_one_scene_evaluation_per_accepted_iterate(monkeypatch):
         assert step.min_distance[0] == whole.min_distance[t]
         assert step.tcp_error[0] == whole.tcp_error[t]
         q = step.states[0]
+
+
+@pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4"])
+def test_a_stream_of_one_waypoint_plans_is_the_whole_path_plan(name):
+    # each waypoint planned in its own call from the state the last call returned, at the bundled xi and at
+    # xi = 1e-6: every field equals the whole-path plan's, bit for bit, dtype and shape
+    s = load_bundled(name)
+    scene, path = mounted_scene_and_path(s)
+    T = len(path)
+    for params in (s.params, dataclasses.replace(s.params, xi=1e-6)):
+        whole = plan(path, s.initial_config, s.chain, s.capsules, scene, params)
+        assert whole.states.dtype == np.float64 and whole.states.shape == (T, 6)
+        assert whole.tcp_error.dtype == whole.min_distance.dtype == np.float64
+        assert whole.inner_iterations.dtype == np.dtype(int)
+        q, steps = s.initial_config, []
+        for t in range(T):
+            steps.append(plan(path[t : t + 1], q, s.chain, s.capsules, scene, params))
+            q = steps[-1].states[0]
+        for field in ("states", "tcp_error", "min_distance", "inner_iterations"):
+            streamed = np.concatenate([getattr(step, field) for step in steps])
+            assert streamed.dtype == getattr(whole, field).dtype and streamed.shape == getattr(whole, field).shape
+            assert streamed.tobytes() == getattr(whole, field).tobytes(), (params.xi, field)
 
 
 @pytest.mark.parametrize("change", [None, "scene", "capsules", "chain", "one ulp", "negative zero"])

@@ -458,6 +458,41 @@ def test_float_rows_are_checked_like_arrays():
             solve(box, **{**good, name: value})
 
 
+def test_a_non_finite_entry_is_named_wherever_it_sits(monkeypatch):
+    # NaN, +inf and -inf in each entry of x_ref, A, b, G and h, all passed as lists or all as arrays, on problems
+    # whose projection meets every row and bound: each raises the ValueError that names the argument, and no SVD
+    # runs. The first problem's zero coefficients meet a non-finite entry as 0 * inf = NaN; each has two G rows,
+    # so a NaN slack in either cannot hide behind the other in a min.
+    eliminations = []
+    monkeypatch.setattr(qp, "_eliminate_equalities", lambda *args: eliminations.append(args) or _eliminate_equalities(*args))
+    rng = np.random.default_rng(34)
+    weights, A = rng.uniform(0.5, 2.0, 6), rng.normal(size=(3, 6))
+    x_ref, b = rng.uniform(-1.0, 1.0, 6), A @ rng.uniform(-0.1, 0.1, 6)
+    x0 = _eliminate_equalities(x_ref, A, b, weights**-0.5)[0]
+    G = rng.normal(size=(2, 6))
+    lower, upper = x0 - 1.0, x0 + 1.0
+    lower[0], upper[1] = -np.inf, np.inf
+    bases = [
+        (QpProblem(np.ones(6), -np.ones(6), np.ones(6)),
+         {"x_ref": np.zeros(6), "A": np.eye(6)[:3], "b": np.zeros(3), "G": np.eye(6)[3:5], "h": np.array([-1.0, -0.5])}),
+        (QpProblem(weights, lower, upper), {"x_ref": x_ref, "A": A, "b": b, "G": G, "h": G @ x0 - 0.5}),
+    ]
+    raised = 0
+    for p, arrays in bases:
+        lists = {name: value.tolist() for name, value in arrays.items()}
+        for call in (lists, arrays):
+            assert solve(p, **call).status == STATUS_OPTIMAL and eliminations == []  # the fast exit
+            for name, clean in arrays.items():
+                for index in np.ndindex(clean.shape):
+                    for bad in (np.nan, np.inf, -np.inf):
+                        value = clean.copy()
+                        value[index] = bad
+                        with pytest.raises(ValueError, match=rf"^{name} must be finite$"):
+                            solve(p, **{**call, name: value if call is arrays else value.tolist()})
+                        raised += 1
+    assert raised == 2 * 2 * 3 * (6 + 18 + 3 + 12 + 2) and eliminations == []
+
+
 def test_the_float_dot_adds_left_to_right_from_zero():
     # a compensated sum, the builtin sum since Python 3.12, reads 1.0 here; left to right, 1e16 + 1.0 rounds to 1e16
     assert _dot((1e16, 1.0, -1e16), (1.0, 1.0, 1.0)) == 0.0
